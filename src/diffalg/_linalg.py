@@ -115,6 +115,21 @@ def in_span(v, basis: np.ndarray, tol: float = ZERO_TOL) -> bool:
     return bool(np.linalg.norm(res) <= tol * (1.0 + np.linalg.norm(v)))
 
 
+def rows_in_span(vs, onb: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """Membership of each row of vs in the span of the orthonormal rows onb.
+
+    The rule is in_span's, residual <= tol * (1 + |v|), but the residuals
+    of the whole stack come from one projection v - (v onb^H) onb, which
+    is only valid because onb is orthonormal (as span_basis returns and
+    Subspace.basis holds).
+    """
+    vs = np.asarray(vs, dtype=complex)
+    if onb.shape[0] == 0:
+        return np.linalg.norm(vs, axis=1) <= tol
+    res = vs - (vs @ onb.conj().T) @ onb
+    return np.linalg.norm(res, axis=1) <= tol * (1.0 + np.linalg.norm(vs, axis=1))
+
+
 def projection_residual(v, basis: np.ndarray) -> float:
     """Euclidean distance from v to the row span of basis."""
     v = np.asarray(v, dtype=complex).ravel()

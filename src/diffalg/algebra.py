@@ -10,12 +10,13 @@ ideals, centralizers, and a family of ready-made constructors.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from . import _linalg as la
 from .errors import DomainError, NumericError
-from .multiindex import MultiIndex, mi_add, mi_enumerate
+from .multiindex import MultiIndex, mi_add, mi_count, mi_enumerate
 
 __all__ = [
     "StructureAlgebra",
@@ -77,24 +78,38 @@ class StructureAlgebra:
     # --- raw coordinate operations -------------------------------------
 
     def mul_coords(self, x, y) -> np.ndarray:
+        d = self.dim
         x = np.asarray(x, dtype=complex).ravel()
         y = np.asarray(y, dtype=complex).ravel()
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        return y @ (x @ self.structure.reshape(d, d * d)).reshape(d, d)
+
+    def mul_pairs(self, xs, ys) -> np.ndarray:
+        """Products xs[p] * ys[q] of every pair of rows, as an (m, n, d) array.
+
+        Two matrix products: the first contracts xs into the left index of
+        the structure tensor, the second (batched over p) contracts ys
+        into the middle one.
+        """
+        d = self.dim
+        xs = np.asarray(xs, dtype=complex).reshape(-1, d)
+        ys = np.asarray(ys, dtype=complex).reshape(-1, d)
+        return ys @ (xs @ self.structure.reshape(d, d * d)).reshape(-1, d, d)
 
     def star_coords(self, x) -> np.ndarray:
         return self.involution @ np.conj(np.asarray(x, dtype=complex).ravel())
 
     def left_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a*x."""
+        d = self.dim
         a = np.asarray(a, dtype=complex).ravel()
         # entry [k, j] = sum_i a_i c[i, j, k]
-        return np.tensordot(a, self.structure, axes=(0, 0)).T
+        return (a @ self.structure.reshape(d, d * d)).reshape(d, d).T
 
     def right_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> x*a."""
         a = np.asarray(a, dtype=complex).ravel()
         # entry [k, i] = sum_j c[i, j, k] a_j
-        return np.tensordot(self.structure, a, axes=(1, 0)).T
+        return (a @ self.structure).T
 
     # --- elements ------------------------------------------------------
 
@@ -122,42 +137,50 @@ class StructureAlgebra:
         out = []
         d = self.dim
         c = self.structure
-        # associativity (e_i e_j) e_k = e_i (e_j e_k)
-        left = np.einsum("ijl,lkm->ijkm", c, c)
-        right = np.einsum("jkl,ilm->ijkm", c, c)
-        bad = np.abs(left - right)
-        if bad.max() > tol:
-            i, j, k = np.unravel_index(np.argmax(bad.max(axis=3)), (d, d, d))
-            out.append(f"associativity fails at basis triple ({i},{j},{k}), "
-                       f"residual {bad[i, j, k].max():.2e}")
-        # unit law
+        rows, cols = c.reshape(d * d, d), c.reshape(d, d * d)
+        # associativity (e_i e_j) e_k = e_i (e_j e_k), one i at a time so
+        # the peak is d^3; the witness is the first triple (row-major)
+        # with the largest residual. Real tensors (every named family)
+        # take the real products, a quarter of the complex work.
+        r = c.real if not c.imag.any() else c
+        r_rows, r_cols = r.reshape(d * d, d), r.reshape(d, d * d)
+        worst, where = -np.inf, None
         for i in range(d):
-            e = np.eye(d, dtype=complex)[i]
-            if np.abs(self.mul_coords(self.unit, e) - e).max() > tol:
+            left = (r[i] @ r_cols).reshape(d * d, d)
+            bad = np.abs(left - r_rows @ r[i]).max(axis=1)
+            top = int(np.argmax(bad))
+            if bad[top] > worst:
+                worst, where = bad[top], (i, *divmod(top, d))
+        if worst > tol:
+            i, j, k = where
+            out.append(f"associativity fails at basis triple ({i},{j},{k}), "
+                       f"residual {worst:.2e}")
+        # unit law: row i of u @ cols is u * e_i, row i of u @ c is e_i * u
+        eye = np.eye(d)
+        left_bad = np.abs((self.unit @ cols).reshape(d, d) - eye).max(axis=1) > tol
+        right_bad = np.abs(self.unit @ c - eye).max(axis=1) > tol
+        for i in range(d):
+            if left_bad[i]:
                 out.append(f"left unit law fails at basis {i}")
-            if np.abs(self.mul_coords(e, self.unit) - e).max() > tol:
+            if right_bad[i]:
                 out.append(f"right unit law fails at basis {i}")
         # involution laws
         s = self.involution
         # (x*)* = x  <=>  S conj(S) = I
-        if np.abs(s @ np.conj(s) - np.eye(d)).max() > tol:
+        if np.abs(s @ np.conj(s) - eye).max() > tol:
             out.append("involution is not an involution: S conj(S) != I")
         if np.abs(self.star_coords(self.unit) - self.unit).max() > tol:
             out.append("unit is not involution-fixed")
-        # (e_i e_j)* = e_j* e_i*
-        for i in range(d):
-            for j in range(d):
-                lhs = self.star_coords(c[i, j])
-                rhs = self.mul_coords(s[:, j], s[:, i])
-                if np.abs(lhs - rhs).max() > tol:
-                    out.append(f"(xy)* = y*x* fails at basis pair ({i},{j})")
+        # (e_i e_j)* = e_j* e_i*, rows in row-major pair order
+        lhs = np.conj(rows) @ s.T
+        rhs = self.mul_pairs(s.T, s.T).transpose(1, 0, 2).reshape(d * d, d)
+        for p in np.flatnonzero(np.abs(lhs - rhs).max(axis=1) > tol):
+            i, j = divmod(int(p), d)
+            out.append(f"(xy)* = y*x* fails at basis pair ({i},{j})")
         return out
 
     def is_commutative(self, tol=la.ZERO_TOL) -> bool:
         return bool(np.abs(self.structure - self.structure.transpose(1, 0, 2)).max() <= tol)
-
-    def is_involutive_pair(self, other: "StructureAlgebra") -> bool:
-        return self is other
 
     # --- serialization -------------------------------------------------
 
@@ -353,8 +376,8 @@ class Subspace:
         return Subspace(self.algebra, np.vstack([self.basis, other.basis]))
 
     def star_closed(self, tol=la.ZERO_TOL) -> bool:
-        return all(la.in_span(self.algebra.star_coords(v), self.basis, tol)
-                   for v in self.basis)
+        stars = np.conj(self.basis) @ self.algebra.involution.T
+        return bool(la.rows_in_span(stars, self.basis, tol).all())
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} of {self.algebra!r}>"
@@ -369,8 +392,7 @@ def subspace_product(m: Subspace, n: Subspace) -> Subspace:
     if m.algebra is not n.algebra:
         raise DomainError("subspaces belong to different algebras")
     alg = m.algebra
-    prods = [alg.mul_coords(a, b) for a in m.basis for b in n.basis]
-    return Subspace(alg, prods)
+    return Subspace(alg, alg.mul_pairs(m.basis, n.basis).reshape(-1, alg.dim))
 
 
 class Character:
@@ -392,9 +414,9 @@ class Character:
         return Subspace(self.algebra, la.null_space(self.functional.reshape(1, -1)))
 
     def multiplicativity_residual(self) -> float:
-        c = self.algebra.structure
+        d = self.algebra.dim
         s = self.functional
-        vals = np.einsum("ijk,k->ij", c, s) - np.outer(s, s)
+        vals = (self.algebra.structure.reshape(d * d, d) @ s).reshape(d, d) - np.outer(s, s)
         return float(np.abs(vals).max())
 
     def is_character(self, tol=1e-8) -> bool:
@@ -405,10 +427,8 @@ class Character:
             return False
         # involutive: s(e_j*) = conj(s(e_j)); antilinear identities can be
         # checked on a basis
-        for j in range(a.dim):
-            if abs(self.functional @ a.involution[:, j] - np.conj(self.functional[j])) > tol:
-                return False
-        return True
+        s = self.functional
+        return bool(np.abs(s @ a.involution - np.conj(s)).max() <= tol)
 
     def __repr__(self):
         return f"Character({np.array_str(self.functional, precision=4)})"
@@ -446,7 +466,8 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
     cluster_tol = 1e-7
     rng = np.random.default_rng(7)
     generic = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    ops = [algebra.left_mul_matrix(np.eye(d)[i]).T for i in range(d)]
+    # transposed left multiplication by e_i is the slice c[i]
+    ops = algebra.structure
     m = algebra.left_mul_matrix(generic).T
 
     spaces: list[np.ndarray] = []
@@ -461,7 +482,7 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
     for v in spaces:
         vec = v[:, 0]
         nv = vec.conj() @ vec
-        tup = np.array([(vec.conj() @ (op @ vec)) / nv for op in ops])
+        tup = ((ops @ vec) @ vec.conj()) / nv
         ch = Character(algebra, tup)
         if not ch.is_character(tol):
             continue
@@ -493,8 +514,9 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
     if not algebra.is_commutative():
         raise DomainError("character extraction requires a commutative algebra")
     d = algebra.dim
-    lefts = np.stack([algebra.left_mul_matrix(np.eye(d)[i]) for i in range(d)])
-    gram = np.einsum("iab,jba->ij", lefts, lefts)
+    c = algebra.structure
+    # tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
+    gram = c.reshape(d, d * d) @ c.transpose(2, 1, 0).reshape(d * d, d)
     rad = la.null_space(gram)
     if rad.shape[0]:
         qalg, proj = quotient(algebra, Subspace(algebra, rad))
@@ -518,20 +540,24 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     if ideal.algebra is not algebra:
         raise DomainError("subspace belongs to a different algebra")
     d = algebra.dim
-    for i in range(d):
-        e = np.eye(d)[i]
-        for j, v in enumerate(ideal.basis):
-            if not la.in_span(algebra.mul_coords(e, v), ideal.basis, tol):
-                raise DomainError(f"not an ideal: basis {i} * (ideal basis {j}) "
-                                  "leaves the subspace")
-            if not la.in_span(algebra.mul_coords(v, e), ideal.basis, tol):
-                raise DomainError(f"not an ideal: (ideal basis {j}) * basis {i} "
-                                  "leaves the subspace")
+    c = algebra.structure
+    v = ideal.basis
+    left = v @ c  # [i, j] = e_i * v_j
+    right = (v @ c.reshape(d, d * d)).reshape(-1, d, d).transpose(1, 0, 2)  # v_j * e_i
+    prods = np.stack([left, right], axis=2)  # tested in this order
+    inside = la.rows_in_span(prods.reshape(-1, d), v, tol).reshape(prods.shape[:3])
+    if not inside.all():
+        i, j, side = np.unravel_index(np.argmin(inside), inside.shape)
+        if side == 0:
+            raise DomainError(f"not an ideal: basis {i} * (ideal basis {j}) "
+                              "leaves the subspace")
+        raise DomainError(f"not an ideal: (ideal basis {j}) * basis {i} "
+                          "leaves the subspace")
     if not ideal.star_closed(tol):
         raise DomainError("ideal is not involution-closed; quotient involution undefined")
 
     r, pivots = la.rref(ideal.basis) if ideal.dim else (ideal.basis, [])
-    free = [c for c in range(d) if c not in pivots]
+    free = [k for k in range(d) if k not in pivots]
     reduce = np.eye(d, dtype=complex)
     for i, p in enumerate(pivots):
         reduce[:, p] = -r[i]
@@ -539,11 +565,8 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     proj = reduce[free, :]
     rep = np.eye(d, dtype=complex)[:, free]
 
-    q = len(free)
-    c_new = np.zeros((q, q, q), dtype=complex)
-    for a in range(q):
-        for b in range(q):
-            c_new[a, b] = proj @ algebra.mul_coords(rep[:, a], rep[:, b])
+    # the representatives are basis vectors, so their products are slices of c
+    c_new = c[np.ix_(free, free)] @ proj.T
     unit_new = proj @ algebra.unit
     inv_new = proj @ algebra.involution @ rep
     labels = ([algebra.labels[j] for j in free] if algebra.labels else None)
@@ -572,27 +595,18 @@ def subalgebra(algebra: StructureAlgebra, vectors,
     basis = la.span_basis(rows, width=algebra.dim)
     if not la.in_span(algebra.unit, basis, tol):
         raise DomainError("span does not contain the unit")
-    for v in basis:
-        if not la.in_span(algebra.star_coords(v), basis, tol):
-            raise DomainError("span is not closed under the involution")
-    for a in basis:
-        for b in basis:
-            if not la.in_span(algebra.mul_coords(a, b), basis, tol):
-                raise DomainError("span is not closed under products")
+    stars = np.conj(basis) @ algebra.involution.T
+    if not la.rows_in_span(stars, basis, tol).all():
+        raise DomainError("span is not closed under the involution")
     r = basis.shape[0]
-
-    def coeffs(v):
-        sol, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-        return sol
-
-    c = np.zeros((r, r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            c[i, j] = coeffs(algebra.mul_coords(basis[i], basis[j]))
-    inv = np.zeros((r, r), dtype=complex)
-    for j in range(r):
-        inv[:, j] = coeffs(algebra.star_coords(basis[j]))
-    unit = coeffs(algebra.unit)
+    prods = algebra.mul_pairs(basis, basis).reshape(r * r, -1)
+    if not la.rows_in_span(prods, basis, tol).all():
+        raise DomainError("span is not closed under products")
+    # the basis is orthonormal, so coordinates in it are inner products
+    coeffs = basis.conj().T
+    c = (prods @ coeffs).reshape(r, r, r)
+    inv = (stars @ coeffs).T
+    unit = algebra.unit @ coeffs
     sub = StructureAlgebra(c, inv, unit)
     return sub, LinearOp(basis.T, sub, algebra)
 
@@ -625,21 +639,20 @@ class LinearOp:
         """Checks that the map is a unital involutive homomorphism."""
         out = []
         src, tgt, h = self.source, self.target, self.matrix
+        d = src.dim
         if np.abs(h @ src.unit - tgt.unit).max() > tol:
             out.append("does not preserve the unit")
-        for i in range(src.dim):
-            lhs = h @ src.involution[:, i]
-            rhs = tgt.star_coords(h[:, i])
-            if np.abs(lhs - rhs).max() > tol:
-                out.append(f"does not intertwine involutions at basis {i}")
-                break
-        for i in range(src.dim):
-            for j in range(src.dim):
-                lhs = h @ src.structure[i, j]
-                rhs = tgt.mul_coords(h[:, i], h[:, j])
-                if np.abs(lhs - rhs).max() > tol:
-                    out.append(f"not multiplicative at basis pair ({i},{j})")
-                    return out
+        # column i: h(e_i*) against h(e_i)*
+        star_bad = np.abs(h @ src.involution - tgt.involution @ np.conj(h)).max(axis=0) > tol
+        if star_bad.any():
+            out.append(f"does not intertwine involutions at basis {int(np.argmax(star_bad))}")
+        # row (i, j) in row-major order: h(e_i e_j) against h(e_i) h(e_j)
+        lhs = src.structure.reshape(d * d, d) @ h.T
+        rhs = tgt.mul_pairs(h.T, h.T).reshape(d * d, -1)
+        mul_bad = np.abs(lhs - rhs).max(axis=1) > tol
+        if mul_bad.any():
+            i, j = divmod(int(np.argmax(mul_bad)), d)
+            out.append(f"not multiplicative at basis pair ({i},{j})")
         return out
 
     def is_homomorphism(self, tol: float = la.ZERO_TOL) -> bool:
@@ -654,12 +667,23 @@ class LinearOp:
 
 # --- constructors ------------------------------------------------------
 
+# Largest dimension algebra_from_name builds: the dense structure tensor
+# takes 16 d^3 bytes, 256 MiB at d = 256, and the law checks need a few
+# d^3 temporaries on top of it.
+MAX_NAMED_DIM = 256
+
+
+def _require_positive(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
 
 def matrix_algebra(n: int) -> StructureAlgebra:
     """Full matrix algebra M_n with conjugate-transpose involution.
 
     Basis = matrix units E_ij in row-major order.
     """
+    _require_positive(n)
     d = n * n
 
     def pos(i, j):
@@ -681,6 +705,7 @@ def matrix_algebra(n: int) -> StructureAlgebra:
 
 def function_algebra(n: int) -> StructureAlgebra:
     """C^n with pointwise product and complex-conjugate involution."""
+    _require_positive(n)
     c = np.zeros((n, n, n), dtype=complex)
     for i in range(n):
         c[i, i, i] = 1.0
@@ -760,23 +785,42 @@ def cusp_algebra() -> StructureAlgebra:
     return StructureAlgebra(c, np.eye(d), unit, labels=labels, check=False)
 
 
+def _build_sized(d: int, build, *args) -> StructureAlgebra:
+    """Calls build(*args) unless the dimension d it would have is too large.
+
+    d is computed from the arguments, so an oversized name is refused
+    before anything is allocated. Arguments the constructor would reject
+    come with d = 0 and reach it, so that it names the real cause.
+    """
+    if d > MAX_NAMED_DIM:
+        raise DomainError(f"algebra dimension {d} exceeds {MAX_NAMED_DIM}: its "
+                          f"structure tensor alone would take {16 * d ** 3} bytes")
+    return build(*args)
+
+
 def algebra_from_name(name: str) -> StructureAlgebra:
     """Constructor lookup for CLI-style names.
 
     Supported: "matrix:n", "func:n", "poly:m:N", "group:AxB...", "cusp".
+    Names whose algebra would exceed MAX_NAMED_DIM raise DomainError.
     """
     parts = name.strip().split(":")
     kind = parts[0].lower()
     try:
         if kind == "matrix" and len(parts) == 2:
-            return matrix_algebra(int(parts[1]))
+            n = int(parts[1])
+            return _build_sized(max(n, 0) ** 2, matrix_algebra, n)
         if kind == "func" and len(parts) == 2:
-            return function_algebra(int(parts[1]))
+            n = int(parts[1])
+            return _build_sized(n, function_algebra, n)
         if kind == "poly" and len(parts) == 3:
-            return truncated_poly(int(parts[1]), int(parts[2]))
+            m, n = int(parts[1]), int(parts[2])
+            d = mi_count(m, n) if m >= 1 and n >= 0 else 0
+            return _build_sized(d, truncated_poly, m, n)
         if kind == "group" and len(parts) == 2:
-            return group_algebra([int(x.lstrip("z"))
-                                  for x in parts[1].lower().split("x")])
+            factors = [int(x.lstrip("z")) for x in parts[1].lower().split("x")]
+            d = math.prod(factors) if min(factors) >= 1 else 0
+            return _build_sized(d, group_algebra, factors)
         if kind == "cusp" and len(parts) == 1:
             return cusp_algebra()
     except ValueError as exc:

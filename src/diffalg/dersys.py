@@ -142,15 +142,14 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
 
     for k in sys.indices:
         dk = sys.op_matrix(k)
-        lhs = np.einsum("ba,ija->ijb", dk, a.structure)
+        lhs = a.structure @ dk.T
         rhs = np.zeros_like(lhs)
         for l in sys.indices:
             if not mi_le(l, k):
                 continue
             dkl = sys.op_matrix(mi_sub(k, l))
             dl = sys.op_matrix(l)
-            rhs += mi_binomial(k, l) * np.einsum("bi,cj,bcd->ijd", dkl, dl,
-                                                 b.structure)
+            rhs += mi_binomial(k, l) * b.mul_pairs(dkl.T, dl.T)
         gap = np.abs(lhs - rhs)
         if gap.max() > tol * scale:
             i, j = np.unravel_index(np.argmax(gap.max(axis=2)),

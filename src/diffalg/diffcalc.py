@@ -233,9 +233,8 @@ def is_derivation(d: RelativeOp, tol: float = la.ZERO_TOL) -> bool:
     star = np.abs(dm @ a.involution - b.involution @ np.conj(dm)).max()
     if star > tol * scale:
         return False
-    lhs = np.einsum("ba,ija->ijb", dm, a.structure)
-    rhs = np.einsum("bi,cj,bcd->ijd", dm, pm, b.structure)
-    rhs += np.einsum("bi,cj,bcd->ijd", pm, dm, b.structure)
+    lhs = a.structure @ dm.T
+    rhs = b.mul_pairs(dm.T, pm.T) + b.mul_pairs(pm.T, dm.T)
     return bool(np.abs(lhs - rhs).max() <= tol * scale)
 
 

@@ -140,7 +140,7 @@ def ser_mul(x: SeriesElement, y: SeriesElement) -> SeriesElement:
     yk = list(y.coeffs)
     xs = np.array([x.coeffs[k] for k in xk])
     ys = np.array([y.coeffs[k] for k in yk])
-    prods = np.einsum("pi,qj,ijk->pqk", xs, ys, x.base.structure)
+    prods = x.base.mul_pairs(xs, ys)
     acc: dict[MultiIndex, np.ndarray] = {}
     for p, kp in enumerate(xk):
         for q, kq in enumerate(yk):

@@ -1,10 +1,14 @@
 """Structure-constant algebras: constructors, axioms, characters, quotients.
 
-The named constructors build their tensors exactly and skip the O(d^5)
-self-check, so this file is where the axioms actually get verified for
-each family at small dimension.
+The named constructors build their tensors exactly and skip the axiom
+self-check (O(d^5) time, O(d^3) memory), so this file is where the axioms
+actually get verified for each family at small dimension. The law
+checkers are also compared, message for message, with plain loop
+implementations kept here as references.
 """
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,3 +298,196 @@ def test_linear_op_hom_violations():
     assert any("multiplicative" in v or "unit" in v for v in shear.hom_violations())
     comp = swap.compose(swap)
     assert np.abs(comp.matrix - np.eye(2)).max() < 1e-12
+
+
+def test_quotient_names_first_failing_product():
+    p = truncated_poly(1, 3)
+    with pytest.raises(DomainError, match=r"basis 1 \* \(ideal basis 0\) leaves"):
+        quotient(p, Subspace(p, [np.eye(4)[1]]))
+
+
+# -- law checkers against loop references ------------------------------------
+
+
+def _ref_mul(alg, x, y):
+    return np.einsum("i,j,ijk->k", x, y, alg.structure)
+
+
+def reference_axiom_violations(alg, tol):
+    """Loop form of StructureAlgebra.axiom_violations (d^4 intermediate)."""
+    out = []
+    d = alg.dim
+    c = alg.structure
+    left = np.einsum("ijl,lkm->ijkm", c, c)
+    right = np.einsum("jkl,ilm->ijkm", c, c)
+    bad = np.abs(left - right)
+    if bad.max() > tol:
+        i, j, k = np.unravel_index(np.argmax(bad.max(axis=3)), (d, d, d))
+        out.append(f"associativity fails at basis triple ({i},{j},{k}), "
+                   f"residual {bad[i, j, k].max():.2e}")
+    for i in range(d):
+        e = np.eye(d, dtype=complex)[i]
+        if np.abs(_ref_mul(alg, alg.unit, e) - e).max() > tol:
+            out.append(f"left unit law fails at basis {i}")
+        if np.abs(_ref_mul(alg, e, alg.unit) - e).max() > tol:
+            out.append(f"right unit law fails at basis {i}")
+    s = alg.involution
+    if np.abs(s @ np.conj(s) - np.eye(d)).max() > tol:
+        out.append("involution is not an involution: S conj(S) != I")
+    if np.abs(s @ np.conj(alg.unit) - alg.unit).max() > tol:
+        out.append("unit is not involution-fixed")
+    for i in range(d):
+        for j in range(d):
+            lhs = s @ np.conj(c[i, j])
+            rhs = _ref_mul(alg, s[:, j], s[:, i])
+            if np.abs(lhs - rhs).max() > tol:
+                out.append(f"(xy)* = y*x* fails at basis pair ({i},{j})")
+    return out
+
+
+def reference_hom_violations(op, tol):
+    """Loop form of LinearOp.hom_violations."""
+    out = []
+    src, tgt, h = op.source, op.target, op.matrix
+    if np.abs(h @ src.unit - tgt.unit).max() > tol:
+        out.append("does not preserve the unit")
+    for i in range(src.dim):
+        if np.abs(h @ src.involution[:, i] - tgt.involution @ np.conj(h[:, i])).max() > tol:
+            out.append(f"does not intertwine involutions at basis {i}")
+            break
+    for i in range(src.dim):
+        for j in range(src.dim):
+            if np.abs(h @ src.structure[i, j] - _ref_mul(tgt, h[:, i], h[:, j])).max() > tol:
+                out.append(f"not multiplicative at basis pair ({i},{j})")
+                return out
+    return out
+
+
+def _noise(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _perturbations(alg, seed):
+    """The algebra itself plus four broken copies, none of them checked."""
+    rng = np.random.default_rng(seed)
+    d = alg.dim
+    c, s, u = alg.structure, alg.involution, alg.unit
+    bumped = c.copy()
+    bumped[tuple(rng.integers(0, d, size=3))] += 1.0
+    return {
+        "exact": alg,
+        "bumped": StructureAlgebra(bumped, s, u, check=False),
+        "involution-noise": StructureAlgebra(c, s + _noise(rng, (d, d), 4e-6), u, check=False),
+        "unit-noise": StructureAlgebra(c, s, u + _noise(rng, d, 4e-6), check=False),
+        "tensor-noise": StructureAlgebra(c + _noise(rng, c.shape, 1e-6), s, u, check=False),
+    }
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5])
+@pytest.mark.parametrize("index", range(len(FAMILIES)), ids=lambda i: repr(FAMILIES[i]))
+def test_axiom_violations_match_loop_reference(index, tol):
+    for kind, alg in _perturbations(FAMILIES[index], seed=index).items():
+        assert alg.axiom_violations(tol) == reference_axiom_violations(alg, tol), kind
+
+
+def test_perturbations_break_the_laws():
+    # the reference comparison above is only worth something if the
+    # perturbed copies actually produce witnesses of every kind
+    seen = set()
+    for index, alg in enumerate(FAMILIES):
+        for kind, bad in _perturbations(alg, seed=index).items():
+            msgs = bad.axiom_violations(1e-9)
+            assert (kind == "exact") == (not msgs)
+            seen.update(m.split(" fails")[0].split(" is ")[0] for m in msgs)
+    assert {"associativity", "left unit law", "right unit law", "(xy)* = y*x*",
+            "involution", "unit"} <= seen
+
+
+def _hom_cases():
+    p = truncated_poly(1, 3)
+    q, proj = quotient(p, Subspace(p, np.eye(4)[2:]))
+    m3 = matrix_algebra(3)
+    sub, incl = subalgebra(m3, [np.eye(3).reshape(-1), np.diag([1.0, 2.0, 3.0]).reshape(-1),
+                                np.diag([1.0, 4.0, 9.0]).reshape(-1)])
+    g = group_algebra([2, 2])
+    return [proj, incl, LinearOp.identity(g), LinearOp.identity(m3)]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5])
+def test_hom_violations_match_loop_reference(tol):
+    rng = np.random.default_rng(11)
+    for op in _hom_cases():
+        h = op.matrix
+        variants = [h, h + _noise(rng, h.shape, 1e-6), h * (1.0 + 1e-3j)]
+        bumped = h.copy()
+        bumped[tuple(rng.integers(0, s) for s in h.shape)] += 1.0
+        variants.append(bumped)
+        for m in variants:
+            broken = LinearOp(m, op.source, op.target)
+            assert broken.hom_violations(tol) == reference_hom_violations(broken, tol)
+
+
+def test_hom_violations_first_witness():
+    f2 = function_algebra(2)
+    shear = LinearOp(np.array([[1.0, 1.0], [0.0, 1.0]]), f2, f2)
+    assert shear.hom_violations() == ["does not preserve the unit",
+                                      "not multiplicative at basis pair (0,1)"]
+    twist = LinearOp(np.diag([1.0, 1j]), f2, f2)
+    assert twist.hom_violations() == ["does not preserve the unit",
+                                      "does not intertwine involutions at basis 1",
+                                      "not multiplicative at basis pair (1,1)"]
+
+
+def test_axiom_violations_memory_is_cubic():
+    m6 = matrix_algebra(6)  # d = 36: the d^4 intermediate alone took 26 MiB
+    tracemalloc.start()
+    try:
+        assert m6.axiom_violations() == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_multiplication_maps_agree_with_products(rng):
+    alg = direct_sum(matrix_algebra(2), truncated_poly(2, 2))
+    d = alg.dim
+    a, x = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+    prod = _ref_mul(alg, a, x)
+    assert np.abs(alg.mul_coords(a, x) - prod).max() < 1e-12
+    assert np.abs(alg.left_mul_matrix(a) @ x - prod).max() < 1e-12
+    assert np.abs(alg.right_mul_matrix(x) @ a - prod).max() < 1e-12
+    pairs = alg.mul_pairs(np.stack([a, x]), np.stack([x, a, a]))
+    assert pairs.shape == (2, 3, d)
+    assert np.abs(pairs[0, 0] - prod).max() < 1e-12
+    assert np.abs(pairs[1, 2] - _ref_mul(alg, x, a)).max() < 1e-12
+
+
+# -- constructor arguments and the size guard ---------------------------------
+
+
+@pytest.mark.parametrize("build", [matrix_algebra, function_algebra])
+@pytest.mark.parametrize("n", [0, -1])
+def test_constructors_reject_nonpositive_size(build, n):
+    with pytest.raises(ValueError, match=rf"n must be >= 1, got {n}"):
+        build(n)
+
+
+@pytest.mark.parametrize("name, dim", [("matrix:17", 289), ("group:64x64", 4096),
+                                       ("poly:10:10", 184756)])
+def test_oversized_names_refused_before_allocation(name, dim):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"dimension {dim} exceeds 256.* {16 * dim ** 3} bytes"):
+            algebra_from_name(name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_guard_leaves_corpus_sizes_and_argument_errors_alone():
+    assert algebra_from_name("group:8x8").dim == 64
+    assert algebra_from_name("poly:3:6").dim == 84
+    with pytest.raises(ValueError, match="positive"):
+        algebra_from_name("group:0x300")

@@ -61,6 +61,24 @@ def test_bad_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("name", ["matrix:0", "func:0", "matrix:-1"])
+def test_nonpositive_size_names_the_cause(capsys, name):
+    code, out, err = run(capsys, "algebra-check", name)
+    assert code == 2
+    assert out == ""
+    assert f"n must be >= 1, got {name.split(':')[1]}" in err
+
+
+def test_oversized_algebra_is_refused(capsys):
+    code, rep, _ = run_json(capsys, "algebra-check", "matrix:17")
+    assert code == 3
+    assert rep["results"] == {}
+    [v] = rep["violations"]
+    assert v["type"] == "domain"
+    assert "dimension 289 exceeds 256" in v["message"]
+    assert f"{16 * 289 ** 3} bytes" in v["message"]
+
+
 def _valid_dersys_doc():
     return {
         "m": 1, "N": 2, "source": "poly:1:2", "target": "func:1",

@@ -166,3 +166,38 @@ def test_scale_and_isclose():
     bumped_ops = {k: m.copy() for k, m in sys.ops.items()}
     bumped_ops[(1,)] = bumped_ops[(1,)] + 1e-6
     assert not sys.isclose(DerivativeSystem(sys.source, sys.target, 1, 2, bumped_ops), 1e-9)
+
+
+def _reference_leibniz(sys):
+    """(index, pair, residual) per failing index, from the three-operand einsum."""
+    from diffalg.multiindex import mi_binomial, mi_le, mi_sub
+
+    a, b = sys.source, sys.target
+    out = []
+    for k in sys.indices:
+        lhs = np.einsum("ba,ija->ijb", sys.op_matrix(k), a.structure)
+        rhs = np.zeros_like(lhs)
+        for l in sys.indices:
+            if mi_le(l, k):
+                rhs += mi_binomial(k, l) * np.einsum(
+                    "bi,cj,bcd->ijd", sys.op_matrix(mi_sub(k, l)), sys.op_matrix(l), b.structure)
+        gap = np.abs(lhs - rhs)
+        i, j = np.unravel_index(np.argmax(gap.max(axis=2)), (a.dim, a.dim))
+        out.append((k, (int(i), int(j)), float(gap[i, j].max())))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_leibniz_witness_matches_einsum_reference(seed):
+    good, _ = _nilpotent_u_system(matrix_algebra(2), 2, 2, seed)
+    rng = np.random.default_rng(seed)
+    ops = {k: good.op_matrix(k) for k in good.indices}
+    ops[(1, 0)] = ops[(1, 0)] + 1e-3 * rng.standard_normal(ops[(1, 0)].shape)
+    bad = DerivativeSystem(good.source, good.target, 2, 2, ops)
+    rep = verify_system(bad)
+    got = [(v["index"], v["pair"], v["residual"]) for v in rep.violations
+           if v["axiom"] == "leibniz"]
+    scale = 1.0 + bad.scale() ** 2
+    want = [w for w in _reference_leibniz(bad) if w[2] > 1e-9 * scale]
+    assert [g[:2] for g in got] == [w[:2] for w in want] and got
+    assert np.allclose([g[2] for g in got], [w[2] for w in want], rtol=1e-9, atol=0)

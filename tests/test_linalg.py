@@ -11,6 +11,7 @@ from diffalg._linalg import (
     null_space,
     projection_residual,
     rank,
+    rows_in_span,
     rref,
     span_basis,
     spans_contain,
@@ -95,3 +96,17 @@ def test_empty_and_zero_inputs():
     assert rank(z) == 0
     assert null_space(z).shape == (3, 3)
     assert span_basis(z).shape[0] == 0
+
+
+@given(st.integers(0, 200), st.integers(0, 5))
+def test_rows_in_span_agrees_with_in_span(seed, rk):
+    rng = np.random.default_rng(seed)
+    onb = span_basis(_random_matrix(seed, max(rk, 1), 6, rk), width=6)
+    inside = rng.standard_normal((3, onb.shape[0])) @ onb if onb.shape[0] else np.zeros((3, 6))
+    outside = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    near = inside + 1e-12 * outside
+    vs = np.vstack([inside, outside, near])
+    got = rows_in_span(vs, onb)
+    assert list(got) == [in_span(v, onb) for v in vs]
+    assert got[:3].all() and got[6:].all()
+    assert got[3:6].all() == (onb.shape[0] == 6)
