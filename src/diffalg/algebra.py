@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DomainError, NumericError
-from .multiindex import MultiIndex, mi_add, mi_count, mi_enumerate
+from .multiindex import MonomialTable, MultiIndex, mi_count
 
 __all__ = [
     "StructureAlgebra",
@@ -221,28 +221,28 @@ class PolyAlgebra(StructureAlgebra):
     """Degree-truncated polynomial algebra in m commuting variables.
 
     Basis = monomials x^k with |k| <= degree in graded lexicographic order;
-    products above the degree bound are dropped. Keeps the exponent list so
-    jets and evaluation can recover the polynomial structure.
+    products above the degree bound are dropped. Keeps its monomial table
+    (`table`, with the exponent list and index) so jets and evaluation can
+    recover the polynomial structure, and caches the jet spaces built on it
+    in `jet_cache`, which lives and dies with the algebra.
     """
 
     def __init__(self, mvars: int, degree: int, **kw):
-        exps = mi_enumerate(mvars, degree)
-        index = {k: i for i, k in enumerate(exps)}
-        d = len(exps)
+        table = MonomialTable(mvars, degree)
+        d = table.dim
         c = np.zeros((d, d, d), dtype=complex)
-        for i, a in enumerate(exps):
-            for j, b in enumerate(exps):
-                s = mi_add(a, b)
-                if sum(s) <= degree:
-                    c[i, j, index[s]] = 1.0
+        i, j = np.nonzero(table.add >= 0)
+        c[i, j, table.add[i, j]] = 1.0
         unit = np.zeros(d, dtype=complex)
-        unit[index[(0,) * mvars]] = 1.0
-        labels = [monomial_label(k) for k in exps]
+        unit[0] = 1.0
+        labels = [monomial_label(k) for k in table.exponents]
         super().__init__(c, np.eye(d), unit, labels=labels, **kw)
         self.mvars = mvars
         self.degree = degree
-        self.exponents: list[MultiIndex] = exps
-        self.exp_index = index
+        self.table = table
+        self.exponents: list[MultiIndex] = table.exponents
+        self.exp_index = table.exp_index
+        self.jet_cache: dict = {}
 
     def evaluate(self, coords, point) -> complex:
         """Value of the polynomial with the given coefficients at a point."""
@@ -250,11 +250,7 @@ class PolyAlgebra(StructureAlgebra):
         if point.shape != (self.mvars,):
             raise ValueError("point dimension mismatch")
         coords = np.asarray(coords, dtype=complex).ravel()
-        total = 0.0 + 0.0j
-        for i, k in enumerate(self.exponents):
-            if coords[i] != 0:
-                total += coords[i] * np.prod([point[t] ** k[t] for t in range(self.mvars)])
-        return complex(total)
+        return complex(coords @ self.table.monomials(point))
 
     def __repr__(self):
         return f"<PolyAlgebra m={self.mvars} degree={self.degree}>"
@@ -667,10 +663,21 @@ class LinearOp:
 
 # --- constructors ------------------------------------------------------
 
-# Largest dimension algebra_from_name builds: the dense structure tensor
-# takes 16 d^3 bytes, 256 MiB at d = 256, and the law checks need a few
-# d^3 temporaries on top of it.
+# Largest dimension built from input (algebra_from_name, truncated_poly,
+# series_algebra): the dense structure tensor takes 16 d^3 bytes, 256 MiB at
+# d = 256, and the law checks need a few d^3 temporaries on top of it.
 MAX_NAMED_DIM = 256
+
+
+def require_dim(d: int) -> None:
+    """Refuses an algebra of dimension d > MAX_NAMED_DIM with DomainError.
+
+    Callers compute d from their arguments, so an oversized request is
+    refused before anything is allocated.
+    """
+    if d > MAX_NAMED_DIM:
+        raise DomainError(f"algebra dimension {d} exceeds {MAX_NAMED_DIM}: its "
+                          f"structure tensor alone would take {16 * d ** 3} bytes")
 
 
 def _require_positive(n: int) -> None:
@@ -715,7 +722,12 @@ def function_algebra(n: int) -> StructureAlgebra:
 
 
 def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:
-    """Polynomials of degree <= degree in mvars variables, overflow dropped."""
+    """Polynomials of degree <= degree in mvars variables, overflow dropped.
+
+    Refuses more than MAX_NAMED_DIM monomials (see require_dim).
+    """
+    if mvars >= 1 and degree >= 0:
+        require_dim(mi_count(mvars, degree))
     return PolyAlgebra(mvars, degree, check=False)
 
 
@@ -785,42 +797,32 @@ def cusp_algebra() -> StructureAlgebra:
     return StructureAlgebra(c, np.eye(d), unit, labels=labels, check=False)
 
 
-def _build_sized(d: int, build, *args) -> StructureAlgebra:
-    """Calls build(*args) unless the dimension d it would have is too large.
-
-    d is computed from the arguments, so an oversized name is refused
-    before anything is allocated. Arguments the constructor would reject
-    come with d = 0 and reach it, so that it names the real cause.
-    """
-    if d > MAX_NAMED_DIM:
-        raise DomainError(f"algebra dimension {d} exceeds {MAX_NAMED_DIM}: its "
-                          f"structure tensor alone would take {16 * d ** 3} bytes")
-    return build(*args)
-
-
 def algebra_from_name(name: str) -> StructureAlgebra:
     """Constructor lookup for CLI-style names.
 
     Supported: "matrix:n", "func:n", "poly:m:N", "group:AxB...", "cusp".
-    Names whose algebra would exceed MAX_NAMED_DIM raise DomainError.
+    Names whose algebra would exceed MAX_NAMED_DIM raise DomainError before
+    anything is allocated. Sizes the constructor would reject reach it, so
+    that it names the real cause.
     """
     parts = name.strip().split(":")
     kind = parts[0].lower()
     try:
         if kind == "matrix" and len(parts) == 2:
             n = int(parts[1])
-            return _build_sized(max(n, 0) ** 2, matrix_algebra, n)
+            require_dim(max(n, 0) ** 2)
+            return matrix_algebra(n)
         if kind == "func" and len(parts) == 2:
             n = int(parts[1])
-            return _build_sized(n, function_algebra, n)
+            require_dim(n)
+            return function_algebra(n)
         if kind == "poly" and len(parts) == 3:
-            m, n = int(parts[1]), int(parts[2])
-            d = mi_count(m, n) if m >= 1 and n >= 0 else 0
-            return _build_sized(d, truncated_poly, m, n)
+            return truncated_poly(int(parts[1]), int(parts[2]))
         if kind == "group" and len(parts) == 2:
             factors = [int(x.lstrip("z")) for x in parts[1].lower().split("x")]
-            d = math.prod(factors) if min(factors) >= 1 else 0
-            return _build_sized(d, group_algebra, factors)
+            if min(factors) >= 1:
+                require_dim(math.prod(factors))
+            return group_algebra(factors)
         if kind == "cusp" and len(parts) == 1:
             return cusp_algebra()
     except ValueError as exc:

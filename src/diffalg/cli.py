@@ -232,8 +232,7 @@ def cmd_tangent(data, args):
             raise ValueError("point evaluation needs a polynomial algebra; "
                              "pass an explicit character vector instead")
         s = np.real(parse_vector(data["point"]))
-        functional = np.array([np.prod(s ** np.array(k)) for k in alg.exponents],
-                              dtype=complex)
+        functional = alg.table.monomials(s).astype(complex)
     else:
         raise ValueError("need either a character vector or a point")
     ch = Character(alg, functional)

@@ -16,11 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (Element, LinearOp, PolyAlgebra, StructureAlgebra,
-                      function_algebra, truncated_poly)
+from .algebra import (MAX_NAMED_DIM, Element, LinearOp, PolyAlgebra,
+                      StructureAlgebra, function_algebra, truncated_poly)
 from .errors import DomainError, NumericError
-from .multiindex import (MultiIndex, mi_binomial, mi_enumerate, mi_factorial,
-                         mi_le, mi_sub)
+from .multiindex import MonomialTable, MultiIndex, mi_count, mi_factorial
 from .series import SeriesStructureAlgebra, series_algebra
 
 __all__ = [
@@ -38,21 +37,30 @@ class DerivativeSystem:
     """Family of operator matrices D_k: A -> B indexed by multi-indices.
 
     Matrices act on coordinates; indices missing from `ops` are zero maps.
+    `table` is the monomial table of the indices |k| <= order.
     """
 
     def __init__(self, source: StructureAlgebra, target: StructureAlgebra,
                  mvars: int, order: int, ops: dict):
-        assert mvars >= 1 and order >= 0
+        if mvars < 1:
+            raise ValueError(f"need at least one variable, got m={mvars}")
+        if order < 0:
+            raise ValueError(f"system order must be nonnegative, got N={order}")
+        # the index tables take count^2 integers, refused before they exist
+        count = mi_count(mvars, order)
+        if count > MAX_NAMED_DIM:
+            raise DomainError(f"a system of order {order} in {mvars} variables has "
+                              f"{count} operators; at most {MAX_NAMED_DIM} are supported")
         self.source = source
         self.target = target
         self.mvars = mvars
         self.order = order
-        self.indices: list[MultiIndex] = mi_enumerate(mvars, order)
-        index_set = set(self.indices)
+        self.table = MonomialTable(mvars, order)
+        self.indices: list[MultiIndex] = self.table.exponents
         self.ops: dict[MultiIndex, np.ndarray] = {}
         for k, mat in ops.items():
             k = tuple(int(t) for t in k)
-            if k not in index_set:
+            if k not in self.table.exp_index:
                 raise ValueError(f"operator index {k} outside order-{order} range")
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (target.dim, source.dim):
@@ -124,32 +132,24 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
     a, b = sys.source, sys.target
     violations = []
     scale = 1.0 + sys.scale() ** 2
+    ops = np.array([sys.op_matrix(k) for k in sys.indices])
 
-    for k in sys.indices:
-        dk = sys.op_matrix(k)
-        expected = b.unit if sum(k) == 0 else np.zeros(b.dim)
-        res = float(np.abs(dk @ a.unit - expected).max())
-        if res > tol * scale:
-            violations.append({"axiom": "unit", "index": k, "pair": None,
-                               "residual": res})
+    expected = np.zeros((len(ops), b.dim), dtype=complex)
+    expected[0] = b.unit
+    unit_res = np.abs(ops @ a.unit - expected).max(axis=1)
+    inv_res = np.abs(ops @ a.involution - b.involution @ np.conj(ops)).max(axis=(1, 2))
+    for axiom, residuals in (("unit", unit_res), ("involution", inv_res)):
+        for r in np.flatnonzero(residuals > tol * scale):
+            violations.append({"axiom": axiom, "index": sys.indices[r], "pair": None,
+                               "residual": float(residuals[r])})
 
-    for k in sys.indices:
-        dk = sys.op_matrix(k)
-        res = float(np.abs(dk @ a.involution - b.involution @ np.conj(dk)).max())
-        if res > tol * scale:
-            violations.append({"axiom": "involution", "index": k, "pair": None,
-                               "residual": res})
-
-    for k in sys.indices:
-        dk = sys.op_matrix(k)
-        lhs = a.structure @ dk.T
+    table = sys.table
+    binom = table.binomials()
+    for r, k in enumerate(sys.indices):
+        lhs = a.structure @ ops[r].T
         rhs = np.zeros_like(lhs)
-        for l in sys.indices:
-            if not mi_le(l, k):
-                continue
-            dkl = sys.op_matrix(mi_sub(k, l))
-            dl = sys.op_matrix(l)
-            rhs += mi_binomial(k, l) * b.mul_pairs(dkl.T, dl.T)
+        for l in np.flatnonzero(table.sub[r] >= 0):
+            rhs += binom[l, r] * b.mul_pairs(ops[table.sub[r, l]].T, ops[l].T)
         gap = np.abs(lhs - rhs)
         if gap.max() > tol * scale:
             i, j = np.unravel_index(np.argmax(gap.max(axis=2)),
@@ -220,11 +220,10 @@ def taylor_system(mvars: int, order: int, point, degree: int | None = None) -> D
         raise ValueError("point dimension mismatch")
     source = truncated_poly(mvars, degree)
     target = function_algebra(1)
-    ops = {}
-    for k in mi_enumerate(mvars, order):
-        row = np.zeros((1, source.dim), dtype=complex)
-        row[0, source.exp_index[k]] = mi_factorial(k)
-        ops[k] = row
+    count = mi_count(mvars, order)
+    rows = np.zeros((count, 1, source.dim), dtype=complex)
+    rows[np.arange(count), 0, np.arange(count)] = source.table.factorials()[:count]
+    ops = dict(zip(source.exponents, rows))
     sys = DerivativeSystem(source, target, mvars, order, ops)
     sys.point = point
     return sys
@@ -239,11 +238,9 @@ def monomial_about(source: PolyAlgebra, point, alpha) -> Element:
     alpha = tuple(int(t) for t in alpha)
     if point.shape != (source.mvars,) or len(alpha) != source.mvars:
         raise ValueError("dimension mismatch")
+    if min(alpha) < 0:
+        raise ValueError(f"monomial exponents must be nonnegative: {alpha}")
     if sum(alpha) > source.degree:
         raise ValueError("monomial degree exceeds the algebra's bound")
-    coords = np.zeros(source.dim, dtype=complex)
-    for beta, idx in source.exp_index.items():
-        if mi_le(beta, alpha):
-            rest = mi_sub(alpha, beta)
-            coords[idx] = mi_binomial(alpha, beta) * np.prod(point ** np.array(rest))
-    return Element(source, coords)
+    shift = source.table.shift(point)
+    return Element(source, shift[:, source.exp_index[alpha]].astype(complex))

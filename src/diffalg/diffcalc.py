@@ -16,7 +16,6 @@ from .algebra import Character, Element, LinearOp, PolyAlgebra, StructureAlgebra
 from .dersys import DerivativeSystem, verify_system
 from .errors import DomainError, NumericError
 from .geometry import TangentVector
-from .multiindex import mi_binomial, mi_le, mi_sub
 
 __all__ = [
     "RelativeOp",
@@ -283,19 +282,20 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
             witnesses.append({"predicate": "first_level", "index": k})
 
     comm_res = 0.0
-    for k in sys.indices:
+    binom, sub = sys.table.binomials(), sys.table.sub
+    for r, k in enumerate(sys.indices):
         if not 1 <= sum(k) <= 3:
             continue
         dk = sys.op_matrix(k)
+        lower = [l for l in np.flatnonzero(sub[r] >= 0) if l != r]
         for i in range(a.dim):
             e = np.eye(a.dim)[i]
             lhs = dk @ a.left_mul_matrix(e) - b.left_mul_matrix(phi.matrix @ e) @ dk
             rhs = np.zeros_like(lhs)
-            for l in sys.indices:
-                if l != k and mi_le(l, k):
-                    val = sys.op_matrix(mi_sub(k, l)) @ e
-                    rhs = rhs + mi_binomial(k, l) * (b.left_mul_matrix(val)
-                                                     @ sys.op_matrix(l))
+            for l in lower:
+                val = sys.op_matrix(sys.indices[sub[r, l]]) @ e
+                rhs = rhs + binom[l, r] * (b.left_mul_matrix(val)
+                                           @ sys.op_matrix(sys.indices[l]))
             comm_res = max(comm_res, float(np.abs(lhs - rhs).max()))
 
     return {

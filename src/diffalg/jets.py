@@ -16,15 +16,13 @@ cross-check route.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import _linalg as la
 from .algebra import Element, LinearOp, PolyAlgebra, Subspace, truncated_poly
 from .diffcalc import RelativeOp, diff_order
 from .errors import DomainError, NumericError
-from .multiindex import mi_count, mi_enumerate, mi_le, mi_sub
+from .multiindex import mi_count
 
 __all__ = [
     "ChartBasis",
@@ -67,19 +65,12 @@ def _f_coords(algebra: PolyAlgebra, f) -> np.ndarray:
 
 
 def _eval_row(algebra: PolyAlgebra, s: np.ndarray) -> np.ndarray:
-    return np.array([np.prod(s ** np.array(alpha)) for alpha in algebra.exponents],
-                    dtype=complex)
+    return algebra.table.monomials(s).astype(complex)
 
 
-def _derivative_rows(algebra: PolyAlgebra, s: np.ndarray, orders) -> np.ndarray:
-    """Rows f -> (d^k f)(s) for the listed multi-indices k."""
-    rows = np.zeros((len(orders), algebra.dim), dtype=complex)
-    for r, k in enumerate(orders):
-        for alpha, j in algebra.exp_index.items():
-            if mi_le(k, alpha):
-                fall = math.prod(math.perm(a, b) for a, b in zip(alpha, k))
-                rows[r, j] = fall * np.prod(s ** np.array(mi_sub(alpha, k)))
-    return rows
+def _derivative_rows(algebra: PolyAlgebra, s: np.ndarray, n: int) -> np.ndarray:
+    """Rows f -> (d^k f)(s) for the multi-indices |k| <= n, in graded order."""
+    return algebra.table.derivative_rows(s, n).astype(complex)
 
 
 class ChartBasis:
@@ -93,15 +84,7 @@ class ChartBasis:
     def __init__(self, algebra: PolyAlgebra, point):
         self.algebra = algebra
         self.point = _point(algebra, point)
-        d = algebra.dim
-        t = np.zeros((d, d), dtype=complex)
-        for k, col in algebra.exp_index.items():
-            for alpha, row in algebra.exp_index.items():
-                if mi_le(alpha, k):
-                    binom = math.prod(math.comb(a, b) for a, b in zip(k, alpha))
-                    t[row, col] = binom * np.prod((-self.point)
-                                                  ** np.array(mi_sub(k, alpha)))
-        self.matrix = t
+        self.matrix = algebra.table.shift(-self.point).astype(complex)
 
     def to_chart(self, coords) -> np.ndarray:
         coords = _f_coords(self.algebra, coords)
@@ -124,16 +107,15 @@ def ideal_power(algebra: PolyAlgebra, s, n: int) -> Subspace:
     s = _point(algebra, s)
     if n <= 0:
         return Subspace.whole(algebra)
-    orders = mi_enumerate(algebra.mvars, n - 1)
-    return Subspace(algebra, la.null_space(_derivative_rows(algebra, s, orders)))
+    return Subspace(algebra, la.null_space(_derivative_rows(algebra, s, n - 1)))
 
 
 def ideal_power_chart(algebra: PolyAlgebra, s, n: int) -> Subspace:
     """Cross-check route: span of centered monomials of chart degree >= n."""
     s = _point(algebra, s)
     chart = ChartBasis(algebra, s)
-    cols = [chart.matrix[:, j] for k, j in algebra.exp_index.items() if sum(k) >= n]
-    return Subspace(algebra, cols)
+    first = mi_count(algebra.mvars, n - 1) if n > 0 else 0
+    return Subspace(algebra, chart.matrix[:, first:].T)
 
 
 class JetSpace:
@@ -147,17 +129,16 @@ class JetSpace:
         self.order = order
         self.chart = ChartBasis(base, self.point)
         self.quotient = truncated_poly(base.mvars, order)
-        self.ideal = ideal_power(base, self.point, order + 1)
+        # the order-(n+1) vanishing subspace is the null space of the rows
+        # f -> (d^k f)(point), |k| <= n; scaled by 1/k! they are the Taylor rows
+        rows = _derivative_rows(base, self.point, order)
+        self.ideal = Subspace(base, la.null_space(rows))
         q = self.quotient.dim
         assert q == mi_count(base.mvars, order)
         if self.ideal.dim + q != base.dim:
             raise NumericError("jet quotient and vanishing subspace dimensions "
                                "do not complement each other")
-        # Taylor row for index k: f -> (d^k f)(point)/k!
-        rows = _derivative_rows(base, self.point,
-                                mi_enumerate(base.mvars, order))
-        for r, k in enumerate(self.quotient.exponents):
-            rows[r] /= math.prod(math.factorial(t) for t in k)
+        rows /= self.quotient.table.factorials()[:, None]
         self.projection = LinearOp(rows, base, self.quotient)
 
     def project_taylor(self, f) -> Element:
@@ -172,16 +153,13 @@ class JetSpace:
                 f"n={self.order} at {self.point}>")
 
 
-_JET_CACHE: dict = {}
-
-
 def jet_space(algebra: PolyAlgebra, s, n: int) -> JetSpace:
+    """The order-n jet space at s, cached in the algebra's jet_cache."""
     s = _point(algebra, s)
-    key = (id(algebra), tuple(float(x) for x in s), int(n))
-    space = _JET_CACHE.get(key)
-    if space is None or space.base is not algebra:
-        space = JetSpace(algebra, s, n)
-        _JET_CACHE[key] = space
+    key = (tuple(float(x) for x in s), int(n))
+    space = algebra.jet_cache.get(key)
+    if space is None:
+        space = algebra.jet_cache[key] = JetSpace(algebra, s, n)
     return space
 
 

@@ -3,11 +3,17 @@
 A multi-index is a tuple of nonnegative integers of fixed length m. It
 indexes coefficients of truncated power series and the operators of a
 derivative system. All arithmetic is exact integer arithmetic.
+
+MonomialTable holds the same arithmetic for every index |k| <= n at once,
+as integer arrays, for the layers that would otherwise walk index pairs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -86,14 +92,21 @@ def mi_below(k: Sequence[int]) -> Iterator[MultiIndex]:
             yield (first,) + rest
 
 
-def _compositions(total: int, parts: int) -> Iterator[MultiIndex]:
-    # descending lexicographic: (total, 0, ...) first
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _graded_exponents(m: int, n: int) -> np.ndarray:
+    """The rows of mi_enumerate(m, n) as a (count, m) integer array.
+
+    A composition of t into m parts is fixed by its m - 1 bar positions
+    among t + m - 1 slots, and descending lexicographic order of the parts
+    is descending lexicographic order of the bars.
+    """
+    grades = []
+    for t in range(n + 1):
+        combos = list(itertools.combinations(range(t + m - 1), m - 1))
+        bars = np.array(combos, dtype=np.intp).reshape(len(combos), m - 1)[::-1]
+        edges = np.hstack([np.full((len(bars), 1), -1), bars,
+                           np.full((len(bars), 1), t + m - 1)])
+        grades.append(np.diff(edges, axis=1) - 1)
+    return np.vstack(grades)
 
 
 def mi_enumerate(m: int, n: int) -> list[MultiIndex]:
@@ -108,12 +121,89 @@ def mi_enumerate(m: int, n: int) -> list[MultiIndex]:
         raise ValueError(f"need at least one variable, got m={m}")
     if n < 0:
         raise ValueError(f"degree bound must be nonnegative, got n={n}")
-    out: list[MultiIndex] = []
-    for total in range(n + 1):
-        out.extend(_compositions(total, m))
-    return out
+    return [tuple(k) for k in _graded_exponents(m, n).tolist()]
 
 
 def mi_count(m: int, n: int) -> int:
     """|{k : |k| <= n}| = C(m+n, m)."""
     return math.comb(m + n, m)
+
+
+class MonomialTable:
+    """Index tables of the multi-indices |k| <= degree in mvars variables.
+
+    Row p of `exps` is the p-th index of mi_enumerate(mvars, degree), and
+    `exponents`/`exp_index` are the same indices as tuples. The integer
+    tables replace per-pair tuple arithmetic:
+
+    - add[p, q] is the row of exps[p] + exps[q], or -1 above the degree;
+    - sub[k, l] is the row of exps[k] - exps[l], or -1 unless l <= k.
+
+    Rows are found by their graded rank, never by hashing tuples, and every
+    table is built one variable at a time, so the work is O(d^2 m) and the
+    memory O(d^2) for d rows.
+    """
+
+    def __init__(self, mvars: int, degree: int):
+        self.exponents = mi_enumerate(mvars, degree)
+        self.exp_index = {k: i for i, k in enumerate(self.exponents)}
+        self.mvars = mvars
+        self.degree = degree
+        self.exps = np.array(self.exponents, dtype=np.intp)
+        # tails[:, i] = k_i + ... + k_{m-1}; tails[:, 0] is the order |k|
+        tails = np.cumsum(self.exps[:, ::-1], axis=1)[:, ::-1]
+        # below[t, y] = C(t + y - 1, y): indices of length y and order < t
+        below = np.array([[math.comb(t + y - 1, y) if t else 0 for y in range(mvars + 1)]
+                          for t in range(degree + 1)], dtype=np.intp)
+        d = len(self.exponents)
+        add = np.zeros((d, d), dtype=np.intp)
+        sub = np.zeros((d, d), dtype=np.intp)
+        le = np.ones((d, d), dtype=bool)
+        # the rank of k in the graded order is sum_i below[tails_i(k), m - i]
+        for i in range(mvars):
+            t = tails[:, i]
+            add += below[np.minimum(t[:, None] + t[None, :], degree), mvars - i]
+            sub += below[np.maximum(t[:, None] - t[None, :], 0), mvars - i]
+            le &= self.exps[None, :, i] <= self.exps[:, None, i]
+        order = tails[:, 0]
+        self.add = np.where(order[:, None] + order[None, :] <= degree, add, -1)
+        self.sub = np.where(le, sub, -1)
+
+    @property
+    def dim(self) -> int:
+        return len(self.exponents)
+
+    def monomials(self, point) -> np.ndarray:
+        """Values point^k of every monomial, one per row."""
+        point = np.asarray(point, dtype=float)
+        powers = point[:, None] ** np.arange(self.degree + 1)
+        return np.prod(powers[np.arange(self.mvars), self.exps], axis=1)
+
+    def factorials(self) -> np.ndarray:
+        """k! of every row, as floats."""
+        fact = np.array([math.factorial(t) for t in range(self.degree + 1)], dtype=float)
+        return np.prod(fact[self.exps], axis=1)
+
+    def _upper(self, coeff, point) -> np.ndarray:
+        """M[l, k] = prod_i coeff(k_i, l_i) * point^(k - l) for l <= k, else 0."""
+        n = self.degree + 1
+        tab = np.array([[coeff(a, b) for b in range(n)] for a in range(n)], dtype=float)
+        k, l = np.nonzero(self.sub >= 0)
+        out = np.zeros((self.dim, self.dim))
+        out[l, k] = (np.prod(tab[self.exps[k], self.exps[l]], axis=1)
+                     * self.monomials(point)[self.sub[k, l]])
+        return out
+
+    def binomials(self) -> np.ndarray:
+        """Entry [l, k] = binom(k, l) = prod_i C(k_i, l_i) for l <= k, else 0."""
+        return self._upper(math.comb, np.ones(self.mvars))
+
+    def shift(self, point) -> np.ndarray:
+        """Column k holds the coefficients of (x + point)^k:
+        entry [l, k] = binom(k, l) point^(k - l) for l <= k."""
+        return self._upper(math.comb, point)
+
+    def derivative_rows(self, point, n: int) -> np.ndarray:
+        """Rows f -> (d^k f)(point) for the indices |k| <= n, in order:
+        entry [k, l] = (l! / (l - k)!) point^(l - k) for k <= l."""
+        return self._upper(math.perm, point)[:mi_count(self.mvars, n)]

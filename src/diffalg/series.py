@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Element, StructureAlgebra
+from .algebra import Element, StructureAlgebra, require_dim
 from .errors import DomainError
-from .multiindex import MultiIndex, mi_add, mi_enumerate
+from .multiindex import MonomialTable, MultiIndex, mi_count
 
 __all__ = [
     "SeriesElement",
@@ -29,13 +29,20 @@ __all__ = [
 ]
 
 
+def _check_shape(mvars: int, order: int) -> None:
+    if mvars < 1:
+        raise ValueError(f"need at least one variable, got m={mvars}")
+    if order < 0:
+        raise ValueError(f"truncation order must be nonnegative, got N={order}")
+
+
 class SeriesElement:
     """Sparse truncated series: dict multi-index -> coefficient coordinates."""
 
     __slots__ = ("base", "mvars", "order", "coeffs")
 
     def __init__(self, base: StructureAlgebra, mvars: int, order: int, coeffs=None):
-        assert mvars >= 1 and order >= 0
+        _check_shape(mvars, order)
         self.base = base
         self.mvars = mvars
         self.order = order
@@ -131,28 +138,30 @@ def ser_unit(base: StructureAlgebra, mvars: int, order: int) -> SeriesElement:
 
 
 def ser_mul(x: SeriesElement, y: SeriesElement) -> SeriesElement:
-    """Truncated Cauchy product, one structure-tensor contraction per call."""
+    """Truncated Cauchy product, one structure-tensor contraction per call.
+
+    Products of pairs whose indices add up to the same k are summed in
+    row-major pair order, and the result's indices are inserted in the order
+    in which the pairs first reach them.
+    """
     x._same_family(y)
     out = SeriesElement(x.base, x.mvars, x.order)
     if not x.coeffs or not y.coeffs:
         return out
-    xk = list(x.coeffs)
-    yk = list(y.coeffs)
-    xs = np.array([x.coeffs[k] for k in xk])
-    ys = np.array([y.coeffs[k] for k in yk])
-    prods = x.base.mul_pairs(xs, ys)
-    acc: dict[MultiIndex, np.ndarray] = {}
-    for p, kp in enumerate(xk):
-        for q, kq in enumerate(yk):
-            k = mi_add(kp, kq)
-            if sum(k) > x.order:
-                continue
-            if k in acc:
-                acc[k] = acc[k] + prods[p, q]
-            else:
-                acc[k] = prods[p, q]
-    for k, v in acc.items():
-        out[k] = v
+    xs = np.array(list(x.coeffs.values()))
+    ys = np.array(list(y.coeffs.values()))
+    prods = x.base.mul_pairs(xs, ys).reshape(-1, x.base.dim)
+    sums = (np.array(list(x.coeffs))[:, None] + np.array(list(y.coeffs))[None, :]
+            ).reshape(len(prods), x.mvars)
+    kept = np.flatnonzero(sums.sum(axis=1) <= x.order)
+    if not len(kept):
+        return out
+    keys, first, slot = np.unique(sums[kept], axis=0, return_index=True,
+                                  return_inverse=True)
+    acc = np.zeros((len(keys), x.base.dim), dtype=complex)
+    np.add.at(acc, slot.ravel(), prods[kept])
+    for g in np.argsort(first):
+        out[keys[g]] = acc[g]
     return out
 
 
@@ -173,30 +182,27 @@ class SeriesStructureAlgebra(StructureAlgebra):
     """
 
     def __init__(self, base: StructureAlgebra, mvars: int, order: int):
+        table = MonomialTable(mvars, order)
         self.base = base
         self.mvars = mvars
         self.order = order
-        self.exponents = mi_enumerate(mvars, order)
-        self.exp_index = {k: i for i, k in enumerate(self.exponents)}
-        m = len(self.exponents)
+        self.exponents = table.exponents
+        self.exp_index = table.exp_index
+        m = table.dim
         db = base.dim
         d = m * db
-        c = np.zeros((m, db, m, db, m, db), dtype=complex)
-        for p, kp in enumerate(self.exponents):
-            for q, kq in enumerate(self.exponents):
-                k = mi_add(kp, kq)
-                r = self.exp_index.get(k)
-                if r is not None:
-                    c[p, :, q, :, r, :] = base.structure
-        inv = np.zeros((m, db, m, db), dtype=complex)
-        for p in range(m):
-            inv[p, :, p, :] = base.involution
+        # c[p, :, q, :, r, :] = base.structure exactly where r = add[p, q]
+        hits = np.zeros((m, m, m))
+        p, q = np.nonzero(table.add >= 0)
+        hits[p, q, table.add[p, q]] = 1.0
+        c = np.einsum("pqr,ijk->piqjrk", hits, base.structure)
+        inv = np.kron(np.eye(m), base.involution)
         unit = np.zeros((m, db), dtype=complex)
         unit[0] = base.unit
         labels = None
         if base.labels:
             labels = [f"{lab}@{k}" for k in self.exponents for lab in base.labels]
-        super().__init__(c.reshape(d, d, d), inv.reshape(d, d), unit.reshape(d),
+        super().__init__(c.reshape(d, d, d), inv, unit.reshape(d),
                          labels=labels, check=False)
 
     def __repr__(self):
@@ -205,7 +211,12 @@ class SeriesStructureAlgebra(StructureAlgebra):
 
 
 def series_algebra(base: StructureAlgebra, mvars: int, order: int) -> SeriesStructureAlgebra:
-    """Structure-constant form of the truncated series algebra."""
+    """Structure-constant form of the truncated series algebra.
+
+    Refuses a flattened dimension above MAX_NAMED_DIM (see require_dim).
+    """
+    if mvars >= 1 and order >= 0:
+        require_dim(mi_count(mvars, order) * base.dim)
     return SeriesStructureAlgebra(base, mvars, order)
 
 

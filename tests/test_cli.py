@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,60 @@ def test_jet_command(capsys, tmp_path):
     assert np.allclose([c[0] for c in jet], [1.0, 1.0, 0.0])
     assert rep["results"]["dim"] == 3
     assert rep["results"]["routes_residual"] < 1e-9
+
+
+def test_jet_oversized_ambient_is_refused(capsys, tmp_path):
+    # order 20 in 3 variables needs degree 22: C(25, 3) = 2300 monomials
+    doc = {"m": 3, "order": 20, "point": [0.0, 0.0, 0.0],
+           "f": [{"index": [1, 0, 0], "coeff": 1}]}
+    path = _write(tmp_path, "jet.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "jet", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["results"] == {}
+    [v] = rep["violations"]
+    assert v["type"] == "domain"
+    assert "dimension 2300 exceeds 256" in v["message"]
+    assert peak < 2 ** 20
+
+
+def test_envelope_oversized_jet_order_is_refused(capsys, tmp_path):
+    doc = {"m": 3, "generators": ["(var 0)", "(var 1)", "(var 2)"],
+           "box": [[-1.0, 1.0]] * 3, "grid": 3, "options": {"jet_order": 20}}
+    path = _write(tmp_path, "env.json", doc)
+    code, rep, _ = run_json(capsys, "envelope", path)
+    assert code == 3
+    assert "dimension 1771 exceeds 256" in rep["violations"][0]["message"]
+
+
+@pytest.mark.parametrize("key,value,name", [("m", 0, "m=0"), ("N", -1, "N=-1")])
+def test_dersys_verify_bad_shape_is_parse_error(capsys, tmp_path, key, value, name):
+    doc = _valid_dersys_doc()
+    doc[key] = value
+    path = _write(tmp_path, "dsys.json", doc)
+    code, out, err = run(capsys, "dersys-verify", path)
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err and name in err
+
+
+def test_dersys_verify_too_many_operators_is_refused(capsys, tmp_path):
+    doc = _valid_dersys_doc()
+    doc["m"], doc["N"] = 10, 6
+    path = _write(tmp_path, "dsys.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "dersys-verify", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "has 8008 operators; at most 256" in rep["violations"][0]["message"]
+    assert peak < 2 ** 20
 
 
 def test_tangent_command_cusp(capsys, tmp_path):
