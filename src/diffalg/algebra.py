@@ -735,6 +735,7 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """Direct sum with componentwise operations."""
     da, db = a.dim, b.dim
     d = da + db
+    require_dim(d)
     c = np.zeros((d, d, d), dtype=complex)
     c[:da, :da, :da] = a.structure
     c[da:, da:, da:] = b.structure

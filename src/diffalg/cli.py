@@ -1,8 +1,11 @@
 """Command-line front end: file-based inputs, JSON reports, stable exits.
 
 Exit codes: 0 success/PASS, 2 parse error, 3 domain error or FAIL,
-4 numeric failure or INCONCLUSIVE. Reports carry the input digest and the
-seed, so identical inputs and seeds produce byte-identical reports.
+4 numeric failure or INCONCLUSIVE, 5 internal error (an unexpected
+exception in a subcommand, reported as {"type": "internal", "message":
+"<ExceptionType>: <message>"} without a traceback). Reports carry the
+input digest and the seed, so identical inputs and seeds produce
+byte-identical reports.
 """
 from __future__ import annotations
 
@@ -99,8 +102,111 @@ def _digest(subcommand: str, payload: bytes) -> str:
     return hashlib.sha256(subcommand.encode() + b":" + payload).hexdigest()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_INF = float("inf")
+# Rendered lists and dicts at least this long are kept for reuse when the
+# same object appears again; shorter texts cost less to render twice than
+# to keep.
+_SHARED_MIN = 1024
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+def _float_items(items, sep: str) -> str | None:
+    """The float items joined by sep, or None unless every item is a
+    finite float (the only reprs without an 'n' in them)."""
+    try:
+        body = sep.join(map(_float_repr, items))
+    except TypeError:
+        return None
+    return None if "n" in body else body
+
+
+def _float_rows(rows, level: int) -> str | None:
+    """The items of a list of non-empty lists of finite floats, rendered at
+    `level` and joined by the separator of that level, or None if the
+    items are anything else."""
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    sep = "," + inner
+    out = []
+    for row in rows:
+        body = _float_items(row, sep) if type(row) is list and row else None
+        if body is None:
+            return None
+        out.append("[" + inner + body + close)
+    return (",\n" + "  " * level).join(out)
+
+
+def _render(obj, level: int = 0, shared: dict | None = None) -> str:
+    """JSON text of obj at nesting depth `level`, byte-identical to what
+    json.dumps(to_jsonable(obj), sort_keys=True, indent=2) writes there.
+
+    Values json writes natively are rendered inline; any other leaf goes
+    through to_jsonable, the single conversion rule. A list or dict met
+    again (by identity) reuses its earlier text: raw newlines in the text
+    come only from indentation, since strings escape them, so moving it to
+    another depth only widens or narrows every newline's indent. `shared`
+    maps id() to (object, level, text) and keeps the object alive, so the
+    id stays valid for the whole render.
+    """
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)):
+        return _render(to_jsonable(obj), level, shared)
+    if not obj:
+        return "[]" if is_list else "{}"
+    if shared is None:
+        shared = {}
+    hit = shared.get(id(obj))
+    if hit is not None:
+        _, was, text = hit
+        if level > was:
+            return text.replace("\n", "\n" + "  " * (level - was))
+        if level < was:
+            return text.replace("\n" + "  " * (was - level), "\n")
+        return text
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    if is_list:
+        first = obj[0]
+        body = (_float_items(obj, sep) if isinstance(first, float) else
+                _float_rows(obj, level + 1) if type(first) is list else None)
+        if body is None:
+            body = sep.join([_render(x, level + 1, shared) for x in obj])
+        text = "[" + inner + body + "\n" + "  " * level + "]"
+    else:
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        body = sep.join([_encode_str(k) + ": " + _render(v, level + 1, shared)
+                         for k, v in items])
+        text = "{" + inner + body + "\n" + "  " * level + "}"
+    if len(text) >= _SHARED_MIN:
+        shared[id(obj)] = (obj, level, text)
+    return text
+
+
 def _emit(report: dict, out: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _render(report) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -575,8 +681,12 @@ def main(argv=None) -> int:
         _emit({**base, "results": {},
                "violations": [{"type": "numeric", "message": str(exc)}]}, args.out)
         return 4
-    _emit({**base, "results": to_jsonable(results),
-           "violations": to_jsonable(violations)}, args.out)
+    except Exception as exc:
+        _emit({**base, "results": {},
+               "violations": [{"type": "internal",
+                               "message": f"{type(exc).__name__}: {exc}"}]}, args.out)
+        return 5
+    _emit({**base, "results": results, "violations": violations}, args.out)
     return code
 
 

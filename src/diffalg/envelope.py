@@ -338,42 +338,70 @@ def parse_expr(text: str, mvars: int | None = None) -> Expr:
     return out
 
 
+# Sample points per certificate (grid ** m) and candidate pairs of the
+# separation check above which a request is refused before allocating.
+MAX_SAMPLES = 2 ** 20
+MAX_SEPARATION_CANDIDATES = 2 ** 20
+
+
 def _grid_points(box, grid: int) -> list[np.ndarray]:
     box = [(float(lo), float(hi)) for lo, hi in box]
     if grid < 2:
         raise ValueError("need at least 2 grid points per axis")
+    samples = grid ** len(box)
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"grid {grid} on a {len(box)}-dimensional box gives "
+                          f"{samples} sample points; at most {MAX_SAMPLES}")
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return [m.ravel() for m in mesh]
 
 
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices sorted by key row, and the length of each run of equal
+    rows. Within a run the indices ascend (lexsort is stable)."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    return order, np.diff(np.r_[starts, len(order)])
+
+
+def _run_pairs(order: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Every pair (a, b) with a < b inside one run, as a 2 x P index array."""
+    run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    later = np.repeat(lengths, lengths) - (np.arange(len(order)) - run_start) - 1
+    first = np.repeat(np.arange(len(order)), later)
+    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    return np.stack([order[first], order[first + 1 + step]])
+
+
 def separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
     """Unordered grid-point pairs whose generator value tuples coincide.
 
-    Candidate pairs are found by hashing value tuples rounded at 1e-7
+    Candidate pairs are found by grouping value tuples rounded at 1e-7
     under two offset schemes (so near-boundary rounding cannot split a
     coinciding pair), then confirmed at the exact tolerance. Empty result
-    means no violation was found on this sample.
+    means no violation was found on this sample. More than
+    MAX_SEPARATION_CANDIDATES candidate pairs (a generator constant on
+    much of a fine grid) are refused with DomainError.
     """
     grids = _grid_points(box, grid)
     values = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
     npts = values.shape[0]
     quantum = 1e-7
-    candidates = set()
-    for offset in (0.0, 0.5):
-        buckets: dict = {}
-        keys = np.round(values / quantum + offset).astype(np.int64)
-        for idx in range(npts):
-            buckets.setdefault(keys[idx].tobytes(), []).append(idx)
-        for members in buckets.values():
-            for a, b in itertools.combinations(members, 2):
-                candidates.add((a, b))
-    pairs = []
-    for a, b in candidates:
-        if np.abs(values[a] - values[b]).max() <= tol:
-            pa = tuple(float(g[a]) for g in grids)
-            pb = tuple(float(g[b]) for g in grids)
-            pairs.append(tuple(sorted((pa, pb))))
+    runs = [_key_runs(np.round(values / quantum + offset).astype(np.int64))
+            for offset in (0.0, 0.5)]
+    total = sum(int((lengths * (lengths - 1) // 2).sum()) for _, lengths in runs)
+    if total > MAX_SEPARATION_CANDIDATES:
+        raise DomainError(f"separation check has {total} candidate pairs; "
+                          f"at most {MAX_SEPARATION_CANDIDATES}")
+    codes = np.unique(np.concatenate([pa * npts + pb for pa, pb in
+                                      (_run_pairs(*run) for run in runs)]))
+    a, b = codes // npts, codes % npts
+    keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
+    points = np.stack(grids, axis=1)
+    pairs = [tuple(sorted((tuple(pa), tuple(pb))))
+             for pa, pb in zip(points[a[keep]].tolist(), points[b[keep]].tolist())]
     return sorted(set(pairs))
 
 

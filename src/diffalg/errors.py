@@ -3,7 +3,8 @@
 Three failure categories map onto the CLI exit codes: malformed input
 (ValueError, exit 2), violated mathematical preconditions (DomainError,
 exit 3), and numerical breakdowns such as ambiguous eigenvalue clusters
-(NumericError, exit 4).
+(NumericError, exit 4). Any other exception escaping a subcommand is an
+internal error (exit 5).
 """
 
 

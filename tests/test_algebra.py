@@ -486,6 +486,18 @@ def test_oversized_names_refused_before_allocation(name, dim):
     assert peak < 2 ** 20
 
 
+def test_oversized_direct_sum_refused_before_allocation():
+    a, b = function_algebra(129), function_algebra(129)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"dimension 258 exceeds 256.* {16 * 258 ** 3} bytes"):
+            direct_sum(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_guard_leaves_corpus_sizes_and_argument_errors_alone():
     assert algebra_from_name("group:8x8").dim == 64
     assert algebra_from_name("poly:3:6").dim == 84

@@ -300,3 +300,40 @@ def test_seed_recorded(capsys):
     code, rep, _ = run_json(capsys, "fourier", "Z4", "--seed", "7")
     assert code == 0
     assert rep["seed"] == 7
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 3, "generators": ["(var 0)", "(var 1)", "(var 2)"],
+      "box": [[-1.0, 1.0]] * 3, "grid": 2001},
+     f"grid 2001 on a 3-dimensional box gives {2001 ** 3} sample points; at most {2 ** 20}"),
+    ({"m": 1, "generators": ["(const 1.0)"], "box": [[-1.0, 1.0]], "grid": 1449},
+     f"separation check has {1449 * 1448} candidate pairs; at most {2 ** 20}"),
+])
+def test_envelope_size_guards_refuse_before_allocating(capsys, tmp_path, doc, message):
+    path = _write(tmp_path, "env.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "envelope", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["results"] == {}
+    assert rep["violations"] == [{"type": "domain", "message": message}]
+    assert peak < 2 ** 20
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    from diffalg import cli
+
+    def broken(data, args):
+        raise RuntimeError("handler fell over")
+
+    monkeypatch.setitem(cli.HANDLERS, "fourier", broken)
+    code, rep, err = run_json(capsys, "fourier", "Z2")
+    assert code == 5
+    assert err == ""
+    assert rep["subcommand"] == "fourier"
+    assert rep["results"] == {}
+    assert rep["violations"] == [{"type": "internal",
+                                  "message": "RuntimeError: handler fell over"}]
