@@ -670,6 +670,11 @@ def main(argv=None) -> int:
             "seed": args.seed}
     try:
         results, violations, code = HANDLERS[args.subcommand](data, args)
+    except (NumericError, np.linalg.LinAlgError) as exc:
+        # before ValueError, which LinAlgError subclasses
+        _emit({**base, "results": {},
+               "violations": [{"type": "numeric", "message": str(exc)}]}, args.out)
+        return 4
     except (ValueError, KeyError, TypeError) as exc:
         print(f"diffalg: parse error: {exc}", file=sys.stderr)
         return 2
@@ -677,10 +682,6 @@ def main(argv=None) -> int:
         _emit({**base, "results": {},
                "violations": [{"type": "domain", "message": str(exc)}]}, args.out)
         return 3
-    except (NumericError, np.linalg.LinAlgError) as exc:
-        _emit({**base, "results": {},
-               "violations": [{"type": "numeric", "message": str(exc)}]}, args.out)
-        return 4
     except Exception as exc:
         _emit({**base, "results": {},
                "violations": [{"type": "internal",

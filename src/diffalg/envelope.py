@@ -11,12 +11,13 @@ the conditions were verified on the sample, never globally.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _linalg as la
 from .algebra import PolyAlgebra, truncated_poly
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .jets import jet_space
 from .multiindex import mi_count
 
@@ -375,7 +376,47 @@ def _run_pairs(order: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.stack([order[first], order[first + 1 + step]])
 
 
-def separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
+class _Sample(NamedTuple):
+    """A request's sample grid and what the certificates read of it: the
+    coordinate arrays, the generator values as (points, k) and the
+    Jacobian as (m, k, points), contiguous over the points."""
+    grids: list[np.ndarray]
+    values: np.ndarray | None
+    jac: np.ndarray | None
+
+
+def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
+    """Builds the grid once and evaluates the requested arrays on it.
+
+    Overflow and invalid-operation warnings are silenced during evaluation;
+    a generator value or first derivative that is not finite is refused
+    with DomainError instead, naming how many sample points it affects and
+    the first of them.
+    """
+    grids = _grid_points(box, grid)
+    m, npts = len(grids), len(grids[0])
+    vals = jacobian = None
+    bad = np.zeros(npts, dtype=bool)
+    with np.errstate(all="ignore"):
+        if values:
+            vals = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
+            bad |= ~np.isfinite(vals).all(axis=1)
+        if jac:
+            jacobian = np.empty((m, len(gens), npts))
+            for j, g in enumerate(gens):
+                for i in range(m):
+                    jacobian[i, j] = g.diff(i).eval(grids)
+            bad |= ~np.isfinite(jacobian).all(axis=(0, 1))
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise DomainError(f"generator values or first derivatives are not finite at "
+                          f"{int(bad.sum())} of {npts} sample points, the first at "
+                          f"{[float(g[first]) for g in grids]}")
+    return _Sample(grids, vals, jacobian)
+
+
+def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
+                     sample: _Sample | None = None) -> list:
     """Unordered grid-point pairs whose generator value tuples coincide.
 
     Candidate pairs are found by grouping value tuples rounded at 1e-7
@@ -383,10 +424,13 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
     coinciding pair), then confirmed at the exact tolerance. Empty result
     means no violation was found on this sample. More than
     MAX_SEPARATION_CANDIDATES candidate pairs (a generator constant on
-    much of a fine grid) are refused with DomainError.
+    much of a fine grid) are refused with DomainError, and so are values
+    that are not finite. `sample` is the evaluated grid envelope_verdict
+    shares with tangent_rank_check; without it the grid is built here.
     """
-    grids = _grid_points(box, grid)
-    values = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
+    if sample is None:
+        sample = _sample(gens, box, grid, jac=False)
+    grids, values = sample.grids, sample.values
     npts = values.shape[0]
     quantum = 1e-7
     runs = [_key_runs(np.round(values / quantum + offset).astype(np.int64))
@@ -405,21 +449,98 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
     return sorted(set(pairs))
 
 
-def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8) -> list:
+# One-sided Jacobi sweeps after which the rank certificate gives up; the
+# row pairs of m <= 6 variables settle within 11 sweeps on random,
+# rank-deficient, clustered and widely scaled batches. Points are rotated
+# in blocks, so the temporaries are bounded by the block, not the grid.
+MAX_JACOBI_SWEEPS = 30
+JACOBI_BLOCK = 4096
+
+
+def _orthogonalise_rows(a: np.ndarray) -> None:
+    """Rotates the rows of every m x k matrix a[:, :, t] in place until
+    they are mutually orthogonal to working precision.
+
+    Cyclic one-sided (Hestenes) Jacobi sweeps rotate each row pair (p, q)
+    at the points where |a_p . a_q| > sqrt(k) eps |a_p| |a_q|, until a sweep
+    rotates nothing. Entries are expected scaled to at most 1 in absolute
+    value. Rows of squared norm at most (k eps)^2 are not rotated: they
+    are zero to working precision, and rotating them would not converge
+    when k < m.
+    """
+    m, k, _ = a.shape
+    eps = np.finfo(float).eps
+    cut, floor = np.sqrt(k) * eps, (k * eps) ** 2
+    for _ in range(MAX_JACOBI_SWEEPS):
+        rotated = False
+        for p, q in itertools.combinations(range(m), 2):
+            ap, aq = a[p], a[q]
+            alpha = np.einsum("in,in->n", ap, ap)
+            beta = np.einsum("in,in->n", aq, aq)
+            gamma = np.einsum("in,in->n", ap, aq)
+            live = ((np.abs(gamma) > cut * np.sqrt(alpha * beta))
+                    & (alpha > floor) & (beta > floor))
+            if not live.any():
+                continue
+            rotated = True
+            # tan of the rotation angle, the smaller root; 0 (the identity)
+            # at the points that are settled
+            zeta = (beta - alpha) / (2.0 * np.where(live, gamma, 1.0))
+            t = np.where(live, np.copysign(1.0, zeta)
+                         / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            old_p = ap.copy()
+            ap *= c
+            ap -= s * aq
+            aq *= c
+            aq += s * old_p
+        if not rotated:
+            return
+    raise NumericError(f"rank certificate: one-sided Jacobi did not settle "
+                       f"in {MAX_JACOBI_SWEEPS} sweeps")
+
+
+def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest and smallest singular value of every m x k matrix
+    jac[:, :, t], where the smallest is 0 when k < m.
+
+    After the rows are orthogonalised the singular values are the row
+    norms, so J J^T is never formed and the 1e-8 rank cut sees no squared
+    conditioning. Each point is first divided by its largest absolute
+    entry, so squared norms neither overflow nor underflow; an all-zero
+    Jacobian stays zero.
+    """
+    npts = jac.shape[2]
+    top, bottom = np.empty(npts), np.empty(npts)
+    for start in range(0, npts, JACOBI_BLOCK):
+        span = slice(start, start + JACOBI_BLOCK)
+        scale = np.abs(jac[:, :, span]).max(axis=(0, 1))
+        a = jac[:, :, span] / np.where(scale > 0.0, scale, 1.0)
+        _orthogonalise_rows(a)
+        norms = np.sqrt(np.einsum("pkn,pkn->pn", a, a))
+        top[span] = norms.max(axis=0) * scale
+        bottom[span] = norms.min(axis=0) * scale
+    return top, bottom
+
+
+def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
+                       sample: _Sample | None = None) -> list:
     """Sample points where the generator Jacobian has rank below the
-    variable count, i.e. some tangent direction kills every generator."""
-    grids = _grid_points(box, grid)
-    m = len(grids)
-    jac = np.empty((len(grids[0]), m, len(gens)), dtype=float)
-    for j, g in enumerate(gens):
-        for i in range(m):
-            jac[:, i, j] = np.asarray(g.diff(i).eval(grids), dtype=float)
-    sing = np.linalg.svd(jac, compute_uv=False)
-    top = np.maximum(sing[:, 0], 1.0)
-    degenerate = sing[:, m - 1] <= tol_rank * top
-    points = [tuple(float(g[idx]) for g in grids)
-              for idx in np.nonzero(degenerate)[0]]
-    return sorted(points)
+    variable count, i.e. some tangent direction kills every generator.
+
+    A point is a witness when its smallest singular value is at most
+    tol_rank * max(largest, 1); with fewer generators than variables every
+    point is one. First derivatives that are not finite are refused with
+    DomainError. `sample` is the evaluated grid envelope_verdict shares
+    with separation_check; without it the grid is built here.
+    """
+    if sample is None:
+        sample = _sample(gens, box, grid, values=False)
+    top, bottom = _extreme_singular_values(sample.jac)
+    degenerate = bottom <= tol_rank * np.maximum(top, 1.0)
+    points = np.stack(sample.grids, axis=1)[degenerate].tolist()
+    return sorted(map(tuple, points))
 
 
 class JetSurjectivity:
@@ -507,11 +628,12 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     options = dict(options or {})
     tol_sep = float(options.get("tol_sep", 1e-9))
     tol_rank = float(options.get("tol_rank", 1e-8))
+    sample = _sample(gens, box, grid)
     reasons = []
-    for pa, pb in separation_check(gens, box, grid, tol_sep):
+    for pa, pb in separation_check(gens, box, grid, tol_sep, sample=sample):
         reasons.append({"condition": "separation", "witness": [list(pa), list(pb)],
                         "detail": "generator value tuples coincide"})
-    for pt in tangent_rank_check(gens, box, grid, tol_rank):
+    for pt in tangent_rank_check(gens, box, grid, tol_rank, sample=sample):
         reasons.append({"condition": "tangent", "witness": list(pt),
                         "detail": "Jacobian rank below the variable count"})
 

@@ -337,3 +337,39 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert rep["results"] == {}
     assert rep["violations"] == [{"type": "internal",
                                   "message": "RuntimeError: handler fell over"}]
+
+
+def test_envelope_fewer_generators_than_variables_fails(capsys, tmp_path):
+    doc = {"m": 2, "generators": ["(var 0)"], "box": [[-1, 1], [-1, 1]], "grid": 3}
+    code, rep, _ = run_json(capsys, "envelope", _write(tmp_path, "kless.json", doc))
+    assert code == 3
+    assert rep["results"]["status"] == "FAIL"
+    tangent = [r["witness"] for r in rep["results"]["reasons"] if r["condition"] == "tangent"]
+    assert tangent == [[x, y] for x in (-1.0, 0.0, 1.0) for y in (-1.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("generator", ["(exp (exp (exp (var 0))))",
+                                       "(* (exp (exp (exp (var 0)))) (const 0))"])
+def test_envelope_non_finite_samples_are_refused(capsys, tmp_path, generator):
+    doc = {"m": 1, "generators": [generator], "box": [[0, 5]], "grid": 5}
+    code, rep, err = run_json(capsys, "envelope", _write(tmp_path, "inf.json", doc))
+    assert code == 3
+    assert err == ""
+    assert rep["results"] == {}
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": "generator values or first derivatives are not finite at 3 of 5 "
+                   "sample points, the first at [2.5]"}]
+
+
+def test_linalg_error_is_numeric(capsys, monkeypatch):
+    from diffalg import cli
+
+    def broken(data, args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli.HANDLERS, "fourier", broken)
+    code, rep, err = run_json(capsys, "fourier", "Z2")
+    assert code == 4
+    assert err == ""
+    assert rep["violations"] == [{"type": "numeric", "message": "SVD did not converge"}]

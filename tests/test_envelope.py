@@ -132,6 +132,34 @@ def test_tangent_rank_two_variables():
     assert pts and all(abs(p[0]) < 1e-12 for p in pts)
 
 
+@pytest.mark.parametrize("check", [separation_check, tangent_rank_check])
+def test_certificates_refuse_non_finite_samples(check):
+    gens = [parse_expr("(exp (exp (exp (var 0))))", 1)]
+    with pytest.raises(DomainError, match="not finite at 3 of 5 sample points"):
+        check(gens, [(0.0, 5.0)], 5)
+
+
+def test_verdict_builds_one_grid(monkeypatch):
+    from diffalg import envelope
+
+    built = []
+    grid_points = envelope._grid_points
+
+    def counted(box, grid):
+        built.append(grid)
+        return grid_points(box, grid)
+
+    monkeypatch.setattr(envelope, "_grid_points", counted)
+    gens = [Prod(Var(0), Var(0)), Var(1)]
+    box = [(-1.0, 1.0), (-1.0, 1.0)]
+    v = envelope_verdict(gens, box, 21)
+    assert built == [21]
+    seps = [tuple(map(tuple, r["witness"])) for r in v.reasons if r["condition"] == "separation"]
+    tangent = [tuple(r["witness"]) for r in v.reasons if r["condition"] == "tangent"]
+    assert seps == separation_check(gens, box, 21)
+    assert tangent == tangent_rank_check(gens, box, 21)
+
+
 def test_jet_surjectivity_single_coordinate():
     res = jet_surjectivity_check([Var(0)], [0.0], 2, wordlen=2)
     assert res.ok and res.achieved == res.expected == 3
