@@ -1,9 +1,17 @@
 """Internal linear-algebra helpers.
 
-All rank and membership decisions in the package go through this module
-so that subspace bases are deterministic across runs: spans and null
-spaces carry orthonormal SVD bases, while explicit echelon form stays
-available for pivot bookkeeping.
+Every rank, span, null-space, eigenspace and membership decision in the
+package goes through two rules:
+
+- one singular-value cut (`_cut`, Golub & Van Loan 5.4): sigma_i counts
+  when sigma_i > tol * max(1, sigma_1); `rank`, `span_basis`, `null_space`
+  and `eigenspace` read it, so spans and null spaces carry orthonormal SVD
+  bases;
+- one membership rule (`in_span`): a vector lies in the span of
+  orthonormal rows when its distance to that span (`span_residuals`, one
+  orthogonal projection) is at most tol * (1 + |v|).
+
+Row echelon form stays only for the pivot bookkeeping of quotients.
 """
 from __future__ import annotations
 
@@ -11,8 +19,9 @@ import numpy as np
 
 # Absolute zero test for scalars and vector entries.
 ZERO_TOL = 1e-9
-# Pivot threshold factor for rank decisions, relative to the largest
-# entry magnitude of the input matrix.
+# Cut factor for rank decisions: singular values above
+# RANK_TOL * max(1, sigma_1) count (rref: pivots above RANK_TOL times the
+# largest entry magnitude).
 RANK_TOL = 1e-8
 
 
@@ -68,8 +77,25 @@ def rref(a: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
+def _cut(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
+    """(rank, vh) of a 2-d array under the one singular-value cut.
+
+    rank counts sigma_i > tol * max(1, sigma_1); vh holds all n right
+    singular vectors as rows, so vh[:rank] spans the rows and
+    vh[rank:].conj() the null space. The thin SVD is enough when rows >=
+    cols, because vh is then already complete. A zero or empty array has
+    rank 0 and vh = I.
+    """
+    rows, cols = a.shape
+    if not a.size or not np.abs(a).max():
+        return 0, np.eye(cols, dtype=complex)
+    _, sv, vh = np.linalg.svd(a, full_matrices=rows < cols)
+    return int(np.sum(sv > tol * max(1.0, float(sv[0])))), vh
+
+
 def rank(a: np.ndarray, tol: float = RANK_TOL) -> int:
-    return len(rref(a, tol)[1])
+    """Numerical rank of a 2-d array under the singular-value cut."""
+    return _cut(np.asarray(a, dtype=complex), tol)[0]
 
 
 def span_basis(rows, width: int | None = None, tol: float = RANK_TOL) -> np.ndarray:
@@ -77,85 +103,47 @@ def span_basis(rows, width: int | None = None, tol: float = RANK_TOL) -> np.ndar
 
     Computed by SVD rather than row reduction: echelon bases can acquire
     huge entries when a span nearly misses a leading coordinate, and the
-    follow-up entry-relative rank tests then misjudge such bases.
+    follow-up membership tests then misjudge such bases.
     """
     a = as_matrix(rows, width)
-    if a.size == 0 or not np.abs(a).max():
-        return np.zeros((0, a.shape[1]), dtype=complex)
-    _, sv, vh = np.linalg.svd(a)
-    keep = int(np.sum(sv > tol * max(1.0, float(sv[0]))))
+    keep, vh = _cut(a, tol)
     return vh[:keep]
 
 
 def null_space(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """Canonical basis of the right null space, one row per basis vector.
+    """Orthonormal basis of the right null space, one row per basis vector.
 
-    The rows are orthonormal (trailing right singular vectors), which
+    The rows are the conjugated trailing right singular vectors, which
     stays accurate even when the leading columns would make poor
     elimination pivots.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError("null_space expects a 2-d array")
-    m, n = a.shape
-    if m == 0 or n == 0 or not np.abs(a).max():
-        return np.eye(n, dtype=complex)
-    _, sv, vh = np.linalg.svd(a)
-    keep = int(np.sum(sv > tol * max(1.0, float(sv[0]))))
+    keep, vh = _cut(a, tol)
     return vh[keep:].conj()
 
 
-def in_span(v, basis: np.ndarray, tol: float = ZERO_TOL) -> bool:
-    """Membership of v in the row span of basis, by least-squares residual."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if basis.shape[0] == 0:
-        return bool(np.linalg.norm(v) <= tol * (1.0 + 0.0))
-    coeff, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-    res = v - basis.T @ coeff
-    return bool(np.linalg.norm(res) <= tol * (1.0 + np.linalg.norm(v)))
-
-
-def rows_in_span(vs, onb: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
-    """Membership of each row of vs in the span of the orthonormal rows onb.
-
-    The rule is in_span's, residual <= tol * (1 + |v|), but the residuals
-    of the whole stack come from one projection v - (v onb^H) onb, which
-    is only valid because onb is orthonormal (as span_basis returns and
-    Subspace.basis holds).
-    """
-    vs = np.asarray(vs, dtype=complex)
-    if onb.shape[0] == 0:
-        return np.linalg.norm(vs, axis=1) <= tol
-    res = vs - (vs @ onb.conj().T) @ onb
-    return np.linalg.norm(res, axis=1) <= tol * (1.0 + np.linalg.norm(vs, axis=1))
-
-
-def projection_residual(v, basis: np.ndarray) -> float:
-    """Euclidean distance from v to the row span of basis."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if basis.shape[0] == 0:
-        return float(np.linalg.norm(v))
-    coeff, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
-    return float(np.linalg.norm(v - basis.T @ coeff))
-
-
-def spans_contain(big: np.ndarray, small: np.ndarray, tol: float = ZERO_TOL) -> bool:
-    return all(in_span(row, big, tol) for row in small)
-
-
-def spans_equal(a: np.ndarray, b: np.ndarray, tol: float = ZERO_TOL) -> bool:
-    return spans_contain(a, b, tol) and spans_contain(b, a, tol)
-
-
 def eigenspace(m: np.ndarray, lam: complex, tol: float = 1e-7) -> np.ndarray:
-    """Basis (rows) of the genuine eigenspace ker(m - lam I), via SVD."""
+    """Orthonormal basis (rows) of the genuine eigenspace ker(m - lam I)."""
     m = np.asarray(m, dtype=complex)
-    a = m - lam * np.eye(m.shape[0])
-    _, s, vh = np.linalg.svd(a)
-    cutoff = tol * max(1.0, float(s[0]) if s.size else 0.0)
-    keep = [i for i in range(len(s)) if s[i] <= cutoff]
-    # rows of vh whose singular values vanish span the null space
-    return vh[len(s) - len(keep):] if keep else np.zeros((0, m.shape[0]), dtype=complex)
+    return null_space(m - lam * np.eye(m.shape[0]), tol)
+
+
+def span_residuals(vs, onb: np.ndarray) -> np.ndarray:
+    """Distance of each row of vs (a single vector counts as one row) to
+    the span of the orthonormal rows onb, by one projection
+    v - (v onb^H) onb; onb must be orthonormal, as span_basis returns and
+    Subspace.basis holds."""
+    vs = np.atleast_2d(np.asarray(vs, dtype=complex))
+    return np.linalg.norm(vs - (vs @ onb.conj().T) @ onb, axis=1)
+
+
+def in_span(vs, onb: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """Membership mask of the rows of vs in the span of the orthonormal
+    rows onb: residual <= tol * (1 + |v|)."""
+    vs = np.atleast_2d(np.asarray(vs, dtype=complex))
+    return span_residuals(vs, onb) <= tol * (1.0 + np.linalg.norm(vs, axis=1))
 
 
 def cluster_values(values, tol: float = 1e-7) -> list[complex]:

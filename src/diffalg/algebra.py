@@ -3,7 +3,7 @@
 An algebra of dimension d is stored as a d x d x d complex tensor c with
 c[i, j] = coordinates of e_i * e_j, an involution matrix S acting
 antilinearly (star(x) = S conj(x)), and the coordinate vector of the unit.
-On top of that sit subspaces (canonical row-reduced bases), characters
+On top of that sit subspaces (orthonormal SVD bases), characters
 (unital involutive multiplicative functionals), quotients by two-sided
 ideals, centralizers, and a family of ready-made constructors.
 """
@@ -339,7 +339,7 @@ def re_im(x: Element) -> tuple[Element, Element]:
 
 
 class Subspace:
-    """Linear subspace with a canonical row-reduced basis."""
+    """Linear subspace with an orthonormal SVD basis (rows)."""
 
     def __init__(self, algebra: StructureAlgebra, vectors, tol=la.RANK_TOL):
         self.algebra = algebra
@@ -360,20 +360,20 @@ class Subspace:
 
     def contains(self, x, tol=la.ZERO_TOL) -> bool:
         v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex)
-        return la.in_span(v, self.basis, tol)
+        return bool(la.in_span(v.ravel(), self.basis, tol).all())
 
     def contains_subspace(self, other: "Subspace", tol=la.ZERO_TOL) -> bool:
-        return la.spans_contain(self.basis, other.basis, tol)
+        return bool(la.in_span(other.basis, self.basis, tol).all())
 
     def equals(self, other: "Subspace", tol=la.ZERO_TOL) -> bool:
-        return la.spans_equal(self.basis, other.basis, tol)
+        return self.contains_subspace(other, tol) and other.contains_subspace(self, tol)
 
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(self.algebra, np.vstack([self.basis, other.basis]))
 
     def star_closed(self, tol=la.ZERO_TOL) -> bool:
         stars = np.conj(self.basis) @ self.algebra.involution.T
-        return bool(la.rows_in_span(stars, self.basis, tol).all())
+        return bool(la.in_span(stars, self.basis, tol).all())
 
     def __repr__(self):
         return f"<Subspace dim={self.dim} of {self.algebra!r}>"
@@ -541,7 +541,7 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     left = v @ c  # [i, j] = e_i * v_j
     right = (v @ c.reshape(d, d * d)).reshape(-1, d, d).transpose(1, 0, 2)  # v_j * e_i
     prods = np.stack([left, right], axis=2)  # tested in this order
-    inside = la.rows_in_span(prods.reshape(-1, d), v, tol).reshape(prods.shape[:3])
+    inside = la.in_span(prods.reshape(-1, d), v, tol).reshape(prods.shape[:3])
     if not inside.all():
         i, j, side = np.unravel_index(np.argmin(inside), inside.shape)
         if side == 0:
@@ -585,18 +585,18 @@ def subalgebra(algebra: StructureAlgebra, vectors,
 
     The span must contain the unit and be closed under products and the
     involution; otherwise DomainError. The returned algebra uses the
-    canonical row-reduced basis of the span.
+    orthonormal SVD basis of the span.
     """
     rows = [v.coords if isinstance(v, Element) else v for v in vectors]
     basis = la.span_basis(rows, width=algebra.dim)
-    if not la.in_span(algebra.unit, basis, tol):
+    if not la.in_span(algebra.unit, basis, tol).all():
         raise DomainError("span does not contain the unit")
     stars = np.conj(basis) @ algebra.involution.T
-    if not la.rows_in_span(stars, basis, tol).all():
+    if not la.in_span(stars, basis, tol).all():
         raise DomainError("span is not closed under the involution")
     r = basis.shape[0]
     prods = algebra.mul_pairs(basis, basis).reshape(r * r, -1)
-    if not la.rows_in_span(prods, basis, tol).all():
+    if not la.in_span(prods, basis, tol).all():
         raise DomainError("span is not closed under products")
     # the basis is orthonormal, so coordinates in it are inner products
     coeffs = basis.conj().T

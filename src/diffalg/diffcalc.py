@@ -168,12 +168,9 @@ def z_tower_from_images(target: StructureAlgebra, images, depth: int) -> Tower:
     ad = [target.right_mul_matrix(c) - target.left_mul_matrix(c) for c in cvecs]
     levels = [Subspace.zero(target)]
     for _ in range(depth):
-        prev = levels[-1]
-        if prev.dim:
-            q, _ = np.linalg.qr(prev.basis.T)
-            off = np.eye(d) - q @ q.conj().T
-        else:
-            off = np.eye(d)
+        # Subspace bases are orthonormal rows, so B^T conj(B) projects onto them
+        prev = levels[-1].basis
+        off = np.eye(d) - prev.T @ prev.conj()
         stacked = np.vstack([off @ m for m in ad])
         levels.append(Subspace(target, la.null_space(stacked)))
     return Tower(levels)

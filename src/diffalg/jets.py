@@ -193,7 +193,7 @@ def quotient_seminorm(algebra: PolyAlgebra, f, s, n: int) -> float:
     """Euclidean coefficient distance from f to the order-(n+1) vanishing
     subspace; zero exactly on that subspace."""
     space = jet_space(algebra, s, n)
-    return la.projection_residual(_f_coords(algebra, f), space.ideal.basis)
+    return float(la.span_residuals(_f_coords(algebra, f), space.ideal.basis)[0])
 
 
 def induced_jet_map(p: RelativeOp, s, n: int, gens=None,

@@ -262,6 +262,9 @@ def value_bundle(phi: LinearOp, tol: float = 1e-8) -> ValueBundle:
     if not source.is_commutative():
         raise DomainError("bundle base must be a commutative algebra")
     base = characters(source, tol)
+    if not base:
+        raise DomainError("the bundle base has no *-characters, so there are "
+                          "no fibers to decompose over")
     fibers, projections = [], []
     eye = np.eye(target.dim)
     for t in base:

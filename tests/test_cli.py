@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diffalg import function_algebra
 from diffalg.cli import main
 
 
@@ -254,6 +255,16 @@ def test_dauns_hofmann_inline(capsys):
     assert code == 0
     assert rep["results"]["fiber_dims"] == [4]
     assert rep["results"]["ok"] is True
+
+
+def test_dauns_hofmann_without_characters_is_domain_error(capsys, tmp_path):
+    spec = function_algebra(2).to_dict()
+    spec["involution"] = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    path = _write(tmp_path, "swap.json", {"algebra": spec})
+    code, rep, _ = run_json(capsys, "dauns-hofmann", path)
+    assert code == 3
+    assert rep["violations"][0]["type"] == "domain"
+    assert "no *-characters" in rep["violations"][0]["message"]
 
 
 def test_fourier_inline(capsys):

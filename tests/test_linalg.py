@@ -1,4 +1,10 @@
-"""Numerical linear algebra helpers: rank, spans, null spaces."""
+"""Numerical linear algebra helpers: rank, spans, null spaces, membership.
+
+The earlier rules are kept here as references: the echelon rank (pivots of
+`rref` above tol times the largest entry) and least-squares membership.
+The singular-value cut and the projection membership must agree with them
+on the hypothesis cases below.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -9,14 +15,33 @@ from diffalg._linalg import (
     eigenspace,
     in_span,
     null_space,
-    projection_residual,
     rank,
-    rows_in_span,
     rref,
     span_basis,
-    spans_contain,
-    spans_equal,
+    span_residuals,
 )
+
+
+def ref_rank(a, tol=1e-8) -> int:
+    """Echelon rank: pivots above tol times the largest entry magnitude."""
+    return len(rref(a, tol)[1])
+
+
+def ref_residual(v, basis) -> float:
+    """Least-squares distance from v to the row span of any basis."""
+    v = np.asarray(v, dtype=complex).ravel()
+    if basis.shape[0] == 0:
+        return float(np.linalg.norm(v))
+    coeff, *_ = np.linalg.lstsq(basis.T, v, rcond=None)
+    return float(np.linalg.norm(v - basis.T @ coeff))
+
+
+def ref_in_span(v, basis, tol=1e-9) -> bool:
+    """Least-squares membership: residual <= tol * (1 + |v|), or |v| <= tol
+    against an empty basis."""
+    v = np.asarray(v, dtype=complex).ravel()
+    scale = 1.0 + np.linalg.norm(v) if basis.shape[0] else 1.0
+    return bool(ref_residual(v, basis) <= tol * scale)
 
 
 def _random_matrix(seed, rows, cols, rk):
@@ -30,7 +55,7 @@ def _random_matrix(seed, rows, cols, rk):
 def test_rank_of_factored_product(seed, rows, cols, rk):
     rk = min(rk, rows, cols)
     m = _random_matrix(seed, rows, cols, rk) if rk else np.zeros((rows, cols))
-    assert rank(m) == rk
+    assert rank(m) == rk == ref_rank(m)
 
 
 @given(st.integers(0, 100), st.integers(1, 5), st.integers(1, 5))
@@ -41,8 +66,8 @@ def test_null_space_annihilates(seed, rows, cols):
     assert ns.shape[0] == cols - rank(m)
     if ns.size:
         assert np.abs(m @ ns.T).max() < 1e-9
-        # rows are independent, though not necessarily orthonormal
-        assert rank(ns) == ns.shape[0]
+        assert np.abs(ns @ ns.conj().T - np.eye(ns.shape[0])).max() < 1e-12
+        assert rank(ns) == ns.shape[0] == ref_rank(ns)
 
 
 def test_rref_pivots_and_idempotence():
@@ -65,14 +90,16 @@ def test_span_membership_and_equality(seed):
     rng = np.random.default_rng(seed)
     basis = span_basis(rng.standard_normal((3, 5)))
     combo = rng.standard_normal(3) @ basis
-    assert in_span(combo, basis)
-    assert projection_residual(combo, basis) < 1e-10
-    shuffled = basis[::-1] * 2.0
-    assert spans_equal(basis, span_basis(shuffled))
-    assert spans_contain(np.eye(5), basis)
-    outside = np.ones(5) + 1e3 * null_space(basis)[0] if null_space(basis).size else None
-    if outside is not None:
-        assert not in_span(null_space(basis)[0], basis)
+    assert in_span(combo, basis).all() and ref_in_span(combo, basis)
+    assert span_residuals(combo, basis)[0] < 1e-10
+    assert ref_residual(combo, basis) < 1e-10
+    other = span_basis(basis[::-1] * 2.0)
+    assert in_span(basis, other).all() and in_span(other, basis).all()
+    assert in_span(basis, np.eye(5)).all()
+    outside = null_space(basis)
+    assert outside.shape[0] == 2
+    assert not in_span(outside, basis).any()
+    assert not any(ref_in_span(v, basis) for v in outside)
 
 
 def test_eigenspace_of_diagonalizable():
@@ -83,6 +110,36 @@ def test_eigenspace_of_diagonalizable():
     assert e5.shape[0] == 1
     assert np.abs(m @ e5[0] - 5.0 * e5[0]).max() < 1e-10
     assert eigenspace(m, 7.0).shape[0] == 0
+
+
+def test_eigenspace_of_complex_upper_triangular():
+    # ker(m - I) is spanned by (-1j, 1); its conjugate (1j, 1) is no eigenvector
+    m = np.array([[2.0, 1j], [0.0, 1.0]])
+    for lam in (1.0, 2.0):
+        v = eigenspace(m, lam)
+        assert v.shape == (1, 2)
+        assert np.abs(m @ v[0] - lam * v[0]).max() < 1e-12
+
+
+@given(st.integers(0, 200), st.integers(2, 5))
+def test_eigenspace_of_complex_non_hermitian(seed, n):
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+
+    # p has condition number 2, so m = p diag p^-1 is diagonalizable but not normal
+    p = unitary() @ np.diag(np.linspace(1.0, 2.0, n)) @ unitary()
+    lams = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    diag = np.concatenate([lams[:1], lams])
+    m = p @ np.diag(diag) @ np.linalg.inv(p)
+    for lam in lams:
+        v = eigenspace(m, lam)
+        assert v.shape[0] == int(np.sum(diag == lam))
+        assert np.abs(v @ v.conj().T - np.eye(v.shape[0])).max() < 1e-12
+        assert np.abs(m @ v.T - lam * v.T).max() < 1e-9 * (1.0 + np.abs(m).max())
+    assert eigenspace(m, 10.0).shape[0] == 0
 
 
 def test_cluster_values_merges_close_points():
@@ -99,14 +156,16 @@ def test_empty_and_zero_inputs():
 
 
 @given(st.integers(0, 200), st.integers(0, 5))
-def test_rows_in_span_agrees_with_in_span(seed, rk):
+def test_in_span_agrees_with_lstsq_reference(seed, rk):
     rng = np.random.default_rng(seed)
     onb = span_basis(_random_matrix(seed, max(rk, 1), 6, rk), width=6)
     inside = rng.standard_normal((3, onb.shape[0])) @ onb if onb.shape[0] else np.zeros((3, 6))
     outside = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     near = inside + 1e-12 * outside
     vs = np.vstack([inside, outside, near])
-    got = rows_in_span(vs, onb)
-    assert list(got) == [in_span(v, onb) for v in vs]
+    got = in_span(vs, onb)
+    assert list(got) == [ref_in_span(v, onb) for v in vs]
+    want = [ref_residual(v, onb) for v in vs]
+    assert np.abs(span_residuals(vs, onb) - want).max() < 1e-12
     assert got[:3].all() and got[6:].all()
     assert got[3:6].all() == (onb.shape[0] == 6)

@@ -10,7 +10,9 @@ from diffalg import (
     DomainError,
     FiniteAbelianGroup,
     LinearOp,
+    StructureAlgebra,
     Subspace,
+    characters,
     dauns_hofmann_check,
     direct_sum,
     fourier_check,
@@ -116,6 +118,21 @@ def test_value_bundle_refuses_noncommutative_base():
     m2 = matrix_algebra(2)
     with pytest.raises(DomainError):
         value_bundle(LinearOp.identity(m2))
+
+
+def _swapped_points():
+    """C^2 with the swap as involution: a valid *-algebra without *-characters."""
+    f2 = function_algebra(2)
+    return StructureAlgebra(f2.structure, np.array([[0, 1], [1, 0]]), f2.unit)
+
+
+def test_value_bundle_refuses_base_without_characters():
+    alg = _swapped_points()
+    assert characters(alg) == []
+    with pytest.raises(DomainError, match=r"no \*-characters"):
+        value_bundle(LinearOp.identity(alg))
+    with pytest.raises(DomainError, match=r"no \*-characters"):
+        dauns_hofmann_check(alg)
 
 
 def test_dauns_hofmann_center_of_block_sum():
