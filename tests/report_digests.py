@@ -84,11 +84,7 @@ def main() -> int:
             new.update(run_workload(workload, os.path.join(workdir, workload)))
     diff = changed(old, new)
     for key in diff:
-        before, after = old.get(key), new.get(key)
-        exits = "" if before is None or after is None or before["exit"] == after["exit"] \
-            else f" (exit {before['exit']} -> {after['exit']})"
-        print(f"{key}: {'added' if before is None else 'removed' if after is None else 'changed'}"
-              + exits)
+        print(f"{key}: {old.get(key)} -> {new.get(key)}")
     per_class = collections.Counter(k.split("/", 1)[0] + "/" + k.rsplit("/", 1)[1]
                                     for k in diff)
     for name, count in sorted(per_class.items()):
