@@ -645,6 +645,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args leaves the parser unchanged, and
+# building its ten subparsers costs more than most requests.
+_PARSER = build_parser()
+
+
 def _load_input(args) -> tuple[object, bytes]:
     if args.subcommand == "selftest":
         payload = f"instances={args.instances}".encode()
@@ -658,7 +663,7 @@ def _load_input(args) -> tuple[object, bytes]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         data, payload = _load_input(args)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -384,3 +384,28 @@ def test_linalg_error_is_numeric(capsys, monkeypatch):
     assert code == 4
     assert err == ""
     assert rep["violations"] == [{"type": "numeric", "message": "SVD did not converge"}]
+
+
+def test_main_in_one_process_matches_separate_processes(capsys, tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    from diffalg import cli
+
+    def separate(*argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        done = subprocess.run([sys.executable, "-m", "diffalg.cli", *argv],
+                              capture_output=True, text=True, check=False,
+                              env={**os.environ, "PYTHONPATH": src})
+        return done.returncode, done.stdout
+
+    target = tmp_path / "report.json"
+    assert main(["fourier", "Z4", "--seed", "3", "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    code, out, _ = run(capsys, "fourier", "Z4", "--seed", "3")
+    assert code == 0
+    assert out == target.read_text() == separate("fourier", "Z4", "--seed", "3")[1]
+    code, out, _ = run(capsys, "algebra-check", "matrix:2")
+    assert (code, out) == separate("algebra-check", "matrix:2")
+    assert json.loads(out)["seed"] == 0
