@@ -203,6 +203,8 @@ class StructureAlgebra:
             return complex(z[0], z[1])
 
         d = int(data["dim"])
+        require_dim(d)
+        require_dim(len(data["structure"]))
         structure = np.array([[[un(z) for z in row] for row in plane]
                               for plane in data["structure"]], dtype=complex)
         involution = np.array([[un(z) for z in row] for row in data["involution"]],

@@ -22,7 +22,7 @@ from .algebra import (Character, LinearOp, PolyAlgebra, StructureAlgebra,
                       direct_sum, truncated_poly)
 from .dersys import DerivativeSystem, from_homomorphism, to_homomorphism, verify_system
 from .diffcalc import RelativeOp, check_stabilization, diff_order, truncation_hom
-from .envelope import envelope_verdict, parse_expr
+from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
 from .geometry import cotangent_space, pairing, tangent_space
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
@@ -95,6 +95,8 @@ def to_jsonable(obj):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, Reasons):
+        return to_jsonable(obj.to_list())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -157,7 +159,8 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
     come only from indentation, since strings escape them, so moving it to
     another depth only widens or narrows every newline's indent. `shared`
     maps id() to (object, level, text) and keeps the object alive, so the
-    id stays valid for the whole render.
+    id stays valid for the whole render. A verdict's Reasons writes its own
+    text, as the list of dicts it stands for.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -172,10 +175,11 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
     if isinstance(obj, float):
         return _float_text(obj)
     is_list = isinstance(obj, (list, tuple))
-    if not (is_list or isinstance(obj, dict)):
+    is_dict = not is_list and isinstance(obj, dict)
+    if not (is_list or is_dict or isinstance(obj, Reasons)):
         return _render(to_jsonable(obj), level, shared)
     if not obj:
-        return "[]" if is_list else "{}"
+        return "{}" if is_dict else "[]"
     if shared is None:
         shared = {}
     hit = shared.get(id(obj))
@@ -195,11 +199,13 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
         if body is None:
             body = sep.join([_render(x, level + 1, shared) for x in obj])
         text = "[" + inner + body + "\n" + "  " * level + "]"
-    else:
+    elif is_dict:
         items = sorted({str(k): v for k, v in obj.items()}.items())
         body = sep.join([_encode_str(k) + ": " + _render(v, level + 1, shared)
                          for k, v in items])
         text = "{" + inner + body + "\n" + "  " * level + "}"
+    else:
+        text = obj._json_text(level, lambda entry, at: _render(entry, at, shared))
     if len(text) >= _SHARED_MIN:
         shared[id(obj)] = (obj, level, text)
     return text
@@ -376,9 +382,12 @@ def cmd_envelope(data, args):
         raise ValueError(f"box must list {m} intervals")
     verdict = envelope_verdict(gens, box, int(data["grid"]),
                                data.get("options"))
-    results = verdict.to_dict()
+    # the reasons as the verdict holds them (a FAIL's Reasons is rendered
+    # from its witness arrays, without building its dicts)
+    reasons = verdict._reasons
+    results = {"status": verdict.status, "reasons": reasons, "meta": verdict.meta}
     code = {"PASS": 0, "FAIL": 3, "INCONCLUSIVE": 4}[verdict.status]
-    return results, verdict.reasons, code
+    return results, reasons, code
 
 
 def cmd_dauns_hofmann(data, args):

@@ -11,6 +11,7 @@ the conditions were verified on the sample, never globally.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -259,10 +260,14 @@ class FlatBumpTimes(Expr):
     def eval(self, grids):
         t = self.arg.eval(grids)
         safe = np.where(t == 0.0, 1.0, t)
-        val = np.exp(-1.0 / safe ** 2)
-        if self.power:
-            val = val / safe ** self.power
-        return np.where(t == 0.0, 0.0, val)
+        # For tiny u, 1/u^2 overflows and exp(-1/u^2) is 0, and u^power may
+        # underflow to 0 too: the value there is the exact 0, not 0/0.
+        with np.errstate(divide="ignore", over="ignore"):
+            val = np.where(t == 0.0, 0.0, np.exp(-1.0 / safe ** 2))
+            if self.power:
+                val = np.divide(val, safe ** self.power, out=np.zeros_like(val),
+                                where=val != 0.0)
+        return val
 
     def to_sexpr(self):
         if self.power == 0:
@@ -349,6 +354,10 @@ def _grid_points(box, grid: int) -> list[np.ndarray]:
     box = [(float(lo), float(hi)) for lo, hi in box]
     if grid < 2:
         raise ValueError("need at least 2 grid points per axis")
+    for axis, (lo, hi) in enumerate(box):
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"box axis {axis} is [{lo!r}, {hi!r}]; its bounds "
+                              f"and its width must be finite")
     samples = grid ** len(box)
     if samples > MAX_SAMPLES:
         raise DomainError(f"grid {grid} on a {len(box)}-dimensional box gives "
@@ -379,10 +388,13 @@ def _run_pairs(order: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class _Sample(NamedTuple):
     """A request's sample grid and what the certificates read of it: the
     coordinate arrays, the generator values as (points, k) and the
-    Jacobian as (m, k, points), contiguous over the points."""
+    Jacobian as (m, k, points), contiguous over the points. `witnesses`
+    takes each certificate's ordered witness point indices, by condition
+    name, for envelope_verdict."""
     grids: list[np.ndarray]
     values: np.ndarray | None
     jac: np.ndarray | None
+    witnesses: dict
 
 
 def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
@@ -412,12 +424,47 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
         raise DomainError(f"generator values or first derivatives are not finite at "
                           f"{int(bad.sum())} of {npts} sample points, the first at "
                           f"{[float(g[first]) for g in grids]}")
-    return _Sample(grids, vals, jacobian)
+    return _Sample(grids, vals, jacobian, {})
+
+
+def _lex_order(grids, *points) -> np.ndarray:
+    """The stable order of equal-length point index arrays by coordinates:
+    the first array's axes are the most significant keys, as in tuple
+    comparison (so -0.0 and 0.0 tie)."""
+    return np.lexsort([g[p] for p in reversed(points) for g in reversed(grids)])
+
+
+def _point_tuples(grids, points: np.ndarray) -> list[tuple]:
+    return list(zip(*[g[points].tolist() for g in grids]))
+
+
+def _coordinate_order(grids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairs (a, b) of point indices, a < b, as the 2 x P array that
+    sorted(set(tuple(sorted((pa, pb))))) gives for their coordinate tuples.
+
+    Each pair is put in coordinate order and the pairs are ordered by
+    coordinates; index order is not coordinate order, since a box may have
+    lo > hi. A pair equal in coordinates to an earlier one (an axis with
+    repeated coordinates) is dropped, and the first in (a, b) order stays,
+    as the set keeps it.
+    """
+    swap = np.zeros(len(a), dtype=bool)
+    for g in reversed(grids):
+        ga, gb = g[a], g[b]
+        swap = np.where(ga != gb, gb < ga, swap)
+    pairs = np.where(swap, np.stack([b, a]), np.stack([a, b]))
+    pairs = pairs[:, _lex_order(grids, *pairs)]
+    repeated = np.ones(pairs.shape[1], dtype=bool)
+    repeated[:1] = False
+    for c in (g[p] for p in pairs for g in grids):
+        repeated[1:] &= c[1:] == c[:-1]
+    return pairs[:, ~repeated]
 
 
 def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
                      sample: _Sample | None = None) -> list:
-    """Unordered grid-point pairs whose generator value tuples coincide.
+    """Grid-point pairs whose generator value tuples coincide, sorted, each
+    as (smaller point, larger point) by coordinate tuples.
 
     Candidate pairs are found by grouping value tuples rounded at 1e-7
     under two offset schemes (so near-boundary rounding cannot split a
@@ -443,10 +490,9 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
                                       (_run_pairs(*run) for run in runs)]))
     a, b = codes // npts, codes % npts
     keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
-    points = np.stack(grids, axis=1)
-    pairs = [tuple(sorted((tuple(pa), tuple(pb))))
-             for pa, pb in zip(points[a[keep]].tolist(), points[b[keep]].tolist())]
-    return sorted(set(pairs))
+    pairs = _coordinate_order(grids, a[keep], b[keep])
+    sample.witnesses["separation"] = pairs
+    return list(zip(_point_tuples(grids, pairs[0]), _point_tuples(grids, pairs[1])))
 
 
 # One-sided Jacobi sweeps after which the rank certificate gives up; the
@@ -526,8 +572,8 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
                        sample: _Sample | None = None) -> list:
-    """Sample points where the generator Jacobian has rank below the
-    variable count, i.e. some tangent direction kills every generator.
+    """Sample points, sorted, where the generator Jacobian has rank below
+    the variable count, i.e. some tangent direction kills every generator.
 
     A point is a witness when its smallest singular value is at most
     tol_rank * max(largest, 1); with fewer generators than variables every
@@ -538,9 +584,10 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     if sample is None:
         sample = _sample(gens, box, grid, values=False)
     top, bottom = _extreme_singular_values(sample.jac)
-    degenerate = bottom <= tol_rank * np.maximum(top, 1.0)
-    points = np.stack(sample.grids, axis=1)[degenerate].tolist()
-    return sorted(map(tuple, points))
+    points = np.flatnonzero(bottom <= tol_rank * np.maximum(top, 1.0))
+    points = points[_lex_order(sample.grids, points)]
+    sample.witnesses["tangent"] = points
+    return _point_tuples(sample.grids, points)
 
 
 class JetSurjectivity:
@@ -596,25 +643,109 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
     return JetSurjectivity(achieved == expected, achieved, expected, by_length)
 
 
+_SEPARATION_DETAIL = "generator value tuples coincide"
+_TANGENT_DETAIL = "Jacobian rank below the variable count"
+
+
+class Reasons:
+    """The reasons of a FAIL verdict: separation pairs and tangent points as
+    axis-index arrays into the sample axes, then the jet entries as dicts.
+
+    `axes` holds the m coordinate arrays, `pairs` the (2, m, P) axis
+    indices of each pair's smaller and larger point, and `points` the
+    (m, T) axis indices of the tangent points. to_list() builds the public
+    list of reason dicts once; _json_text writes its JSON text straight
+    from the arrays.
+    """
+
+    def __init__(self, axes: list[np.ndarray], pairs: np.ndarray, points: np.ndarray,
+                 entries: list[dict]):
+        self.axes, self.pairs, self.points, self.entries = axes, pairs, points, entries
+        self._list = None
+
+    def __len__(self):
+        return self.pairs.shape[2] + self.points.shape[1] + len(self.entries)
+
+    def _coords(self, index: np.ndarray) -> list[list[float]]:
+        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=1).tolist()
+
+    def to_list(self) -> list[dict]:
+        if self._list is None:
+            self._list = (
+                [{"condition": "separation", "witness": [pa, pb],
+                  "detail": _SEPARATION_DETAIL}
+                 for pa, pb in zip(self._coords(self.pairs[0]), self._coords(self.pairs[1]))]
+                + [{"condition": "tangent", "witness": pt, "detail": _TANGENT_DETAIL}
+                   for pt in self._coords(self.points)]
+                + self.entries)
+        return self._list
+
+    def _json_text(self, level: int, render) -> str:
+        """The text json.dumps(self.to_list(), sort_keys=True, indent=2)
+        writes at nesting depth `level`; `render(entry, depth)` writes the
+        jet entries.
+
+        Each witness entry is one %-template per condition, filled with
+        float.__repr__ texts (the coordinates are finite, see _grid_points)
+        computed once per distinct axis coordinate.
+        """
+        at = level + 1
+        d1, d2, d3 = ("\n" + "  " * (at + k) for k in (1, 2, 3))
+        m = len(self.axes)
+        head = "{" + d1 + '"condition": "%s",' + d1 + '"detail": "%s",' + d1 + '"witness": ['
+        tail = d1 + "]\n" + "  " * at + "}"
+        point = "[" + d3 + ("," + d3).join(["%s"] * m) + d2 + "]"
+        separation = (head % ("separation", _SEPARATION_DETAIL) + d2 + point
+                      + "," + d2 + point + tail)
+        tangent = (head % ("tangent", _TANGENT_DETAIL) + d2
+                   + ("," + d2).join(["%s"] * m) + tail)
+        sep = "," + "\n" + "  " * at
+        first, second, points = self._axis_texts([self.pairs[0], self.pairs[1], self.points])
+        parts = [sep.join(map(separation.__mod__, zip(*first, *second))),
+                 sep.join(map(tangent.__mod__, zip(*points)))]
+        parts = [p for p in parts if p] + [render(e, at) for e in self.entries]
+        return "[" + "\n" + "  " * at + sep.join(parts) + "\n" + "  " * level + "]"
+
+    def _axis_texts(self, indices: list[np.ndarray]) -> list[list[list[str]]]:
+        """For each (m, n) axis-index array, the float.__repr__ texts of the
+        coordinates it names as m lists, one repr per distinct coordinate."""
+        out = [[] for _ in indices]
+        cuts = np.cumsum([ix.shape[1] for ix in indices])[:-1]
+        for axis, ax in enumerate(self.axes):
+            used, where = np.unique(np.concatenate([ix[axis] for ix in indices]),
+                                    return_inverse=True)
+            texts = np.array(list(map(float.__repr__, ax[used].tolist())), dtype=object)
+            for lists, part in zip(out, np.split(texts[where], cuts)):
+                lists.append(part.tolist())
+        return out
+
+
 class Verdict:
     """Classifier outcome with machine-checkable witnesses.
 
     PASS means every requested condition was verified on the sample grid;
     it is a certificate about the sample, not a global proof. FAIL always
-    carries at least one witness.
+    carries at least one witness. `reasons` may be given as a Reasons,
+    whose list of dicts is built on first access.
     """
 
-    def __init__(self, status: str, reasons: list[dict], meta: dict):
+    def __init__(self, status: str, reasons: list[dict] | Reasons, meta: dict):
         assert status in ("PASS", "FAIL", "INCONCLUSIVE")
         self.status = status
-        self.reasons = reasons
+        self._reasons = reasons
         self.meta = meta
+
+    @property
+    def reasons(self) -> list[dict]:
+        if isinstance(self._reasons, Reasons):
+            return self._reasons.to_list()
+        return self._reasons
 
     def to_dict(self) -> dict:
         return {"status": self.status, "reasons": self.reasons, "meta": self.meta}
 
     def __repr__(self):
-        return f"<Verdict {self.status} reasons={len(self.reasons)}>"
+        return f"<Verdict {self.status} reasons={len(self._reasons)}>"
 
 
 def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdict:
@@ -629,15 +760,17 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     tol_sep = float(options.get("tol_sep", 1e-9))
     tol_rank = float(options.get("tol_rank", 1e-8))
     sample = _sample(gens, box, grid)
-    reasons = []
-    for pa, pb in separation_check(gens, box, grid, tol_sep, sample=sample):
-        reasons.append({"condition": "separation", "witness": [list(pa), list(pb)],
-                        "detail": "generator value tuples coincide"})
-    for pt in tangent_rank_check(gens, box, grid, tol_rank, sample=sample):
-        reasons.append({"condition": "tangent", "witness": list(pt),
-                        "detail": "Jacobian rank below the variable count"})
+    # Both checks run under their public names and leave their ordered
+    # witness indices on the sample. The rank certificate goes first, so
+    # the Jacobian is freed before the separation check allocates.
+    tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
+    sample = sample._replace(jac=None)
+    separation_check(gens, box, grid, tol_sep, sample=sample)
+    shape = (int(grid),) * len(sample.grids)
+    separated = np.stack(np.unravel_index(sample.witnesses["separation"], shape), axis=1)
+    critical = np.stack(np.unravel_index(sample.witnesses["tangent"], shape))
 
-    inconclusive = []
+    failed, inconclusive = [], []
     jet_order = options.get("jet_order")
     polynomial = all(g.degree() is not None for g in gens)
     if jet_order is not None and polynomial:
@@ -652,15 +785,14 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
             entry = {"condition": "jet", "witness": list(pt),
                      "detail": f"jet span {res.achieved} of {res.expected}, "
                                f"growth {res.by_length}"}
-            if res.stalled:
-                reasons.append(entry)
-            else:
-                inconclusive.append(entry)
+            (failed if res.stalled else inconclusive).append(entry)
 
     meta = {"box": [[float(lo), float(hi)] for lo, hi in box], "grid": int(grid),
             "note": "PASS = conditions verified on sample"}
-    if reasons:
-        return Verdict("FAIL", reasons + inconclusive, meta)
+    if separated.size or critical.size or failed:
+        axes = [g[::grid ** (len(shape) - 1 - i)][:grid].copy()
+                for i, g in enumerate(sample.grids)]
+        return Verdict("FAIL", Reasons(axes, separated, critical, failed + inconclusive), meta)
     if inconclusive:
         return Verdict("INCONCLUSIVE", inconclusive, meta)
     return Verdict("PASS", [], meta)

@@ -409,3 +409,50 @@ def test_main_in_one_process_matches_separate_processes(capsys, tmp_path):
     code, out, _ = run(capsys, "algebra-check", "matrix:2")
     assert (code, out) == separate("algebra-check", "matrix:2")
     assert json.loads(out)["seed"] == 0
+
+
+@pytest.mark.parametrize("generator, box", [
+    ("(const 1)", [[0.0, float("inf")]]),
+    ("(var 0)", [[float("-inf"), 1.0]]),
+    ("(var 0)", [[float("nan"), 1.0]]),
+    ("(var 0)", [[-1.7e308, 1.7e308]]),
+])
+def test_envelope_non_finite_box_is_refused(capsys, tmp_path, generator, box):
+    doc = {"m": 1, "generators": [generator], "box": box, "grid": 5}
+    code, rep, err = run_json(capsys, "envelope", _write(tmp_path, "box.json", doc))
+    assert code == 3
+    assert err == ""
+    assert rep["results"] == {}
+    [v] = rep["violations"]
+    assert v["type"] == "domain"
+    assert v["message"].startswith(f"box axis 0 is [{box[0][0]!r}, {box[0][1]!r}]; ")
+
+
+def test_envelope_flat_bump_on_a_tiny_box_is_judged(capsys, tmp_path):
+    doc = {"m": 1, "generators": ["(flatbump (var 0))"], "box": [[1e-160, 1e-150]],
+           "grid": 3}
+    code, rep, err = run_json(capsys, "envelope", _write(tmp_path, "tiny.json", doc))
+    assert code == 3
+    assert err == ""
+    assert rep["results"]["status"] == "FAIL"
+    conditions = [r["condition"] for r in rep["violations"]]
+    assert conditions == ["separation"] * 3 + ["tangent"] * 3
+    assert rep["violations"] == rep["results"]["reasons"]
+
+
+@pytest.mark.parametrize("dim, planes", [(257, 1), (2, 257)])
+def test_oversized_serialized_algebra_is_refused(capsys, tmp_path, dim, planes):
+    doc = {"dim": dim, "structure": [[[[0.0, 0.0]]]] * planes,
+           "involution": [[[0.0, 0.0]]], "unit": [[1.0, 0.0]]}
+    path = _write(tmp_path, "big.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "algebra-check", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    [v] = rep["violations"]
+    assert v["type"] == "domain"
+    assert "dimension 257 exceeds 256" in v["message"]
+    assert peak < 2 ** 20

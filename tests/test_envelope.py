@@ -9,6 +9,7 @@ import pytest
 from diffalg import (
     Const,
     DomainError,
+    FlatBumpTimes,
     Prod,
     Sin,
     Var,
@@ -158,6 +159,59 @@ def test_verdict_builds_one_grid(monkeypatch):
     tangent = [tuple(r["witness"]) for r in v.reasons if r["condition"] == "tangent"]
     assert seps == separation_check(gens, box, 21)
     assert tangent == tangent_rank_check(gens, box, 21)
+
+
+def test_verdict_calls_each_public_check_once(monkeypatch):
+    from diffalg import envelope
+
+    calls = []
+
+    def counted(name):
+        check = getattr(envelope, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return check(*args, **kwargs)
+        return wrapper
+
+    for name in ("separation_check", "tangent_rank_check"):
+        monkeypatch.setattr(envelope, name, counted(name))
+    gens = [Prod(Var(0), Var(0)), Var(1)]
+    box = [(-1.0, 1.0), (-1.0, 1.0)]
+    v = envelope_verdict(gens, box, 5)
+    assert sorted(calls) == ["separation_check", "tangent_rank_check"]
+    assert [r["condition"] for r in v.reasons] == ["separation"] * 10 + ["tangent"] * 5
+
+
+@pytest.mark.parametrize("power", [1, 3, 4, 6])
+def test_flat_bump_family_is_zero_where_the_power_underflows(power):
+    e = FlatBumpTimes(Var(0), power)
+    t = np.array([1e-160, -1e-155, 1e-150, 0.0])
+    assert np.array_equal(e.eval([t]), np.zeros(4))
+    assert np.signbit(e.eval([t])).sum() == 0
+
+
+def test_flat_bump_on_a_tiny_box_is_judged():
+    v = envelope_verdict([flat_bump(Var(0))], [(1e-160, 1e-150)], 3)
+    assert v.status == "FAIL"
+    pts = np.linspace(1e-160, 1e-150, 3).tolist()
+    assert [r["witness"] for r in v.reasons] == (
+        [[[a], [b]] for a, b in [(pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])]]
+        + [[x] for x in pts])
+
+
+@pytest.mark.parametrize("box", [[(0.0, np.inf)], [(-np.inf, 1.0)], [(0.0, np.nan)],
+                                 [(0.0, 1.0), (-1.7e308, 1.7e308)]])
+def test_non_finite_box_is_refused(box):
+    axis = len(box) - 1
+    with pytest.raises(DomainError, match=f"box axis {axis} is "):
+        envelope_verdict([Var(0)], box, 3)
+
+
+def test_verdict_builds_its_reason_dicts_once():
+    v = envelope_verdict([Prod(Var(0), Var(0))], BOX1, 5)
+    assert v.reasons is v.reasons is v.to_dict()["reasons"]
+    assert repr(v) == "<Verdict FAIL reasons=3>"
 
 
 def test_jet_surjectivity_single_coordinate():
