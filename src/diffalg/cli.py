@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Built once per process: parse_args leaves the parser unchanged, and
-# building its ten subparsers costs more than most requests.
+# building its ten subparsers costs about as much as a small request.
 _PARSER = build_parser()
 
 
