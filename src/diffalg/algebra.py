@@ -9,7 +9,6 @@ ideals, centralizers, and a family of ready-made constructors.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -231,14 +230,9 @@ class PolyAlgebra(StructureAlgebra):
 
     def __init__(self, mvars: int, degree: int, **kw):
         table = MonomialTable(mvars, degree)
-        d = table.dim
-        c = np.zeros((d, d, d), dtype=complex)
-        i, j = np.nonzero(table.add >= 0)
-        c[i, j, table.add[i, j]] = 1.0
-        unit = np.zeros(d, dtype=complex)
-        unit[0] = 1.0
         labels = [monomial_label(k) for k in table.exponents]
-        super().__init__(c, np.eye(d), unit, labels=labels, **kw)
+        super().__init__(*_semigroup(table.add, np.arange(table.dim), 0),
+                         labels=labels, **kw)
         self.mvars = mvars
         self.degree = degree
         self.table = table
@@ -687,39 +681,42 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
+def _semigroup(table, star, unit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Structure tensor, involution and unit of the semigroup algebra with
+    e_i e_j = e_{table[i, j]} (0 where table[i, j] is -1), e_i* = e_{star[i]}
+    and unit the sum of the e_i at the indices `unit`."""
+    d = len(star)
+    c = np.zeros((d, d, d), dtype=complex)
+    i, j = np.nonzero(table >= 0)
+    c[i, j, table[i, j]] = 1.0
+    inv = np.zeros((d, d), dtype=complex)
+    inv[star, np.arange(d)] = 1.0
+    ones = np.zeros(d, dtype=complex)
+    ones[unit] = 1.0
+    return c, inv, ones
+
+
 def matrix_algebra(n: int) -> StructureAlgebra:
     """Full matrix algebra M_n with conjugate-transpose involution.
 
     Basis = matrix units E_ij in row-major order.
     """
     _require_positive(n)
-    d = n * n
-
-    def pos(i, j):
-        return i * n + j
-
-    c = np.zeros((d, d, d), dtype=complex)
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        if j == k:
-            c[pos(i, j), pos(k, l), pos(i, l)] = 1.0
-    inv = np.zeros((d, d), dtype=complex)
-    for i, j in itertools.product(range(n), repeat=2):
-        inv[pos(j, i), pos(i, j)] = 1.0
-    unit = np.zeros(d, dtype=complex)
-    for i in range(n):
-        unit[pos(i, i)] = 1.0
+    rows, cols = np.divmod(np.arange(n * n), n)
+    # E_ij E_kl = E_il when j = k, else 0; E_ij* = E_ji
+    table = np.where(cols[:, None] == rows, rows[:, None] * n + cols, -1)
     labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return StructureAlgebra(c, inv, unit, labels=labels, check=False)
+    return StructureAlgebra(*_semigroup(table, cols * n + rows, np.arange(n) * (n + 1)),
+                            labels=labels, check=False)
 
 
 def function_algebra(n: int) -> StructureAlgebra:
     """C^n with pointwise product and complex-conjugate involution."""
     _require_positive(n)
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        c[i, i, i] = 1.0
+    idx = np.arange(n)
+    table = np.where(np.eye(n, dtype=bool), idx, -1)
     labels = [f"e{i + 1}" for i in range(n)]
-    return StructureAlgebra(c, np.eye(n), np.ones(n), labels=labels,
+    return StructureAlgebra(*_semigroup(table, idx, idx), labels=labels,
                             check=False)
 
 
@@ -751,6 +748,46 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     return StructureAlgebra(c, inv, unit, labels=labels, check=False)
 
 
+class _CyclicGroup:
+    """Z_{n_1} x ... x Z_{n_r} with its elements in lexicographic order of
+    residue tuples, the one place that order is fixed: group_algebra builds
+    on it and spectra.FiniteAbelianGroup extends it. Row t of `_digits`
+    holds the t-th residue of every element."""
+
+    def __init__(self, factors):
+        self.factors = tuple(int(n) for n in factors)
+        if not self.factors or any(n < 1 for n in self.factors):
+            raise ValueError("factors must be positive integers")
+        self._digits = np.indices(self.factors).reshape(len(self.factors), -1)
+        self.elements = list(zip(*self._digits.tolist()))
+
+    @property
+    def order(self) -> int:
+        return self._digits.shape[1]
+
+    def _sum_index(self, *terms) -> np.ndarray:
+        """Index of the sum of elements given as broadcasting (r, ...)
+        residue arrays, in any integers. Factors are summed one at a time
+        and in place, so the peak is twice the size of the result."""
+        out = np.zeros(np.broadcast_shapes(*(term.shape[1:] for term in terms)),
+                       dtype=np.int64)
+        for t, n in enumerate(self.factors):
+            part = sum(term[t] for term in terms)
+            part %= n
+            out *= n
+            out += part
+            del part
+        return out
+
+    def addition_table(self) -> np.ndarray:
+        """T[i, j] = index of elements[i] + elements[j]."""
+        return self._sum_index(self._digits[:, :, None], self._digits[:, None, :])
+
+    def negation(self) -> np.ndarray:
+        """N[i] = index of -elements[i]."""
+        return self._sum_index(-self._digits)
+
+
 def group_algebra(factors) -> StructureAlgebra:
     """Group algebra of a product of cyclic groups Z_{n_1} x ... x Z_{n_r}.
 
@@ -758,25 +795,10 @@ def group_algebra(factors) -> StructureAlgebra:
     product is convolution (delta_g delta_h = delta_{g+h}) and the
     involution sends delta_g to delta_{-g} (conjugate coefficients).
     """
-    factors = [int(n) for n in factors]
-    if not factors or any(n < 1 for n in factors):
-        raise ValueError("factors must be positive integers")
-    elems = list(itertools.product(*[range(n) for n in factors]))
-    index = {g: i for i, g in enumerate(elems)}
-    d = len(elems)
-    c = np.zeros((d, d, d), dtype=complex)
-    for g in elems:
-        for h in elems:
-            s = tuple((x + y) % n for x, y, n in zip(g, h, factors))
-            c[index[g], index[h], index[s]] = 1.0
-    inv = np.zeros((d, d), dtype=complex)
-    for g in elems:
-        neg = tuple((-x) % n for x, n in zip(g, factors))
-        inv[index[neg], index[g]] = 1.0
-    unit = np.zeros(d, dtype=complex)
-    unit[index[(0,) * len(factors)]] = 1.0
-    labels = [f"d{g}" for g in elems]
-    return StructureAlgebra(c, inv, unit, labels=labels, check=False)
+    group = _CyclicGroup(factors)
+    labels = [f"d{g}" for g in group.elements]
+    return StructureAlgebra(*_semigroup(group.addition_table(), group.negation(), 0),
+                            labels=labels, check=False)
 
 
 def cusp_algebra() -> StructureAlgebra:
@@ -786,18 +808,13 @@ def cusp_algebra() -> StructureAlgebra:
     The missing degree-1 monomial makes the point 0 singular: tangent and
     cotangent spaces there are 2-dimensional.
     """
-    exps = [0, 2, 3, 4, 5, 6]
-    index = {e: i for i, e in enumerate(exps)}
-    d = len(exps)
-    c = np.zeros((d, d, d), dtype=complex)
-    for i, a in enumerate(exps):
-        for j, b in enumerate(exps):
-            if a + b <= 6:
-                c[i, j, index[a + b]] = 1.0
-    unit = np.zeros(d, dtype=complex)
-    unit[0] = 1.0
+    exps = np.array([0, 2, 3, 4, 5, 6])
+    # basis position of each degree up to 12: -1 for x and above x^6
+    pos = np.full(13, -1)
+    pos[exps] = np.arange(len(exps))
     labels = ["1"] + [f"x^{e}" for e in exps[1:]]
-    return StructureAlgebra(c, np.eye(d), unit, labels=labels, check=False)
+    return StructureAlgebra(*_semigroup(pos[exps[:, None] + exps], np.arange(len(exps)), 0),
+                            labels=labels, check=False)
 
 
 def algebra_from_name(name: str) -> StructureAlgebra:

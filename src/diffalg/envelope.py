@@ -480,8 +480,21 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     grids, values = sample.grids, sample.values
     npts = values.shape[0]
     quantum = 1e-7
-    runs = [_key_runs(np.round(values / quantum + offset).astype(np.int64))
-            for offset in (0.0, 0.5)]
+    # From 2^52 quanta up, neighbouring floats are at least quantum / 2
+    # apart, so values within tol are equal; they are keyed by their bits,
+    # integers beyond every rounded quantum, without the overflowing divide.
+    # The mask nearly doubles the cost of the keys: built only when needed.
+    limit = 2.0 ** 52 * quantum
+    small, big = values, None
+    if max(values.max(initial=0.0), -values.min(initial=0.0)) >= limit:
+        big = np.abs(values) >= limit
+        small = np.where(big, 0.0, values)
+    runs = []
+    for offset in (0.0, 0.5):
+        keys = np.round(small / quantum + offset).astype(np.int64)
+        if big is not None:
+            np.copyto(keys, values.view(np.int64), where=big)
+        runs.append(_key_runs(keys))
     total = sum(int((lengths * (lengths - 1) // 2).sum()) for _, lengths in runs)
     if total > MAX_SEPARATION_CANDIDATES:
         raise DomainError(f"separation check has {total} candidate pairs; "

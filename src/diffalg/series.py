@@ -191,11 +191,11 @@ class SeriesStructureAlgebra(StructureAlgebra):
         m = table.dim
         db = base.dim
         d = m * db
-        # c[p, :, q, :, r, :] = base.structure exactly where r = add[p, q]
-        hits = np.zeros((m, m, m))
+        # c[p, :, q, :, add[p, q], :] = base.structure: the monomial table
+        # tensored with the base
+        c = np.zeros((m, db, m, db, m, db), dtype=complex)
         p, q = np.nonzero(table.add >= 0)
-        hits[p, q, table.add[p, q]] = 1.0
-        c = np.einsum("pqr,ijk->piqjrk", hits, base.structure)
+        c[p, :, q, :, table.add[p, q]] = base.structure
         inv = np.kron(np.eye(m), base.involution)
         unit = np.zeros((m, db), dtype=complex)
         unit[0] = base.unit

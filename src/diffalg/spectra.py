@@ -9,14 +9,13 @@ and the section map into that sum is a unital *-isomorphism.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
 from . import _linalg as la
 from .algebra import (Character, LinearOp, StructureAlgebra, Subspace,
-                      centralizer, characters, direct_sum, group_algebra,
-                      quotient, subalgebra)
+                      _CyclicGroup, centralizer, characters, direct_sum,
+                      group_algebra, quotient, subalgebra)
 from .errors import DomainError
 
 __all__ = [
@@ -31,7 +30,7 @@ __all__ = [
 ]
 
 
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(_CyclicGroup):
     """Product of cyclic groups; elements are residue tuples in lex order.
 
     The element order matches the delta basis of group_algebra(factors),
@@ -39,44 +38,14 @@ class FiniteAbelianGroup:
     to permute.
     """
 
-    def __init__(self, factors):
-        factors = tuple(int(n) for n in factors)
-        if not factors or any(n < 1 for n in factors):
-            raise ValueError("cyclic factor sizes must be integers >= 1")
-        self.factors = factors
-        self.elements = list(itertools.product(*[range(n) for n in factors]))
-        self._index = {g: i for i, g in enumerate(self.elements)}
-        # digit columns, one per factor; basis of all the index arithmetic
-        self._digits = np.array(self.elements, dtype=np.int64)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     def index(self, g) -> int:
-        return self._index[tuple(int(x) % n for x, n in zip(g, self.factors))]
+        return int(self._sum_index(np.array(g, dtype=np.int64)))
 
     def add(self, g, h):
         return tuple((a + b) % n for a, b, n in zip(g, h, self.factors))
 
     def neg(self, g):
         return tuple((-a) % n for a, n in zip(g, self.factors))
-
-    def addition_table(self) -> np.ndarray:
-        """T[i, j] = index of elements[i] + elements[j]."""
-        weights = np.ones(len(self.factors), dtype=np.int64)
-        for t in range(len(self.factors) - 2, -1, -1):
-            weights[t] = weights[t + 1] * self.factors[t + 1]
-        table = np.zeros((self.order, self.order), dtype=np.int64)
-        for t, n in enumerate(self.factors):
-            col = self._digits[:, t]
-            table += ((col[:, None] + col[None, :]) % n) * weights[t]
-        return table
-
-    def negation(self) -> np.ndarray:
-        """N[i] = index of -elements[i]."""
-        return np.array([self.index(self.neg(g)) for g in self.elements],
-                        dtype=np.int64)
 
     def convolve(self, alpha, beta) -> np.ndarray:
         """(alpha * beta)[g+h] += alpha[g] beta[h]; no algebra tensor needed."""
@@ -213,8 +182,7 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
         for j in rng.choice(d, size=min(d, 32), replace=False):
             gi = rng.integers(0, d, size=64)
             hi = rng.integers(0, d, size=64)
-            si = np.array([group.index(group.add(group.elements[a], group.elements[b]))
-                           for a, b in zip(gi, hi)])
+            si = group._sum_index(group._digits[:, gi], group._digits[:, hi])
             worst = max(worst, float(np.abs(phi[j, gi] * phi[j, hi] - phi[j, si]).max()))
         report["dual_rows_are_characters"] = worst <= 1e-10
         report["extracted_count"] = None

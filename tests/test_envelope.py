@@ -117,6 +117,20 @@ def test_separation_rounding_boundary_not_missed():
     assert len(pairs) == 11 * 10 // 2
 
 
+@pytest.mark.parametrize("box, grid", [([(1e12, 2e12)], 1500), ([(1e308, 1.7e308)], 5)])
+def test_separation_keys_huge_values(box, grid):
+    # keys above 2^52 quanta are the values themselves: no integer cast
+    # overflow lumping every point together, and no overflowing divide
+    assert separation_check([Var(0)], box, grid) == []
+    assert envelope_verdict([Var(0)], box, grid).status == "PASS"
+
+
+def test_separation_pairs_equal_huge_values():
+    gens = [parse_expr("(* (const 1e12) (* (var 0) (var 0)))", 1)]
+    assert separation_check(gens, BOX1, 5) == [((-1.0,), (1.0,)), ((-0.5,), (0.5,))]
+    assert len(separation_check([Const(3e300)], BOX1, 11)) == 11 * 10 // 2
+
+
 def test_tangent_rank_flags_critical_points():
     gens = [parse_expr("(pow (var 0) 2)", 1), parse_expr("(pow (var 0) 3)", 1)]
     pts = tangent_rank_check(gens, BOX1, 201)
