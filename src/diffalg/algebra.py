@@ -406,24 +406,70 @@ class Character:
         return Subspace(self.algebra, la.null_space(self.functional.reshape(1, -1)))
 
     def multiplicativity_residual(self) -> float:
-        d = self.algebra.dim
-        s = self.functional
-        vals = (self.algebra.structure.reshape(d * d, d) @ s).reshape(d, d) - np.outer(s, s)
-        return float(np.abs(vals).max())
+        return float(_character_residuals(self.algebra, self.functional)[1][0])
 
     def is_character(self, tol=1e-8) -> bool:
-        a = self.algebra
-        if abs(self(a.unit) - 1.0) > tol:
-            return False
-        if self.multiplicativity_residual() > tol:
-            return False
-        # involutive: s(e_j*) = conj(s(e_j)); antilinear identities can be
-        # checked on a basis
-        s = self.functional
-        return bool(np.abs(s @ a.involution - np.conj(s)).max() <= tol)
+        return bool(_character_mask(self.algebra, self.functional, tol)[0])
 
     def __repr__(self):
         return f"Character({np.array_str(self.functional, precision=4)})"
+
+
+# Complex entries of one block of the batched character contractions: a
+# block takes as many structure slices c[i] as keep its (slices, d, rows)
+# product within this bound, so the peak does not grow with the number
+# of candidates.
+_BLOCK_ENTRIES = 2 ** 16
+
+
+def _slice_blocks(d: int, width: int):
+    """Slices of the leading tensor index, each within _BLOCK_ENTRIES."""
+    step = max(1, _BLOCK_ENTRIES // (d * max(width, 1)))
+    return (slice(lo, lo + step) for lo in range(0, d, step))
+
+
+def _character_residuals(algebra: StructureAlgebra, rows):
+    """Unit, multiplicativity and involution residuals of each row of rows.
+
+    A row s is a character at tol when |s(1) - 1|, max |s(e_i e_j) -
+    s(e_i) s(e_j)| and max |s(e_j*) - conj(s(e_j))| are all <= tol (the
+    antilinear identities can be checked on a basis). Returns three (n,)
+    arrays; the multiplicativity products run over blocks of slices.
+    """
+    d = algebra.dim
+    s = np.asarray(rows, dtype=complex).reshape(-1, d)
+    unit = np.abs(s @ algebra.unit - 1.0)
+    star = np.abs(s @ algebra.involution - np.conj(s)).max(axis=1)
+    st = s.T
+    mult = np.zeros(len(s))
+    for blk in _slice_blocks(d, len(s)):
+        slices = algebra.structure[blk]
+        prods = (slices.reshape(-1, d) @ st).reshape(len(slices), d, len(s))
+        prods -= st[blk, None, :] * st[None, :, :]
+        mult = np.maximum(mult, np.abs(prods).max(axis=(0, 1)))
+    return unit, mult, star
+
+
+def _character_mask(algebra: StructureAlgebra, rows, tol: float) -> np.ndarray:
+    """Which rows are characters at tol (see _character_residuals)."""
+    unit, mult, star = _character_residuals(algebra, rows)
+    return (unit <= tol) & (mult <= tol) & (star <= tol)
+
+
+def _rayleigh_tuples(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row n holds v^H ops[i] v / v^H v for v = vecs[:, n], over all i.
+
+    On a common eigenvector of the slices ops[i] that is the tuple of
+    their eigenvalues; one product with the stacked slices per block.
+    """
+    d, n = vecs.shape
+    conj = vecs.conj()
+    out = np.empty((n, d), dtype=complex)
+    for blk in _slice_blocks(d, n):
+        slices = ops[blk]
+        prods = (slices.reshape(-1, d) @ vecs).reshape(len(slices), d, n)
+        out[:, blk] = np.einsum("ijn,jn->ni", prods, conj)
+    return out / np.einsum("jn,jn->n", conj, vecs)[:, None]
 
 
 def _refine(basis_cols: np.ndarray, op: np.ndarray, tol: float) -> list[np.ndarray]:
@@ -447,12 +493,15 @@ def _refine(basis_cols: np.ndarray, op: np.ndarray, tol: float) -> list[np.ndarr
 def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Character]:
     """Character extraction for a radical-free commutative algebra.
 
-    Here every multiplication operator is diagonalizable, so joint
-    eigenvalue refinement is safe: eigenspaces of the transposed
-    multiplication by a fixed generic element are refined by the transposed
-    basis multiplications, and each leaf's eigenvalue tuple is the
-    candidate functional (a character takes on a common eigenvector of the
-    left regular representation exactly its own values).
+    Here every multiplication operator is diagonalizable and the
+    transposed basis multiplications commute, so an eigenvector of the
+    transposed multiplication by a fixed generic element whose eigenvalue
+    is simple is a common eigenvector of all of them, and its eigenvalue
+    tuple is the candidate functional (a character takes on a common
+    eigenvector of the left regular representation exactly its own
+    values). One eigendecomposition gives those; only eigenvalue clusters
+    of multiplicity > 1 are split further, their eigenspaces refined by
+    the transposed basis multiplications.
     """
     d = algebra.dim
     cluster_tol = 1e-7
@@ -462,34 +511,40 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
     ops = algebra.structure
     m = algebra.left_mul_matrix(generic).T
 
-    spaces: list[np.ndarray] = []
-    for lam in la.cluster_values(np.linalg.eigvals(m), cluster_tol):
-        sub = la.eigenspace(m, lam, cluster_tol)
-        if sub.shape[0]:
-            spaces.append(sub.T)
-    for op in ops:
-        spaces = [piece for v in spaces for piece in _refine(v, op, cluster_tol)]
-
-    chars: list[Character] = []
-    for v in spaces:
-        vec = v[:, 0]
-        nv = vec.conj() @ vec
-        tup = ((ops @ vec) @ vec.conj()) / nv
-        ch = Character(algebra, tup)
-        if not ch.is_character(tol):
+    vals, vecs = np.linalg.eig(m)
+    reps = la.cluster_values(vals, cluster_tol)
+    # each eigenvalue belongs to the first representative within reach,
+    # which is where cluster_values put it
+    member = np.argmax(np.abs(vals[:, None] - np.array(reps)) <= cluster_tol, axis=1)
+    counts = np.bincount(member, minlength=len(reps))
+    cols = []
+    for r, lam in enumerate(reps):
+        if counts[r] == 1:
+            cols.append(vecs[:, member == r])
             continue
-        dupe = False
-        for known in chars:
-            delta = np.abs(known.functional - ch.functional).max()
-            if delta <= cluster_tol:
-                dupe = True
-                break
-            if cluster_tol < delta <= 10 * cluster_tol:
+        sub = la.eigenspace(m, lam, cluster_tol)
+        spaces = [sub.T] if sub.shape[0] else []
+        for op in ops:
+            spaces = [piece for v in spaces for piece in _refine(v, op, cluster_tol)]
+        cols.extend(v[:, :1] for v in spaces)
+    if not cols:
+        return []
+
+    tuples = _rayleigh_tuples(ops, np.hstack(cols))
+    tuples = tuples[_character_mask(algebra, tuples, tol)]
+    known = np.empty_like(tuples)
+    count = 0
+    for tup in tuples:
+        delta = np.abs(known[:count] - tup).max(axis=1)
+        near = np.flatnonzero(delta <= 10 * cluster_tol)
+        if near.size:
+            if delta[near[0]] > cluster_tol:
                 raise NumericError("eigen-cluster ambiguity: two candidate "
                                    "characters closer than the resolution limit")
-        if not dupe:
-            chars.append(ch)
-    return chars
+            continue
+        known[count] = tup
+        count += 1
+    return [Character(algebra, f) for f in known[:count]]
 
 
 def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
@@ -512,9 +567,9 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
     rad = la.null_space(gram)
     if rad.shape[0]:
         qalg, proj = quotient(algebra, Subspace(algebra, rad))
-        chars = [Character(algebra, c.functional @ proj.matrix)
-                 for c in _semisimple_characters(qalg, tol)]
-        chars = [c for c in chars if c.is_character(tol)]
+        rows = np.array([c.functional for c in _semisimple_characters(qalg, tol)])
+        rows = rows.reshape(-1, qalg.dim) @ proj.matrix
+        chars = [Character(algebra, r) for r in rows[_character_mask(algebra, rows, tol)]]
     else:
         chars = _semisimple_characters(algebra, tol)
     chars.sort(key=lambda c: tuple(np.round(c.functional.view(float), 9)))

@@ -96,6 +96,59 @@ def left_multiply(b, p: RelativeOp) -> RelativeOp:
     return RelativeOp(LinearOp(mat, p.source, p.target), p.action, check=False)
 
 
+# Complex entries of the largest generator level diff_order builds
+# (|current| * |gens| * d_B * d_A): a larger level is refused before it
+# is allocated.
+MAX_COMMUTATOR_ENTRIES = 2 ** 24
+# Complex entries of one block of the batched commutator products (the
+# operator stack and its multiplication matrices), so neither a level's
+# temporaries nor the sample count set the peak.
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _left_stack(algebra: StructureAlgebra, vs: np.ndarray) -> np.ndarray:
+    """Left-multiplication matrices of the rows of vs, as an (n, d, d) stack."""
+    d = algebra.dim
+    return (vs @ algebra.structure.reshape(d, d * d)).reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous complex stack."""
+    flat = stack.view(float).reshape(len(stack), -1)
+    return np.sqrt(np.einsum("nk,nk->n", flat, flat))
+
+
+def _cross_check(p: RelativeOp, depth: int, samples: int, bound: float,
+                 rng: np.random.Generator) -> bool:
+    """Do `depth`-fold commutators with random unit elements all stay
+    within bound (Frobenius norm)?
+
+    The samples are drawn as one (samples, depth, 2, d) array, real part
+    before imaginary part, level by level, and run as stacks in blocks.
+    On the first failing sample the generator is left just past it: the
+    block is redrawn from the saved state up to that sample.
+    """
+    d_a, d_b = p.source.dim, p.target.dim
+    step = max(1, _BLOCK_ENTRIES // (d_a * d_a + d_b * d_b + 3 * d_a * d_b))
+    phi_t = p.action.matrix.T
+    for lo in range(0, samples, step):
+        n = min(step, samples - lo)
+        state = rng.bit_generator.state
+        draw = rng.standard_normal((n, depth, 2, d_a))
+        a = draw[:, :, 0] + 1j * draw[:, :, 1]
+        a /= np.linalg.norm(a, axis=2, keepdims=True)
+        q = p.matrix
+        for level in range(depth):
+            av = a[:, level]
+            q = q @ _left_stack(p.source, av) - _left_stack(p.target, av @ phi_t) @ q
+        bad = np.flatnonzero(_norms(q) > bound)
+        if bad.size:
+            rng.bit_generator.state = state
+            rng.standard_normal((int(bad[0]) + 1, depth, 2, d_a))
+            return False
+    return True
+
+
 def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
                samples: int = 100, seed: int = 0) -> int | None:
     """Smallest n <= max_n with all (n+1)-fold iterated commutators zero.
@@ -106,30 +159,39 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     is additionally cross-checked on `samples` random element tuples, so a
     generating set that is secretly too small cannot produce a silent
     underestimate. Returns None when no order <= max_n is found.
+
+    Each level is one stack of commutators, q-major and generator-minor,
+    built in blocks; a level of more than MAX_COMMUTATOR_ENTRIES complex
+    entries is refused with DomainError before it is allocated.
     """
     gvecs = [_coords(g, p.source) for g in gens]
     if not gvecs:
         raise ValueError("need at least one generator")
+    gvecs = np.array(gvecs)
     base = 1.0 + p.norm()
     rng = np.random.default_rng(seed)
-    d = p.source.dim
+    d_b, d_a = p.matrix.shape
+    gcount = len(gvecs)
+    left_a = _left_stack(p.source, gvecs)[None]
+    left_phi = _left_stack(p.target, gvecs @ p.action.matrix.T)[None]
 
-    current = [p]
+    current = p.matrix[None]
     for depth in range(1, max_n + 2):
-        nxt = [commutator(q, g) for q in current for g in gvecs]
-        if all(q.norm() <= tol * base for q in nxt):
-            ok = True
-            for _ in range(samples):
-                q = p
-                for _level in range(depth):
-                    a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                    a /= np.linalg.norm(a)
-                    q = commutator(q, a)
-                if q.norm() > tol * base:
-                    ok = False
-                    break
-            if ok:
-                return depth - 1
+        entries = len(current) * gcount * d_b * d_a
+        if entries > MAX_COMMUTATOR_ENTRIES:
+            raise DomainError(f"commutator level {depth} has {entries} matrix "
+                              f"entries; at most {MAX_COMMUTATOR_ENTRIES}")
+        nxt = np.empty((len(current), gcount, d_b, d_a), dtype=complex)
+        zero = True
+        step = max(1, _BLOCK_ENTRIES // (gcount * d_b * d_a))
+        for lo in range(0, len(current), step):
+            q = current[lo:lo + step, None]
+            blk = np.matmul(q, left_a, out=nxt[lo:lo + step])
+            blk -= left_phi @ q
+            zero = zero and bool((_norms(blk.reshape(-1, d_b, d_a)) <= tol * base).all())
+        nxt = nxt.reshape(-1, d_b, d_a)
+        if zero and _cross_check(p, depth, samples, tol * base, rng):
+            return depth - 1
         current = nxt
     return None
 
@@ -162,17 +224,19 @@ def z_tower_from_images(target: StructureAlgebra, images, depth: int) -> Tower:
     action's image is fully general. Each level is one null-space solve:
     project [b, c] off the previous level and require the remainder zero.
     """
-    cvecs = [np.asarray(c.coords if isinstance(c, Element) else c,
-                        dtype=complex).ravel() for c in images]
     d = target.dim
-    ad = [target.right_mul_matrix(c) - target.left_mul_matrix(c) for c in cvecs]
+    cvecs = np.array([np.asarray(c.coords if isinstance(c, Element) else c,
+                                 dtype=complex).ravel() for c in images]).reshape(-1, d)
+    # ad_c = R_c - L_c: entry [k, i] = sum_j c_j (c[i, j, k] - c[j, i, k])
+    c = target.structure
+    ad = (cvecs @ (c.transpose(1, 0, 2) - c).reshape(d, d * d)).reshape(-1, d, d)
+    ad = ad.transpose(0, 2, 1)
     levels = [Subspace.zero(target)]
     for _ in range(depth):
         # Subspace bases are orthonormal rows, so B^T conj(B) projects onto them
         prev = levels[-1].basis
         off = np.eye(d) - prev.T @ prev.conj()
-        stacked = np.vstack([off @ m for m in ad])
-        levels.append(Subspace(target, la.null_space(stacked)))
+        levels.append(Subspace(target, la.null_space((off @ ad).reshape(-1, d))))
     return Tower(levels)
 
 
@@ -278,22 +342,21 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
             pred_iii = False
             witnesses.append({"predicate": "first_level", "index": k})
 
+    # every basis element e_i at once: L_{e_i} is the slice c[i] transposed,
+    # and L_{D(e_i)} stacks over the columns of D
     comm_res = 0.0
     binom, sub = sys.table.binomials(), sys.table.sub
+    left_a = a.structure.transpose(0, 2, 1)
     for r, k in enumerate(sys.indices):
         if not 1 <= sum(k) <= 3:
             continue
         dk = sys.op_matrix(k)
-        lower = [l for l in np.flatnonzero(sub[r] >= 0) if l != r]
-        for i in range(a.dim):
-            e = np.eye(a.dim)[i]
-            lhs = dk @ a.left_mul_matrix(e) - b.left_mul_matrix(phi.matrix @ e) @ dk
-            rhs = np.zeros_like(lhs)
-            for l in lower:
-                val = sys.op_matrix(sys.indices[sub[r, l]]) @ e
-                rhs = rhs + binom[l, r] * (b.left_mul_matrix(val)
-                                           @ sys.op_matrix(sys.indices[l]))
-            comm_res = max(comm_res, float(np.abs(lhs - rhs).max()))
+        diff = dk @ left_a - _left_stack(b, phi.matrix.T) @ dk
+        for l in np.flatnonzero(sub[r] >= 0):
+            if l != r:
+                val = sys.op_matrix(sys.indices[sub[r, l]])
+                diff -= binom[l, r] * (_left_stack(b, val.T) @ sys.op_matrix(sys.indices[l]))
+        comm_res = max(comm_res, float(np.abs(diff).max()))
 
     return {
         "predicates": {"diff_order": pred_i, "tower_membership": pred_ii,

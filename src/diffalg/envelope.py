@@ -622,6 +622,12 @@ class JetSurjectivity:
                 f"/{self.expected} by_length={self.by_length}>")
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2, or lo / 2 + hi / 2 where the sum overflows."""
+    mid = (lo + hi) / 2.0
+    return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
+
+
 def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSurjectivity:
     """Do products of at most `wordlen` generators span the order-n jets at s?
 
@@ -638,6 +644,11 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
     if length < 1:
         raise ValueError("word length must be >= 1")
     bound = max(n, 1, length * max(degs, default=1))
+    with np.errstate(over="ignore"):
+        reach = np.abs(s).max(initial=0.0) ** bound
+    if not np.isfinite(reach):
+        raise DomainError(f"jet point {s.tolist()} is out of reach: its largest "
+                          f"coordinate to the power {bound} is not finite")
     ambient = truncated_poly(mvars, bound)
     polys = [g.to_poly(ambient) for g in gens]
     space = jet_space(ambient, s, n)
@@ -790,7 +801,7 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
         wordlen = options.get("jet_wordlen")
         points = options.get("jet_points")
         if points is None:
-            points = [tuple((lo + hi) / 2.0 for lo, hi in box)]
+            points = [tuple(_midpoint(float(lo), float(hi)) for lo, hi in box)]
         for pt in points:
             res = jet_surjectivity_check(gens, pt, int(jet_order), wordlen)
             if res.ok:

@@ -3,10 +3,12 @@
 `change_basis(alg, U)` rewrites an algebra in the basis whose vectors are
 the columns of U (old coordinates = U @ new coordinates). The character
 count, the tangent and cotangent dimensions at every character, the
-centre dimension, the Dauns-Hofmann verdict and the sorted fiber
-dimensions must come out the same for a random complex unitary U and for
-0.1 U and 10 U. Ill-conditioned U are out of scope: the absolute
-tolerances of the axiom check reject them.
+centre dimension, the Dauns-Hofmann verdict, the sorted fiber
+dimensions, the centralizer tower dimensions of the identity and the
+differential order of fixed operators (carried over as U^-1 P U, with
+the new basis as generators) must come out the same for a random complex
+unitary U and for 0.1 U and 10 U. Ill-conditioned U are out of scope: the
+absolute tolerances of the axiom check reject them.
 """
 from __future__ import annotations
 
@@ -17,6 +19,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg import (
+    LinearOp,
+    PolyAlgebra,
+    RelativeOp,
     StructureAlgebra,
     Subspace,
     algebra_from_name,
@@ -24,9 +29,12 @@ from diffalg import (
     characters,
     cotangent_space,
     dauns_hofmann_check,
+    diff_order,
     direct_sum,
     tangent_space,
+    z_tower,
 )
+from diffalg.diffcalc import derivative_matrix
 
 
 def change_basis(alg: StructureAlgebra, u: np.ndarray) -> StructureAlgebra:
@@ -63,11 +71,37 @@ MEMBERS = {
 }
 
 
+def operators(alg: StructureAlgebra) -> list[np.ndarray]:
+    """Matrices in the original basis: a right multiplication (order 0),
+    an inner derivation and a product of two (order 1 and at most 2 on a
+    commutative algebra, often none on a matrix algebra), and on a
+    polynomial algebra x d/dx and x^2 d^2/dx^2 (orders 1 and 2)."""
+    rng = np.random.default_rng(alg.dim)
+    b, c = rng.standard_normal((2, alg.dim)) + 1j * rng.standard_normal((2, alg.dim))
+    ad_b = alg.right_mul_matrix(b) - alg.left_mul_matrix(b)
+    ad_c = alg.right_mul_matrix(c) - alg.left_mul_matrix(c)
+    mats = [alg.right_mul_matrix(b), ad_b, ad_b @ ad_c]
+    if isinstance(alg, PolyAlgebra):
+        dx = derivative_matrix(alg, alg, 0)
+        x = alg.left_mul_matrix(np.eye(alg.dim)[alg.exp_index[(1,) + (0,) * (alg.mvars - 1)]])
+        mats += [x @ dx, x @ x @ dx @ dx]
+    return mats
+
+
+def orders(alg: StructureAlgebra, mats) -> list:
+    """diff_order of each matrix against the identity action, with the
+    basis of alg as generators."""
+    ident = LinearOp.identity(alg)
+    return [diff_order(RelativeOp(LinearOp(m, alg, alg), ident, check=False),
+                       list(np.eye(alg.dim)), 2) for m in mats]
+
+
 def invariants(alg: StructureAlgebra) -> dict:
     dh = dauns_hofmann_check(alg)
     out = {"centre_dim": centralizer(alg, Subspace.whole(alg)).dim,
            "dauns_hofmann_ok": dh["ok"],
-           "fiber_dims": sorted(dh["fiber_dims"])}
+           "fiber_dims": sorted(dh["fiber_dims"]),
+           "tower_dims": z_tower(LinearOp.identity(alg), 3).dims()}
     if alg.is_commutative():
         chars = characters(alg)
         out["characters"] = len(chars)
@@ -83,6 +117,12 @@ def original(name: str) -> tuple[StructureAlgebra, dict]:
     return alg, invariants(alg)
 
 
+@functools.lru_cache(maxsize=None)
+def original_orders(name: str) -> list:
+    alg = original(name)[0]
+    return orders(alg, operators(alg))
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.1, 10.0])
 @given(name=st.sampled_from(sorted(MEMBERS)), seed=st.integers(0, 2 ** 32 - 1))
 def test_invariants_survive_unitary_change(scale, name, seed):
@@ -95,6 +135,16 @@ def test_invariants_survive_unitary_change(scale, name, seed):
         found = np.array([ch.functional for ch in characters(moved)])
         for ch in characters(alg):
             assert np.abs(found - ch.functional @ u).max(axis=1).min() < 1e-7
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1, 10.0])
+@given(name=st.sampled_from(sorted(MEMBERS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_diff_orders_survive_unitary_change(scale, name, seed):
+    alg = original(name)[0]
+    u = scale * unitary(seed, alg.dim)
+    inv = np.linalg.inv(u)
+    moved = change_basis(alg, u)
+    assert orders(moved, [inv @ m @ u for m in operators(alg)]) == original_orders(name)
 
 
 # members with a nilpotent radical: the section map is not injective there

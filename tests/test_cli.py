@@ -120,6 +120,53 @@ def test_difforder_of_derivative(capsys, tmp_path):
     assert rep["results"]["order"] == 1
 
 
+def test_difforder_oversized_commutator_level_is_refused(capsys, tmp_path):
+    """E12 on func:2 has no finite order; with 2049 generators the second
+    commutator level would hold 2049^2 * 4 entries (256 MiB), past the
+    bound, and is refused before it is allocated. The peak is the parsed
+    input (about 1.2 MiB) and the first level with its multiplication
+    stacks (about 0.85 MiB)."""
+    from diffalg.diffcalc import MAX_COMMUTATOR_ENTRIES
+
+    doc = {"source": "func:2", "operator": [[0, 1], [0, 0]], "max_order": 3,
+           "generators": [[1, 0] if i % 2 else [0, 1] for i in range(2049)]}
+    path = _write(tmp_path, "dord.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "difforder", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert rep["results"] == {}
+    entries = 2049 ** 2 * 4
+    assert entries > MAX_COMMUTATOR_ENTRIES
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": f"commutator level 2 has {entries} matrix entries; "
+                   f"at most {MAX_COMMUTATOR_ENTRIES}"}]
+    assert peak < 4 * 2 ** 20
+
+
+def test_difforder_many_instances_keep_a_bounded_peak(capsys, tmp_path):
+    """The random cross-check runs in sample blocks, so 100000 samples
+    (about 160 MiB as one stack) stay within a few blocks."""
+    doc = {"source": "poly:1:4", "target": "poly:1:3",
+           "operator": [[0, 1, 0, 0, 0], [0, 0, 2, 0, 0],
+                        [0, 0, 0, 3, 0], [0, 0, 0, 0, 4]],
+           "max_order": 3}
+    path = _write(tmp_path, "dord.json", doc)
+    tracemalloc.start()
+    try:
+        code, rep, _ = run_json(capsys, "difforder", path, "--instances", "100000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert rep["results"]["order"] == 1
+    assert peak < 16 * 2 ** 20
+
+
 def test_ztower_nonstar_example(capsys, tmp_path):
     doc = {"source": "poly:1:1", "target": "matrix:2",
            "phi": [[1, 0], [0, 1], [0, 0], [1, 0]]}
@@ -173,6 +220,36 @@ def test_jet_oversized_ambient_is_refused(capsys, tmp_path):
     assert v["type"] == "domain"
     assert "dimension 2300 exceeds 256" in v["message"]
     assert peak < 2 ** 20
+
+
+def test_envelope_jet_point_beyond_reach_is_refused(capsys, tmp_path):
+    """The box centre of [1e308, 1.7e308] overflows as (lo + hi) / 2 and is
+    taken as lo / 2 + hi / 2 = 1.35e308; its square, which the order-2 jet
+    rows need, is not finite, so the point is refused before any jet space
+    is built."""
+    doc = {"m": 1, "generators": ["(var 0)"], "box": [[1e308, 1.7e308]],
+           "grid": 5, "options": {"jet_order": 2}}
+    path = _write(tmp_path, "env.json", doc)
+    code, rep, _ = run_json(capsys, "envelope", path)
+    assert code == 3
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": "jet point [1.35e+308] is out of reach: its largest "
+                   "coordinate to the power 2 is not finite"}]
+
+
+def test_envelope_jet_point_of_a_huge_box_is_finite(capsys, tmp_path):
+    """At order 1 the finite centre reaches the jet space, which reports
+    its rank failure as a numeric error instead of an SVD on infinities."""
+    doc = {"m": 1, "generators": ["(var 0)"], "box": [[1e308, 1.7e308]],
+           "grid": 5, "options": {"jet_order": 1}}
+    path = _write(tmp_path, "env.json", doc)
+    code, rep, _ = run_json(capsys, "envelope", path)
+    assert code == 4
+    assert rep["violations"] == [{
+        "type": "numeric",
+        "message": "jet quotient and vanishing subspace dimensions do not "
+                   "complement each other"}]
 
 
 def test_envelope_oversized_jet_order_is_refused(capsys, tmp_path):

@@ -2,6 +2,8 @@
 subalgebras, and kernel-ideal identities for commutative-source maps."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,30 @@ def test_convolution_matches_group_algebra(rng):
     # delta_1 * delta_1 = delta_2 in Z4
     z4 = FiniteAbelianGroup((4,))
     assert np.allclose(z4.convolve(np.eye(4)[1], np.eye(4)[1]), np.eye(4)[2])
+
+
+@pytest.mark.parametrize("factors", [(4, 8), (8, 8), (16, 16), (16, 16, 16)])
+def test_convolution_is_bit_identical_to_the_whole_table(factors):
+    """Row blocks of the addition table add in the same order as the whole
+    table at once."""
+    group = FiniteAbelianGroup(factors)
+    rng = np.random.default_rng(len(factors))
+    a, b = rng.standard_normal((2, group.order)) + 1j * rng.standard_normal((2, group.order))
+    whole = np.zeros(group.order, dtype=complex)
+    np.add.at(whole, group.addition_table().ravel(), np.outer(a, b).ravel())
+    np.testing.assert_array_equal(group.convolve(a, b), whole)
+
+
+def test_convolution_peak_stays_small():
+    group = FiniteAbelianGroup((16, 16, 16))
+    a = np.ones(group.order, dtype=complex)
+    tracemalloc.start()
+    try:
+        group.convolve(a, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_fourier_matrix_rows_are_characters():
