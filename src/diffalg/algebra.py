@@ -179,7 +179,12 @@ class StructureAlgebra:
         return out
 
     def is_commutative(self, tol=la.ZERO_TOL) -> bool:
-        return bool(np.abs(self.structure - self.structure.transpose(1, 0, 2)).max() <= tol)
+        """Whether c[i, j] = c[j, i] to tol; c[i-block] is compared with
+        c[:, i-block] in blocks of slices (see _slice_blocks), so no
+        transposed copy of the whole tensor is made."""
+        c = self.structure
+        return all(np.abs(c[blk] - c[:, blk].transpose(1, 0, 2)).max() <= tol
+                   for blk in _slice_blocks(self.dim, self.dim))
 
     # --- serialization -------------------------------------------------
 

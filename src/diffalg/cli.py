@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -106,6 +107,7 @@ def _digest(subcommand: str, payload: bytes) -> str:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
+_isfinite = math.isfinite
 _INF = float("inf")
 # Rendered lists and dicts at least this long are kept for reuse when the
 # same object appears again; shorter texts cost less to render twice than
@@ -123,30 +125,36 @@ def _float_text(x: float) -> str:
     return _float_repr(x)
 
 
-def _float_items(items, sep: str) -> str | None:
-    """The float items joined by sep, or None unless every item is a
-    finite float (the only reprs without an 'n' in them)."""
+def _float_texts(items) -> list[str] | None:
+    """The reprs of the items, or None unless every item is a finite float."""
     try:
-        body = sep.join(map(_float_repr, items))
+        texts = list(map(_float_repr, items))
     except TypeError:
         return None
-    return None if "n" in body else body
+    return texts if all(map(_isfinite, items)) else None
 
 
-def _float_rows(rows, level: int) -> str | None:
-    """The items of a list of non-empty lists of finite floats, rendered at
-    `level` and joined by the separator of that level, or None if the
-    items are anything else."""
+def _list_text(texts: list[str], level: int) -> str:
+    """A non-empty list at depth `level` whose item texts are given, as one
+    join with the separators interleaved."""
     inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    sep = "," + inner
+    parts = ["," + inner] * (2 * len(texts))
+    parts[0] = "[" + inner
+    parts[1::2] = texts
+    parts.append("\n" + "  " * level + "]")
+    return "".join(parts)
+
+
+def _float_rows(rows, level: int) -> list[str] | None:
+    """The texts at `level` of a list of non-empty lists of finite floats,
+    or None if the items are anything else."""
     out = []
     for row in rows:
-        body = _float_items(row, sep) if type(row) is list and row else None
-        if body is None:
+        texts = _float_texts(row) if type(row) is list and row else None
+        if texts is None:
             return None
-        out.append("[" + inner + body + close)
-    return (",\n" + "  " * level).join(out)
+        out.append(_list_text(texts, level))
+    return out
 
 
 def _render(obj, level: int = 0, shared: dict | None = None) -> str:
@@ -154,13 +162,16 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
     json.dumps(to_jsonable(obj), sort_keys=True, indent=2) writes there.
 
     Values json writes natively are rendered inline; any other leaf goes
-    through to_jsonable, the single conversion rule. A list or dict met
-    again (by identity) reuses its earlier text: raw newlines in the text
-    come only from indentation, since strings escape them, so moving it to
-    another depth only widens or narrows every newline's indent. `shared`
-    maps id() to (object, level, text) and keeps the object alive, so the
-    id stays valid for the whole render. A verdict's Reasons writes its own
-    text, as the list of dicts it stands for.
+    through to_jsonable, the single conversion rule. Each list or dict is
+    one join over its pieces: brackets, separators and the item texts. A
+    list or dict met again (by identity) reuses its earlier text: raw
+    newlines in the text come only from indentation, since strings escape
+    them, so moving it to another depth only widens or narrows every
+    newline's indent. `shared` maps id() to (object, level, text) and keeps
+    the object alive, so the id stays valid for the whole render. A
+    verdict's Reasons writes its own text at each depth it appears at, as
+    the list of dicts it stands for, without `shared`: its axis texts are
+    made once, and writing it again costs less than re-indenting it.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -182,6 +193,9 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
         return "{}" if is_dict else "[]"
     if shared is None:
         shared = {}
+    if not (is_list or is_dict):
+        # a Reasons: written at this depth, never taken from `shared`
+        return obj._json_text(level, lambda entry, at: _render(entry, at, shared))
     hit = shared.get(id(obj))
     if hit is not None:
         _, was, text = hit
@@ -190,34 +204,38 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
         if level < was:
             return text.replace("\n" + "  " * (was - level), "\n")
         return text
-    inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
     if is_list:
         first = obj[0]
-        body = (_float_items(obj, sep) if isinstance(first, float) else
-                _float_rows(obj, level + 1) if type(first) is list else None)
-        if body is None:
-            body = sep.join([_render(x, level + 1, shared) for x in obj])
-        text = "[" + inner + body + "\n" + "  " * level + "]"
-    elif is_dict:
-        items = sorted({str(k): v for k, v in obj.items()}.items())
-        body = sep.join([_encode_str(k) + ": " + _render(v, level + 1, shared)
-                         for k, v in items])
-        text = "{" + inner + body + "\n" + "  " * level + "}"
+        texts = (_float_texts(obj) if isinstance(first, float) else
+                 _float_rows(obj, level + 1) if type(first) is list else None)
+        if texts is None:
+            texts = [_render(x, level + 1, shared) for x in obj]
+        text = _list_text(texts, level)
     else:
-        text = obj._json_text(level, lambda entry, at: _render(entry, at, shared))
+        inner = "\n" + "  " * (level + 1)
+        sep = "," + inner
+        parts = []
+        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+            parts += (sep, _encode_str(k) + ": ", _render(v, level + 1, shared))
+        parts[0] = "{" + inner
+        parts.append("\n" + "  " * level + "}")
+        text = "".join(parts)
     if len(text) >= _SHARED_MIN:
         shared[id(obj)] = (obj, level, text)
     return text
 
 
 def _emit(report: dict, out: str | None):
-    text = _render(report) + "\n"
+    # the text and the newline are written apart: joining them would copy
+    # the whole report once more
+    text = _render(report)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
 
 
 # --- subcommand handlers ----------------------------------------------

@@ -462,7 +462,7 @@ def _coordinate_order(grids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
-                     sample: _Sample | None = None) -> list:
+                     sample: _Sample | None = None) -> list | None:
     """Grid-point pairs whose generator value tuples coincide, sorted, each
     as (smaller point, larger point) by coordinate tuples.
 
@@ -473,9 +473,12 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     MAX_SEPARATION_CANDIDATES candidate pairs (a generator constant on
     much of a fine grid) are refused with DomainError, and so are values
     that are not finite. `sample` is the evaluated grid envelope_verdict
-    shares with tangent_rank_check; without it the grid is built here.
+    shares with tangent_rank_check: given it, the pairs are left on it as
+    a 2 x P point-index array under witnesses["separation"] and None is
+    returned; without it the grid is built here and the list returned.
     """
-    if sample is None:
+    shared = sample is not None
+    if not shared:
         sample = _sample(gens, box, grid, jac=False)
     grids, values = sample.grids, sample.values
     npts = values.shape[0]
@@ -505,6 +508,8 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
     pairs = _coordinate_order(grids, a[keep], b[keep])
     sample.witnesses["separation"] = pairs
+    if shared:
+        return None
     return list(zip(_point_tuples(grids, pairs[0]), _point_tuples(grids, pairs[1])))
 
 
@@ -584,7 +589,7 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
-                       sample: _Sample | None = None) -> list:
+                       sample: _Sample | None = None) -> list | None:
     """Sample points, sorted, where the generator Jacobian has rank below
     the variable count, i.e. some tangent direction kills every generator.
 
@@ -592,15 +597,18 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     tol_rank * max(largest, 1); with fewer generators than variables every
     point is one. First derivatives that are not finite are refused with
     DomainError. `sample` is the evaluated grid envelope_verdict shares
-    with separation_check; without it the grid is built here.
+    with separation_check: given it, the points are left on it as a
+    point-index array under witnesses["tangent"] and None is returned;
+    without it the grid is built here and the list returned.
     """
-    if sample is None:
+    shared = sample is not None
+    if not shared:
         sample = _sample(gens, box, grid, values=False)
     top, bottom = _extreme_singular_values(sample.jac)
     points = np.flatnonzero(bottom <= tol_rank * np.maximum(top, 1.0))
     points = points[_lex_order(sample.grids, points)]
     sample.witnesses["tangent"] = points
-    return _point_tuples(sample.grids, points)
+    return None if shared else _point_tuples(sample.grids, points)
 
 
 class JetSurjectivity:
@@ -678,14 +686,14 @@ class Reasons:
     `axes` holds the m coordinate arrays, `pairs` the (2, m, P) axis
     indices of each pair's smaller and larger point, and `points` the
     (m, T) axis indices of the tangent points. to_list() builds the public
-    list of reason dicts once; _json_text writes its JSON text straight
-    from the arrays.
+    list of reason dicts once; _json_text writes its JSON text at any
+    depth straight from the arrays, with the coordinate texts made once.
     """
 
     def __init__(self, axes: list[np.ndarray], pairs: np.ndarray, points: np.ndarray,
                  entries: list[dict]):
         self.axes, self.pairs, self.points, self.entries = axes, pairs, points, entries
-        self._list = None
+        self._list = self._texts = None
 
     def __len__(self):
         return self.pairs.shape[2] + self.points.shape[1] + len(self.entries)
@@ -709,39 +717,61 @@ class Reasons:
         writes at nesting depth `level`; `render(entry, depth)` writes the
         jet entries.
 
-        Each witness entry is one %-template per condition, filled with
-        float.__repr__ texts (the coordinates are finite, see _grid_points)
-        computed once per distinct axis coordinate.
+        The witness entries of one condition are the rows of one table: the
+        constant pieces of that depth's template interleaved with the
+        float.__repr__ texts of the coordinates (finite, see _grid_points),
+        which are made once per object. The whole list is one join over the
+        flattened tables, the jet entries and the separators.
         """
         at = level + 1
         d1, d2, d3 = ("\n" + "  " * (at + k) for k in (1, 2, 3))
+        sep = ",\n" + "  " * at
         m = len(self.axes)
-        head = "{" + d1 + '"condition": "%s",' + d1 + '"detail": "%s",' + d1 + '"witness": ['
-        tail = d1 + "]\n" + "  " * at + "}"
-        point = "[" + d3 + ("," + d3).join(["%s"] * m) + d2 + "]"
-        separation = (head % ("separation", _SEPARATION_DETAIL) + d2 + point
-                      + "," + d2 + point + tail)
-        tangent = (head % ("tangent", _TANGENT_DETAIL) + d2
-                   + ("," + d2).join(["%s"] * m) + tail)
-        sep = "," + "\n" + "  " * at
-        first, second, points = self._axis_texts([self.pairs[0], self.pairs[1], self.points])
-        parts = [sep.join(map(separation.__mod__, zip(*first, *second))),
-                 sep.join(map(tangent.__mod__, zip(*points)))]
-        parts = [p for p in parts if p] + [render(e, at) for e in self.entries]
-        return "[" + "\n" + "  " * at + sep.join(parts) + "\n" + "  " * level + "]"
+        head = "{" + d1 + '"condition": "%s",' + d1 + '"detail": "%s",' + d1 + '"witness": [' + d2
+        end = d1 + "]\n" + "  " * at + "}" + sep
+        if self._texts is None:
+            self._texts = self._axis_texts([self.pairs[0], self.pairs[1], self.points])
+        first, second, points = self._texts
+        within, between = ["," + d3] * (m - 1), [d2 + "]," + d2 + "[" + d3]
+        parts = ["[\n" + "  " * at]
+        parts += _template_rows(
+            [head % ("separation", _SEPARATION_DETAIL) + "[" + d3] + within + between
+            + within + [d2 + "]" + end], first + second)
+        parts += _template_rows(
+            [head % ("tangent", _TANGENT_DETAIL)] + ["," + d2] * (m - 1) + [end], points)
+        for entry in self.entries:
+            parts += (render(entry, at), sep)
+        # the last entry is followed by the closing bracket, not a separator
+        parts[-1] = parts[-1][:-len(sep)] + "\n" + "  " * level + "]"
+        return "".join(parts)
 
     def _axis_texts(self, indices: list[np.ndarray]) -> list[list[list[str]]]:
         """For each (m, n) axis-index array, the float.__repr__ texts of the
         coordinates it names as m lists, one repr per distinct coordinate."""
         out = [[] for _ in indices]
-        cuts = np.cumsum([ix.shape[1] for ix in indices])[:-1]
         for axis, ax in enumerate(self.axes):
-            used, where = np.unique(np.concatenate([ix[axis] for ix in indices]),
-                                    return_inverse=True)
-            texts = np.array(list(map(float.__repr__, ax[used].tolist())), dtype=object)
-            for lists, part in zip(out, np.split(texts[where], cuts)):
-                lists.append(part.tolist())
+            named = np.zeros(len(ax), dtype=bool)
+            for ix in indices:
+                named[ix[axis]] = True
+            used = np.flatnonzero(named)
+            texts = np.empty(len(ax), dtype=object)
+            texts[used] = list(map(float.__repr__, ax[used].tolist()))
+            for lists, ix in zip(out, indices):
+                lists.append(texts[ix[axis]].tolist())
         return out
+
+
+def _template_rows(consts: list[str], columns: list[list[str]]) -> list[str]:
+    """consts[0], columns[0][r], consts[1], ..., columns[-1][r], consts[-1]
+    for every row r, flattened row by row into one list: the constant row
+    repeated, with each column written into its stride."""
+    width = 2 * len(columns) + 1
+    row = [None] * width
+    row[0::2] = consts
+    parts = row * len(columns[0])
+    for j, column in enumerate(columns):
+        parts[2 * j + 1::width] = column
+    return parts
 
 
 class Verdict:
@@ -784,9 +814,10 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     tol_sep = float(options.get("tol_sep", 1e-9))
     tol_rank = float(options.get("tol_rank", 1e-8))
     sample = _sample(gens, box, grid)
-    # Both checks run under their public names and leave their ordered
-    # witness indices on the sample. The rank certificate goes first, so
-    # the Jacobian is freed before the separation check allocates.
+    # Both checks run under their public names and, given the sample,
+    # leave their ordered witness indices on it without building the point
+    # lists. The rank certificate goes first, so the Jacobian is freed
+    # before the separation check allocates.
     tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
     sample = sample._replace(jac=None)
     separation_check(gens, box, grid, tol_sep, sample=sample)

@@ -449,6 +449,42 @@ def test_axiom_violations_memory_is_cubic():
     assert peak < 10 * 2 ** 20
 
 
+def reference_is_commutative(alg, tol):
+    c = alg.structure
+    return bool(np.abs(c - c.transpose(1, 0, 2)).max() <= tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-5])
+@pytest.mark.parametrize("index", range(len(FAMILIES)), ids=lambda i: repr(FAMILIES[i]))
+def test_is_commutative_matches_reference(index, tol):
+    for kind, alg in _perturbations(FAMILIES[index], seed=index).items():
+        assert alg.is_commutative(tol) is reference_is_commutative(alg, tol), kind
+
+
+def test_is_commutative_sees_the_last_block():
+    # d = 64 compares slices in blocks of 16; the only asymmetric entries,
+    # c[62, 63, 63] against c[63, 62, 63], both lie in the last block
+    g = group_algebra([8, 8])
+    c = g.structure.copy()
+    c[62, 63, 63] += 1e-6
+    lopsided = StructureAlgebra(c, g.involution, g.unit, check=False)
+    assert g.is_commutative()
+    for tol in (1e-9, 1e-5):
+        assert lopsided.is_commutative(tol) is reference_is_commutative(lopsided, tol)
+    assert not lopsided.is_commutative(1e-9) and lopsided.is_commutative(1e-5)
+
+
+def test_is_commutative_memory_is_quadratic():
+    g = group_algebra([16, 16])  # d = 256: a transposed difference took 384 MiB
+    tracemalloc.start()
+    try:
+        assert g.is_commutative()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def test_multiplication_maps_agree_with_products(rng):
     alg = direct_sum(matrix_algebra(2), truncated_poly(2, 2))
     d = alg.dim

@@ -10,7 +10,9 @@ so the sign of a zero coordinate counts) and the same report text, on
 every envelope class of the benchmark corpus, on generated boxes with
 lo > hi, -0.0 and subnormal bounds, with jet and inconclusive entries
 among the witnesses, and with reasons texts on both sides of
-`cli._SHARED_MIN`.
+`cli._SHARED_MIN`. A Reasons built directly must also be written right
+at every depth, in either order within one report, with its axis texts
+made once, and the verdict must not build the public checks' lists.
 """
 from __future__ import annotations
 
@@ -223,3 +225,90 @@ def test_report_text_is_json_of_the_list():
                                                     indent=2))
     for level in range(4):
         same(cli._render(v._reasons, level), cli._render(v.reasons, level))
+
+
+# --- the Reasons writer at every depth ----------------------------------------
+
+
+KINDS = [("pairs",), ("points",), ("jets",), ("pairs", "points", "jets")]
+
+
+def made_reasons(m: int, kinds, seed: int) -> envelope.Reasons:
+    """A Reasons over m axes with -0.0, 0.0 and subnormal coordinates and
+    the witness kinds asked for, built directly from index arrays."""
+    rng = np.random.default_rng(seed)
+    axes = [rng.permutation([-0.0, 0.0, 0.1, -1.25, 5e-324, 1e300, 3.0 + axis])
+            for axis in range(m)]
+    # every coordinate of every axis is named, in a seeded order
+    pairs = np.array([[rng.permutation(7) for _ in range(m)] for _ in range(2)])
+    points = np.array([rng.permutation(7) for _ in range(m)])
+    if "pairs" not in kinds:
+        pairs = pairs[:, :, :0]
+    if "points" not in kinds:
+        points = points[:, :0]
+    entries = [{"condition": "jet", "witness": [0.5, -0.0, 1e-7][:m],
+                "detail": f"jet span {k} of 3, growth [1, {k}]"}
+               for k in (1, 2)] if "jets" in kinds else []
+    return envelope.Reasons(axes, pairs, points, entries)
+
+
+def nested(obj, depth: int):
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+def json_text(obj) -> str:
+    return json.dumps(cli.to_jsonable(obj), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kinds", KINDS, ids="+".join)
+def test_reasons_written_at_every_depth(m, kinds):
+    for level in range(5):
+        # a fresh object per report, so its axis texts are made at the
+        # depth written first: "a" is written before "b"
+        for shape in (lambda r: {"a": nested(r, level), "b": r},
+                      lambda r: {"a": r, "b": nested(r, level)},
+                      lambda r: {"results": {"reasons": r}, "violations": r},
+                      lambda r: nested(r, level)):
+            doc = shape(made_reasons(m, kinds, m))
+            same(cli._render(doc), json_text(doc))
+        text = cli._render(made_reasons(m, kinds, m), level)
+        same(text, cli._render(made_reasons(m, kinds, m).to_list(), level))
+        if "jets" not in kinds:
+            assert "-0.0" in text and "5e-324" in text
+
+
+def test_axis_texts_made_once_per_report(monkeypatch, tmp_path, capsys):
+    calls = []
+    axis_texts = envelope.Reasons._axis_texts
+
+    def counted(self, indices):
+        calls.append(len(indices))
+        return axis_texts(self, indices)
+
+    monkeypatch.setattr(envelope.Reasons, "_axis_texts", counted)
+    path = tmp_path / "fold.json"
+    path.write_text(json.dumps({"m": 2, "generators": ["(pow (var 0) 2)", "(var 1)"],
+                                "box": [[-1.0, 1.0], [-0.5, 0.5]], "grid": 9}))
+    assert cli.main(["envelope", str(path)]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["reasons"] == report["violations"]
+    assert {r["condition"] for r in report["violations"]} == {"separation", "tangent"}
+    assert calls == [3]
+
+
+def test_verdict_builds_no_point_tuples(monkeypatch):
+    def refused(grids, points):
+        raise AssertionError("point tuples built")
+
+    monkeypatch.setattr(envelope, "_point_tuples", refused)
+    gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
+    box = [[-1.0, 1.0], [0.0, 1.0]]
+    v = envelope_verdict(gens, box, 9)
+    assert {r["condition"] for r in v.reasons} == {"separation", "tangent"}
+    # the public checks still build them without a shared sample
+    for check in (envelope.separation_check, envelope.tangent_rank_check):
+        with pytest.raises(AssertionError, match="point tuples built"):
+            check(gens, box, 9)

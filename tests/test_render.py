@@ -4,7 +4,8 @@
 `json.dumps(to_jsonable(x), sort_keys=True, indent=2)` writes: on edge
 values, on lists and dicts shared between two depths of one report, on
 generated nested values, and on the full `main` report of one request of
-every class of the benchmark corpora.
+every class of the benchmark corpora. `--out FILE` must write the bytes
+stdout gets, and the largest envelope report must keep its traced peak.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import importlib.util
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +159,46 @@ def test_main_report_matches_json_dumps(workload, name, make, tmp_path, capsys,
     assert cli.main(argv + ["--seed", "5"]) == code
     same(rendered, capsys.readouterr().out)
     assert rendered.endswith("}\n")
+
+
+def _request(workload, name, tmp_path, seed=5):
+    make = next(m for w, n, m in CLASSES if (w, n) == (workload, name))
+    argv, doc, _ = make(np.random.default_rng(seed))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return [str(path) if a is None else a for a in argv] + ["--seed", str(seed)]
+
+
+@pytest.mark.parametrize("name", ["env-square-cube", "env-flat-bump"])
+def test_out_file_has_the_stdout_bytes(name, tmp_path, capsys):
+    argv = _request("envelope-grid", name, tmp_path)
+    assert cli.main(argv) == 3
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+    assert json.loads(printed)["results"]["status"] == "FAIL"
+
+
+# Traced peak of the request below, in bytes, when the depth-1 reasons were
+# narrowed from the depth-2 text and each container text was concatenated
+# around its joined body (14.85 MiB; 7.63 MiB once each is one join).
+FOLD_PEAK_BEFORE = 15_566_041
+
+
+def test_plane_fold_report_peak(tmp_path):
+    """cli.main on the seed-5 env-plane-fold request writes a 3.75 MB FAIL
+    report (about 7,400 witnesses, twice); its traced peak stays below
+    what it was when each report text was copied at every depth."""
+    argv = _request("envelope-grid", "env-plane-fold", tmp_path)
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 3  # warm the caches
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--out", str(out)]) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == 3_750_967
+    assert peak <= FOLD_PEAK_BEFORE
