@@ -428,7 +428,7 @@ _BLOCK_ENTRIES = 2 ** 16
 
 
 def _slice_blocks(d: int, width: int):
-    """Slices of the leading tensor index, each within _BLOCK_ENTRIES."""
+    """Slices of one tensor index, each block within _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // (d * max(width, 1)))
     return (slice(lo, lo + step) for lo in range(0, d, step))
 
@@ -567,8 +567,9 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
         raise DomainError("character extraction requires a commutative algebra")
     d = algebra.dim
     c = algebra.structure
-    # tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b]
-    gram = c.reshape(d, d * d) @ c.transpose(2, 1, 0).reshape(d * d, d)
+    # tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b], over blocks of b (no full copy)
+    gram = sum(c[:, blk].reshape(d, -1) @ c[:, :, blk].transpose(2, 1, 0).reshape(-1, d)
+               for blk in _slice_blocks(d, d))
     rad = la.null_space(gram)
     if rad.shape[0]:
         qalg, proj = quotient(algebra, Subspace(algebra, rad))

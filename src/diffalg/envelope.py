@@ -367,22 +367,13 @@ def _grid_points(box, grid: int) -> list[np.ndarray]:
     return [m.ravel() for m in mesh]
 
 
-def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point indices sorted by key row, and the length of each run of equal
-    rows. Within a run the indices ascend (lexsort is stable)."""
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    return order, np.diff(np.r_[starts, len(order)])
-
-
-def _run_pairs(order: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Every pair (a, b) with a < b inside one run, as a 2 x P index array."""
-    run_start = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    later = np.repeat(lengths, lengths) - (np.arange(len(order)) - run_start) - 1
-    first = np.repeat(np.arange(len(order)), later)
-    step = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    return np.stack([order[first], order[first + 1 + step]])
+def _tolerance(name: str, value) -> float:
+    """A certificate tolerance as a float; one that is negative or not
+    finite is refused with ValueError (it would pass every sample)."""
+    tol = float(value)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, not {tol!r}")
+    return tol
 
 
 class _Sample(NamedTuple):
@@ -463,50 +454,54 @@ def _coordinate_order(grids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
                      sample: _Sample | None = None) -> list | None:
-    """Grid-point pairs whose generator value tuples coincide, sorted, each
-    as (smaller point, larger point) by coordinate tuples.
+    """Grid-point pairs whose generator values all differ by at most the
+    absolute tol, sorted, each as (smaller point, larger point) by
+    coordinate tuples; empty means no violation on this sample.
 
-    Candidate pairs are found by grouping value tuples rounded at 1e-7
-    under two offset schemes (so near-boundary rounding cannot split a
-    coinciding pair), then confirmed at the exact tolerance. Empty result
-    means no violation was found on this sample. More than
-    MAX_SEPARATION_CANDIDATES candidate pairs (a generator constant on
-    much of a fine grid) are refused with DomainError, and so are values
-    that are not finite. `sample` is the evaluated grid envelope_verdict
-    shares with tangent_rank_check: given it, the pairs are left on it as
-    a 2 x P point-index array under witnesses["separation"] and None is
-    returned; without it the grid is built here and the list returned.
+    A sort-and-sweep (Bentley & Friedman) finds every such pair: the points
+    are sorted by the key w . f, with fixed positive weights w of sum 1 (so
+    the key cannot overflow), and a point's candidates are the later points
+    whose key is within tol plus a bound on the keys' rounding, since
+    |w . (f_p - f_q)| <= |f_p - f_q|_inf; each is confirmed at the exact
+    tol. More than MAX_SEPARATION_CANDIDATES distinct
+    candidates (a generator family constant on much of a fine grid) are
+    refused with DomainError before any pair is built, and so are values
+    that are not finite; a negative or non-finite tol is a ValueError.
+    `sample` is the evaluated grid envelope_verdict shares with
+    tangent_rank_check: given it, the pairs are left on it as a 2 x P
+    point-index array under witnesses["separation"] and None is returned;
+    without it the grid is built here and the list returned.
     """
+    tol = _tolerance("tol_sep", tol)
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, jac=False)
     grids, values = sample.grids, sample.values
-    npts = values.shape[0]
-    quantum = 1e-7
-    # From 2^52 quanta up, neighbouring floats are at least quantum / 2
-    # apart, so values within tol are equal; they are keyed by their bits,
-    # integers beyond every rounded quantum, without the overflowing divide.
-    # The mask nearly doubles the cost of the keys: built only when needed.
-    limit = 2.0 ** 52 * quantum
-    small, big = values, None
-    if max(values.max(initial=0.0), -values.min(initial=0.0)) >= limit:
-        big = np.abs(values) >= limit
-        small = np.where(big, 0.0, values)
-    runs = []
-    for offset in (0.0, 0.5):
-        keys = np.round(small / quantum + offset).astype(np.int64)
-        if big is not None:
-            np.copyto(keys, values.view(np.int64), where=big)
-        runs.append(_key_runs(keys))
-    total = sum(int((lengths * (lengths - 1) // 2).sum()) for _, lengths in runs)
+    npts, k = values.shape
+    # the first k draws of one seeded stream: no weight below half another
+    w = np.random.default_rng(1979).uniform(1.0, 2.0, k)
+    w /= w.sum()
+    key = values @ w
+    order = np.argsort(key)
+    key = key[order]
+    # a computed key is within k (eps (|f| . w) + eta) / 2 of the exact one,
+    # eta for products that underflow (Higham, Accuracy and Stability, 3.1);
+    # the window covers both keys of a pair
+    fp = np.finfo(float)
+    window = tol + 2 * (k + 1) * (fp.eps * ((np.abs(values) @ w)[order] + tol)
+                                  + fp.smallest_subnormal)
+    count = np.searchsorted(key, key + window, side="right") - np.arange(1, npts + 1)
+    total = int(count.sum())
     if total > MAX_SEPARATION_CANDIDATES:
         raise DomainError(f"separation check has {total} candidate pairs; "
                           f"at most {MAX_SEPARATION_CANDIDATES}")
-    codes = np.unique(np.concatenate([pa * npts + pb for pa, pb in
-                                      (_run_pairs(*run) for run in runs)]))
-    a, b = codes // npts, codes % npts
+    first = np.repeat(np.arange(npts), count)
+    second = first + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+    a, b = order[first], order[second]
     keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
-    pairs = _coordinate_order(grids, a[keep], b[keep])
+    # in (a, b) index order, so of pairs equal in coordinates the first stays
+    codes = np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep])
+    pairs = _coordinate_order(grids, codes // npts, codes % npts)
     sample.witnesses["separation"] = pairs
     if shared:
         return None
@@ -596,11 +591,13 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     A point is a witness when its smallest singular value is at most
     tol_rank * max(largest, 1); with fewer generators than variables every
     point is one. First derivatives that are not finite are refused with
-    DomainError. `sample` is the evaluated grid envelope_verdict shares
-    with separation_check: given it, the points are left on it as a
-    point-index array under witnesses["tangent"] and None is returned;
-    without it the grid is built here and the list returned.
+    DomainError, a negative or non-finite tol_rank with ValueError.
+    `sample` is the evaluated grid envelope_verdict shares with
+    separation_check: given it, the points are left on it as a point-index
+    array under witnesses["tangent"] and None is returned; without it the
+    grid is built here and the list returned.
     """
+    tol_rank = _tolerance("tol_rank", tol_rank)
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, values=False)
@@ -811,8 +808,8 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     a FAIL; still-growing spans give INCONCLUSIVE.
     """
     options = dict(options or {})
-    tol_sep = float(options.get("tol_sep", 1e-9))
-    tol_rank = float(options.get("tol_rank", 1e-8))
+    tol_sep = _tolerance("tol_sep", options.get("tol_sep", 1e-9))
+    tol_rank = _tolerance("tol_rank", options.get("tol_rank", 1e-8))
     sample = _sample(gens, box, grid)
     # Both checks run under their public names and, given the sample,
     # leave their ordered witness indices on it without building the point

@@ -485,6 +485,18 @@ def test_is_commutative_memory_is_quadratic():
     assert peak < 16 * 2 ** 20
 
 
+def test_characters_memory_below_the_tensor():
+    # d = 144: the trace-form gram once copied the whole transposed tensor
+    g = group_algebra([12, 12])
+    tracemalloc.start()
+    try:
+        assert len(characters(g)) == 144
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * g.structure.nbytes
+
+
 def test_multiplication_maps_agree_with_products(rng):
     alg = direct_sum(matrix_algebra(2), truncated_poly(2, 2))
     d = alg.dim

@@ -395,7 +395,7 @@ def test_seed_recorded(capsys):
       "box": [[-1.0, 1.0]] * 3, "grid": 2001},
      f"grid 2001 on a 3-dimensional box gives {2001 ** 3} sample points; at most {2 ** 20}"),
     ({"m": 1, "generators": ["(const 1.0)"], "box": [[-1.0, 1.0]], "grid": 1449},
-     f"separation check has {1449 * 1448} candidate pairs; at most {2 ** 20}"),
+     f"separation check has {1449 * 1448 // 2} candidate pairs; at most {2 ** 20}"),
 ])
 def test_envelope_size_guards_refuse_before_allocating(capsys, tmp_path, doc, message):
     path = _write(tmp_path, "env.json", doc)
@@ -425,6 +425,23 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert rep["results"] == {}
     assert rep["violations"] == [{"type": "internal",
                                   "message": "RuntimeError: handler fell over"}]
+
+
+@pytest.mark.parametrize("options", [{"tol_sep": -1}, {"tol_sep": float("nan")},
+                                     {"tol_rank": -1}, {"tol_rank": float("nan")},
+                                     {"tol_sep": float("inf")}])
+def test_envelope_bad_tolerances_are_input_errors(capsys, tmp_path, options):
+    # (sin 2 pi x, cos 2 pi x) takes the same values at 0 and 1, a FAIL (exit
+    # 3) that a negative or NaN tolerance would turn into a PASS
+    tau = 6.283185307179586
+    doc = {"m": 1, "generators": [f"(sin (* (const {tau}) (var 0)))",
+                                  f"(cos (* (const {tau}) (var 0)))"],
+           "box": [[0, 1]], "grid": 5, "options": options}
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "tol.json", doc))
+    assert code == 2
+    assert out == ""
+    [name] = options
+    assert f"{name} must be finite and non-negative" in err
 
 
 def test_envelope_fewer_generators_than_variables_fails(capsys, tmp_path):

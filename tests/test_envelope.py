@@ -12,6 +12,7 @@ from diffalg import (
     FlatBumpTimes,
     Prod,
     Sin,
+    Sum,
     Var,
     envelope_verdict,
     flat_bump,
@@ -110,17 +111,43 @@ def test_separation_catches_periodic_generators():
 
 
 def test_separation_rounding_boundary_not_missed():
-    # constants sit exactly on a rounding bucket edge; the offset scheme
-    # must still pair all grid points
+    # constants on a bucket edge of the earlier 1e-7 rounding scheme: every
+    # pair of grid points coincides in value and must be found
     gens = [Const(0.5e-7)]
     pairs = separation_check(gens, BOX1, 11)
     assert len(pairs) == 11 * 10 // 2
 
 
+def test_separation_pair_straddling_two_bucket_edges():
+    # each generator crosses a different rounding bucket edge between the
+    # two points, which the earlier two-offset scheme split under both
+    # offsets; the points agree within 2e-10 < tol
+    gens = [Sum(Const(a), Prod(Const(2e-10), Var(0))) for a in (0.5e-7 - 1e-10, 1e-7 - 1e-10)]
+    assert separation_check(gens, [(0.0, 1.0)], 2) == [((0.0,), (1.0,))]
+    for g in gens:
+        assert separation_check([g], [(0.0, 1.0)], 2) == [((0.0,), (1.0,))]
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_certificates_refuse_bad_tolerances(tol):
+    gens = [parse_expr("(sin (* (const 6.283185307179586) (var 0)))", 1),
+            parse_expr("(cos (* (const 6.283185307179586) (var 0)))", 1)]
+    box = [(0.0, 1.0)]
+    with pytest.raises(ValueError, match="tol_sep must be finite and non-negative"):
+        separation_check(gens, box, 5, tol)
+    with pytest.raises(ValueError, match="tol_rank must be finite and non-negative"):
+        tangent_rank_check(gens, box, 5, tol)
+    for name in ("tol_sep", "tol_rank"):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            envelope_verdict(gens, box, 5, {name: tol})
+    # the map is not injective on the box: 0 and 1 share their values
+    assert envelope_verdict(gens, box, 5).status == "FAIL"
+
+
 @pytest.mark.parametrize("box, grid", [([(1e12, 2e12)], 1500), ([(1e308, 1.7e308)], 5)])
 def test_separation_keys_huge_values(box, grid):
-    # keys above 2^52 quanta are the values themselves: no integer cast
-    # overflow lumping every point together, and no overflowing divide
+    # values up to the largest floats: the sort keys neither overflow nor
+    # lump every point together
     assert separation_check([Var(0)], box, grid) == []
     assert envelope_verdict([Var(0)], box, grid).status == "PASS"
 

@@ -1,46 +1,46 @@
-"""The sort-based separation check against the bucket-and-combinations
-loop it replaces.
+"""The sort-and-sweep separation check against the definition of the
+certificate: every pair of grid points whose generator values differ by at
+most tol in each generator.
 
-The reference below is the earlier implementation, kept verbatim as the
-equality gate: both must return the same list, compared by repr so that
-the sign of a zero coordinate counts too, on 1-D and 2-D boxes for the
-identity, periodic, fold, flat-bump and constant generators, and the
-bucket-edge constant. In one dimension every grid from 2 to 201 is
-checked; constants, whose pair count is quadratic in the grid, take every
-grid up to 40 and then 101 and 201.
+The reference below compares all pairs, block of rows by block of rows;
+both must return the same list, compared by repr so that the sign of a
+zero coordinate counts too, on 1-D and 2-D boxes for the identity,
+periodic, fold, flat-bump and constant generators, and the bucket-edge
+constant. In one dimension every grid from 2 to 201 is checked;
+constants, whose pair count is quadratic in the grid, take every grid up
+to 40 and then 101 and 201. Families of k = 1..3 generators c_j + b_j x^2
+whose constants straddle multiples of 0.5e-7 (the bucket edges of the
+earlier rounding scheme, which missed such pairs for k >= 2) are checked
+as a property.
 """
 from __future__ import annotations
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from diffalg import Const, DomainError, Prod, Var, flat_bump, parse_expr, separation_check
+from diffalg import Const, DomainError, Prod, Sum, Var, flat_bump, parse_expr, separation_check
 from diffalg.envelope import MAX_SEPARATION_CANDIDATES, _grid_points
 
 
 def reference_separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
     grids = _grid_points(box, grid)
     values = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
+    points = [tuple(p) for p in np.stack(grids, axis=1).tolist()]
     npts = values.shape[0]
-    quantum = 1e-7
-    candidates = set()
-    for offset in (0.0, 0.5):
-        buckets: dict = {}
-        keys = np.round(values / quantum + offset).astype(np.int64)
-        for idx in range(npts):
-            buckets.setdefault(keys[idx].tobytes(), []).append(idx)
-        for members in buckets.values():
-            for a, b in itertools.combinations(members, 2):
-                candidates.add((a, b))
     pairs = []
-    for a, b in candidates:
-        if np.abs(values[a] - values[b]).max() <= tol:
-            pa = tuple(float(g[a]) for g in grids)
-            pb = tuple(float(g[b]) for g in grids)
-            pairs.append(tuple(sorted((pa, pb))))
+    for lo in range(0, npts, 256):
+        # rows lo.. against every later point, one generator at a time
+        rows = np.arange(lo, min(lo + 256, npts))
+        near = np.arange(lo, npts) > rows[:, None]
+        for f in values.T:
+            near &= np.abs(f[rows, None] - f[lo:]) <= tol
+        # in (a, b) index order, so of pairs equal in coordinates the set
+        # keeps the first
+        for a, b in zip(*np.nonzero(near)):
+            pairs.append(tuple(sorted((points[lo + a], points[lo + b]))))
     return sorted(set(pairs))
 
 
@@ -94,17 +94,45 @@ def test_separation_difference_equal_to_tol_counts():
                      ((0.75,), (1.0,))]
 
 
+@pytest.mark.parametrize("gens", [[Const(0.0)], [Const(0.5e-7), Prod(Var(0), Var(0))]])
+def test_separation_zero_tolerance_counts_equal_values(gens):
+    # at tol 0 only equal value tuples pair, found by a window of width 0
+    # where the values are 0
+    assert _same(gens, [(-1.0, 1.0)], 5, 0.0)
+
+
 def test_separation_reference_fold_on_benchmark_size():
     # the largest candidate count of the envelope corpus: (x^2, y) on 121^2
     pairs = _same(GENS_2D["fold"], [(-1.0, 1.0), (-0.5, 1.5)], 121)
     assert len(pairs) == 60 * 121
 
 
+@st.composite
+def straddle_families(draw):
+    """k = 1..3 generators c_j + b_j x^2, each constant a multiple of 0.5e-7
+    moved by at most 2e-10, on a box where x^2 spans [0, 1]."""
+    k = draw(st.integers(1, 3))
+    shift = st.sampled_from([-2e-10, -1e-10, 0.0, 1e-10, 2e-10]) | st.floats(-2e-10, 2e-10)
+    gens = []
+    for _ in range(k):
+        c = draw(st.integers(-4, 4)) * 0.5e-7 + draw(shift)
+        b = draw(st.sampled_from([0.0, 2e-10, 1e-9, 3e-3]))
+        gens.append(Sum(Const(c), Prod(Const(b), Prod(Var(0), Var(0)))))
+    box = draw(st.sampled_from([[(0.0, 1.0)], [(-1.0, 1.0)], [(1.0, 0.0)]]))
+    return gens, box, draw(st.integers(2, 30))
+
+
+@settings(max_examples=400)
+@given(straddle_families())
+def test_separation_straddle_families_match_reference(family):
+    _same(*family)
+
+
 def test_separation_refuses_too_many_candidates():
-    # a constant on 1449 points: 1449 * 1448 / 2 = 1,049,076 candidate
-    # pairs under each offset, refused before any pair array exists
+    # a constant on 1449 points: 1449 * 1448 / 2 = 1,049,076 distinct
+    # candidate pairs, refused before any pair array exists
     grid = 1449
-    count = 2 * (grid * (grid - 1) // 2)
+    count = grid * (grid - 1) // 2
     assert count > MAX_SEPARATION_CANDIDATES
     tracemalloc.start()
     try:
