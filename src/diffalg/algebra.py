@@ -348,6 +348,15 @@ class Subspace:
         self.basis = la.span_basis(rows, width=algebra.dim, tol=tol)
 
     @classmethod
+    def _from_orthonormal(cls, algebra: StructureAlgebra, rows: np.ndarray) -> "Subspace":
+        """The span of rows that are already orthonormal, kept as the basis
+        without another SVD."""
+        space = cls.__new__(cls)
+        space.algebra = algebra
+        space.basis = rows
+        return space
+
+    @classmethod
     def zero(cls, algebra: StructureAlgebra) -> "Subspace":
         return cls(algebra, [])
 

@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -334,22 +335,26 @@ def cmd_jet(data, args):
     for k, c in terms:
         if len(k) != m:
             raise ValueError(f"index {k} does not have {m} entries")
+        if not cmath.isfinite(c):
+            raise ValueError(f"coefficient {c} of index {list(k)} is not finite")
         coords[alg.exp_index[k]] += c
-    jt = jet_project(alg, coords, point, order, route="taylor")
-    js = jet_project(alg, coords, point, order, route="solve")
-    residual = float(np.abs(jt.coords - js.coords).max())
-    if residual > 1e-8 * (1.0 + float(np.abs(coords).max())):
-        raise NumericError(f"jet routes disagree by {residual:.2e}")
-    space = jet_space(alg, point, order)
-    results = {
-        "jet": list(jt.coords),
-        "labels": space.quotient.labels,
-        "dim": space.quotient.dim,
-        "expected_dim": mi_count(m, order),
-        "routes_residual": residual,
-        "seminorm": quotient_seminorm(alg, coords, point, order),
-        "truncation": list(taylor_truncate(alg, coords, point, order).coords),
-    }
+    # overflow from finite inputs shows as a NaN route residual (exit 4)
+    with np.errstate(all="ignore"):
+        jt = jet_project(alg, coords, point, order, route="taylor")
+        js = jet_project(alg, coords, point, order, route="solve")
+        residual = float(np.abs(jt.coords - js.coords).max())
+        if not residual <= 1e-8 * (1.0 + float(np.abs(coords).max())):
+            raise NumericError(f"jet routes disagree by {residual:.2e}")
+        space = jet_space(alg, point, order)
+        results = {
+            "jet": list(jt.coords),
+            "labels": space.quotient.labels,
+            "dim": space.quotient.dim,
+            "expected_dim": mi_count(m, order),
+            "routes_residual": residual,
+            "seminorm": quotient_seminorm(alg, coords, point, order),
+            "truncation": list(taylor_truncate(alg, coords, point, order).coords),
+        }
     return results, [], 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import PolyAlgebra, truncated_poly
 from .errors import DomainError, NumericError
-from .jets import jet_space
+from .jets import _check_reach, _derivative_rows, jet_space
 from .multiindex import mi_count
 
 __all__ = [
@@ -649,13 +649,16 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
     if length < 1:
         raise ValueError("word length must be >= 1")
     bound = max(n, 1, length * max(degs, default=1))
-    with np.errstate(over="ignore"):
-        reach = np.abs(s).max(initial=0.0) ** bound
-    if not np.isfinite(reach):
-        raise DomainError(f"jet point {s.tolist()} is out of reach: its largest "
-                          f"coordinate to the power {bound} is not finite")
+    _check_reach(s, bound)
     ambient = truncated_poly(mvars, bound)
     polys = [g.to_poly(ambient) for g in gens]
+    expected = mi_count(mvars, n)
+    # the jet space's dimension is structural; the rank of the raw Taylor
+    # rows below is not scale-aware, so far points where those rows lose
+    # rank are refused rather than judged
+    if la.rank(_derivative_rows(ambient, s, n)) != expected:
+        raise NumericError("jet quotient and vanishing subspace dimensions "
+                           "do not complement each other")
     space = jet_space(ambient, s, n)
 
     rows = []
@@ -667,7 +670,6 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
                 word = ambient.mul_coords(word, polys[idx])
             rows.append(space.project_taylor(word).coords)
         by_length.append(la.rank(np.array(rows)))
-    expected = mi_count(mvars, n)
     achieved = by_length[-1]
     return JetSurjectivity(achieved == expected, achieved, expected, by_length)
 

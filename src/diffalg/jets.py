@@ -5,14 +5,17 @@ the quotient of polynomials (degree <= D) by the subspace of polynomials
 vanishing at s to order n+1. In the chart basis e^k = (x - s)^k the
 quotient becomes the truncated polynomial algebra of degree n, and two
 independent computations of the same class are available: Taylor
-coefficients at s, and a linear solve against the chart basis.
+coefficients from the derivative rows at s, and chart coordinates from the
+shift by +s, which is the exact inverse of the chart matrix.
 
 The vanishing subspace ("ideal power") is a genuine power of the maximal
 ideal when computed with true polynomial products intersected back into
 degree <= D; as a set it equals the span of chart monomials of chart
 degree >= n and the null space of the derivative evaluations of order
-< n, and the implementation uses the latter with the former as the
-cross-check route.
+< n. Jet spaces use the former: the chart matrix is unit triangular, so
+the dimension is fixed by the structure and no rank cut decides it, and
+one QR makes those chart columns orthonormal. `ideal_power` keeps the
+null-space route as the cross-check.
 """
 from __future__ import annotations
 
@@ -42,7 +45,19 @@ def _point(algebra: PolyAlgebra, s) -> np.ndarray:
     s = np.asarray(s, dtype=float).ravel()
     if s.shape != (algebra.mvars,):
         raise ValueError("point dimension does not match the variable count")
+    if not np.isfinite(s).all():
+        raise ValueError(f"point {s.tolist()} is not finite")
     return s
+
+
+def _check_reach(point: np.ndarray, degree: int) -> None:
+    """Refuse a point whose largest |coordinate|^degree is not finite: the
+    chart and the derivative rows at it would hold infinities."""
+    with np.errstate(over="ignore"):
+        reach = np.abs(point).max(initial=0.0) ** degree
+    if not np.isfinite(reach):
+        raise DomainError(f"jet point {point.tolist()} is out of reach: its largest "
+                          f"coordinate to the power {degree} is not finite")
 
 
 def _f_coords(algebra: PolyAlgebra, f) -> np.ndarray:
@@ -78,17 +93,18 @@ class ChartBasis:
 
     Column k holds the absolute-monomial coefficients of (x - point)^k;
     the matrix is triangular in the graded order with unit diagonal, so
-    the change of basis is exactly invertible.
+    the change of basis is exactly invertible: its inverse is the shift by
+    +point.
     """
 
     def __init__(self, algebra: PolyAlgebra, point):
         self.algebra = algebra
         self.point = _point(algebra, point)
-        self.matrix = algebra.table.shift(-self.point).astype(complex)
+        self.matrix = algebra.table.shift(-self.point)
 
     def to_chart(self, coords) -> np.ndarray:
         coords = _f_coords(self.algebra, coords)
-        return np.linalg.solve(self.matrix, coords)
+        return self.algebra.table.shift(self.point) @ coords
 
     def from_chart(self, chart_coords) -> np.ndarray:
         chart_coords = np.asarray(chart_coords, dtype=complex).ravel()
@@ -98,7 +114,8 @@ class ChartBasis:
 def maximal_ideal(algebra: PolyAlgebra, s) -> Subspace:
     """Polynomials vanishing at the point; codimension one."""
     s = _point(algebra, s)
-    return Subspace(algebra, la.null_space(_eval_row(algebra, s).reshape(1, -1)))
+    return Subspace._from_orthonormal(
+        algebra, la.null_space(_eval_row(algebra, s).reshape(1, -1)))
 
 
 def ideal_power(algebra: PolyAlgebra, s, n: int) -> Subspace:
@@ -107,15 +124,22 @@ def ideal_power(algebra: PolyAlgebra, s, n: int) -> Subspace:
     s = _point(algebra, s)
     if n <= 0:
         return Subspace.whole(algebra)
-    return Subspace(algebra, la.null_space(_derivative_rows(algebra, s, n - 1)))
+    return Subspace._from_orthonormal(
+        algebra, la.null_space(_derivative_rows(algebra, s, n - 1)))
+
+
+def _chart_span(chart: ChartBasis, first: int) -> Subspace:
+    """Span of the chart columns from `first` on. They are independent (the
+    chart matrix is unit triangular), so one QR without a rank cut makes
+    them orthonormal."""
+    q, _ = np.linalg.qr(chart.matrix[:, first:])
+    return Subspace._from_orthonormal(chart.algebra, q.T.astype(complex))
 
 
 def ideal_power_chart(algebra: PolyAlgebra, s, n: int) -> Subspace:
-    """Cross-check route: span of centered monomials of chart degree >= n."""
-    s = _point(algebra, s)
+    """Span of centered monomials of chart degree >= n."""
     chart = ChartBasis(algebra, s)
-    first = mi_count(algebra.mvars, n - 1) if n > 0 else 0
-    return Subspace(algebra, chart.matrix[:, first:].T)
+    return _chart_span(chart, mi_count(algebra.mvars, n - 1) if n > 0 else 0)
 
 
 class JetSpace:
@@ -126,18 +150,14 @@ class JetSpace:
             raise ValueError("jet order must lie within the degree bound")
         self.base = base
         self.point = _point(base, point)
+        _check_reach(self.point, base.degree)
         self.order = order
         self.chart = ChartBasis(base, self.point)
         self.quotient = truncated_poly(base.mvars, order)
-        # the order-(n+1) vanishing subspace is the null space of the rows
-        # f -> (d^k f)(point), |k| <= n; scaled by 1/k! they are the Taylor rows
+        # the order-(n+1) vanishing subspace: chart monomials of chart degree > n
+        self.ideal = _chart_span(self.chart, self.quotient.dim)
+        # the rows f -> (d^k f)(point) / k!, |k| <= n, read off Taylor coefficients
         rows = _derivative_rows(base, self.point, order)
-        self.ideal = Subspace(base, la.null_space(rows))
-        q = self.quotient.dim
-        assert q == mi_count(base.mvars, order)
-        if self.ideal.dim + q != base.dim:
-            raise NumericError("jet quotient and vanishing subspace dimensions "
-                               "do not complement each other")
         rows /= self.quotient.table.factorials()[:, None]
         self.projection = LinearOp(rows, base, self.quotient)
 
@@ -167,9 +187,10 @@ def jet_project(algebra: PolyAlgebra, f, s, n: int,
                 route: str = "taylor") -> Element:
     """Class of f in the order-n jet quotient at s.
 
-    route="taylor" reads off Taylor coefficients; route="solve" expands f
-    in the chart basis by a linear solve. The two agree to rounding and
-    are compared against each other in the test suite.
+    route="taylor" reads off Taylor coefficients from the derivative rows;
+    route="solve" expands f in the chart basis by the shift by +s. The two
+    agree to rounding and are compared against each other in the test
+    suite.
     """
     space = jet_space(algebra, s, n)
     if route == "taylor":

@@ -95,18 +95,24 @@ def mi_below(k: Sequence[int]) -> Iterator[MultiIndex]:
 def _graded_exponents(m: int, n: int) -> np.ndarray:
     """The rows of mi_enumerate(m, n) as a (count, m) integer array.
 
-    A composition of t into m parts is fixed by its m - 1 bar positions
-    among t + m - 1 slots, and descending lexicographic order of the parts
-    is descending lexicographic order of the bars.
+    An index k with |k| <= n is a composition of n into m + 1 parts (the
+    last part is the slack n - |k|), fixed by its m bar positions among
+    n + m slots, and the parts are the gaps between consecutive bars. The
+    bars in ascending lexicographic order give the indices in ascending
+    lexicographic order, so one stable sort of the reversed rows by grade
+    gives grades ascending and descending lexicographic order within each.
     """
-    grades = []
-    for t in range(n + 1):
-        combos = list(itertools.combinations(range(t + m - 1), m - 1))
-        bars = np.array(combos, dtype=np.intp).reshape(len(combos), m - 1)[::-1]
-        edges = np.hstack([np.full((len(bars), 1), -1), bars,
-                           np.full((len(bars), 1), t + m - 1)])
-        grades.append(np.diff(edges, axis=1) - 1)
-    return np.vstack(grades)
+    if m < 1:
+        raise ValueError(f"need at least one variable, got m={m}")
+    if n < 0:
+        raise ValueError(f"degree bound must be nonnegative, got n={n}")
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + m), m)), dtype=np.intp)
+    bars = bars.reshape(-1, m)[::-1]
+    # k_0 = b_0 and k_i = b_i - b_(i-1) - 1
+    exps = bars.copy()
+    exps[:, 1:] -= bars[:, :-1] + 1
+    return exps[np.argsort(exps.sum(axis=1), kind="stable")]
 
 
 def mi_enumerate(m: int, n: int) -> list[MultiIndex]:
@@ -117,10 +123,6 @@ def mi_enumerate(m: int, n: int) -> list[MultiIndex]:
     (0,2). The count is C(m+n, m). The order is fixed so that coefficient
     tables are reproducible across runs.
     """
-    if m < 1:
-        raise ValueError(f"need at least one variable, got m={m}")
-    if n < 0:
-        raise ValueError(f"degree bound must be nonnegative, got n={n}")
     return [tuple(k) for k in _graded_exponents(m, n).tolist()]
 
 
@@ -145,11 +147,11 @@ class MonomialTable:
     """
 
     def __init__(self, mvars: int, degree: int):
-        self.exponents = mi_enumerate(mvars, degree)
+        self.exps = _graded_exponents(mvars, degree)
+        self.exponents = [tuple(k) for k in self.exps.tolist()]
         self.exp_index = {k: i for i, k in enumerate(self.exponents)}
         self.mvars = mvars
         self.degree = degree
-        self.exps = np.array(self.exponents, dtype=np.intp)
         # tails[:, i] = k_i + ... + k_{m-1}; tails[:, 0] is the order |k|
         tails = np.cumsum(self.exps[:, ::-1], axis=1)[:, ::-1]
         # below[t, y] = C(t + y - 1, y): indices of length y and order < t

@@ -222,6 +222,74 @@ def test_jet_oversized_ambient_is_refused(capsys, tmp_path):
     assert peak < 2 ** 20
 
 
+def _jet_doc(point, terms, order=2):
+    return {"m": len(point), "order": order, "point": point,
+            "f": [{"index": list(k), "coeff": c} for k, c in terms]}
+
+
+@pytest.mark.parametrize("point,terms,message", [
+    ([float("nan")], [((1,), 1.0)], "point [nan] is not finite"),
+    ([float("inf")], [((1,), 1.0)], "point [inf] is not finite"),
+    ([0.5], [((1,), float("nan"))], "coefficient (nan+0j) of index [1] is not finite"),
+    ([0.5, 0.0], [((0, 1), [1.0, float("inf")])],
+     "coefficient (1+infj) of index [0, 1] is not finite"),
+])
+def test_jet_non_finite_input_is_refused(capsys, tmp_path, point, terms, message):
+    path = _write(tmp_path, "jet.json", _jet_doc(point, terms))
+    code, out, err = run(capsys, "jet", path)
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: {message}\n"
+
+
+def test_jet_point_beyond_reach_is_refused(capsys, tmp_path):
+    path = _write(tmp_path, "jet.json", _jet_doc([1e200, 0.0], [((1, 0), 1.0)], order=1))
+    code, rep, err = run_json(capsys, "jet", path)
+    assert (code, err) == (3, "")
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": "jet point [1e+200, 0.0] is out of reach: its largest "
+                   "coordinate to the power 3 is not finite"}]
+
+
+def test_jet_overflow_is_a_numeric_error(capsys, tmp_path):
+    """Finite coefficients whose jet overflows give a NaN route residual,
+    which the routes check refuses without printing warnings."""
+    path = _write(tmp_path, "jet.json", _jet_doc([2.0], [((3,), 1e308)]))
+    code, rep, err = run_json(capsys, "jet", path)
+    assert (code, err) == (4, "")
+    assert rep["violations"] == [{"type": "numeric",
+                                  "message": "jet routes disagree by nan"}]
+
+
+@pytest.mark.parametrize("s", [1e4, 1e8])
+def test_jet_far_point_is_exact(capsys, tmp_path, s):
+    path = _write(tmp_path, "jet.json", _jet_doc([s], [((2,), 1.0), ((3,), 1.0)], order=3))
+    code, rep, err = run_json(capsys, "jet", path)
+    assert (code, err) == (0, "")
+    res = rep["results"]
+    t = int(s)
+    exact = [t ** 2 + t ** 3, 2 * t + 3 * t ** 2, 1 + 3 * t, 1]
+    assert [c for c, _ in res["jet"]] == [float(x) for x in exact]
+    assert res["dim"] == res["expected_dim"] == 4
+    assert res["routes_residual"] == 0.0
+
+
+@pytest.mark.parametrize("gen,point,order", [
+    ("(+ (var 0) (pow (var 0) 3))", 1e5, 3),
+    ("(var 0)", 1e4, 1),
+])
+def test_envelope_far_jet_point_keeps_the_numeric_refusal(capsys, tmp_path, gen, point, order):
+    doc = {"m": 1, "generators": [gen], "box": [[-1.0, 1.0]], "grid": 5,
+           "options": {"jet_order": order, "jet_points": [[point]]}}
+    path = _write(tmp_path, "env.json", doc)
+    code, rep, err = run_json(capsys, "envelope", path)
+    assert (code, err) == (4, "")
+    assert rep["violations"] == [{
+        "type": "numeric",
+        "message": "jet quotient and vanishing subspace dimensions do not "
+                   "complement each other"}]
+
+
 def test_envelope_jet_point_beyond_reach_is_refused(capsys, tmp_path):
     """The box centre of [1e308, 1.7e308] overflows as (lo + hi) / 2 and is
     taken as lo / 2 + hi / 2 = 1.35e308; its square, which the order-2 jet
