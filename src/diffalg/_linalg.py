@@ -12,6 +12,9 @@ package goes through two rules:
   orthogonal projection) is at most tol * (1 + |v|).
 
 Row echelon form stays only for the pivot bookkeeping of quotients.
+`eigenspace` has no caller in the package (characters come from one
+eigendecomposition); it is kept for API users and because the benchmark
+tracer reports on it as a boundary.
 """
 from __future__ import annotations
 

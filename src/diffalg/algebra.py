@@ -486,65 +486,40 @@ def _rayleigh_tuples(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out / np.einsum("jn,jn->n", conj, vecs)[:, None]
 
 
-def _refine(basis_cols: np.ndarray, op: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Split an op-invariant column subspace into eigen-sub-subspaces."""
-    k = basis_cols.shape[1]
-    if k == 1:
-        return [basis_cols]
-    restricted, *_ = np.linalg.lstsq(basis_cols, op @ basis_cols, rcond=None)
-    eigvals = np.linalg.eigvals(restricted)
-    reps = la.cluster_values(eigvals, tol)
-    if len(reps) == 1:
-        return [basis_cols]
-    out = []
-    for lam in reps:
-        sub = la.eigenspace(restricted, lam, tol)
-        if sub.shape[0]:
-            out.append(basis_cols @ sub.T)
-    return out
+# Generic elements tried before repeated eigenvalues are refused.
+_GENERIC_DRAWS = 4
 
 
 def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Character]:
     """Character extraction for a radical-free commutative algebra.
 
     Here every multiplication operator is diagonalizable and the
-    transposed basis multiplications commute, so an eigenvector of the
-    transposed multiplication by a fixed generic element whose eigenvalue
-    is simple is a common eigenvector of all of them, and its eigenvalue
-    tuple is the candidate functional (a character takes on a common
-    eigenvector of the left regular representation exactly its own
-    values). One eigendecomposition gives those; only eigenvalue clusters
-    of multiplicity > 1 are split further, their eigenspaces refined by
-    the transposed basis multiplications.
+    transposed basis multiplications commute, so when the transposed
+    multiplication by a generic element has only simple eigenvalues, its
+    eigenvectors are common eigenvectors of all of them, and their
+    eigenvalue tuples are the candidate functionals (a character takes on
+    a common eigenvector of the left regular representation exactly its
+    own values). One eigendecomposition gives those. A generic element of
+    such an algebra (isomorphic to C^n) separates the characters, so a
+    repeated eigenvalue only means an unlucky draw: the next element comes
+    from the same seeded generator, and after _GENERIC_DRAWS draws the
+    extraction is refused.
     """
     d = algebra.dim
     cluster_tol = 1e-7
     rng = np.random.default_rng(7)
-    generic = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     # transposed left multiplication by e_i is the slice c[i]
     ops = algebra.structure
-    m = algebra.left_mul_matrix(generic).T
+    for _ in range(_GENERIC_DRAWS):
+        generic = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        vals, vecs = np.linalg.eig(algebra.left_mul_matrix(generic).T)
+        if len(la.cluster_values(vals, cluster_tol)) == d:
+            break
+    else:
+        raise NumericError(f"eigen-cluster ambiguity: repeated eigenvalues in "
+                           f"{_GENERIC_DRAWS} generic draws")
 
-    vals, vecs = np.linalg.eig(m)
-    reps = la.cluster_values(vals, cluster_tol)
-    # each eigenvalue belongs to the first representative within reach,
-    # which is where cluster_values put it
-    member = np.argmax(np.abs(vals[:, None] - np.array(reps)) <= cluster_tol, axis=1)
-    counts = np.bincount(member, minlength=len(reps))
-    cols = []
-    for r, lam in enumerate(reps):
-        if counts[r] == 1:
-            cols.append(vecs[:, member == r])
-            continue
-        sub = la.eigenspace(m, lam, cluster_tol)
-        spaces = [sub.T] if sub.shape[0] else []
-        for op in ops:
-            spaces = [piece for v in spaces for piece in _refine(v, op, cluster_tol)]
-        cols.extend(v[:, :1] for v in spaces)
-    if not cols:
-        return []
-
-    tuples = _rayleigh_tuples(ops, np.hstack(cols))
+    tuples = _rayleigh_tuples(ops, vecs)
     tuples = tuples[_character_mask(algebra, tuples, tol)]
     known = np.empty_like(tuples)
     count = 0

@@ -110,10 +110,6 @@ _encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _isfinite = math.isfinite
 _INF = float("inf")
-# Rendered lists and dicts at least this long are kept for reuse when the
-# same object appears again; shorter texts cost less to render twice than
-# to keep.
-_SHARED_MIN = 1024
 
 
 def _float_text(x: float) -> str:
@@ -158,21 +154,15 @@ def _float_rows(rows, level: int) -> list[str] | None:
     return out
 
 
-def _render(obj, level: int = 0, shared: dict | None = None) -> str:
+def _render(obj, level: int = 0) -> str:
     """JSON text of obj at nesting depth `level`, byte-identical to what
     json.dumps(to_jsonable(obj), sort_keys=True, indent=2) writes there.
 
     Values json writes natively are rendered inline; any other leaf goes
     through to_jsonable, the single conversion rule. Each list or dict is
     one join over its pieces: brackets, separators and the item texts. A
-    list or dict met again (by identity) reuses its earlier text: raw
-    newlines in the text come only from indentation, since strings escape
-    them, so moving it to another depth only widens or narrows every
-    newline's indent. `shared` maps id() to (object, level, text) and keeps
-    the object alive, so the id stays valid for the whole render. A
     verdict's Reasons writes its own text at each depth it appears at, as
-    the list of dicts it stands for, without `shared`: its axis texts are
-    made once, and writing it again costs less than re-indenting it.
+    the list of dicts it stands for, from axis texts made once.
     """
     if isinstance(obj, str):
         return _encode_str(obj)
@@ -189,41 +179,26 @@ def _render(obj, level: int = 0, shared: dict | None = None) -> str:
     is_list = isinstance(obj, (list, tuple))
     is_dict = not is_list and isinstance(obj, dict)
     if not (is_list or is_dict or isinstance(obj, Reasons)):
-        return _render(to_jsonable(obj), level, shared)
+        return _render(to_jsonable(obj), level)
     if not obj:
         return "{}" if is_dict else "[]"
-    if shared is None:
-        shared = {}
     if not (is_list or is_dict):
-        # a Reasons: written at this depth, never taken from `shared`
-        return obj._json_text(level, lambda entry, at: _render(entry, at, shared))
-    hit = shared.get(id(obj))
-    if hit is not None:
-        _, was, text = hit
-        if level > was:
-            return text.replace("\n", "\n" + "  " * (level - was))
-        if level < was:
-            return text.replace("\n" + "  " * (was - level), "\n")
-        return text
+        return obj._json_text(level, _render)
     if is_list:
         first = obj[0]
         texts = (_float_texts(obj) if isinstance(first, float) else
                  _float_rows(obj, level + 1) if type(first) is list else None)
         if texts is None:
-            texts = [_render(x, level + 1, shared) for x in obj]
-        text = _list_text(texts, level)
-    else:
-        inner = "\n" + "  " * (level + 1)
-        sep = "," + inner
-        parts = []
-        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
-            parts += (sep, _encode_str(k) + ": ", _render(v, level + 1, shared))
-        parts[0] = "{" + inner
-        parts.append("\n" + "  " * level + "}")
-        text = "".join(parts)
-    if len(text) >= _SHARED_MIN:
-        shared[id(obj)] = (obj, level, text)
-    return text
+            texts = [_render(x, level + 1) for x in obj]
+        return _list_text(texts, level)
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    parts = []
+    for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+        parts += (sep, _encode_str(k) + ": ", _render(v, level + 1))
+    parts[0] = "{" + inner
+    parts.append("\n" + "  " * level + "}")
+    return "".join(parts)
 
 
 def _emit(report: dict, out: str | None):
@@ -345,6 +320,9 @@ def cmd_jet(data, args):
         residual = float(np.abs(jt.coords - js.coords).max())
         if not residual <= 1e-8 * (1.0 + float(np.abs(coords).max())):
             raise NumericError(f"jet routes disagree by {residual:.2e}")
+        seminorm = quotient_seminorm(alg, coords, point, order)
+        if not math.isfinite(seminorm):
+            raise NumericError("jet seminorm is beyond the float range")
         space = jet_space(alg, point, order)
         results = {
             "jet": list(jt.coords),
@@ -352,7 +330,7 @@ def cmd_jet(data, args):
             "dim": space.quotient.dim,
             "expected_dim": mi_count(m, order),
             "routes_residual": residual,
-            "seminorm": quotient_seminorm(alg, coords, point, order),
+            "seminorm": seminorm,
             "truncation": list(taylor_truncate(alg, coords, point, order).coords),
         }
     return results, [], 0

@@ -150,15 +150,13 @@ def cotangent_space(algebra: StructureAlgebra, s: Character,
         frame = np.vstack([np.array(reps), square.basis]).T
     else:
         frame = square.basis.T
-    pi = np.zeros((q, d), dtype=complex)
-    for j in range(d):
-        shifted = np.eye(d)[j] - s.functional[j] * algebra.unit
-        sol, *_ = np.linalg.lstsq(frame, shifted, rcond=None)
-        pi[:, j] = sol[:q]
-        resid = frame @ sol - shifted
-        if np.abs(resid).max() > 1e-7 * (1.0 + np.abs(shifted).max()):
-            raise NumericError("kernel frame failed to express a shifted basis vector")
-    return classes, pi
+    # column j is e_j - s(e_j) 1
+    shifted = np.eye(d) - np.outer(algebra.unit, s.functional)
+    sol, *_ = np.linalg.lstsq(frame, shifted, rcond=None)
+    resid = np.abs(frame @ sol - shifted).max(axis=0)
+    if (resid > 1e-7 * (1.0 + np.abs(shifted).max(axis=0))).any():
+        raise NumericError("kernel frame failed to express a shifted basis vector")
+    return classes, sol[:q]
 
 
 def cotangent_class(algebra: StructureAlgebra, s: Character, f,

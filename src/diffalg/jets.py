@@ -212,9 +212,21 @@ def taylor_truncate(algebra: PolyAlgebra, f, s, n: int) -> Element:
 
 def quotient_seminorm(algebra: PolyAlgebra, f, s, n: int) -> float:
     """Euclidean coefficient distance from f to the order-(n+1) vanishing
-    subspace; zero exactly on that subspace."""
-    space = jet_space(algebra, s, n)
-    return float(la.span_residuals(_f_coords(algebra, f), space.ideal.basis)[0])
+    subspace; zero exactly on that subspace.
+
+    Coefficients near the float range can overflow the projection although
+    the distance is finite; only then is it taken of f scaled to a largest
+    coefficient of 1, and scaled back. A distance beyond the float range
+    stays infinite.
+    """
+    basis = jet_space(algebra, s, n).ideal.basis
+    v = _f_coords(algebra, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = float(la.span_residuals(v, basis)[0])
+        if not np.isfinite(dist):
+            scale = float(np.abs(v).max())
+            dist = scale * float(la.span_residuals(v / scale, basis)[0])
+    return dist
 
 
 def induced_jet_map(p: RelativeOp, s, n: int, gens=None,

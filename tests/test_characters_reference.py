@@ -10,11 +10,15 @@ must give the same number of characters in the same order, with every
 functional within 1e-9, on the commutative members of
 `test_algebra.FAMILIES`, on algebras with a radical (the quotient path),
 on group algebras up to Z8 x Z8, on complex-unitary changes of basis and
-on a generic element chosen so that its eigenvalues repeat (the only
-case that reaches the eigenspace refinement). Non-commutative input is
-refused by both.
+and on a first generic element chosen so that its eigenvalues repeat:
+the reference splits the clusters by refinement, the new route draws
+the next element. When every draw repeats, the new route refuses with
+NumericError (exit 4 through the CLI). Non-commutative input is refused
+by both.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import given, strategies as st
 from diffalg import (
     Character,
     DomainError,
+    NumericError,
     Subspace,
     algebra_from_name,
     characters,
@@ -34,7 +39,7 @@ from diffalg import (
     truncated_poly,
 )
 from diffalg import _linalg as la
-from diffalg.algebra import _refine
+from diffalg import cli
 from test_algebra import FAMILIES
 from test_basis_change import change_basis, unitary
 
@@ -49,6 +54,24 @@ def reference_is_character(ch: Character, tol: float = 1e-8) -> bool:
     if float(np.abs(vals).max()) > tol:
         return False
     return bool(np.abs(s @ a.involution - np.conj(s)).max() <= tol)
+
+
+def _refine(basis_cols: np.ndarray, op: np.ndarray, tol: float) -> list[np.ndarray]:
+    """Split an op-invariant column subspace into eigen-sub-subspaces."""
+    k = basis_cols.shape[1]
+    if k == 1:
+        return [basis_cols]
+    restricted, *_ = np.linalg.lstsq(basis_cols, op @ basis_cols, rcond=None)
+    eigvals = np.linalg.eigvals(restricted)
+    reps = la.cluster_values(eigvals, tol)
+    if len(reps) == 1:
+        return [basis_cols]
+    out = []
+    for lam in reps:
+        sub = la.eigenspace(restricted, lam, tol)
+        if sub.shape[0]:
+            out.append(basis_cols @ sub.T)
+    return out
 
 
 def reference_semisimple_characters(algebra, tol: float) -> list[Character]:
@@ -166,16 +189,55 @@ class _FlatGenerator:
         return np.ones(size)
 
 
+class _FlatFirstGenerator:
+    """The first generic element is the flat one of _FlatGenerator (its
+    real and imaginary parts are the first two draws); later draws are
+    random. Counts its draws."""
+
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.PCG64(11))
+        self.draws = 0
+
+    def standard_normal(self, size):
+        self.draws += 1
+        return np.ones(size) if self.draws <= 2 else self.rng.standard_normal(size)
+
+
 @pytest.mark.parametrize("shape", [[4], [2, 3], [2, 2, 2]], ids=lambda s: "x".join(map(str, s)))
 def test_repeated_eigenvalues_match_reference(monkeypatch, shape):
     """On a group algebra the sum of the group elements is d times the
     trivial character's idempotent, so every other character takes the
-    value 0 there: one cluster of multiplicity d - 1, which only the
-    eigenspace refinement can split."""
-    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _FlatGenerator())
+    value 0 there: one cluster of multiplicity d - 1. The reference splits
+    it by eigenspace refinement; the extraction discards that element and
+    takes the next draw, which gives the same characters."""
+    made = []
+
+    def default_rng(seed=None):
+        made.append(_FlatFirstGenerator())
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
     alg = group_algebra(shape)
     assert_same_characters(alg)
     assert len(characters(alg)) == alg.dim
+    # the reference took the flat element alone, the extraction a second one
+    assert [g.draws for g in made] == [2, 4, 4]
+
+
+@pytest.mark.parametrize("name", ["group:4", "group:2x3", "func:3"])
+def test_flat_draws_are_refused(monkeypatch, capsys, name):
+    """When every generic element repeats an eigenvalue, the extraction
+    refuses: NumericError from characters(), exit 4 with a numeric
+    violation and nothing on stderr from the CLI."""
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: _FlatGenerator())
+    with pytest.raises(NumericError, match="eigen-cluster ambiguity"):
+        characters(algebra_from_name(name))
+    code = cli.main(["dauns-hofmann", name])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (4, "")
+    violations = json.loads(captured.out)["violations"]
+    assert [v["type"] for v in violations] == ["numeric"]
+    assert violations[0]["message"].startswith("eigen-cluster ambiguity")
 
 
 def test_mask_agrees_with_reference_check():

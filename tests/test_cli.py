@@ -261,6 +261,29 @@ def test_jet_overflow_is_a_numeric_error(capsys, tmp_path):
                                   "message": "jet routes disagree by nan"}]
 
 
+def test_jet_seminorm_near_the_float_range(capsys, tmp_path):
+    """Coefficients near 1e308 whose projection overflows keep a finite
+    seminorm, 1e308 times that of the unscaled polynomial."""
+    reps = []
+    for c in (1.0, 1e308):
+        path = _write(tmp_path, "jet.json", _jet_doc([0.5], [((0,), c), ((1,), c)]))
+        code, out, err = run(capsys, "jet", path)
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out
+        reps.append(json.loads(out)["results"])
+    small, big = (r["seminorm"] for r in reps)
+    assert 0 < small and big == pytest.approx(1e308 * small, rel=1e-12)
+
+
+def test_jet_seminorm_beyond_the_float_range_is_refused(capsys, tmp_path):
+    # at s = 0 the distance is the norm of the three jet coefficients, 2.6e308
+    path = _write(tmp_path, "jet.json", _jet_doc([0.0], [((k,), 1.5e308) for k in range(3)]))
+    code, rep, err = run_json(capsys, "jet", path)
+    assert (code, err) == (4, "")
+    assert rep["violations"] == [{"type": "numeric",
+                                  "message": "jet seminorm is beyond the float range"}]
+
+
 @pytest.mark.parametrize("s", [1e4, 1e8])
 def test_jet_far_point_is_exact(capsys, tmp_path, s):
     path = _write(tmp_path, "jet.json", _jet_doc([s], [((2,), 1.0), ((3,), 1.0)], order=3))
