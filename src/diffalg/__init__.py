@@ -21,7 +21,8 @@ from .dersys import (DerivativeSystem, SystemReport, from_homomorphism,
                      monomial_about, taylor_system, to_homomorphism,
                      verify_system)
 from .geometry import (CotangentClass, TangentVector, cotangent_class,
-                       cotangent_space, pairing, tangent_space)
+                       cotangent_space, pairing, pairing_matrix,
+                       tangent_space)
 from .diffcalc import (RelativeOp, Tower, check_diffsys_characterization,
                        check_stabilization, commutator, derivative_matrix,
                        derivative_op, diff_order, is_derivation,
@@ -56,7 +57,7 @@ __all__ = [
     "DerivativeSystem", "SystemReport", "from_homomorphism",
     "monomial_about", "taylor_system", "to_homomorphism", "verify_system",
     "CotangentClass", "TangentVector", "cotangent_class", "cotangent_space",
-    "pairing", "tangent_space",
+    "pairing", "pairing_matrix", "tangent_space",
     "RelativeOp", "Tower", "check_diffsys_characterization",
     "check_stabilization", "commutator", "derivative_matrix",
     "derivative_op", "diff_order", "multiplication_matrix",

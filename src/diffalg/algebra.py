@@ -131,33 +131,27 @@ class StructureAlgebra:
 
     # --- validation ----------------------------------------------------
 
+    @np.errstate(invalid="ignore", over="ignore")
     def axiom_violations(self, tol=la.ZERO_TOL) -> list[str]:
-        """All failed algebra axioms, as human-readable strings."""
+        """All failed algebra axioms, as human-readable strings.
+
+        A residual passes only when it is <= tol, so a NaN fails its law;
+        non-finite entries fail without floating-point warnings.
+        """
         out = []
         d = self.dim
         c = self.structure
         rows, cols = c.reshape(d * d, d), c.reshape(d, d * d)
-        # associativity (e_i e_j) e_k = e_i (e_j e_k), one i at a time so
-        # the peak is d^3; the witness is the first triple (row-major)
-        # with the largest residual. Real tensors (every named family)
-        # take the real products, a quarter of the complex work.
-        r = c.real if not c.imag.any() else c
-        r_rows, r_cols = r.reshape(d * d, d), r.reshape(d, d * d)
-        worst, where = -np.inf, None
-        for i in range(d):
-            left = (r[i] @ r_cols).reshape(d * d, d)
-            bad = np.abs(left - r_rows @ r[i]).max(axis=1)
-            top = int(np.argmax(bad))
-            if bad[top] > worst:
-                worst, where = bad[top], (i, *divmod(top, d))
-        if worst > tol:
-            i, j, k = where
+        # associativity on basis triples; real tensors (every named family)
+        # take the real products, a quarter of the complex work
+        worst, (i, j, k) = _associativity_worst(c.real if not c.imag.any() else c)
+        if not worst <= tol:
             out.append(f"associativity fails at basis triple ({i},{j},{k}), "
                        f"residual {worst:.2e}")
         # unit law: row i of u @ cols is u * e_i, row i of u @ c is e_i * u
         eye = np.eye(d)
-        left_bad = np.abs((self.unit @ cols).reshape(d, d) - eye).max(axis=1) > tol
-        right_bad = np.abs(self.unit @ c - eye).max(axis=1) > tol
+        left_bad = ~(np.abs((self.unit @ cols).reshape(d, d) - eye).max(axis=1) <= tol)
+        right_bad = ~(np.abs(self.unit @ c - eye).max(axis=1) <= tol)
         for i in range(d):
             if left_bad[i]:
                 out.append(f"left unit law fails at basis {i}")
@@ -166,14 +160,14 @@ class StructureAlgebra:
         # involution laws
         s = self.involution
         # (x*)* = x  <=>  S conj(S) = I
-        if np.abs(s @ np.conj(s) - eye).max() > tol:
+        if not np.abs(s @ np.conj(s) - eye).max() <= tol:
             out.append("involution is not an involution: S conj(S) != I")
-        if np.abs(self.star_coords(self.unit) - self.unit).max() > tol:
+        if not np.abs(self.star_coords(self.unit) - self.unit).max() <= tol:
             out.append("unit is not involution-fixed")
         # (e_i e_j)* = e_j* e_i*, rows in row-major pair order
         lhs = np.conj(rows) @ s.T
         rhs = self.mul_pairs(s.T, s.T).transpose(1, 0, 2).reshape(d * d, d)
-        for p in np.flatnonzero(np.abs(lhs - rhs).max(axis=1) > tol):
+        for p in np.flatnonzero(~(np.abs(lhs - rhs).max(axis=1) <= tol)):
             i, j = divmod(int(p), d)
             out.append(f"(xy)* = y*x* fails at basis pair ({i},{j})")
         return out
@@ -216,6 +210,10 @@ class StructureAlgebra:
         unit = np.array([un(z) for z in data["unit"]], dtype=complex)
         if structure.shape != (d, d, d):
             raise ValueError("structure tensor shape disagrees with dim")
+        for field, entries in (("structure", structure), ("involution", involution),
+                               ("unit", unit)):
+            if not np.isfinite(entries).all():
+                raise ValueError(f"{field} has an entry that is not finite")
         return cls(structure, involution, unit, labels=data.get("labels"),
                    check=check)
 
@@ -440,6 +438,118 @@ def _slice_blocks(d: int, width: int):
     """Slices of one tensor index, each block within _BLOCK_ENTRIES."""
     step = max(1, _BLOCK_ENTRIES // (d * max(width, 1)))
     return (slice(lo, lo + step) for lo in range(0, d, step))
+
+
+# Terms of one block of the product route of _associativity_worst: a block
+# takes as many first indices as keep its terms within this bound and
+# within d^3 (one first index with more terms is a block of its own). A
+# term takes about 45 bytes, so a block takes less than the d^3 complex
+# temporaries of the (xy)* = y*x* check, which set the peak.
+_TERM_BLOCK = 2 ** 15
+
+
+def _associativity_worst(r) -> tuple[float, tuple[int, int, int]]:
+    """Largest associativity residual of the tensor r, with its witness.
+
+    The residual of a basis triple (i, j, k) is max_q |((e_i e_j) e_k -
+    e_i (e_j e_k))_q|; the witness is the first triple (row-major) at the
+    largest residual, a NaN residual counting as the largest. Both sides
+    are sums of T products of two nonzero constants. When T <= 2 d^3, at
+    most one product per triple and side on average (every semigroup
+    algebra), the products are summed directly; denser tensors take the
+    d^5 slab contraction. The route follows from r alone.
+    """
+    d = r.shape[0]
+    i, j, p = np.nonzero(r)
+    first, middle, last = (np.bincount(x, minlength=d) for x in (i, j, p))
+    # nonzero (i, j, p) meets first[p] nonzeros (p, k, q) on the left side,
+    # and last[p] nonzeros (j, k, p) meet middle[p] nonzeros (i, p, q) on
+    # the right
+    if int(last @ (first + middle)) > 2 * d ** 3:
+        return _associativity_slabs(r)
+    return _associativity_products(r, i, j, p)
+
+
+def _worse(bad, worst) -> bool:
+    """Whether residual bad replaces worst: larger, or the first NaN."""
+    return not np.isnan(worst) and not bad <= worst
+
+
+def _associativity_slabs(r) -> tuple[float, tuple[int, int, int]]:
+    """_associativity_worst by contraction, one i at a time so the peak is
+    d^3."""
+    d = r.shape[0]
+    r_rows, r_cols = r.reshape(d * d, d), r.reshape(d, d * d)
+    worst, where = -np.inf, (0, 0, 0)
+    for i in range(d):
+        left = (r[i] @ r_cols).reshape(d * d, d)
+        bad = np.abs(left - r_rows @ r[i]).max(axis=1)
+        top = int(np.argmax(bad))
+        if _worse(bad[top], worst):
+            worst, where = bad[top], (i, *divmod(top, d))
+    return float(worst), where
+
+
+def _associativity_products(r, i, j, p) -> tuple[float, tuple[int, int, int]]:
+    """_associativity_worst by summing the products of the nonzeros (i, j,
+    p) of r (row-major, as np.nonzero gives them) in blocks of the first
+    index.
+
+    Row-by-row sparse products (Gustavson, ACM TOMS 4(3), 1978): each term
+    is keyed by (i, j, k, q), right-hand terms carry a minus sign, and one
+    sort brings the terms of each key together for add.reduceat.
+    """
+    d = r.shape[0]
+    v = r[i, j, p]
+    first, last = np.bincount(i, minlength=d), np.bincount(p, minlength=d)
+    first_at = np.cumsum(first) - first
+    last_at = np.cumsum(last) - last
+    by_last = np.argsort(p, kind="stable")
+    ij, jp = i * d + j, j * d + p
+    # terms before each first index: nonzero (i, j, p) starts first[p] left
+    # terms, nonzero (i, p, q) starts last[p] right ones
+    ends = np.concatenate(([0], np.cumsum(first[p] + last[j])))
+    row_at = np.append(first_at, len(v))
+    before = ends[row_at]
+    budget = min(_TERM_BLOCK, d ** 3)
+    worst, where = 0.0, (0, 0, 0)
+    lo = 0
+    while lo < d:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget,
+                                             side="right")) - 1)
+        a, b = row_at[lo], row_at[hi]
+        lo = hi
+        keys = np.empty(ends[b] - ends[a], dtype=np.int64)
+        vals = np.empty(len(keys), dtype=r.dtype)
+        if not len(keys):
+            continue
+        # left terms (e_i e_j) e_k: (i, j, p) times each (p, k, q)
+        count = first[p[a:b]]
+        part = _runs(count, first_at[p[a:b]])
+        m = len(part)
+        np.add(np.repeat(ij[a:b] * d * d, count), jp[part], out=keys[:m])
+        np.multiply(np.repeat(v[a:b], count), v[part], out=vals[:m])
+        # right terms e_i (e_j e_k): (i, p, q) times each (j, k, p)
+        count = last[j[a:b]]
+        part = by_last[_runs(count, last_at[j[a:b]])]
+        np.add(np.repeat(i[a:b] * d ** 3 + p[a:b], count), ij[part] * d, out=keys[m:])
+        np.multiply(np.repeat(-v[a:b], count), v[part], out=vals[m:])
+        order = keys.argsort()
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        res = np.abs(np.add.reduceat(vals[order], starts))
+        top = int(np.argmax(res))
+        if _worse(res[top], worst):
+            worst = res[top]
+            where = tuple(int(x) for x in np.unravel_index(keys[starts[top]] // d,
+                                                           (d, d, d)))
+    return float(worst), where
+
+
+def _runs(count, start):
+    """Positions start[n], ..., start[n] + count[n] - 1 for each n, in order."""
+    skip = np.repeat(start - (np.cumsum(count) - count), count)
+    return np.arange(len(skip)) + skip
 
 
 def _character_residuals(algebra: StructureAlgebra, rows):

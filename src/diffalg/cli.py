@@ -26,7 +26,7 @@ from .dersys import DerivativeSystem, from_homomorphism, to_homomorphism, verify
 from .diffcalc import RelativeOp, check_stabilization, diff_order, truncation_hom
 from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
-from .geometry import cotangent_space, pairing, tangent_space
+from .geometry import cotangent_space, pairing_matrix, tangent_space
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
 from .multiindex import mi_count, mi_enumerate
 from .series import SeriesElement, ser_unit, series_algebra, series_to_coords
@@ -354,8 +354,7 @@ def cmd_tangent(data, args):
     taus = tangent_space(alg, ch, real=bool(data.get("real", False)),
                          tol=args.tol_rank)
     classes, _ = cotangent_space(alg, ch)
-    gram = np.array([[pairing(t, x) for x in classes] for t in taus],
-                    dtype=complex) if taus and classes else np.zeros((0, 0))
+    gram = pairing_matrix(taus, classes) if taus and classes else np.zeros((0, 0))
     square = gram.shape[0] == gram.shape[1]
     invertible = bool(square and gram.shape[0] == la.rank(gram)) if gram.size else square
     results = {

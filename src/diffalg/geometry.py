@@ -22,6 +22,7 @@ __all__ = [
     "cotangent_space",
     "cotangent_class",
     "pairing",
+    "pairing_matrix",
 ]
 
 
@@ -172,21 +173,37 @@ def cotangent_class(algebra: StructureAlgebra, s: Character, f,
 
 def pairing(tau: TangentVector, xi: CotangentClass,
             tol: float = 1e-9) -> complex:
-    """tau evaluated on a representative of xi.
+    """tau evaluated on a representative of xi: pairing_matrix of one pair."""
+    return complex(pairing_matrix([tau], [xi], tol)[0, 0])
 
-    Representative independence requires tau to kill span(I_s^2); that is
-    re-verified here so a mismatched pair fails loudly instead of returning
-    a representative-dependent number.
+
+def pairing_matrix(taus, classes, tol: float = 1e-9) -> np.ndarray:
+    """tau(xi) for each tangent vector tau and cotangent class xi, as a
+    (len(taus), len(classes)) complex array.
+
+    Representative independence requires each tau to kill span(I_s^2);
+    that is re-verified here, once per tau, so a mismatched pair fails
+    loudly instead of returning a representative-dependent number. The
+    kernel square is built once per base character. Pairs are checked in
+    row-major order, each tau against span(I_s^2) at its first class.
     """
-    if tau.algebra is not xi.algebra:
-        raise DomainError("tangent vector and cotangent class disagree on the algebra")
-    if np.abs(tau.point.functional - xi.point.functional).max() > 1e-8:
-        raise DomainError("tangent vector and cotangent class sit at different points")
-    kernel = tau.point.kernel()
-    square = subspace_product(kernel, kernel)
-    if square.dim:
-        vals = np.abs(square.basis @ tau.functional)
-        if vals.max() > tol * (1.0 + np.abs(tau.functional).max()):
-            raise NumericError("functional does not vanish on kernel-squared; "
-                               "pairing would depend on the representative")
-    return complex(tau.functional @ xi.representative)
+    gram = np.empty((len(taus), len(classes)), dtype=complex)
+    point = square = None
+    for a, tau in enumerate(taus):
+        for b, xi in enumerate(classes):
+            if tau.algebra is not xi.algebra:
+                raise DomainError("tangent vector and cotangent class disagree on the algebra")
+            if np.abs(tau.point.functional - xi.point.functional).max() > 1e-8:
+                raise DomainError("tangent vector and cotangent class sit at different points")
+            if b == 0:
+                if tau.point is not point:
+                    point = tau.point
+                    kernel = point.kernel()
+                    square = subspace_product(kernel, kernel)
+                if square.dim:
+                    vals = np.abs(square.basis @ tau.functional)
+                    if vals.max() > tol * (1.0 + np.abs(tau.functional).max()):
+                        raise NumericError("functional does not vanish on kernel-squared; "
+                                           "pairing would depend on the representative")
+            gram[a, b] = complex(tau.functional @ xi.representative)
+    return gram

@@ -174,16 +174,7 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
         alg = group_algebra(group.factors)
         rows_ok = bool(_character_mask(alg, phi, 1e-8).all())
         found = characters(alg)
-        matched = 0
-        used = set()
-        for ch in found:
-            for j in range(d):
-                if j in used:
-                    continue
-                if np.abs(ch.functional - phi[j]).max() <= 1e-7:
-                    used.add(j)
-                    matched += 1
-                    break
+        matched = _greedy_matches([ch.functional for ch in found], phi)
         report["dual_rows_are_characters"] = rows_ok
         report["extracted_count"] = len(found)
         report["extracted_matched"] = matched == d == len(found)
@@ -205,6 +196,18 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
     report["ok"] = bool(chars_ok and unitary <= tol and round_trip <= tol
                         and conv_res <= tol and inv_res <= tol)
     return report
+
+
+def _greedy_matches(rows, phi, tol=1e-7) -> int:
+    """How many rows find a row of phi within tol (max-norm), each taking
+    the first one that no earlier row took: one comparison per row against
+    all of phi, so no (rows, d, d) array is held."""
+    used = np.zeros(len(phi), dtype=bool)
+    for row in rows:
+        free = np.flatnonzero((np.abs(row - phi).max(axis=1) <= tol) & ~used)
+        if len(free):
+            used[free[0]] = True
+    return int(used.sum())
 
 
 class ValueBundle:

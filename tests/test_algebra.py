@@ -1,10 +1,11 @@
 """Structure-constant algebras: constructors, axioms, characters, quotients.
 
 The named constructors build their tensors exactly and skip the axiom
-self-check (O(d^5) time, O(d^3) memory), so this file is where the axioms
-actually get verified for each family at small dimension. The law
-checkers are also compared, message for message, with plain loop
-implementations kept here as references.
+self-check (O(d^3) memory; time O(d^5) for a dense tensor, O(d^3) for a
+semigroup algebra), so this file is where the axioms actually get
+verified for each family at small dimension. The law checkers are also
+compared, message for message, with plain loop implementations kept here
+as references, and the two associativity routes with each other.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diffalg import (
     Character,
@@ -34,6 +36,7 @@ from diffalg import (
     subspace_product,
     truncated_poly,
 )
+from diffalg import algebra as algebra_module
 
 FAMILIES = [
     matrix_algebra(2),
@@ -383,11 +386,79 @@ def _perturbations(alg, seed):
     }
 
 
+def _product_count(c):
+    """Products of two nonzero constants on both sides of associativity,
+    counted by contraction: the T that picks the associativity route."""
+    nz = (c != 0).astype(int)
+    return int(np.einsum("ijl,lkm->", nz, nz) + np.einsum("jkl,ilm->", nz, nz))
+
+
+def _sparse_around_bound(d, seed):
+    """Two random integer tensors one nonzero apart, T just below and just
+    above 2 d^3, with several products per basis pair."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((d, d, d))
+    while _product_count(c) <= 2 * d ** 3:
+        below = c.copy()
+        c[tuple(rng.integers(0, d, size=3))] = rng.integers(1, 4)
+    return [StructureAlgebra(t, np.eye(d), np.eye(d)[0], check=False) for t in (below, c)]
+
+
+# Beyond FAMILIES: larger semigroup algebras and the random tensors on both
+# sides of the route bound; the dense tensor-noise copies take the slabs
+LAW_CASES = FAMILIES + [matrix_algebra(5), truncated_poly(2, 5), group_algebra([4, 4, 2]),
+                        *_sparse_around_bound(7, seed=3)]
+
+
 @pytest.mark.parametrize("tol", [1e-9, 1e-5])
-@pytest.mark.parametrize("index", range(len(FAMILIES)), ids=lambda i: repr(FAMILIES[i]))
+@pytest.mark.parametrize("index", range(len(LAW_CASES)), ids=lambda i: repr(LAW_CASES[i]))
 def test_axiom_violations_match_loop_reference(index, tol):
-    for kind, alg in _perturbations(FAMILIES[index], seed=index).items():
+    for kind, alg in _perturbations(LAW_CASES[index], seed=index).items():
         assert alg.axiom_violations(tol) == reference_axiom_violations(alg, tol), kind
+
+
+def test_associativity_route_follows_the_product_count(monkeypatch):
+    below, above = (alg.structure.real for alg in LAW_CASES[-2:])
+    d = below.shape[0]
+    assert all(((t != 0).sum(axis=2) > 1).any() for t in (below, above))
+    assert _product_count(below) <= 2 * d ** 3 < _product_count(above)
+    taken = []
+    for name in ("_associativity_slabs", "_associativity_products"):
+        route = getattr(algebra_module, name)
+        monkeypatch.setattr(algebra_module, name,
+                            lambda *a, _n=name, _f=route: taken.append(_n) or _f(*a))
+    for r in (below, above, matrix_algebra(5).structure.real,
+              _perturbations(matrix_algebra(2), seed=0)["tensor-noise"].structure):
+        algebra_module._associativity_worst(r)
+    assert taken == ["_associativity_products", "_associativity_slabs",
+                     "_associativity_products", "_associativity_slabs"]
+
+
+_SMALL = [alg for alg in FAMILIES if alg.dim <= 9]
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(range(len(_SMALL) + 1)), seed=st.integers(0, 2 ** 32 - 1),
+       bumps=st.integers(0, 12), imaginary=st.booleans())
+def test_associativity_routes_agree(base, seed, bumps, imaginary):
+    """Both routes name the same residual and the same first triple, on
+    semigroup tensors with integer bumps (many ties at the largest
+    residual) and on random sparse tensors."""
+    rng = np.random.default_rng(seed)
+    if base < len(_SMALL):
+        c = _SMALL[base].structure.real.copy()
+    else:
+        d = int(rng.integers(1, 7))
+        c = np.zeros((d, d, d))
+        c[tuple(rng.integers(0, d, size=(3, int(rng.integers(0, 2 * d * d + 1)))))] = 1.0
+    d = c.shape[0]
+    if imaginary:
+        c = c.astype(complex)
+    for _ in range(bumps):
+        bump = rng.integers(-2, 3) + (1j * rng.integers(-1, 2) if imaginary else 0)
+        c[tuple(rng.integers(0, d, size=3))] += bump
+    expected = algebra_module._associativity_slabs(c)
+    assert algebra_module._associativity_products(c, *np.nonzero(c)) == expected
 
 
 def test_perturbations_break_the_laws():
@@ -447,6 +518,43 @@ def test_axiom_violations_memory_is_cubic():
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("factors,mib", [([4, 4, 2], 2.02), ([10, 10], 61.0)])
+def test_axiom_violations_memory_of_the_product_route(factors, mib):
+    # 2 d^3 products at d = 32 and d = 100; the bounds are the peaks traced
+    # with the slab loop, which the blocks of products stay below
+    g = group_algebra(factors)
+    tracemalloc.start()
+    try:
+        assert g.axiom_violations() == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2 ** 20
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_residuals_fail_every_law(value):
+    f2 = function_algebra(2)
+    c = f2.structure.copy()
+    c[0, 0, 0] = value
+    msgs = StructureAlgebra(c, f2.involution, f2.unit, check=False).axiom_violations()
+    assert msgs[0] == f"associativity fails at basis triple (0,0,0), residual {np.nan:.2e}"
+    # the same tensor made dense takes the slab route, which fails it too
+    dense = c + 1e-3
+    msgs = StructureAlgebra(dense, f2.involution, f2.unit, check=False).axiom_violations()
+    assert msgs[0].startswith("associativity fails at basis triple (0,0,0), residual ")
+    s = f2.involution.copy()
+    s[1, 1] = value
+    u = f2.unit.copy()
+    u[1] = value
+    assert StructureAlgebra(f2.structure, s, u, check=False).axiom_violations() == [
+        "left unit law fails at basis 0", "right unit law fails at basis 0",
+        "left unit law fails at basis 1", "right unit law fails at basis 1",
+        "involution is not an involution: S conj(S) != I",
+        "unit is not involution-fixed", *(f"(xy)* = y*x* fails at basis pair ({i},{j})"
+                                          for i in range(2) for j in range(2))]
 
 
 def reference_is_commutative(alg, tol):

@@ -51,6 +51,23 @@ def test_algebra_check_broken_file(capsys, tmp_path):
     assert rep["violations"]
 
 
+@pytest.mark.parametrize("field,value", [("structure", "NaN"), ("structure", "Infinity"),
+                                         ("involution", "-Infinity"), ("unit", "NaN")])
+def test_algebra_check_refuses_non_finite_entries(capsys, tmp_path, field, value):
+    """Python's json reads NaN and Infinity; such an algebra is refused
+    before any law is checked."""
+    doc = function_algebra(2).to_dict()
+    entry = {"structure": doc["structure"][0][0], "involution": doc["involution"][1],
+             "unit": doc["unit"]}[field]
+    entry[1] = [12345.0, 0.0]  # a placeholder for the non-finite json token
+    text = json.dumps(doc).replace("12345.0", value)
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "algebra-check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: {field} has an entry that is not finite\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, out, err = run(capsys, "algebra-check", "/nonexistent/nope.json")
     assert code == 2

@@ -24,6 +24,7 @@ from diffalg import (
     function_algebra,
     matrix_algebra,
     pairing,
+    pairing_matrix,
     subspace_product,
     tangent_space,
     truncated_poly,
@@ -115,6 +116,40 @@ def test_pairing_guards():
     xi = cotangent_class(alg, s, np.eye(alg.dim)[1])
     with pytest.raises(NumericError):
         pairing(fake, xi)
+
+
+@pytest.mark.parametrize("alg", [truncated_poly(2, 3), truncated_poly(3, 2), cusp_algebra()],
+                         ids=repr)
+def test_pairing_matrix_entries_are_the_pairings(alg):
+    s = _delta(alg)
+    taus = tangent_space(alg, s)
+    classes, _ = cotangent_space(alg, s)
+    gram = pairing_matrix(taus, classes)
+    assert gram.dtype == complex and gram.shape == (len(taus), len(classes))
+    for a, t in enumerate(taus):
+        for b, x in enumerate(classes):
+            assert gram[a, b] == complex(t.functional @ x.representative)
+    assert pairing_matrix(taus, []).shape == (len(taus), 0)
+
+
+def test_pairing_matrix_guards_each_pair_in_order():
+    alg = truncated_poly(1, 3)
+    s = _delta(alg)
+    tau = tangent_space(alg, s)[0]
+    fake = TangentVector(alg, np.eye(alg.dim)[2], s)
+    xi = cotangent_class(alg, s, np.eye(alg.dim)[1])
+    other = truncated_poly(2, 2)
+    xi_other = cotangent_class(other, _delta(other), np.eye(other.dim)[1])
+    with pytest.raises(NumericError, match="does not vanish on kernel-squared"):
+        pairing_matrix([fake, tau], [xi, xi_other])
+    with pytest.raises(NumericError, match="does not vanish on kernel-squared"):
+        pairing_matrix([tau, fake], [xi])
+    with pytest.raises(DomainError, match="disagree on the algebra"):
+        pairing_matrix([tau, fake], [xi_other, xi])
+    # a tau at another character object of the same point gets its own square
+    s2 = Character(alg, s.functional.copy())
+    tau2 = TangentVector(alg, tau.functional, s2)
+    assert pairing_matrix([tau, tau2], [xi]).tolist() == [[pairing(tau, xi)]] * 2
 
 
 def test_cotangent_class_requires_vanishing_representative():

@@ -27,6 +27,7 @@ from diffalg import (
     truncated_poly,
     value_bundle,
 )
+from diffalg import spectra
 
 
 # -- groups and transforms ----------------------------------------------------
@@ -119,6 +120,48 @@ def test_fourier_check_large_order_path():
     assert rep["extracted_count"] is None
     with pytest.raises(DomainError):
         fourier_check([64, 64, 2])  # 8192 over the bound
+
+
+def reference_greedy_matches(rows, phi):
+    """The loop fourier_check matched extracted characters with before one
+    closeness matrix replaced it: each row takes the first free close j."""
+    matched = 0
+    used = set()
+    for row in rows:
+        for j in range(len(phi)):
+            if j in used:
+                continue
+            if np.abs(row - phi[j]).max() <= 1e-7:
+                used.add(j)
+                matched += 1
+                break
+    return matched
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_matches_agree_with_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    phi = fourier_matrix(FiniteAbelianGroup((4, 2)))
+    d = len(phi)
+    # permuted rows, repeats, rows just inside and just outside 1e-7, a
+    # NaN row and a duplicated dual row, so rows compete for the same j
+    phi = np.vstack([phi, phi[:1]])
+    pick = rng.integers(0, d + 1, size=int(rng.integers(0, 2 * d)))
+    rows = phi[pick] + rng.choice([0.0, 5e-8, 2e-7], size=(len(pick), 1))
+    if len(rows) and seed % 2:
+        rows[0, 0] = np.nan
+    expected = reference_greedy_matches(rows, phi)
+    assert spectra._greedy_matches(rows, phi) == expected
+    assert spectra._greedy_matches(phi[:d], phi[:d]) == d
+
+
+def test_greedy_matches_take_the_first_free_row():
+    # a is close to both dual rows and takes the first, so b, close only
+    # to that one, is left unmatched
+    x = np.ones(3, dtype=complex)
+    phi = np.vstack([x, x + 1.5e-7])
+    rows = [x + 0.75e-7, x - 0.5e-7]
+    assert spectra._greedy_matches(rows, phi) == reference_greedy_matches(rows, phi) == 1
 
 
 # -- value bundles ------------------------------------------------------------
