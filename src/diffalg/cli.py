@@ -380,8 +380,7 @@ def cmd_envelope(data, args):
     box = data["box"]
     if len(box) != m:
         raise ValueError(f"box must list {m} intervals")
-    verdict = envelope_verdict(gens, box, int(data["grid"]),
-                               data.get("options"))
+    verdict = envelope_verdict(gens, box, data["grid"], data.get("options"))
     # the reasons as the verdict holds them (a FAIL's Reasons is rendered
     # from its witness arrays, without building its dicts)
     reasons = verdict._reasons

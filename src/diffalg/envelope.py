@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -352,6 +353,8 @@ MAX_SEPARATION_CANDIDATES = 2 ** 20
 
 def _grid_points(box, grid: int) -> list[np.ndarray]:
     box = [(float(lo), float(hi)) for lo, hi in box]
+    if not box:
+        raise ValueError("the box needs at least one axis (m >= 1)")
     if grid < 2:
         raise ValueError("need at least 2 grid points per axis")
     for axis, (lo, hi) in enumerate(box):
@@ -374,6 +377,16 @@ def _tolerance(name: str, value) -> float:
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"{name} must be finite and non-negative, not {tol!r}")
     return tol
+
+
+def _integer(name: str, value) -> int:
+    """An integer input as an int; a bool, a number with a fraction and
+    anything that is not a number are refused with ValueError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class _Sample(NamedTuple):
@@ -402,8 +415,12 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
     bad = np.zeros(npts, dtype=bool)
     with np.errstate(all="ignore"):
         if values:
-            vals = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
-            bad |= ~np.isfinite(vals).all(axis=1)
+            columns = [np.asarray(g.eval(grids), dtype=float) for g in gens]
+            # one generator at a time: a reduction over the short generator
+            # axis of the stacked values costs more than the k passes
+            for col in columns:
+                bad |= ~np.isfinite(col)
+            vals = np.stack(columns, axis=1)
         if jac:
             jacobian = np.empty((m, len(gens), npts))
             for j, g in enumerate(gens):
@@ -452,6 +469,22 @@ def _coordinate_order(grids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs[:, ~repeated]
 
 
+def _candidate_counts(key: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """For each position i of the sorted keys, the number of later keys at
+    most key[i] + window[i]: the count np.searchsorted(key, key + window,
+    side="right") - (i + 1) gives.
+
+    Only the open positions, whose next key is within that same rounded
+    sum, are searched; since the keys are sorted, every other position has
+    no later key in reach and counts 0.
+    """
+    reach = key + window
+    count = np.zeros(len(key), dtype=np.intp)
+    open_ = np.flatnonzero(key[1:] <= reach[:-1])
+    count[open_] = np.searchsorted(key, reach[open_], side="right") - open_ - 1
+    return count
+
+
 def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
                      sample: _Sample | None = None) -> list | None:
     """Grid-point pairs whose generator values all differ by at most the
@@ -490,7 +523,7 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     fp = np.finfo(float)
     window = tol + 2 * (k + 1) * (fp.eps * ((np.abs(values) @ w)[order] + tol)
                                   + fp.smallest_subnormal)
-    count = np.searchsorted(key, key + window, side="right") - np.arange(1, npts + 1)
+    count = _candidate_counts(key, window)
     total = int(count.sum())
     if total > MAX_SEPARATION_CANDIDATES:
         raise DomainError(f"separation check has {total} candidate pairs; "
@@ -583,6 +616,105 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, bottom
 
 
+def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
+    """The points t of jac (m, k, n) at which a verified Gram test proves
+    that the Jacobi of _extreme_singular_values finds no witness: its
+    sigma_m is above tol_rank * max(sigma_1, 1) by more than its error.
+
+    Per point, s is the largest absolute entry (1 for a zero Jacobian),
+    a = fl(J / s) as in _extreme_singular_values and B = J / s exactly.
+    Let u = eps / 2, gamma_n = n u / (1 - n u), eta the smallest subnormal
+    and nu the smallest normal number. For a nonzero J the computed trace
+    t of G^ = fl(a a^T) is at least 1, since a has an entry +-1 exactly,
+    so every absolute underflow term below, a multiple of eta, is folded
+    into the coefficient of T or rho. A zero J has G^ = 0 and no positive
+    pivot.
+
+    - T = t (1 + 2 gamma_{m+k}) bounds ||a||_F^2 and tr G^, and
+      rho = sqrt(T) (1 + eps) bounds sigma_1(B) <= ||B||_F.
+    - The Jacobi's top and bottom are within delta s sigma_1(B),
+      delta = 8 sqrt(k) eps (the bound the rank reference tests hold it
+      to), plus eta / 2 of underflow, of s sigma_1(B) and s sigma_m(B).
+      A larger tol_rank makes more witnesses, so the test uses
+      tol = max(tol_rank, nu); then the computed cut tol * max(top, 1)
+      and the underflow stay within a factor 1 + 2 eps of the exact cut.
+      So the Jacobi finds no witness where sigma_m(B) > theta =
+      (delta + u + m k eta) rho
+      + (1 + 2 eps) tol max(s rho (1 + delta) (1 + 2 eps), 1) / s,
+      where u rho + m k eta also covers ||a - B||_2, the rounding of the
+      division. The extra 1 + 2 eps in the max makes theta infinite, and
+      the point undecided, wherever top could overflow.
+    - Gram rounding (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 3.5): ||G^ - a a^T||_2 <= (gamma_k + m k eta) T.
+    - Cholesky rounding (Rump, "Verification of positive definiteness",
+      BIT 46, 2006, after Demmel): when the floating-point Cholesky of
+      fl(G^ - mu I) has only positive pivots, lambda_min(G^) > mu -
+      (gamma_{2m+3} + 2 m (m + 3) eta) T, with the rounding of the shifted
+      diagonal and underflow.
+
+    So mu = theta^2 + (gamma_k + gamma_{2m+3} + (m k + 2 m (m + 3)) eta) T
+    gives sigma_m(a) > theta + ||a - B||_2, hence sigma_m(B) > theta, at
+    every point with positive pivots. mu combines positive numbers in
+    fewer than 40 roundings, none subnormal, which the factor 1 + 64 eps
+    covers; an overflow makes it infinite. k < m (G singular) and a
+    tol_rank of 1 or more (theta >= rho >= sigma_m) leave every point
+    undecided.
+    """
+    m, k, _ = jac.shape
+    fp = np.finfo(float)
+    u, eta = fp.eps / 2, fp.smallest_subnormal
+
+    def gamma(n):
+        return n * u / (1.0 - n * u)
+
+    delta = 8.0 * math.sqrt(k) * fp.eps
+    widen = 1.0 + 2 * gamma(m + k)          # T = widen * t
+    rounding = 1.0 + 64 * fp.eps            # mu's own evaluation
+    scale = np.abs(jac).max(axis=(0, 1))
+    scale = np.where(scale > 0.0, scale, 1.0)
+    a = jac / scale
+    gram = {(p, q): np.einsum("in,in->n", a[p], a[q])
+            for p, q in itertools.combinations_with_replacement(range(m), 2)}
+    trace = sum(gram[p, p] for p in range(m))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho = np.sqrt(trace) * (math.sqrt(widen) * (1.0 + fp.eps))
+        reach = np.maximum(rho * ((1.0 + delta) * (1.0 + 2 * fp.eps)) * scale, 1.0)
+        theta = ((delta + u + m * k * eta) * rho
+                 + reach * (max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)) / scale)
+        mu = (theta * theta * rounding
+              + ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
+                 * widen * rounding) * trace)
+        # Cholesky of gram - mu I, column by column of its lower factor. A
+        # pivot that is not positive makes every later pivot NaN or -inf,
+        # so the last one decides.
+        low = {}
+        for j in range(m):
+            pivot = (gram[j, j] - mu) - sum(low[j, p] ** 2 for p in range(j))
+            root = np.sqrt(pivot)
+            for i in range(j + 1, m):
+                low[i, j] = (gram[j, i] - sum(low[i, p] * low[j, p] for p in range(j))) / root
+    return pivot > 0.0
+
+
+def _rank_deficient(jac: np.ndarray, tol_rank: float) -> np.ndarray:
+    """The witness mask of the rank certificate: sigma_m <= tol_rank *
+    max(sigma_1, 1), with both from _extreme_singular_values, computed
+    only at the points of each block that _gram_clears leaves undecided;
+    the points it clears are not witnesses. With one variable the Jacobi
+    has no row pair to rotate and costs less than the screen, so every
+    point goes to it."""
+    m, _, npts = jac.shape
+    mask = np.zeros(npts, dtype=bool)
+    for start in range(0, npts, JACOBI_BLOCK):
+        block = jac[:, :, start:start + JACOBI_BLOCK]
+        undecided = (np.flatnonzero(~_gram_clears(block, tol_rank)) if m > 1
+                     else np.arange(block.shape[2]))
+        if undecided.size:
+            top, bottom = _extreme_singular_values(np.take(block, undecided, axis=2))
+            mask[start + undecided] = bottom <= tol_rank * np.maximum(top, 1.0)
+    return mask
+
+
 def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
                        sample: _Sample | None = None) -> list | None:
     """Sample points, sorted, where the generator Jacobian has rank below
@@ -601,8 +733,7 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, values=False)
-    top, bottom = _extreme_singular_values(sample.jac)
-    points = np.flatnonzero(bottom <= tol_rank * np.maximum(top, 1.0))
+    points = np.flatnonzero(_rank_deficient(sample.jac, tol_rank))
     points = points[_lex_order(sample.grids, points)]
     sample.witnesses["tangent"] = points
     return None if shared else _point_tuples(sample.grids, points)
@@ -801,17 +932,52 @@ class Verdict:
         return f"<Verdict {self.status} reasons={len(self._reasons)}>"
 
 
+_OPTIONS = ("tol_sep", "tol_rank", "jet_order", "jet_wordlen", "jet_points")
+
+
+def _check_jet_points(points, m: int) -> None:
+    """Refuses with ValueError jet_points that are not a list of points of
+    exactly m finite numbers each."""
+    if not isinstance(points, (list, tuple)):
+        raise ValueError(f"jet_points must be a list of points, not {points!r}")
+    for pt in points:
+        if (not isinstance(pt, (list, tuple, np.ndarray)) or len(pt) != m
+                or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                           and math.isfinite(x) for x in pt)):
+            raise ValueError(f"each of jet_points must be a list of {m} finite "
+                             f"numbers, not {pt!r}")
+
+
 def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdict:
     """Runs the sampled certificates and aggregates them.
 
     options: tol_sep, tol_rank override tolerances; jet_order requests the
     polynomial jet certificate (with jet_wordlen and jet_points, default
     point = box center). Jet non-surjectivity at a stalled word length is
-    a FAIL; still-growing spans give INCONCLUSIVE.
+    a FAIL; still-growing spans give INCONCLUSIVE. An unknown option, a
+    grid, jet_order or jet_wordlen that is not an integer, a negative
+    jet_order and a jet point that is not a list of m finite numbers are
+    refused with ValueError before anything is sampled.
     """
     options = dict(options or {})
+    unknown = sorted(set(options) - set(_OPTIONS))
+    if unknown:
+        raise ValueError(f"unknown envelope option {unknown[0]!r}; "
+                         f"the options are {', '.join(_OPTIONS)}")
     tol_sep = _tolerance("tol_sep", options.get("tol_sep", 1e-9))
     tol_rank = _tolerance("tol_rank", options.get("tol_rank", 1e-8))
+    grid = _integer("grid", grid)
+    jet_order = options.get("jet_order")
+    if jet_order is not None:
+        jet_order = _integer("jet_order", jet_order)
+        if jet_order < 0:
+            raise ValueError(f"jet_order must be >= 0, not {jet_order}")
+    wordlen = options.get("jet_wordlen")
+    if wordlen is not None:
+        wordlen = _integer("jet_wordlen", wordlen)
+    points = options.get("jet_points")
+    if points is not None:
+        _check_jet_points(points, len(box))
     sample = _sample(gens, box, grid)
     # Both checks run under their public names and, given the sample,
     # leave their ordered witness indices on it without building the point
@@ -825,15 +991,12 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     critical = np.stack(np.unravel_index(sample.witnesses["tangent"], shape))
 
     failed, inconclusive = [], []
-    jet_order = options.get("jet_order")
     polynomial = all(g.degree() is not None for g in gens)
     if jet_order is not None and polynomial:
-        wordlen = options.get("jet_wordlen")
-        points = options.get("jet_points")
         if points is None:
             points = [tuple(_midpoint(float(lo), float(hi)) for lo, hi in box)]
         for pt in points:
-            res = jet_surjectivity_check(gens, pt, int(jet_order), wordlen)
+            res = jet_surjectivity_check(gens, pt, jet_order, wordlen)
             if res.ok:
                 continue
             entry = {"condition": "jet", "witness": list(pt),

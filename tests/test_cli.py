@@ -552,6 +552,40 @@ def test_envelope_bad_tolerances_are_input_errors(capsys, tmp_path, options):
     assert f"{name} must be finite and non-negative" in err
 
 
+def test_envelope_without_variables_is_an_input_error(capsys, tmp_path):
+    doc = {"m": 0, "generators": ["(const 1)"], "box": [], "grid": 11}
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "m0.json", doc))
+    assert (code, out) == (2, "")
+    assert "the box needs at least one axis (m >= 1)" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("options", {"tol_sp": 1e-3}, "unknown envelope option 'tol_sp'"),
+    ("grid", 11.7, "grid must be an integer, not 11.7"),
+    ("grid", True, "grid must be an integer, not True"),
+    ("options", {"jet_order": 1.5}, "jet_order must be an integer, not 1.5"),
+    ("options", {"jet_order": False}, "jet_order must be an integer, not False"),
+    ("options", {"jet_order": 2, "jet_wordlen": "x"}, "jet_wordlen must be an integer, not 'x'"),
+    ("options", {"jet_order": -1}, "jet_order must be >= 0, not -1"),
+])
+def test_envelope_bad_sizes_and_options_are_input_errors(capsys, tmp_path, field, value, message):
+    doc = {"m": 1, "generators": ["(var 0)"], "box": [[-1.0, 1.0]], "grid": 11}
+    doc[field] = value
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "opt.json", doc))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("m, point", [(1, [0.5, 0.5]), (2, [0.5]), (1, [float("nan")])])
+def test_envelope_jet_points_of_the_wrong_shape_are_input_errors(capsys, tmp_path, m, point):
+    doc = {"m": m, "generators": [f"(var {i})" for i in range(m)],
+           "box": [[-1.0, 1.0]] * m, "grid": 5,
+           "options": {"jet_order": 2, "jet_points": [point]}}
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "pts.json", doc))
+    assert (code, out) == (2, "")
+    assert f"each of jet_points must be a list of {m} finite numbers" in err
+
+
 def test_envelope_fewer_generators_than_variables_fails(capsys, tmp_path):
     doc = {"m": 2, "generators": ["(var 0)"], "box": [[-1, 1], [-1, 1]], "grid": 3}
     code, rep, _ = run_json(capsys, "envelope", _write(tmp_path, "kless.json", doc))

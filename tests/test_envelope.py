@@ -249,6 +249,12 @@ def test_non_finite_box_is_refused(box):
         envelope_verdict([Var(0)], box, 3)
 
 
+@pytest.mark.parametrize("check", [envelope_verdict, separation_check, tangent_rank_check])
+def test_empty_box_is_refused(check):
+    with pytest.raises(ValueError, match="at least one axis"):
+        check([Const(1.0)], [], 11)
+
+
 def test_verdict_builds_its_reason_dicts_once():
     v = envelope_verdict([Prod(Var(0), Var(0))], BOX1, 5)
     assert v.reasons is v.reasons is v.to_dict()["reasons"]
