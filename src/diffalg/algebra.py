@@ -236,12 +236,34 @@ class PolyAlgebra(StructureAlgebra):
         labels = [monomial_label(k) for k in table.exponents]
         super().__init__(*_semigroup(table.add, np.arange(table.dim), 0),
                          labels=labels, **kw)
-        self.mvars = mvars
-        self.degree = degree
+        self._use_table(table)
+
+    def _use_table(self, table: MonomialTable) -> None:
+        self.mvars = table.mvars
+        self.degree = table.degree
         self.table = table
         self.exponents: list[MultiIndex] = table.exponents
         self.exp_index = table.exp_index
         self.jet_cache: dict = {}
+
+    def truncated(self, n: int) -> "PolyAlgebra":
+        """The polynomials of degree <= n, as a new algebra.
+
+        In the graded order they are the first q = C(m+n, m) monomials, and
+        products above degree n land past them, so the structure, the
+        involution, the unit, the labels and the monomial table are the
+        leading q-corners of this algebra's: the same algebra as
+        truncated_poly(m, n), without building it. The result is a new
+        object even for n = degree, so its elements never mix with ours.
+        """
+        table = self.table.truncated(n)
+        q = table.dim
+        out = PolyAlgebra.__new__(PolyAlgebra)
+        StructureAlgebra.__init__(out, self.structure[:q, :q, :q].copy(),
+                                  self.involution[:q, :q].copy(), self.unit[:q].copy(),
+                                  labels=self.labels[:q], check=False)
+        out._use_table(table)
+        return out
 
     def evaluate(self, coords, point) -> complex:
         """Value of the polynomial with the given coefficients at a point."""

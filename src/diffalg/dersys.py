@@ -123,11 +123,24 @@ class SystemReport:
         return f"<SystemReport ok={self.ok} violations={len(self.violations)}>"
 
 
+# Complex entries of one block of the Leibniz check: its two sides, or one
+# run of pair products together with the contraction they are made from.
+_BLOCK_ENTRIES = 2 ** 18
+
+
 def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
     """Checks the unit, involution, and binomial Leibniz axioms.
 
     All three are bilinear or antilinear in the algebra arguments, so
     checking them on basis vectors and basis pairs is exhaustive.
+
+    The Leibniz sides are formed for a block of indices k at once: the
+    left sides by one batched product with the source structure, and the
+    products D_{k-l}(e_i) D_l(e_j) of the pairs l <= k by two against the
+    target structure, taking one pair of each index at a time. So each
+    product is added into its k in the order of l, as a loop over the
+    pairs would, and a block holds at most _BLOCK_ENTRIES complex entries
+    of each of its arrays.
     """
     a, b = sys.source, sys.target
     violations = []
@@ -143,20 +156,50 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
             violations.append({"axiom": axiom, "index": sys.indices[r], "pair": None,
                                "residual": float(residuals[r])})
 
-    table = sys.table
-    binom = table.binomials()
-    for r, k in enumerate(sys.indices):
-        lhs = a.structure @ ops[r].T
+    da, db = a.dim, b.dim
+    ops_t = ops.transpose(0, 2, 1)
+    sb = b.structure.reshape(db, db * db)
+    ks, ls, diffs = sys.table.pairs()
+    coeffs = sys.table.binomials()[ls, ks]
+    # the place of each pair among the pairs of its index, in the order of l
+    starts = np.searchsorted(ks, np.arange(len(ops) + 1))
+    rank = np.arange(len(ks)) - starts[ks]
+    step = max(1, _BLOCK_ENTRIES // (da * db * (da + db)))
+    for lo in range(0, len(ops), step):
+        hi = min(lo + step, len(ops))
+        lhs = a.structure @ ops_t[lo:hi, None]
         rhs = np.zeros_like(lhs)
-        for l in np.flatnonzero(table.sub[r] >= 0):
-            rhs += binom[l, r] * b.mul_pairs(ops[table.sub[r, l]].T, ops[l].T)
+        # the block's pairs by rank: a run of one rank holds at most one
+        # pair of each index, so adding run after run keeps the order of l
+        pairs = np.arange(starts[lo], starts[hi])
+        pairs = pairs[np.argsort(rank[pairs], kind="stable")]
+        edges = np.flatnonzero(np.diff(rank[pairs]))
+        for run in np.split(pairs, edges + 1):
+            left = (ops_t[diffs[run]] @ sb).reshape(-1, da, db, db)
+            rhs[ks[run] - lo] += coeffs[run, None, None, None] * (ops_t[ls[run], None] @ left)
         gap = np.abs(lhs - rhs)
-        if gap.max() > tol * scale:
-            i, j = np.unravel_index(np.argmax(gap.max(axis=2)),
-                                    (a.dim, a.dim))
-            violations.append({"axiom": "leibniz", "index": k, "pair": (int(i), int(j)),
-                               "residual": float(gap[i, j].max())})
+        worst = gap.max(axis=(1, 2, 3))
+        for r in np.flatnonzero(worst > tol * scale):
+            i, j = np.unravel_index(np.argmax(gap[r].max(axis=2)), (da, da))
+            violations.append({"axiom": "leibniz", "index": sys.indices[lo + r],
+                               "pair": (int(i), int(j)),
+                               "residual": float(gap[r, i, j].max())})
     return SystemReport(violations)
+
+
+def _pack(sys: DerivativeSystem, tol: float) -> LinearOp:
+    """The map a -> (D_k(a)/k!)_k of a verified system, checked as a
+    homomorphism; NumericError if that check unexpectedly fails."""
+    ser = series_algebra(sys.target, sys.mvars, sys.order)
+    db = sys.target.dim
+    h = np.zeros((ser.dim, sys.source.dim), dtype=complex)
+    for p, k in enumerate(ser.exponents):
+        h[p * db:(p + 1) * db, :] = sys.op_matrix(k) / mi_factorial(k)
+    out = LinearOp(h, sys.source, ser)
+    bad = out.hom_violations(tol * (1.0 + sys.scale() ** 2))
+    if bad:
+        raise NumericError(f"packed series map fails homomorphism check: {bad[0]}")
+    return out
 
 
 def to_homomorphism(sys: DerivativeSystem, tol: float = 1e-9) -> LinearOp:
@@ -170,16 +213,7 @@ def to_homomorphism(sys: DerivativeSystem, tol: float = 1e-9) -> LinearOp:
     report = verify_system(sys, tol)
     if not report.ok:
         raise DomainError(f"not a derivative system: {report.summary()}")
-    ser = series_algebra(sys.target, sys.mvars, sys.order)
-    db = sys.target.dim
-    h = np.zeros((ser.dim, sys.source.dim), dtype=complex)
-    for p, k in enumerate(ser.exponents):
-        h[p * db:(p + 1) * db, :] = sys.op_matrix(k) / mi_factorial(k)
-    out = LinearOp(h, sys.source, ser)
-    bad = out.hom_violations(tol * (1.0 + sys.scale() ** 2))
-    if bad:
-        raise NumericError(f"packed series map fails homomorphism check: {bad[0]}")
-    return out
+    return _pack(sys, tol)
 
 
 def from_homomorphism(h: LinearOp, tol: float = 1e-9) -> DerivativeSystem:

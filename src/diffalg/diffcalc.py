@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import Character, Element, LinearOp, PolyAlgebra, StructureAlgebra, \
-    Subspace, truncated_poly
+    Subspace
 from .dersys import DerivativeSystem, verify_system
 from .errors import DomainError, NumericError
 from .geometry import TangentVector
@@ -394,14 +394,14 @@ def tangent_of_derivation(d: RelativeOp, t: Character,
 
 
 def truncation_hom(source: PolyAlgebra, target: PolyAlgebra) -> LinearOp:
-    """Degree-truncation map between polynomial algebras; a homomorphism."""
+    """Degree-truncation map between polynomial algebras; a homomorphism.
+
+    The graded order lists the monomials of degree <= target.degree first,
+    so this is the projection onto the leading target.dim coordinates.
+    """
     if source.mvars != target.mvars or target.degree > source.degree:
         raise ValueError("target must share variables and have no larger degree")
-    mat = np.zeros((target.dim, source.dim), dtype=complex)
-    for alpha, j in source.exp_index.items():
-        if sum(alpha) <= target.degree:
-            mat[target.exp_index[alpha], j] = 1.0
-    return LinearOp(mat, source, target)
+    return LinearOp(np.eye(target.dim, source.dim, dtype=complex), source, target)
 
 
 def derivative_matrix(source: PolyAlgebra, target: PolyAlgebra, i: int) -> np.ndarray:
@@ -445,6 +445,6 @@ def derivative_op(source: PolyAlgebra, i: int, drop: int = 1) -> RelativeOp:
     """
     if drop < 1 or drop > source.degree:
         raise ValueError("drop must be between 1 and the source degree")
-    target = truncated_poly(source.mvars, source.degree - drop)
+    target = source.truncated(source.degree - drop)
     op = LinearOp(derivative_matrix(source, target, i), source, target)
     return RelativeOp(op, truncation_hom(source, target), check=False)

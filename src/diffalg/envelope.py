@@ -286,6 +286,8 @@ def parse_expr(text: str, mvars: int | None = None) -> Expr:
     Forms: (+ e e), (* e e), (pow e k), (sin e), (cos e), (exp e),
     (flatbump e), (var i), (const c). Variable indices are 0-based.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a generator must be an expression string, not {text!r}")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 

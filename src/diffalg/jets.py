@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Element, LinearOp, PolyAlgebra, Subspace, truncated_poly
+from .algebra import Element, LinearOp, PolyAlgebra, Subspace
 from .diffcalc import RelativeOp, diff_order
 from .errors import DomainError, NumericError
 from .multiindex import mi_count
@@ -153,7 +153,7 @@ class JetSpace:
         _check_reach(self.point, base.degree)
         self.order = order
         self.chart = ChartBasis(base, self.point)
-        self.quotient = truncated_poly(base.mvars, order)
+        self.quotient = base.truncated(order)
         # the order-(n+1) vanishing subspace: chart monomials of chart degree > n
         self.ideal = _chart_span(self.chart, self.quotient.dim)
         # the rows f -> (d^k f)(point) / k!, |k| <= n, read off Taylor coefficients

@@ -170,6 +170,29 @@ class MonomialTable:
         order = tails[:, 0]
         self.add = np.where(order[:, None] + order[None, :] <= degree, add, -1)
         self.sub = np.where(le, sub, -1)
+        self._pattern = None
+
+    def truncated(self, degree: int) -> "MonomialTable":
+        """The table of the indices |k| <= degree, read off this one.
+
+        The graded order puts those indices first, so their table is the
+        leading corner of this one; only sums above the new degree, which
+        land at rows past the corner, become -1. Always a new table.
+        """
+        if not 0 <= degree <= self.degree:
+            raise ValueError(f"degree {degree} is not between 0 and {self.degree}")
+        q = mi_count(self.mvars, degree)
+        out = MonomialTable.__new__(MonomialTable)
+        out.exps = self.exps[:q].copy()
+        out.exponents = self.exponents[:q]
+        out.exp_index = {k: i for i, k in enumerate(out.exponents)}
+        out.mvars = self.mvars
+        out.degree = degree
+        out.add = self.add[:q, :q].copy()
+        out.add[out.add >= q] = -1
+        out.sub = self.sub[:q, :q].copy()
+        out._pattern = None
+        return out
 
     @property
     def dim(self) -> int:
@@ -186,14 +209,24 @@ class MonomialTable:
         fact = np.array([math.factorial(t) for t in range(self.degree + 1)], dtype=float)
         return np.prod(fact[self.exps], axis=1)
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows (k, l, k - l) of every pair l <= k, ordered by k and then
+        by l; computed on the first call and kept with the table."""
+        return self._upper_pattern()[:3]
+
+    def _upper_pattern(self):
+        if self._pattern is None:
+            k, l = np.nonzero(self.sub >= 0)
+            self._pattern = (k, l, self.sub[k, l], self.exps[k], self.exps[l])
+        return self._pattern
+
     def _upper(self, coeff, point) -> np.ndarray:
         """M[l, k] = prod_i coeff(k_i, l_i) * point^(k - l) for l <= k, else 0."""
         n = self.degree + 1
         tab = np.array([[coeff(a, b) for b in range(n)] for a in range(n)], dtype=float)
-        k, l = np.nonzero(self.sub >= 0)
+        k, l, diff, exps_k, exps_l = self._upper_pattern()
         out = np.zeros((self.dim, self.dim))
-        out[l, k] = (np.prod(tab[self.exps[k], self.exps[l]], axis=1)
-                     * self.monomials(point)[self.sub[k, l]])
+        out[l, k] = np.prod(tab[exps_k, exps_l], axis=1) * self.monomials(point)[diff]
         return out
 
     def binomials(self) -> np.ndarray:

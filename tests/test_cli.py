@@ -126,6 +126,15 @@ def test_dersys_verify_broken_leibniz(capsys, tmp_path):
     assert any(v["axiom"] == "leibniz" for v in rep["violations"])
 
 
+@pytest.mark.parametrize("field, value", [("m", 1.5), ("N", True), ("N", "2")])
+def test_dersys_verify_integer_fields_are_input_errors(capsys, tmp_path, field, value):
+    doc = _valid_dersys_doc()
+    doc[field] = value
+    code, out, err = run(capsys, "dersys-verify", _write(tmp_path, "dsys.json", doc))
+    assert (code, out) == (2, "")
+    assert f"{field} must be an integer, not {value!r}" in err
+
+
 def test_difforder_of_derivative(capsys, tmp_path):
     doc = {"source": "poly:1:4", "target": "poly:1:3",
            "operator": [[0, 1, 0, 0, 0], [0, 0, 2, 0, 0],
@@ -218,6 +227,25 @@ def test_jet_command(capsys, tmp_path):
     assert np.allclose([c[0] for c in jet], [1.0, 1.0, 0.0])
     assert rep["results"]["dim"] == 3
     assert rep["results"]["routes_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("field, value", [("m", 1.5), ("order", False),
+                                          ("order", 2.5), ("degree", "4")])
+def test_jet_integer_fields_are_input_errors(capsys, tmp_path, field, value):
+    doc = {"m": 1, "order": 2, "point": [0.0], "f": [{"index": [1], "coeff": 1}]}
+    doc[field] = value
+    code, out, err = run(capsys, "jet", _write(tmp_path, "jet.json", doc))
+    assert (code, out) == (2, "")
+    assert f"{field} must be an integer, not {value!r}" in err
+
+
+def test_jet_integral_floats_read_as_integers(capsys, tmp_path):
+    doc = {"m": 1, "order": 2, "point": [0.5], "f": [{"index": [3], "coeff": 1}]}
+    _, want, _ = run(capsys, "jet", _write(tmp_path, "a.json", doc))
+    doc.update({"m": 1.0, "order": 2.0, "degree": 4.0})
+    code, got, _ = run(capsys, "jet", _write(tmp_path, "b.json", doc))
+    assert code == 0
+    assert json.loads(got)["results"] == json.loads(want)["results"]
 
 
 def test_jet_oversized_ambient_is_refused(capsys, tmp_path):
@@ -413,6 +441,13 @@ def test_tangent_command_rejects_noncharacter(capsys, tmp_path):
     assert rep["violations"][0]["type"] == "domain"
 
 
+def test_tangent_point_of_the_wrong_length_is_an_input_error(capsys, tmp_path):
+    doc = {"algebra": "poly:3:3", "point": [0.5]}
+    code, out, err = run(capsys, "tangent", _write(tmp_path, "tan.json", doc))
+    assert (code, out) == (2, "")
+    assert "point must have 3 entries, not 1" in err
+
+
 def test_envelope_periodic_witness(capsys, tmp_path):
     tau = 6.283185307179586
     doc = {"m": 1,
@@ -574,6 +609,23 @@ def test_envelope_bad_sizes_and_options_are_input_errors(capsys, tmp_path, field
     code, out, err = run(capsys, "envelope", _write(tmp_path, "opt.json", doc))
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("value", [1.7, True, "1"])
+def test_envelope_m_must_be_an_integer(capsys, tmp_path, value):
+    doc = {"m": value, "generators": ["(var 0)"], "box": [[-1.0, 1.0]], "grid": 11}
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "m.json", doc))
+    assert (code, out) == (2, "")
+    assert f"m must be an integer, not {value!r}" in err
+
+
+@pytest.mark.parametrize("generator", [1.5, None, ["(var 0)"]])
+def test_envelope_generator_that_is_not_a_string_is_an_input_error(capsys, tmp_path,
+                                                                   generator):
+    doc = {"m": 1, "generators": [generator], "box": [[-1.0, 1.0]], "grid": 11}
+    code, out, err = run(capsys, "envelope", _write(tmp_path, "gen.json", doc))
+    assert (code, out) == (2, "")
+    assert f"a generator must be an expression string, not {generator!r}" in err
 
 
 @pytest.mark.parametrize("m, point", [(1, [0.5, 0.5]), (2, [0.5]), (1, [float("nan")])])

@@ -1,0 +1,177 @@
+"""Lower degrees as corners, and the batched Leibniz check.
+
+A lower-degree polynomial algebra is the leading corner of a higher one
+(graded order), so `PolyAlgebra.truncated` and `truncation_hom` read it off
+instead of building it; the references below are the fresh build and the
+exponent-index loop they replace. The Leibniz check is run with its block
+budget cut to a few entries against the tuple-loop reference, and counting
+hooks pin that a request builds one monomial table, finds its pair pattern
+once and verifies a derivative system once.
+"""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from diffalg import (DomainError, Element, algebra_from_name, taylor_system, truncated_poly,
+                     verify_system)
+from diffalg import cli, dersys, multiindex
+from diffalg.diffcalc import derivative_op, truncation_hom
+from diffalg.multiindex import MonomialTable
+
+from test_monomial_table import (BASES, _broken_variants, _point, _u_power_system,
+                                 ref_verify_system)
+
+CORNERS = [(m, big) for m in (1, 2, 3) for big in range(7)]
+
+
+def ref_truncation_hom(source, target):
+    mat = np.zeros((target.dim, source.dim), dtype=complex)
+    for alpha, j in source.exp_index.items():
+        if sum(alpha) <= target.degree:
+            mat[target.exp_index[alpha], j] = 1.0
+    return mat
+
+
+def assert_same_poly_algebra(got, want):
+    assert (got.mvars, got.degree, got.dim) == (want.mvars, want.degree, want.dim)
+    for name in ("structure", "involution", "unit"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).flags.c_contiguous
+    assert got.labels == want.labels
+    assert got.exponents == want.exponents
+    assert got.exp_index == want.exp_index
+    for name in ("exps", "add", "sub"):
+        assert np.array_equal(getattr(got.table, name), getattr(want.table, name)), name
+    assert got.table.exponents == want.table.exponents
+    assert got.table.exp_index == want.table.exp_index
+    assert (got.table.mvars, got.table.degree) == (want.table.mvars, want.table.degree)
+
+
+@pytest.mark.parametrize("m,big", CORNERS)
+def test_corner_equals_a_fresh_build(m, big):
+    parent = truncated_poly(m, big)
+    for n in range(big + 1):
+        corner = parent.truncated(n)
+        assert_same_poly_algebra(corner, truncated_poly(m, n))
+        # the corner's own tables serve the jet layer as a fresh table would
+        fresh = MonomialTable(m, n)
+        assert np.array_equal(corner.table.binomials(), fresh.binomials())
+        assert np.array_equal(corner.table.factorials(), fresh.factorials())
+
+
+def test_corner_is_a_new_algebra():
+    parent = truncated_poly(2, 3)
+    same = parent.truncated(3)
+    assert same is not parent and same.table is not parent.table
+    assert same.jet_cache is not parent.jet_cache
+    with pytest.raises(DomainError):
+        Element(same, same.unit) + Element(parent, parent.unit)
+    with pytest.raises(ValueError):
+        parent.truncated(4)
+    with pytest.raises(ValueError):
+        parent.table.truncated(-1)
+
+
+@pytest.mark.parametrize("m,big", [(m, big) for m in (1, 2, 3) for big in range(6)])
+def test_truncation_hom_equals_the_exponent_index_loop(m, big):
+    source = truncated_poly(m, big)
+    for n in range(big + 1):
+        target = truncated_poly(m, n)
+        assert np.array_equal(truncation_hom(source, target).matrix,
+                              ref_truncation_hom(source, target))
+
+
+def test_derivative_op_target_is_the_lower_corner():
+    source = truncated_poly(2, 4)
+    op = derivative_op(source, 1, drop=2)
+    assert_same_poly_algebra(op.target, truncated_poly(2, 2))
+    assert np.array_equal(op.action.matrix, ref_truncation_hom(source, op.target))
+
+
+# --- the batched Leibniz check across block boundaries ------------------
+
+def _violations(sys_):
+    return [(v["axiom"], v["index"], v["pair"], v["residual"])
+            for v in verify_system(sys_).violations]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 40, 400])
+@pytest.mark.parametrize("base_name", BASES)
+def test_leibniz_blocks_do_not_change_the_report(monkeypatch, base_name, budget):
+    systems = []
+    for m, n in [(1, 3), (2, 2), (3, 2)]:
+        systems += _broken_variants(_u_power_system(algebra_from_name(base_name), m, n,
+                                                    seed=n), n)
+        systems += _broken_variants(taylor_system(m, n, _point(m, n), degree=n + 1), n)
+    whole = [_violations(s) for s in systems]
+    monkeypatch.setattr(dersys, "_BLOCK_ENTRIES", budget)
+    for sys_, want_whole in zip(systems, whole):
+        got = _violations(sys_)
+        assert got == want_whole
+        want = ref_verify_system(sys_)
+        assert [g[:3] for g in got] == [w[:3] for w in want]
+        assert np.allclose([g[3] for g in got], [w[3] for w in want], rtol=1e-12, atol=0)
+    assert any(v[0] == "leibniz" for got in whole for v in got)
+
+
+# --- counting hooks ------------------------------------------------------
+
+class _CountingNumpy:
+    """numpy, with the calls to np.nonzero counted."""
+
+    def __init__(self):
+        self.nonzero_calls = 0
+
+    def nonzero(self, a):
+        self.nonzero_calls += 1
+        return np.nonzero(a)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_path, capsys):
+    builds = []
+    init = MonomialTable.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    counting = _CountingNumpy()
+    monkeypatch.setattr(MonomialTable, "__init__", counted)
+    monkeypatch.setattr(multiindex, "np", counting)
+    doc = {"m": 2, "order": 2, "point": [0.25, -0.5],
+           "f": [{"index": [1, 1], "coeff": 2.0}, {"index": [0, 3], "coeff": -1.0}]}
+    assert cli.main(["jet", _write(tmp_path, "jet.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dim"] == 6
+    assert builds == [(2, 4)]
+    assert counting.nonzero_calls == 1
+
+
+def test_a_valid_dersys_request_verifies_once(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return verify_system(*args, **kw)
+
+    monkeypatch.setattr(dersys, "verify_system", counted)
+    monkeypatch.setattr(cli, "verify_system", counted)
+    sys_ = taylor_system(2, 2, [0.5, -0.25])
+    doc = {"m": 2, "N": 2, "source": "poly:2:2", "target": "func:1",
+           "ops": [{"index": list(k), "matrix": sys_.op_matrix(k).real.tolist()}
+                   for k in sys_.indices]}
+    assert cli.main(["dersys-verify", _write(tmp_path, "dsys.json", doc)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["ok"] and results["packs_to_homomorphism"]
+    assert len(calls) == 1
