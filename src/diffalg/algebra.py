@@ -197,28 +197,35 @@ class StructureAlgebra:
 
     @classmethod
     def from_dict(cls, data: dict, check: bool = True) -> "StructureAlgebra":
-        def un(z):
-            return complex(z[0], z[1])
-
         d = int(data["dim"])
         require_dim(d)
         require_dim(len(data["structure"]))
-        structure = np.array([[[un(z) for z in row] for row in plane]
-                              for plane in data["structure"]], dtype=complex)
-        involution = np.array([[un(z) for z in row] for row in data["involution"]],
-                              dtype=complex)
-        unit = np.array([un(z) for z in data["unit"]], dtype=complex)
-        if structure.shape != (d, d, d):
-            raise ValueError("structure tensor shape disagrees with dim")
-        for field, entries in (("structure", structure), ("involution", involution),
-                               ("unit", unit)):
-            if not np.isfinite(entries).all():
-                raise ValueError(f"{field} has an entry that is not finite")
+        structure, involution, unit = (
+            _complex_entries(field, data[field], shape)
+            for field, shape in (("structure", (d, d, d)), ("involution", (d, d)),
+                                 ("unit", (d,))))
         return cls(structure, involution, unit, labels=data.get("labels"),
                    check=check)
 
     def __repr__(self):
         return f"<StructureAlgebra dim={self.dim}>"
+
+
+def _complex_entries(field: str, data, shape: tuple) -> np.ndarray:
+    """Nested lists of [re, im] number pairs as a complex array of the given
+    shape. Any other layout, and an entry that is not finite, is refused
+    with ValueError naming the field."""
+    try:
+        parts = np.array(data)
+    except ValueError:  # lists of unequal lengths
+        parts = None
+    if parts is None or parts.shape != shape + (2,) or parts.dtype.kind not in "iuf":
+        raise ValueError(f"{field} must be {len(shape)}-fold nested lists of "
+                         f"[re, im] number pairs, {shape[0]} at each level")
+    values = np.ascontiguousarray(parts, dtype=float).view(complex)[..., 0]
+    if not np.isfinite(values).all():
+        raise ValueError(f"{field} has an entry that is not finite")
+    return values
 
 
 class PolyAlgebra(StructureAlgebra):
@@ -809,16 +816,18 @@ class LinearOp:
         out = []
         src, tgt, h = self.source, self.target, self.matrix
         d = src.dim
-        if np.abs(h @ src.unit - tgt.unit).max() > tol:
+        # a NaN residual fails, as in axiom_violations
+        if not np.abs(h @ src.unit - tgt.unit).max() <= tol:
             out.append("does not preserve the unit")
         # column i: h(e_i*) against h(e_i)*
-        star_bad = np.abs(h @ src.involution - tgt.involution @ np.conj(h)).max(axis=0) > tol
+        star_res = np.abs(h @ src.involution - tgt.involution @ np.conj(h)).max(axis=0)
+        star_bad = ~(star_res <= tol)
         if star_bad.any():
             out.append(f"does not intertwine involutions at basis {int(np.argmax(star_bad))}")
         # row (i, j) in row-major order: h(e_i e_j) against h(e_i) h(e_j)
         lhs = src.structure.reshape(d * d, d) @ h.T
         rhs = tgt.mul_pairs(h.T, h.T).reshape(d * d, -1)
-        mul_bad = np.abs(lhs - rhs).max(axis=1) > tol
+        mul_bad = ~(np.abs(lhs - rhs).max(axis=1) <= tol)
         if mul_bad.any():
             i, j = divmod(int(np.argmax(mul_bad)), d)
             out.append(f"not multiplicative at basis pair ({i},{j})")

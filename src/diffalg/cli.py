@@ -3,9 +3,10 @@
 Exit codes: 0 success/PASS, 2 parse error, 3 domain error or FAIL,
 4 numeric failure or INCONCLUSIVE, 5 internal error (an unexpected
 exception in a subcommand, reported as {"type": "internal", "message":
-"<ExceptionType>: <message>"} without a traceback). Reports carry the
-input digest and the seed, so identical inputs and seeds produce
-byte-identical reports.
+"<ExceptionType>: <message>"} without a traceback). When the reader of
+stdout closes it early, the rest of the report is dropped and the exit code
+is still the request's own. Reports carry the input digest and the seed, so
+identical inputs and seeds produce byte-identical reports.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import cmath
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -49,19 +51,41 @@ def _entry(e) -> complex:
     raise ValueError(f"bad numeric entry {e!r}")
 
 
-def parse_vector(data) -> np.ndarray:
+def _finite(field: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{field} has an entry that is not finite")
+    return values
+
+
+def parse_vector(data, field: str | None = None) -> np.ndarray:
+    """A non-empty list of numbers as a complex vector. With a field name,
+    an entry that is not finite is refused naming the field; without one
+    the caller checks finiteness itself."""
     if not isinstance(data, (list, tuple)) or not data:
         raise ValueError("vector must be a non-empty list")
-    return np.array([_entry(e) for e in data], dtype=complex)
+    values = np.array([_entry(e) for e in data], dtype=complex)
+    return values if field is None else _finite(field, values)
 
 
-def parse_matrix(data) -> np.ndarray:
+def parse_matrix(data, field: str) -> np.ndarray:
+    """A non-empty list of equal rows as a complex matrix; an entry that is
+    not finite is refused naming the field."""
     if not isinstance(data, (list, tuple)) or not data:
         raise ValueError("matrix must be a non-empty list of rows")
     rows = [parse_vector(r) for r in data]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("matrix rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    return _finite(field, np.array(rows, dtype=complex))
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, not {value!r}")
+    return value
+
+
+def _index(value) -> tuple[int, ...]:
+    return tuple(_integer("index entry", t) for t in value)
 
 
 def load_algebra(spec, check: bool = True) -> StructureAlgebra:
@@ -70,6 +94,8 @@ def load_algebra(spec, check: bool = True) -> StructureAlgebra:
         return algebra_from_name(spec)
     if isinstance(spec, dict):
         if "name" in spec:
+            if not isinstance(spec["name"], str):
+                raise ValueError(f"algebra name must be a string, not {spec['name']!r}")
             return algebra_from_name(spec["name"])
         if "structure" in spec:
             return StructureAlgebra.from_dict(spec, check=check)
@@ -220,8 +246,14 @@ def _emit(report: dict, out: str | None):
             fh.write(text)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        try:
+            sys.stdout.write(text)
+            sys.stdout.write("\n")
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone; send what is left to the null device, so
+            # that the interpreter's last flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 # --- subcommand handlers ----------------------------------------------
@@ -246,7 +278,7 @@ def cmd_dersys_verify(data, args):
     target = load_algebra(data["target"])
     ops = {}
     for entry in data["ops"]:
-        ops[tuple(int(t) for t in entry["index"])] = parse_matrix(entry["matrix"])
+        ops[_index(entry["index"])] = parse_matrix(entry["matrix"], "ops matrix")
     system = DerivativeSystem(source, target, m, order, ops)
     report = verify_system(system, args.tol_zero)
     results = {"m": m, "N": order, "ok": report.ok,
@@ -263,9 +295,9 @@ def cmd_dersys_verify(data, args):
 def cmd_difforder(data, args):
     source = load_algebra(data["source"])
     target = load_algebra(data["target"]) if "target" in data else source
-    op_mat = parse_matrix(data["operator"])
+    op_mat = parse_matrix(data["operator"], "operator")
     if "action" in data:
-        action = LinearOp(parse_matrix(data["action"]), source, target)
+        action = LinearOp(parse_matrix(data["action"], "action"), source, target)
     elif target is source:
         action = LinearOp.identity(source)
     elif (isinstance(source, PolyAlgebra) and isinstance(target, PolyAlgebra)
@@ -275,10 +307,10 @@ def cmd_difforder(data, args):
         raise ValueError("an explicit action matrix is required for this pair")
     p = RelativeOp(LinearOp(op_mat, source, target), action)
     if "generators" in data:
-        gens = [parse_vector(v) for v in data["generators"]]
+        gens = [parse_vector(v, "generators") for v in data["generators"]]
     else:
         gens = list(np.eye(source.dim))
-    max_n = int(data.get("max_order", 6))
+    max_n = _integer("max_order", data.get("max_order", 6))
     order = diff_order(p, gens, max_n, tol=max(args.tol_zero, 1e-10),
                        samples=args.instances, seed=args.seed)
     results = {"order": order, "max_order": max_n,
@@ -289,11 +321,10 @@ def cmd_difforder(data, args):
 def cmd_ztower(data, args):
     source = load_algebra(data["source"])
     target = load_algebra(data["target"])
-    phi = LinearOp(parse_matrix(data["phi"]), source, target)
-    depth = int(data.get("depth", 2))
-    rep = check_stabilization(phi, depth,
-                              enforce_preconditions=bool(data.get("enforce", False)),
-                              tol=args.tol_zero)
+    phi = LinearOp(parse_matrix(data["phi"], "phi"), source, target)
+    depth = _integer("depth", data.get("depth", 2))
+    enforce = _flag("enforce", data.get("enforce", False))
+    rep = check_stabilization(phi, depth, enforce_preconditions=enforce, tol=args.tol_zero)
     results = {k: rep[k] for k in ("involutive", "involution_residual", "dims",
                                    "z1_dim", "z2_dim", "stabilized",
                                    "mutual_containment")}
@@ -309,7 +340,7 @@ def cmd_ztower(data, args):
 def cmd_jet(data, args):
     m, order = _integer("m", data["m"]), _integer("order", data["order"])
     point = np.real(parse_vector(data["point"]))
-    terms = [(tuple(int(t) for t in e["index"]), _entry(e["coeff"]))
+    terms = [(_index(e["index"]), _entry(e["coeff"]))
              for e in data["f"]]
     degf = max((sum(k) for k, _ in terms), default=0)
     bound = _integer("degree", data.get("degree", max(order + 2, degf)))
@@ -349,12 +380,12 @@ def cmd_jet(data, args):
 def cmd_tangent(data, args):
     alg = load_algebra(data["algebra"])
     if "character" in data:
-        functional = parse_vector(data["character"])
+        functional = parse_vector(data["character"], "character")
     elif "point" in data:
         if not isinstance(alg, PolyAlgebra):
             raise ValueError("point evaluation needs a polynomial algebra; "
                              "pass an explicit character vector instead")
-        s = np.real(parse_vector(data["point"]))
+        s = np.real(parse_vector(data["point"], "point"))
         if len(s) != alg.mvars:
             raise ValueError(f"point must have {alg.mvars} entries, not {len(s)}")
         functional = alg.table.monomials(s).astype(complex)
@@ -363,7 +394,7 @@ def cmd_tangent(data, args):
     ch = Character(alg, functional)
     if not ch.is_character(1e-8):
         raise DomainError("the functional is not a character of the algebra")
-    taus = tangent_space(alg, ch, real=bool(data.get("real", False)),
+    taus = tangent_space(alg, ch, real=_flag("real", data.get("real", False)),
                          tol=args.tol_rank)
     classes, _ = cotangent_space(alg, ch)
     gram = pairing_matrix(taus, classes) if taus and classes else np.zeros((0, 0))
@@ -406,7 +437,7 @@ def cmd_dauns_hofmann(data, args):
         alg, central = algebra_from_name(data), None
     else:
         alg = load_algebra(data["algebra"])
-        central = ([parse_vector(v) for v in data["central"]]
+        central = ([parse_vector(v, "central") for v in data["central"]]
                    if data.get("central") else None)
     rep = dauns_hofmann_check(alg, central, tol=max(args.tol_zero, 1e-9),
                               seed=args.seed)
@@ -467,9 +498,7 @@ def _sweep_dersys(rng, instances):
         source = truncated_poly(1, order)
         target = series_algebra(base, m, order)
         u = SeriesElement(base, m, order)
-        for k in mi_enumerate(m, order):
-            if sum(k) == 0:
-                continue
+        for k in mi_enumerate(m, order)[1:]:
             c = _random_coords(rng, base.dim)
             u[k] = (c + base.star_coords(c)) / 2.0
         cols = []
@@ -542,7 +571,7 @@ def _sweep_truncation(rng, instances):
         order = 1 + i % 3
         bound = order + 1
         big = truncated_poly(m, 2 * bound)
-        low = [j for j, k in enumerate(big.exponents) if sum(k) <= bound]
+        low = range(mi_count(m, bound))
         f = np.zeros(big.dim, dtype=complex)
         g = np.zeros(big.dim, dtype=complex)
         f[low] = _random_coords(rng, len(low))
@@ -623,8 +652,6 @@ HANDLERS = {
     "selftest": cmd_selftest,
 }
 
-_FILE_COMMANDS = {"dersys-verify", "difforder", "ztower", "jet", "tangent",
-                  "envelope"}
 _INLINE_OK = {"algebra-check", "dauns-hofmann", "fourier"}
 
 

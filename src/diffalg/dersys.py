@@ -13,14 +13,16 @@ convolution product of series, and both directions below use it.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import _linalg as la
 from .algebra import (MAX_NAMED_DIM, Element, LinearOp, PolyAlgebra,
                       StructureAlgebra, function_algebra, truncated_poly)
 from .errors import DomainError, NumericError
-from .multiindex import MonomialTable, MultiIndex, mi_count, mi_factorial
-from .series import SeriesStructureAlgebra, series_algebra
+from .multiindex import MonomialTable, MultiIndex, mi_count
+from .series import SeriesStructureAlgebra
 
 __all__ = [
     "DerivativeSystem",
@@ -36,8 +38,10 @@ __all__ = [
 class DerivativeSystem:
     """Family of operator matrices D_k: A -> B indexed by multi-indices.
 
-    Matrices act on coordinates; indices missing from `ops` are zero maps.
-    `table` is the monomial table of the indices |k| <= order.
+    Matrices act on coordinates. `table` is the monomial table of the
+    indices |k| <= order, and `stack` is the complex (count, dim B, dim A)
+    array that holds D_k at the row of k in the table's graded order;
+    indices missing from the `ops` given to the constructor are zero rows.
     """
 
     def __init__(self, source: StructureAlgebra, target: StructureAlgebra,
@@ -57,7 +61,7 @@ class DerivativeSystem:
         self.order = order
         self.table = MonomialTable(mvars, order)
         self.indices: list[MultiIndex] = self.table.exponents
-        self.ops: dict[MultiIndex, np.ndarray] = {}
+        self.stack = np.zeros((count, target.dim, source.dim), dtype=complex)
         for k, mat in ops.items():
             k = tuple(int(t) for t in k)
             if k not in self.table.exp_index:
@@ -66,14 +70,18 @@ class DerivativeSystem:
             if mat.shape != (target.dim, source.dim):
                 raise ValueError(f"operator {k} has shape {mat.shape}, "
                                  f"expected {(target.dim, source.dim)}")
-            self.ops[k] = mat
+            self.stack[self.table.exp_index[k]] = mat
+
+    @property
+    def ops(self) -> dict[MultiIndex, np.ndarray]:
+        """Every index mapped to its row of the stack."""
+        return dict(zip(self.indices, self.stack))
 
     def op_matrix(self, k: MultiIndex) -> np.ndarray:
-        k = tuple(int(t) for t in k)
-        mat = self.ops.get(k)
-        if mat is None:
+        row = self.table.exp_index.get(tuple(int(t) for t in k))
+        if row is None:
             return np.zeros((self.target.dim, self.source.dim), dtype=complex)
-        return mat.copy()
+        return self.stack[row].copy()
 
     def op(self, k: MultiIndex) -> LinearOp:
         return LinearOp(self.op_matrix(k), self.source, self.target)
@@ -82,15 +90,12 @@ class DerivativeSystem:
         return Element(self.target, self.op_matrix(k) @ a.coords)
 
     def scale(self) -> float:
-        if not self.ops:
-            return 0.0
-        return float(max(np.abs(m).max() for m in self.ops.values()))
+        return float(np.abs(self.stack).max())
 
     def isclose(self, other: "DerivativeSystem", tol: float = 1e-12) -> bool:
         if (self.mvars, self.order) != (other.mvars, other.order):
             return False
-        return all(np.abs(self.op_matrix(k) - other.op_matrix(k)).max() <= tol
-                   for k in self.indices)
+        return bool(np.abs(self.stack - other.stack).max() <= tol)
 
     def __repr__(self):
         return (f"<DerivativeSystem m={self.mvars} N={self.order} "
@@ -144,15 +149,15 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
     """
     a, b = sys.source, sys.target
     violations = []
-    scale = 1.0 + sys.scale() ** 2
-    ops = np.array([sys.op_matrix(k) for k in sys.indices])
+    bound = _law_bound(tol, sys.scale())
+    ops = sys.stack
 
     expected = np.zeros((len(ops), b.dim), dtype=complex)
     expected[0] = b.unit
     unit_res = np.abs(ops @ a.unit - expected).max(axis=1)
     inv_res = np.abs(ops @ a.involution - b.involution @ np.conj(ops)).max(axis=(1, 2))
     for axiom, residuals in (("unit", unit_res), ("involution", inv_res)):
-        for r in np.flatnonzero(residuals > tol * scale):
+        for r in np.flatnonzero(~(residuals <= bound)):
             violations.append({"axiom": axiom, "index": sys.indices[r], "pair": None,
                                "residual": float(residuals[r])})
 
@@ -179,7 +184,7 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
             rhs[ks[run] - lo] += coeffs[run, None, None, None] * (ops_t[ls[run], None] @ left)
         gap = np.abs(lhs - rhs)
         worst = gap.max(axis=(1, 2, 3))
-        for r in np.flatnonzero(worst > tol * scale):
+        for r in np.flatnonzero(~(worst <= bound)):
             i, j = np.unravel_index(np.argmax(gap[r].max(axis=2)), (da, da))
             violations.append({"axiom": "leibniz", "index": sys.indices[lo + r],
                                "pair": (int(i), int(j)),
@@ -187,16 +192,25 @@ def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
     return SystemReport(violations)
 
 
+def _law_bound(tol: float, scale: float) -> float:
+    """The residual bound tol * (1 + scale^2) of a system's laws, whose
+    products have magnitude up to scale^2. NumericError if it is not finite:
+    an infinite bound would pass every residual."""
+    bound = tol * (1.0 + scale * scale)
+    if not math.isfinite(bound):
+        raise NumericError(f"the residual bound for operators of size {scale:.3g} "
+                           f"is not finite")
+    return bound
+
+
 def _pack(sys: DerivativeSystem, tol: float) -> LinearOp:
     """The map a -> (D_k(a)/k!)_k of a verified system, checked as a
-    homomorphism; NumericError if that check unexpectedly fails."""
-    ser = series_algebra(sys.target, sys.mvars, sys.order)
-    db = sys.target.dim
-    h = np.zeros((ser.dim, sys.source.dim), dtype=complex)
-    for p, k in enumerate(ser.exponents):
-        h[p * db:(p + 1) * db, :] = sys.op_matrix(k) / mi_factorial(k)
+    homomorphism; NumericError if that check unexpectedly fails. The series
+    basis puts the base index fastest, so this is a reshape of the stack."""
+    ser = SeriesStructureAlgebra(sys.target, sys.table)
+    h = (sys.stack / sys.table.factorials()[:, None, None]).reshape(ser.dim, -1)
     out = LinearOp(h, sys.source, ser)
-    bad = out.hom_violations(tol * (1.0 + sys.scale() ** 2))
+    bad = out.hom_violations(_law_bound(tol, sys.scale()))
     if bad:
         raise NumericError(f"packed series map fails homomorphism check: {bad[0]}")
     return out
@@ -224,16 +238,13 @@ def from_homomorphism(h: LinearOp, tol: float = 1e-9) -> DerivativeSystem:
     ser = h.target
     if not isinstance(ser, SeriesStructureAlgebra):
         raise ValueError("target of the map must be a flattened series algebra")
-    bad = h.hom_violations(tol * (1.0 + float(np.abs(h.matrix).max()) ** 2))
+    bad = h.hom_violations(_law_bound(tol, float(np.abs(h.matrix).max())))
     if bad:
         raise DomainError(f"series map is not a homomorphism: {bad[0]}")
-    db = ser.base.dim
-    ops = {}
-    for p, k in enumerate(ser.exponents):
-        block = h.matrix[p * db:(p + 1) * db, :]
-        if np.any(block):
-            ops[k] = mi_factorial(k) * block
-    return DerivativeSystem(h.source, ser.base, ser.mvars, ser.order, ops)
+    stack = h.matrix.reshape(ser.table.dim, ser.base.dim, -1)
+    stack = stack * ser.table.factorials()[:, None, None]
+    return DerivativeSystem(h.source, ser.base, ser.mvars, ser.order,
+                            dict(zip(ser.exponents, stack)))
 
 
 def taylor_system(mvars: int, order: int, point, degree: int | None = None) -> DerivativeSystem:

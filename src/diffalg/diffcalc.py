@@ -316,7 +316,7 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
         raise DomainError(f"not a derivative system: {vr.summary()}")
     a, b = sys.source, sys.target
     zero = (0,) * sys.mvars
-    phi = LinearOp(sys.op_matrix(zero), a, b)
+    phi = LinearOp(sys.stack[0], a, b)
     tower = z_tower(phi, max(sys.order, 1))
 
     orders: dict = {}
@@ -324,17 +324,17 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
     pred_ii = True
     pred_iii = True
     witnesses = []
-    for k in sys.indices:
+    for k, dk in zip(sys.indices, sys.stack):
         if k == zero:
             orders[k] = 0
             continue
-        p = RelativeOp(sys.op(k), phi, check=False)
+        p = RelativeOp(LinearOp(dk, a, b), phi, check=False)
         orders[k] = diff_order(p, gens, max_n=sum(k), tol=tol,
                                samples=samples, seed=seed)
         if orders[k] is None:
             pred_i = False
             witnesses.append({"predicate": "diff_order", "index": k})
-        columns = sys.op_matrix(k).T
+        columns = dk.T
         if not tower.level(sum(k)).contains_subspace(Subspace(b, columns), tol):
             pred_ii = False
             witnesses.append({"predicate": "tower_membership", "index": k})
@@ -350,12 +350,11 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
     for r, k in enumerate(sys.indices):
         if not 1 <= sum(k) <= 3:
             continue
-        dk = sys.op_matrix(k)
+        dk = sys.stack[r]
         diff = dk @ left_a - _left_stack(b, phi.matrix.T) @ dk
         for l in np.flatnonzero(sub[r] >= 0):
             if l != r:
-                val = sys.op_matrix(sys.indices[sub[r, l]])
-                diff -= binom[l, r] * (_left_stack(b, val.T) @ sys.op_matrix(sys.indices[l]))
+                diff -= binom[l, r] * (_left_stack(b, sys.stack[sub[r, l]].T) @ sys.stack[l])
         comm_res = max(comm_res, float(np.abs(diff).max()))
 
     return {
@@ -405,15 +404,19 @@ def truncation_hom(source: PolyAlgebra, target: PolyAlgebra) -> LinearOp:
 
 
 def derivative_matrix(source: PolyAlgebra, target: PolyAlgebra, i: int) -> np.ndarray:
-    """Matrix of d/dx_i followed by truncation into the target degrees."""
+    """Matrix of d/dx_i followed by truncation into the target degrees.
+
+    x_i is row 1 + i of the graded order, whose leading rows are the target's.
+    """
     if source.mvars != target.mvars:
         raise ValueError("variable count mismatch")
+    if not 0 <= i < source.mvars:
+        raise ValueError(f"variable index {i} is not between 0 and {source.mvars - 1}")
     mat = np.zeros((target.dim, source.dim), dtype=complex)
-    for alpha, j in source.exp_index.items():
-        if alpha[i] >= 1:
-            down = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            if sum(down) <= target.degree:
-                mat[target.exp_index[down], j] = alpha[i]
+    if source.degree >= 1:
+        down = source.table.sub[:, 1 + i]
+        cols = np.flatnonzero((down >= 0) & (down < target.dim))
+        mat[down[cols], cols] = source.table.exps[cols, i]
     return mat
 
 

@@ -113,9 +113,9 @@ class Var(Expr):
     def to_poly(self, algebra):
         if self.index >= algebra.mvars:
             raise DomainError("variable index outside the algebra's variables")
+        # x_i is row 1 + i of the graded order
         coords = np.zeros(algebra.dim, dtype=complex)
-        unit = tuple(1 if t == self.index else 0 for t in range(algebra.mvars))
-        coords[algebra.exp_index[unit]] = 1.0
+        coords[1 + self.index] = 1.0
         return coords
 
     def to_sexpr(self):
@@ -384,6 +384,8 @@ def _tolerance(name: str, value) -> float:
 def _integer(name: str, value) -> int:
     """An integer input as an int; a bool, a number with a fraction and
     anything that is not a number are refused with ValueError."""
+    if type(value) is int:  # the common case, and never a bool
+        return value
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():

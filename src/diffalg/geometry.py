@@ -92,7 +92,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     The Leibniz constraints are one stacked linear system over the
     functional's coordinates. The real form adds the antilinear constraint
     tau(a*) = conj(tau(a)), which is only R-linear, so that solve runs over
-    split real and imaginary parts.
+    split real and imaginary parts. `tol` is the rank cut of either solve.
     """
     _require_character(algebra, s)
     d = algebra.dim
@@ -104,7 +104,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     rows -= np.einsum("i,jk->ijk", sv, eye).reshape(d * d, d)
     rows -= np.einsum("ik,j->ijk", eye, sv).reshape(d * d, d)
     if not real:
-        basis = la.null_space(rows)
+        basis = la.null_space(rows, tol)
         return [TangentVector(algebra, v, s) for v in basis]
     # split tau = rho + i sigma; complex rows M tau = 0 become
     # [Re M, -Im M; Im M, Re M] [rho; sigma] = 0
@@ -117,7 +117,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     real_rows = np.hstack([(sr - np.eye(d)).T, -si.T])
     imag_rows = np.hstack([si.T, (sr + np.eye(d)).T])
     stacked = np.vstack([top, bot, real_rows, imag_rows])
-    basis = la.null_space(stacked)
+    basis = la.null_space(stacked, tol)
     out = []
     for v in basis:
         tau = v[:d] + 1j * v[d:]
@@ -125,8 +125,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     return out
 
 
-def cotangent_space(algebra: StructureAlgebra, s: Character,
-                    tol: float = la.ZERO_TOL):
+def cotangent_space(algebra: StructureAlgebra, s: Character):
     """Quotient basis of I_s / span(I_s^2) and the projection matrix.
 
     Returns (classes, pi). The classes are cotangent basis vectors whose
@@ -167,7 +166,7 @@ def cotangent_class(algebra: StructureAlgebra, s: Character, f,
     v = f.coords if isinstance(f, Element) else np.asarray(f, dtype=complex).ravel()
     if abs(complex(s.functional @ v)) > tol * (1.0 + np.abs(v).max()):
         raise DomainError("representative does not vanish at the base character")
-    classes, pi = cotangent_space(algebra, s, tol)
+    classes, pi = cotangent_space(algebra, s)
     return CotangentClass(algebra, s, v, pi @ v)
 
 

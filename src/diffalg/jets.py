@@ -243,28 +243,21 @@ def induced_jet_map(p: RelativeOp, s, n: int, gens=None,
         raise DomainError("induced jet maps need polynomial source and target")
     s_arr = _point(a, s)
     if gens is None:
-        gens = []
-        for i in range(a.mvars):
-            e = np.zeros(a.dim)
-            unit = tuple(1 if t == i else 0 for t in range(a.mvars))
-            e[a.exp_index[unit]] = 1.0
-            gens.append(e)
+        # the variables x_i, rows 1 + i of the graded order
+        gens = list(np.eye(a.dim)[1:1 + a.mvars])
     if diff_order(p, gens, max_n=n, tol=max(tol, 1e-8)) is None:
         raise DomainError(f"operator is not a differential operator of order <= {n}")
 
     scale = 1.0 + float(np.abs(p.op.matrix).max())
     eval_b = _eval_row(b, s_arr)
     space_a = jet_space(a, s_arr, n)
-    for v in space_a.ideal.basis:
-        if abs(complex(eval_b @ (p.op.matrix @ v))) > tol * scale:
-            raise DomainError("operator does not map the vanishing subspace "
-                              "into functions vanishing at the point")
+    vanishing = eval_b @ (p.op.matrix @ space_a.ideal.basis.T)
+    if (np.abs(vanishing) > tol * scale).any():
+        raise DomainError("operator does not map the vanishing subspace "
+                          "into functions vanishing at the point")
 
     q = space_a.quotient.dim
-    mat = np.zeros((1, q), dtype=complex)
-    for j in range(q):
-        rep = space_a.chart.matrix[:, j]
-        mat[0, j] = eval_b @ (p.op.matrix @ rep)
+    mat = (eval_b @ (p.op.matrix @ space_a.chart.matrix[:, :q]))[None]
     # factorization identity on the monomial basis
     direct = eval_b @ p.op.matrix
     through = (mat @ space_a.projection.matrix)[0]

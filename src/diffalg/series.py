@@ -176,21 +176,24 @@ def ser_involve(x: SeriesElement) -> SeriesElement:
 class SeriesStructureAlgebra(StructureAlgebra):
     """Truncated series algebra flattened to structure constants.
 
-    Basis = (multi-index, base basis vector) pairs, multi-indices in graded
-    lexicographic order, base index fastest. Remembers the coefficient
-    algebra so series can be packed and unpacked.
+    Basis = (multi-index, base basis vector) pairs, multi-indices in the
+    graded order of `table`, base index fastest. Remembers the coefficient
+    algebra and the table so series can be packed and unpacked. Refuses a
+    flattened dimension above MAX_NAMED_DIM (see require_dim) before its
+    tensor exists.
     """
 
-    def __init__(self, base: StructureAlgebra, mvars: int, order: int):
-        table = MonomialTable(mvars, order)
-        self.base = base
-        self.mvars = mvars
-        self.order = order
-        self.exponents = table.exponents
-        self.exp_index = table.exp_index
+    def __init__(self, base: StructureAlgebra, table: MonomialTable):
         m = table.dim
         db = base.dim
         d = m * db
+        require_dim(d)
+        self.base = base
+        self.table = table
+        self.mvars = table.mvars
+        self.order = table.degree
+        self.exponents = table.exponents
+        self.exp_index = table.exp_index
         # c[p, :, q, :, add[p, q], :] = base.structure: the monomial table
         # tensored with the base
         c = np.zeros((m, db, m, db, m, db), dtype=complex)
@@ -213,11 +216,12 @@ class SeriesStructureAlgebra(StructureAlgebra):
 def series_algebra(base: StructureAlgebra, mvars: int, order: int) -> SeriesStructureAlgebra:
     """Structure-constant form of the truncated series algebra.
 
-    Refuses a flattened dimension above MAX_NAMED_DIM (see require_dim).
+    Refuses a flattened dimension above MAX_NAMED_DIM (see require_dim)
+    before the monomial table is built.
     """
-    if mvars >= 1 and order >= 0:
-        require_dim(mi_count(mvars, order) * base.dim)
-    return SeriesStructureAlgebra(base, mvars, order)
+    _check_shape(mvars, order)
+    require_dim(mi_count(mvars, order) * base.dim)
+    return SeriesStructureAlgebra(base, MonomialTable(mvars, order))
 
 
 def series_to_coords(alg: SeriesStructureAlgebra, x: SeriesElement) -> np.ndarray:
@@ -237,8 +241,5 @@ def coords_to_series(alg: SeriesStructureAlgebra, coords) -> SeriesElement:
     coords = np.asarray(coords, dtype=complex).ravel()
     if coords.shape != (alg.dim,):
         raise ValueError("coordinate length mismatch")
-    db = alg.base.dim
-    out = SeriesElement(alg.base, alg.mvars, alg.order)
-    for p, k in enumerate(alg.exponents):
-        out[k] = coords[p * db:(p + 1) * db]
-    return out
+    blocks = coords.reshape(len(alg.exponents), alg.base.dim)
+    return SeriesElement(alg.base, alg.mvars, alg.order, dict(zip(alg.exponents, blocks)))

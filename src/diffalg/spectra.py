@@ -262,8 +262,6 @@ def value_bundle(phi: LinearOp, tol: float = 1e-8) -> ValueBundle:
 
 
 def _as_subspace(algebra: StructureAlgebra, c) -> Subspace:
-    if c is None:
-        return centralizer(algebra, Subspace.whole(algebra))
     if isinstance(c, Subspace):
         if c.algebra is not algebra:
             raise DomainError("subalgebra belongs to a different algebra")
@@ -283,9 +281,12 @@ def dauns_hofmann_check(algebra: StructureAlgebra, central=None,
     pairs; ok means the section map is a unital *-isomorphism at tol.
     """
     center = centralizer(algebra, Subspace.whole(algebra))
-    csp = _as_subspace(algebra, central)
-    if not center.contains_subspace(csp, tol):
-        raise DomainError("subalgebra is not central")
+    if central is None:
+        csp = center
+    else:
+        csp = _as_subspace(algebra, central)
+        if not center.contains_subspace(csp, tol):
+            raise DomainError("subalgebra is not central")
     csub, incl = subalgebra(algebra, csp.basis)
     bundle = value_bundle(incl, tol)
 

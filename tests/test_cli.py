@@ -744,3 +744,110 @@ def test_oversized_serialized_algebra_is_refused(capsys, tmp_path, dim, planes):
     assert v["type"] == "domain"
     assert "dimension 257 exceeds 256" in v["message"]
     assert peak < 2 ** 20
+
+
+NAN, INF = float("nan"), float("inf")
+_SCALAR_OPS = [{"index": [0], "matrix": [[1.0, 0.0]]}]
+
+
+def _scalar_dersys(entry):
+    return {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+            "ops": _SCALAR_OPS + [{"index": [1], "matrix": [[0.0, entry]]}]}
+
+
+@pytest.mark.parametrize("subcommand, doc, field", [
+    ("dersys-verify", _scalar_dersys(NAN), "ops matrix"),
+    ("difforder", {"source": "func:2", "operator": [[0, 1], [0, 0]],
+                   "action": [[1, 0], [0, NAN]]}, "action"),
+    ("difforder", {"source": "func:2", "operator": [[0, 1], [0, INF]]}, "operator"),
+    ("difforder", {"source": "func:2", "operator": [[0, 1], [0, 0]],
+                   "generators": [[1, NAN]]}, "generators"),
+    ("ztower", {"source": "func:2", "target": "func:2", "phi": [[1, 0], [0, INF]]}, "phi"),
+    ("tangent", {"algebra": "poly:1:2", "character": [1, NAN, 0]}, "character"),
+    ("tangent", {"algebra": "poly:1:2", "point": [NAN]}, "point"),
+    ("dauns-hofmann", {"algebra": "func:2", "central": [[1, 1], [1, -INF]]}, "central"),
+])
+def test_non_finite_matrix_and_vector_fields_are_input_errors(capsys, tmp_path,
+                                                              subcommand, doc, field):
+    code, out, err = run(capsys, subcommand, _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: {field} has an entry that is not finite\n"
+
+
+def test_dersys_operators_whose_bound_overflows_are_a_numeric_error(capsys, tmp_path):
+    code, rep, err = run_json(capsys, "dersys-verify",
+                              _write(tmp_path, "huge.json", _scalar_dersys(1e200)))
+    assert (code, err) == (4, "")
+    assert rep["violations"] == [{
+        "type": "numeric",
+        "message": "the residual bound for operators of size 1e+200 is not finite"}]
+
+
+_ZTOWER = {"source": "func:2", "target": "func:2", "phi": [[1, 0], [0, 1]]}
+_DIFFORDER = {"source": "func:2", "operator": [[0, 1], [0, 0]]}
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("algebra-check", {"dim": 1, "structure": "x", "involution": [[[1, 0]]],
+                       "unit": [[1, 0]]},
+     "structure must be 3-fold nested lists of [re, im] number pairs, 1 at each level"),
+    ("algebra-check", {"dim": 1, "structure": [[[1, 0]]], "involution": [[[1, 0]]],
+                       "unit": [[1, 0]]},
+     "structure must be 3-fold nested lists of [re, im] number pairs, 1 at each level"),
+    ("algebra-check", {"dim": 2, "structure": [[[[1, 0]] * 2] * 2] * 2,
+                       "involution": [[[1, 0], [0, 0]], [[0, 0]]], "unit": [[1, 0], [0, 0]]},
+     "involution must be 2-fold nested lists of [re, im] number pairs, 2 at each level"),
+    ("algebra-check", {"dim": 1, "structure": [[[[1, 0]]]], "involution": [[[1, 0]]],
+                       "unit": [["1", 0]]},
+     "unit must be 1-fold nested lists of [re, im] number pairs, 1 at each level"),
+    ("algebra-check", {"name": 5}, "algebra name must be a string, not 5"),
+    ("ztower", {**_ZTOWER, "depth": 2.5}, "depth must be an integer, not 2.5"),
+    ("difforder", {**_DIFFORDER, "max_order": 2.5}, "max_order must be an integer, not 2.5"),
+    ("difforder", {**_DIFFORDER, "max_order": None}, "max_order must be an integer, not None"),
+    ("dersys-verify", {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+                       "ops": [{"index": [0.7], "matrix": [[1, 0]]}]},
+     "index entry must be an integer, not 0.7"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5], "f": [{"index": [0.7], "coeff": 1.0}]},
+     "index entry must be an integer, not 0.7"),
+    ("ztower", {**_ZTOWER, "enforce": "false"}, "enforce must be true or false, not 'false'"),
+    ("tangent", {"algebra": "poly:1:2", "point": [0.0], "real": "no"},
+     "real must be true or false, not 'no'"),
+])
+def test_malformed_fields_are_input_errors(capsys, tmp_path, subcommand, doc, message):
+    code, out, err = run(capsys, subcommand, _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: {message}\n"
+
+
+def test_integral_depth_and_index_entries_still_read(capsys, tmp_path):
+    code, rep, _ = run_json(capsys, "ztower",
+                            _write(tmp_path, "z.json", {**_ZTOWER, "depth": 3.0,
+                                                        "enforce": True}))
+    assert code == 0
+    assert len(rep["results"]["dims"]) == 4
+
+
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_nothing(tmp_path):
+    """A report larger than the pipe buffer, whose reader reads one byte and
+    closes the pipe: the request still exits 3 (FAIL), with empty stderr."""
+    import os
+    import subprocess
+    import sys
+
+    from diffalg import cli
+
+    doc = {"m": 1, "generators": ["(const 1)"], "box": [[0, 1]], "grid": 101}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "diffalg.cli", "envelope",
+                             _write(tmp_path, "big.json", doc)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""

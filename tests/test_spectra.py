@@ -313,3 +313,17 @@ def test_kernel_ideal_nilpotent_source_characters():
     rep = kernel_ideal_check(ev0)
     assert rep["ok"]
     assert rep["matched_count"] == 1
+
+
+def test_dauns_hofmann_computes_the_centre_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return centralizer(*args, **kw)
+
+    centralizer = spectra.centralizer
+    monkeypatch.setattr(spectra, "centralizer", counted)
+    rep = dauns_hofmann_check(direct_sum(matrix_algebra(2), function_algebra(2)))
+    assert rep["ok"]
+    assert len(calls) == 1
