@@ -394,8 +394,7 @@ def cmd_tangent(data, args):
     ch = Character(alg, functional)
     if not ch.is_character(1e-8):
         raise DomainError("the functional is not a character of the algebra")
-    taus = tangent_space(alg, ch, real=_flag("real", data.get("real", False)),
-                         tol=args.tol_rank)
+    taus = tangent_space(alg, ch, real=_flag("real", data.get("real", False)))
     classes, _ = cotangent_space(alg, ch)
     gram = pairing_matrix(taus, classes) if taus and classes else np.zeros((0, 0))
     square = gram.shape[0] == gram.shape[1]
@@ -667,8 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized sweeps (recorded in the report)")
     common.add_argument("--tol-zero", type=float, default=1e-9,
                         help="zero-test tolerance")
-    common.add_argument("--tol-rank", type=float, default=1e-8,
-                        help="rank/pivot tolerance")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     common.add_argument("--instances", type=int, default=100,
                         help="instance count for randomized sweeps")

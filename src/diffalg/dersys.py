@@ -14,6 +14,7 @@ convolution product of series, and both directions below use it.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,13 +40,13 @@ class DerivativeSystem:
     """Family of operator matrices D_k: A -> B indexed by multi-indices.
 
     Matrices act on coordinates. `table` is the monomial table of the
-    indices |k| <= order, and `stack` is the complex (count, dim B, dim A)
-    array that holds D_k at the row of k in the table's graded order;
-    indices missing from the `ops` given to the constructor are zero rows.
+    indices |k| <= order; `stack` is the complex (count, dim B, dim A) array
+    with D_k at the row of k in its graded order. `ops` is that array or a
+    dict of index to matrix, whose missing indices are zero rows.
     """
 
     def __init__(self, source: StructureAlgebra, target: StructureAlgebra,
-                 mvars: int, order: int, ops: dict):
+                 mvars: int, order: int, ops):
         if mvars < 1:
             raise ValueError(f"need at least one variable, got m={mvars}")
         if order < 0:
@@ -61,7 +62,13 @@ class DerivativeSystem:
         self.order = order
         self.table = MonomialTable(mvars, order)
         self.indices: list[MultiIndex] = self.table.exponents
-        self.stack = np.zeros((count, target.dim, source.dim), dtype=complex)
+        shape = (count, target.dim, source.dim)
+        if isinstance(ops, np.ndarray):
+            if ops.shape != shape:
+                raise ValueError(f"operator stack has shape {ops.shape}, expected {shape}")
+            self.stack = np.array(ops, dtype=complex)
+            return
+        self.stack = np.zeros(shape, dtype=complex)
         for k, mat in ops.items():
             k = tuple(int(t) for t in k)
             if k not in self.table.exp_index:
@@ -73,9 +80,11 @@ class DerivativeSystem:
             self.stack[self.table.exp_index[k]] = mat
 
     @property
-    def ops(self) -> dict[MultiIndex, np.ndarray]:
-        """Every index mapped to its row of the stack."""
-        return dict(zip(self.indices, self.stack))
+    def ops(self) -> MappingProxyType:
+        """Every index mapped to its row of the stack, read-only."""
+        rows = self.stack.view()
+        rows.flags.writeable = False
+        return MappingProxyType(dict(zip(self.indices, rows)))
 
     def op_matrix(self, k: MultiIndex) -> np.ndarray:
         row = self.table.exp_index.get(tuple(int(t) for t in k))
@@ -242,9 +251,8 @@ def from_homomorphism(h: LinearOp, tol: float = 1e-9) -> DerivativeSystem:
     if bad:
         raise DomainError(f"series map is not a homomorphism: {bad[0]}")
     stack = h.matrix.reshape(ser.table.dim, ser.base.dim, -1)
-    stack = stack * ser.table.factorials()[:, None, None]
     return DerivativeSystem(h.source, ser.base, ser.mvars, ser.order,
-                            dict(zip(ser.exponents, stack)))
+                            stack * ser.table.factorials()[:, None, None])
 
 
 def taylor_system(mvars: int, order: int, point, degree: int | None = None) -> DerivativeSystem:
@@ -268,8 +276,7 @@ def taylor_system(mvars: int, order: int, point, degree: int | None = None) -> D
     count = mi_count(mvars, order)
     rows = np.zeros((count, 1, source.dim), dtype=complex)
     rows[np.arange(count), 0, np.arange(count)] = source.table.factorials()[:count]
-    ops = dict(zip(source.exponents, rows))
-    sys = DerivativeSystem(source, target, mvars, order, ops)
+    sys = DerivativeSystem(source, target, mvars, order, rows)
     sys.point = point
     return sys
 

@@ -404,16 +404,14 @@ def truncation_hom(source: PolyAlgebra, target: PolyAlgebra) -> LinearOp:
 
 
 def derivative_matrix(source: PolyAlgebra, target: PolyAlgebra, i: int) -> np.ndarray:
-    """Matrix of d/dx_i followed by truncation into the target degrees.
-
-    x_i is row 1 + i of the graded order, whose leading rows are the target's.
-    """
+    """Matrix of d/dx_i followed by truncation into the target degrees."""
     if source.mvars != target.mvars:
         raise ValueError("variable count mismatch")
     if not 0 <= i < source.mvars:
         raise ValueError(f"variable index {i} is not between 0 and {source.mvars - 1}")
     mat = np.zeros((target.dim, source.dim), dtype=complex)
     if source.degree >= 1:
+        # x_i is row 1 + i of the graded order, whose leading rows are the target's
         down = source.table.sub[:, 1 + i]
         cols = np.flatnonzero((down >= 0) & (down < target.dim))
         mat[down[cols], cols] = source.table.exps[cols, i]

@@ -85,14 +85,14 @@ def _require_character(algebra: StructureAlgebra, s: Character):
         raise DomainError("functional is not a character")
 
 
-def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
-                  tol: float = la.RANK_TOL) -> list[TangentVector]:
+def tangent_space(algebra: StructureAlgebra, s: Character,
+                  real: bool = False) -> list[TangentVector]:
     """Basis of the (complex or real) tangent space at a character.
 
     The Leibniz constraints are one stacked linear system over the
     functional's coordinates. The real form adds the antilinear constraint
     tau(a*) = conj(tau(a)), which is only R-linear, so that solve runs over
-    split real and imaginary parts. `tol` is the rank cut of either solve.
+    split real and imaginary parts.
     """
     _require_character(algebra, s)
     d = algebra.dim
@@ -104,7 +104,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     rows -= np.einsum("i,jk->ijk", sv, eye).reshape(d * d, d)
     rows -= np.einsum("ik,j->ijk", eye, sv).reshape(d * d, d)
     if not real:
-        basis = la.null_space(rows, tol)
+        basis = la.null_space(rows)
         return [TangentVector(algebra, v, s) for v in basis]
     # split tau = rho + i sigma; complex rows M tau = 0 become
     # [Re M, -Im M; Im M, Re M] [rho; sigma] = 0
@@ -117,7 +117,7 @@ def tangent_space(algebra: StructureAlgebra, s: Character, real: bool = False,
     real_rows = np.hstack([(sr - np.eye(d)).T, -si.T])
     imag_rows = np.hstack([si.T, (sr + np.eye(d)).T])
     stacked = np.vstack([top, bot, real_rows, imag_rows])
-    basis = la.null_space(stacked, tol)
+    basis = la.null_space(stacked)
     out = []
     for v in basis:
         tau = v[:d] + 1j * v[d:]

@@ -178,9 +178,7 @@ class SeriesStructureAlgebra(StructureAlgebra):
 
     Basis = (multi-index, base basis vector) pairs, multi-indices in the
     graded order of `table`, base index fastest. Remembers the coefficient
-    algebra and the table so series can be packed and unpacked. Refuses a
-    flattened dimension above MAX_NAMED_DIM (see require_dim) before its
-    tensor exists.
+    algebra and the table so series can be packed and unpacked.
     """
 
     def __init__(self, base: StructureAlgebra, table: MonomialTable):

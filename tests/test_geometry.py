@@ -14,7 +14,6 @@ from diffalg import (
     CotangentClass,
     DomainError,
     NumericError,
-    StructureAlgebra,
     TangentVector,
     algebra_from_name,
     characters,
@@ -243,18 +242,3 @@ def test_projection_matches_per_column_solves(index):
     assert pi.shape == want.shape == (len(classes), alg.dim)
     if want.size:
         assert np.abs(pi - want).max() <= 1e-12
-
-
-def test_tangent_space_cuts_at_its_tolerance():
-    """poly:1:2 in the basis 1, x, x^2 / 1e-6, so that x * x = 1e-6 e_2: at
-    the origin the constraint row of that product is dropped by a rank cut
-    of 1e-5 and kept by the default 1e-8."""
-    p = truncated_poly(1, 2)
-    c = p.structure.copy()
-    c[1, 1, 2] = 1e-6
-    alg = StructureAlgebra(c, p.involution, p.unit)
-    origin = _delta(alg)
-    assert len(tangent_space(alg, origin, tol=1e-5)) == 2
-    assert len(tangent_space(alg, origin)) == 1
-    assert len(tangent_space(alg, origin, real=True, tol=1e-5)) == 2
-    assert len(tangent_space(alg, origin, real=True)) == 1

@@ -116,6 +116,33 @@ def test_ops_round_trip(kind, sys):
     assert "ops" not in vars(sys)
 
 
+@pytest.mark.parametrize("kind, sys", SYSTEMS, ids=IDS)
+def test_a_stack_in_table_order_is_the_same_system(kind, sys):
+    rows = sys.stack.copy()
+    again = DerivativeSystem(sys.source, sys.target, sys.mvars, sys.order, rows)
+    assert again.isclose(sys, 0.0)
+    rows[0] += 1.0
+    assert again.isclose(sys, 0.0)
+
+
+def test_a_stack_of_the_wrong_shape_is_refused():
+    sys = taylor_system(2, 2, [0.5, -0.25])
+    with pytest.raises(ValueError, match="operator stack has shape"):
+        DerivativeSystem(sys.source, sys.target, 2, 1, sys.stack)
+
+
+def test_ops_is_read_only():
+    sys = taylor_system(2, 2, [0.5, -0.25])
+    before = sys.stack.copy()
+    with pytest.raises(TypeError):
+        sys.ops[(1, 0)] = np.zeros((1, 6))
+    with pytest.raises(ValueError, match="read-only"):
+        sys.ops[(1, 0)][0, 0] = 7.0
+    assert np.array_equal(sys.stack, before)
+    sys.stack[1, 0, 0] = 7.0
+    assert sys.ops[(1, 0)][0, 0] == 7.0
+
+
 def test_stack_rows_follow_the_table():
     sys = taylor_system(2, 2, [0.5, -0.25])
     assert sys.stack.shape == (6, 1, 6)
