@@ -9,6 +9,7 @@ ideals, centralizers, and a family of ready-made constructors.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -65,10 +66,13 @@ class StructureAlgebra:
         if self.labels is not None and len(self.labels) != d:
             raise ValueError("label count mismatch")
         if check:
-            bad = self.axiom_violations(tol)
-            if bad:
-                raise DomainError(f"algebra axioms fail: {bad[0]}"
-                                  + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""))
+            self._check_axioms(tol)
+
+    def _check_axioms(self, tol) -> None:
+        bad = self.axiom_violations(tol)
+        if bad:
+            raise DomainError(f"algebra axioms fail: {bad[0]}"
+                              + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""))
 
     @property
     def dim(self) -> int:
@@ -201,7 +205,7 @@ class StructureAlgebra:
         require_dim(d)
         require_dim(len(data["structure"]))
         structure, involution, unit = (
-            _complex_entries(field, data[field], shape)
+            _complex_array(field, data[field], shape)
             for field, shape in (("structure", (d, d, d)), ("involution", (d, d)),
                                  ("unit", (d,))))
         return cls(structure, involution, unit, labels=data.get("labels"),
@@ -211,39 +215,54 @@ class StructureAlgebra:
         return f"<StructureAlgebra dim={self.dim}>"
 
 
-def _complex_entries(field: str, data, shape: tuple) -> np.ndarray:
-    """Nested lists of [re, im] number pairs as a complex array of the given
-    shape. Any other layout, and an entry that is not finite, is refused
-    with ValueError naming the field."""
+def _complex_array(field: str, data, shape: tuple, finite: bool = True) -> np.ndarray:
+    """Nested lists as a complex array of the given shape (None: any
+    positive length). An entry is a number x, standing for [x, 0], or an
+    [re, im] pair of numbers, in any mix. Any other layout (a length off
+    the shape, unequal rows, a bool, a string, null) is refused with
+    ValueError naming the field, and so are an integer beyond the float
+    range and, unless finite=False, an entry that is not finite."""
+    k = len(shape)
+    parts = np.array(data, dtype=object)
+    if parts.ndim == k and any(isinstance(e, (list, tuple)) for e in parts.flat):
+        pairs = np.array([e if isinstance(e, (list, tuple)) else (e, 0) for e in parts.flat],
+                         dtype=object)
+        if pairs.shape == (parts.size, 2):
+            parts = pairs.reshape(parts.shape + (2,))
+    sizes = tuple(n or m for n, m in zip(shape, parts.shape))
+    if not (len(sizes) == k and parts.shape in (sizes, sizes + (2,)) and parts.size
+            and set(map(type, parts.flat)) <= {int, float}):
+        if shape[0]:
+            raise ValueError(f"{field} must be {k}-fold nested lists of [re, im] number "
+                             f"pairs, {shape[0]} at each level")
+        raise ValueError(f"{field} must be a non-empty list of "
+                         + "equal non-empty rows of " * (k - 1)
+                         + "numbers or [re, im] number pairs")
     try:
-        parts = np.array(data)
-    except ValueError:  # lists of unequal lengths
-        parts = None
-    if parts is None or parts.shape != shape + (2,) or parts.dtype.kind not in "iuf":
-        raise ValueError(f"{field} must be {len(shape)}-fold nested lists of "
-                         f"[re, im] number pairs, {shape[0]} at each level")
-    values = np.ascontiguousarray(parts, dtype=float).view(complex)[..., 0]
-    if not np.isfinite(values).all():
+        values = parts.astype(float)
+    except OverflowError:
+        raise ValueError(f"{field} has an integer beyond the float range") from None
+    if finite and not np.isfinite(values).all():
         raise ValueError(f"{field} has an entry that is not finite")
-    return values
+    return values.view(complex)[..., 0] if parts.ndim > k else values.astype(complex)
 
 
 class PolyAlgebra(StructureAlgebra):
     """Degree-truncated polynomial algebra in m commuting variables.
 
     Basis = monomials x^k with |k| <= degree in graded lexicographic order;
-    products above the degree bound are dropped. Keeps its monomial table
-    (`table`, with the exponent list and index) so jets and evaluation can
-    recover the polynomial structure, and caches the jet spaces built on it
-    in `jet_cache`, which lives and dies with the algebra.
+    products above the degree bound are dropped. The monomial table
+    (`table`, with the exponent list and index) is the algebra: the
+    structure tensor and the labels are built from it on first use and kept
+    with the algebra, so layers that read only the table (jets, evaluation)
+    never allocate the d^3 tensor. The jet spaces built on the algebra are
+    cached in `jet_cache`, which lives and dies with it.
     """
 
-    def __init__(self, mvars: int, degree: int, **kw):
-        table = MonomialTable(mvars, degree)
-        labels = [monomial_label(k) for k in table.exponents]
-        super().__init__(*_semigroup(table.add, np.arange(table.dim), 0),
-                         labels=labels, **kw)
-        self._use_table(table)
+    def __init__(self, mvars: int, degree: int, check: bool = True, tol=la.ZERO_TOL):
+        self._use_table(MonomialTable(mvars, degree))
+        if check:
+            self._check_axioms(tol)
 
     def _use_table(self, table: MonomialTable) -> None:
         self.mvars = table.mvars
@@ -252,24 +271,30 @@ class PolyAlgebra(StructureAlgebra):
         self.exponents: list[MultiIndex] = table.exponents
         self.exp_index = table.exp_index
         self.jet_cache: dict = {}
+        # coefficientwise conjugation, and the monomial 1 (row 0) as the unit
+        self.involution = np.eye(table.dim, dtype=complex)
+        self.unit = np.eye(1, table.dim, dtype=complex)[0]
+
+    @property
+    def dim(self) -> int:
+        return self.table.dim
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray:
+        """x^k x^l = x^(k+l), or 0 above the degree, from the table's sums."""
+        return _semigroup(self.table.add, np.arange(self.dim), 0)[0]
+
+    @functools.cached_property
+    def labels(self) -> list[str]:
+        return [monomial_label(k) for k in self.exponents]
 
     def truncated(self, n: int) -> "PolyAlgebra":
-        """The polynomials of degree <= n, as a new algebra.
-
-        In the graded order they are the first q = C(m+n, m) monomials, and
-        products above degree n land past them, so the structure, the
-        involution, the unit, the labels and the monomial table are the
-        leading q-corners of this algebra's: the same algebra as
-        truncated_poly(m, n), without building it. The result is a new
-        object even for n = degree, so its elements never mix with ours.
-        """
-        table = self.table.truncated(n)
-        q = table.dim
+        """The polynomials of degree <= n, as a new algebra on the leading
+        corner of the table: the same algebra as truncated_poly(m, n). The
+        result is a new object even for n = degree, so its elements never
+        mix with ours."""
         out = PolyAlgebra.__new__(PolyAlgebra)
-        StructureAlgebra.__init__(out, self.structure[:q, :q, :q].copy(),
-                                  self.involution[:q, :q].copy(), self.unit[:q].copy(),
-                                  labels=self.labels[:q], check=False)
-        out._use_table(table)
+        out._use_table(self.table.truncated(n))
         return out
 
     def evaluate(self, coords, point) -> complex:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (Character, LinearOp, PolyAlgebra, StructureAlgebra,
-                      algebra_from_name, function_algebra, matrix_algebra,
-                      direct_sum, truncated_poly)
+                      _complex_array, algebra_from_name, function_algebra,
+                      matrix_algebra, direct_sum, truncated_poly)
 from .dersys import DerivativeSystem, _pack, from_homomorphism, verify_system
 from .diffcalc import RelativeOp, check_stabilization, diff_order, truncation_hom
 from .envelope import Reasons, _integer, envelope_verdict, parse_expr
@@ -40,42 +40,14 @@ __all__ = ["main"]
 # --- input parsing -----------------------------------------------------
 
 
-def _entry(e) -> complex:
-    if isinstance(e, bool):
-        raise ValueError(f"bad numeric entry {e!r}")
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if (isinstance(e, (list, tuple)) and len(e) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e)):
-        return complex(e[0], e[1])
-    raise ValueError(f"bad numeric entry {e!r}")
-
-
-def _finite(field: str, values: np.ndarray) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{field} has an entry that is not finite")
-    return values
-
-
-def parse_vector(data, field: str | None = None) -> np.ndarray:
-    """A non-empty list of numbers as a complex vector. With a field name,
-    an entry that is not finite is refused naming the field; without one
-    the caller checks finiteness itself."""
-    if not isinstance(data, (list, tuple)) or not data:
-        raise ValueError("vector must be a non-empty list")
-    values = np.array([_entry(e) for e in data], dtype=complex)
-    return values if field is None else _finite(field, values)
+def parse_vector(data, field: str, finite: bool = True) -> np.ndarray:
+    """A non-empty list of numbers or [re, im] pairs (see _complex_array)."""
+    return _complex_array(field, data, (None,), finite)
 
 
 def parse_matrix(data, field: str) -> np.ndarray:
-    """A non-empty list of equal rows as a complex matrix; an entry that is
-    not finite is refused naming the field."""
-    if not isinstance(data, (list, tuple)) or not data:
-        raise ValueError("matrix must be a non-empty list of rows")
-    rows = [parse_vector(r) for r in data]
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("matrix rows have unequal lengths")
-    return _finite(field, np.array(rows, dtype=complex))
+    """A non-empty list of equal rows, each read as parse_vector reads one."""
+    return _complex_array(field, data, (None, None))
 
 
 def _flag(name: str, value) -> bool:
@@ -339,9 +311,10 @@ def cmd_ztower(data, args):
 
 def cmd_jet(data, args):
     m, order = _integer("m", data["m"]), _integer("order", data["order"])
-    point = np.real(parse_vector(data["point"]))
-    terms = [(_index(e["index"]), _entry(e["coeff"]))
-             for e in data["f"]]
+    point = np.real(parse_vector(data["point"], "point", finite=False))
+    coeffs = [e["coeff"] for e in data["f"]]
+    coeffs = parse_vector(coeffs, "coeff", finite=False) if coeffs else []
+    terms = [(_index(e["index"]), c) for e, c in zip(data["f"], coeffs)]
     degf = max((sum(k) for k, _ in terms), default=0)
     bound = _integer("degree", data.get("degree", max(order + 2, degf)))
     if degf > bound:

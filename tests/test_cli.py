@@ -827,6 +827,53 @@ def test_integral_depth_and_index_entries_still_read(capsys, tmp_path):
     assert len(rep["results"]["dims"]) == 4
 
 
+_ONE = {"dim": 1, "structure": [[[[1.0, 0.0]]]], "involution": [[[1.0, 0.0]]],
+        "unit": [[1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("structure", [[[[True, 0.0]]]]),
+    ("involution", [[[1.0, False]]]),
+    ("unit", [[True, 0.0]]),
+])
+def test_serialized_booleans_are_input_errors(capsys, tmp_path, field, value):
+    """A JSON boolean is not a number, also among floats of a [re, im] pair."""
+    code, out, err = run(capsys, "algebra-check",
+                         _write(tmp_path, "doc.json", {**_ONE, field: value}))
+    assert (code, out) == (2, "")
+    folds = {"structure": 3, "involution": 2, "unit": 1}[field]
+    assert err == (f"diffalg: parse error: {field} must be {folds}-fold nested lists "
+                   "of [re, im] number pairs, 1 at each level\n")
+
+
+@pytest.mark.parametrize("subcommand, doc, field", [
+    ("dersys-verify", _scalar_dersys(True), "ops matrix"),
+    ("difforder", {"source": "func:2", "operator": [[0, 1], [0, 0]],
+                   "action": [[1, 0], [0, [1, False]]]}, "action"),
+    ("difforder", {"source": "func:2", "operator": [[0, 1], [0]]}, "operator"),
+    ("ztower", {"source": "func:2", "target": "func:2", "phi": [[1, 0], [0, "1"]]}, "phi"),
+    ("tangent", {"algebra": "poly:1:2", "character": [1, None, 0]}, "character"),
+    ("dauns-hofmann", {"algebra": "func:2", "central": [[1, 1], []]}, "central"),
+    ("jet", {"m": 1, "order": 1, "point": [True], "f": []}, "point"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5],
+             "f": [{"index": [1], "coeff": [1.0, True]}]}, "coeff"),
+])
+def test_malformed_numeric_fields_name_the_field(capsys, tmp_path, subcommand, doc, field):
+    code, out, err = run(capsys, subcommand, _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"diffalg: parse error: {field} must be a non-empty list of ")
+
+
+def test_numbers_and_pairs_mix_in_one_row(capsys, tmp_path):
+    """A number x stands for the pair [x, 0], in any mix within a row."""
+    mixed = {"source": "func:2", "target": "func:2", "phi": [[1, [0.0, 0.0]], [[0, 0], 1.0]]}
+    plain = {**mixed, "phi": [[1, 0], [0, 1]]}
+    code, rep, _ = run_json(capsys, "ztower", _write(tmp_path, "mixed.json", mixed))
+    assert code == 0
+    want = run_json(capsys, "ztower", _write(tmp_path, "plain.json", plain))[1]
+    assert rep["results"] == want["results"]
+
+
 def test_a_closed_stdout_keeps_the_exit_code_and_prints_nothing(tmp_path):
     """A report larger than the pipe buffer, whose reader reads one byte and
     closes the pipe: the request still exits 3 (FAIL), with empty stderr."""

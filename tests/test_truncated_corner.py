@@ -6,7 +6,9 @@ instead of building it; the references below are the fresh build and the
 exponent-index loop they replace. The Leibniz check is run with its block
 budget cut to a few entries against the tuple-loop reference, and counting
 hooks pin that a request builds one monomial table, finds its pair pattern
-once and verifies a derivative system once.
+once and verifies a derivative system once. A polynomial algebra builds its
+structure tensor and labels on first use; the eager build they replace is
+kept below as the reference, and a jet request builds no tensor at all.
 """
 from __future__ import annotations
 
@@ -15,9 +17,11 @@ import json
 import numpy as np
 import pytest
 
-from diffalg import (DomainError, Element, algebra_from_name, taylor_system, truncated_poly,
+from diffalg import (DomainError, Element, algebra_from_name, jet_project, jet_space,
+                     quotient_seminorm, taylor_system, taylor_truncate, truncated_poly,
                      verify_system)
-from diffalg import cli, dersys, multiindex
+from diffalg import algebra, cli, dersys, multiindex
+from diffalg.algebra import monomial_label
 from diffalg.diffcalc import derivative_op, truncation_hom
 from diffalg.multiindex import MonomialTable
 
@@ -139,6 +143,24 @@ def _write(tmp_path, name, obj):
     return str(path)
 
 
+def _count_builds(monkeypatch):
+    """Dimensions of the structure tensors and label lists built from here on."""
+    tensors, labels = [], []
+    semigroup, label = algebra._semigroup, algebra.monomial_label
+
+    def counted_semigroup(table, star, unit):
+        tensors.append(len(star))
+        return semigroup(table, star, unit)
+
+    def counted_label(k):
+        labels.append(k)
+        return label(k)
+
+    monkeypatch.setattr(algebra, "_semigroup", counted_semigroup)
+    monkeypatch.setattr(algebra, "monomial_label", counted_label)
+    return tensors, labels
+
+
 def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_path, capsys):
     builds = []
     init = MonomialTable.__init__
@@ -150,12 +172,16 @@ def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_pa
     counting = _CountingNumpy()
     monkeypatch.setattr(MonomialTable, "__init__", counted)
     monkeypatch.setattr(multiindex, "np", counting)
+    tensors, labels = _count_builds(monkeypatch)
     doc = {"m": 2, "order": 2, "point": [0.25, -0.5],
            "f": [{"index": [1, 1], "coeff": 2.0}, {"index": [0, 3], "coeff": -1.0}]}
     assert cli.main(["jet", _write(tmp_path, "jet.json", doc)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["dim"] == 6
     assert builds == [(2, 4)]
     assert counting.nonzero_calls == 1
+    # no structure tensor at all, and the labels of the quotient alone
+    assert tensors == []
+    assert labels == MonomialTable(2, 2).exponents
 
 
 def test_a_valid_dersys_request_verifies_once(monkeypatch, tmp_path, capsys):
@@ -175,3 +201,89 @@ def test_a_valid_dersys_request_verifies_once(monkeypatch, tmp_path, capsys):
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["ok"] and results["packs_to_homomorphism"]
     assert len(calls) == 1
+
+
+# --- the table is the algebra: the tensor and the labels on first use ----
+
+def ref_eager_build(m, n):
+    """Structure, involution, unit and labels of truncated_poly(m, n) as they
+    were built at construction, before the table became the algebra."""
+    table = MonomialTable(m, n)
+    d = table.dim
+    c = np.zeros((d, d, d), dtype=complex)
+    i, j = np.nonzero(table.add >= 0)
+    c[i, j, table.add[i, j]] = 1.0
+    inv = np.zeros((d, d), dtype=complex)
+    inv[np.arange(d), np.arange(d)] = 1.0
+    unit = np.zeros(d, dtype=complex)
+    unit[0] = 1.0
+    return c, inv, unit, [monomial_label(k) for k in table.exponents]
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3, 4) for n in range(7)])
+def test_first_use_builds_what_the_eager_build_held(monkeypatch, m, n):
+    tensors, labels = _count_builds(monkeypatch)
+    alg = truncated_poly(m, n)
+    assert (tensors, labels) == ([], [])
+    c, inv, unit, want_labels = ref_eager_build(m, n)
+    assert alg.dim == len(want_labels)
+    assert _same_bits(alg.involution, inv) and _same_bits(alg.unit, unit)
+    assert alg.labels == want_labels and alg.labels is alg.labels
+    assert _same_bits(alg.structure, c)
+    assert alg.structure.flags.c_contiguous
+    # built once and kept with the algebra
+    assert alg.structure is alg.structure
+    assert tensors == [alg.dim] and len(labels) == alg.dim
+
+
+@pytest.mark.parametrize("m,big", [(1, 6), (2, 5), (3, 4)])
+def test_truncating_an_unbuilt_algebra_builds_nothing_of_it(monkeypatch, m, big):
+    tensors, _ = _count_builds(monkeypatch)
+    parent = truncated_poly(m, big)
+    corners = [parent.truncated(n) for n in range(big + 1)]
+    assert tensors == []
+    for n, corner in enumerate(corners):
+        assert_same_poly_algebra(corner, truncated_poly(m, n))
+    # each corner's tensor and the fresh build's, and never the parent's
+    assert sorted(tensors) == sorted(2 * [corner.dim for corner in corners])
+
+
+def test_jet_functions_never_build_the_ambient_tensor(monkeypatch):
+    tensors, _ = _count_builds(monkeypatch)
+    alg = truncated_poly(3, 5)
+    f = np.linspace(-1.0, 1.0, alg.dim)
+    s = [0.5, -0.25, 0.125]
+    jet_space(alg, s, 3)
+    for route in ("taylor", "solve"):
+        jet_project(alg, f, s, 2, route=route)
+    taylor_truncate(alg, f, s, 4)
+    quotient_seminorm(alg, f, s, 1)
+    assert tensors == []
+
+
+def test_a_jet_request_stays_below_its_ambient_tensor(tmp_path, capsys):
+    """jet at m = 3, order 4 works in degree 6, d = 84: tracing the whole
+    request, its peak stays below the 16 d^3 bytes of that tensor."""
+    import tracemalloc
+
+    from diffalg.multiindex import mi_enumerate
+
+    terms = mi_enumerate(3, 6)
+    coeffs = np.random.default_rng(5).standard_normal(len(terms))
+    doc = {"m": 3, "order": 4, "point": [0.5, -0.75, 0.25],
+           "f": [{"index": list(k), "coeff": float(c)} for k, c in zip(terms, coeffs)]}
+    path = _write(tmp_path, "jet.json", doc)
+    tracemalloc.start()
+    try:
+        code = cli.main(["jet", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["dim"] == 35
+    assert len(terms) == 84
+    assert peak < 16 * 84 ** 3

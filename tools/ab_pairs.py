@@ -1,0 +1,120 @@
+"""Paired A/B timing of two checkouts of diffalg in one interpreter.
+
+    python3 tools/ab_pairs.py A_CHECKOUT B_CHECKOUT [--workload series-jets]
+                              [--seed 5] [--passes 4] [--limit N]
+
+Each checkout's src/diffalg is loaded under its own package name (diffalg_a
+and diffalg_b), side by side in this interpreter. One pass of the seeded
+corpus of perfbench/workloads.py (this checkout's, only read) is written to
+a temporary directory and every request is sent to both, one after the
+other, alternating which goes first; the passes repeat that over the same
+corpus. Separate benchmark runs of the same program drift with the speed of
+a shared machine by tens of percent; the two calls of a pair see the same
+drift, so the ratios of paired times are much steadier than the ratio of
+two runs. It complements perfbench/run.py and does not replace it: both
+programs share one process, so peak memory and process-lifetime caches are
+not measured here.
+
+Prints the pass-time ratio B/A of each pass and their median, p50 and p90
+of each side, the per-class medians and their ratio, and the number of
+requests whose (exit code, stdout) differ between A and B. Exits 1 when any
+pair differs, else 0.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
+import io
+import os
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_cli(checkout: str, name: str):
+    """diffalg.cli of a checkout, imported as the package `name`."""
+    package = os.path.join(os.path.abspath(checkout), "src", "diffalg")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    if spec is None:
+        raise SystemExit(f"ab_pairs: no src/diffalg in {checkout}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def call(cli, argv) -> tuple[int, str, float]:
+    """One request after a full collection, as perfbench's worker makes it:
+    (exit code, stdout, seconds)."""
+    gc.collect()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        t0 = time.perf_counter()
+        code = cli.main(argv)
+        seconds = time.perf_counter() - t0
+    return code, out.getvalue(), seconds
+
+
+def p90(samples: list[float]) -> float:
+    return statistics.quantiles(samples, n=10)[8] if len(samples) > 1 else samples[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", help="checkout A (the reference)")
+    parser.add_argument("b", help="checkout B")
+    parser.add_argument("--workload", default="series-jets")
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--passes", type=int, default=4)
+    parser.add_argument("--limit", type=int, help="only the first N requests of the pass")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from workloads import build_corpus
+
+    clis = (load_cli(args.a, "diffalg_a"), load_cli(args.b, "diffalg_b"))
+    with tempfile.TemporaryDirectory() as workdir:
+        requests = build_corpus(args.workload, args.seed, workdir)[:args.limit]
+        times = ([], [])  # per side: one list of request seconds per pass
+        differ = 0
+        for _ in range(args.passes):
+            for side in times:
+                side.append([])
+            for n, req in enumerate(requests):
+                order = (0, 1) if n % 2 == 0 else (1, 0)
+                outcome = [None, None]
+                for side in order:
+                    code, text, seconds = call(clis[side], req["argv"])
+                    outcome[side] = (code, text)
+                    times[side][-1].append(seconds)
+                differ += outcome[0] != outcome[1]
+
+    ratios = [sum(b) / sum(a) for a, b in zip(*times)]
+    print(f"{args.workload}, seed {args.seed}: {len(requests)} requests x "
+          f"{args.passes} passes")
+    print("pass-time ratio B/A: " + " ".join(f"{r:.3f}" for r in ratios)
+          + f"  (median {statistics.median(ratios):.3f})")
+    for label, side in zip("AB", times):
+        flat = [t for one_pass in side for t in one_pass]
+        print(f"{label}: p50 {1000 * statistics.median(flat):.3f} ms, "
+              f"p90 {1000 * p90(flat):.3f} ms")
+    print(f"{'class':<24} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
+    for cls in dict.fromkeys(req["class"] for req in requests):
+        a, b = ([t for one_pass in side for req, t in zip(requests, one_pass)
+                 if req["class"] == cls] for side in times)
+        ma, mb = statistics.median(a), statistics.median(b)
+        print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f}")
+    print(f"differing (exit code, stdout) pairs: {differ} of "
+          f"{len(requests) * args.passes}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
