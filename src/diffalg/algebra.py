@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
 from . import _linalg as la
+from ._input import Fields
 from .errors import DomainError, NumericError
 from .multiindex import MonomialTable, MultiIndex, mi_count
 
@@ -200,51 +202,24 @@ class StructureAlgebra:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, check: bool = True) -> "StructureAlgebra":
-        d = int(data["dim"])
+    def from_dict(cls, data, check: bool = True) -> "StructureAlgebra":
+        """The algebra to_dict wrote. `data` may also be an _input.Fields
+        over such a dict, whose path then names its fields in refusals."""
+        doc = data if isinstance(data, Fields) else Fields(data)
+        d = doc.integer("dim", low=1)
         require_dim(d)
-        require_dim(len(data["structure"]))
+        planes = doc.raw("structure")
+        if isinstance(planes, list):
+            require_dim(len(planes))
         structure, involution, unit = (
-            _complex_array(field, data[field], shape)
+            doc.array(field, shape)
             for field, shape in (("structure", (d, d, d)), ("involution", (d, d)),
                                  ("unit", (d,))))
-        return cls(structure, involution, unit, labels=data.get("labels"),
+        return cls(structure, involution, unit, labels=doc.labels("labels", d),
                    check=check)
 
     def __repr__(self):
         return f"<StructureAlgebra dim={self.dim}>"
-
-
-def _complex_array(field: str, data, shape: tuple, finite: bool = True) -> np.ndarray:
-    """Nested lists as a complex array of the given shape (None: any
-    positive length). An entry is a number x, standing for [x, 0], or an
-    [re, im] pair of numbers, in any mix. Any other layout (a length off
-    the shape, unequal rows, a bool, a string, null) is refused with
-    ValueError naming the field, and so are an integer beyond the float
-    range and, unless finite=False, an entry that is not finite."""
-    k = len(shape)
-    parts = np.array(data, dtype=object)
-    if parts.ndim == k and any(isinstance(e, (list, tuple)) for e in parts.flat):
-        pairs = np.array([e if isinstance(e, (list, tuple)) else (e, 0) for e in parts.flat],
-                         dtype=object)
-        if pairs.shape == (parts.size, 2):
-            parts = pairs.reshape(parts.shape + (2,))
-    sizes = tuple(n or m for n, m in zip(shape, parts.shape))
-    if not (len(sizes) == k and parts.shape in (sizes, sizes + (2,)) and parts.size
-            and set(map(type, parts.flat)) <= {int, float}):
-        if shape[0]:
-            raise ValueError(f"{field} must be {k}-fold nested lists of [re, im] number "
-                             f"pairs, {shape[0]} at each level")
-        raise ValueError(f"{field} must be a non-empty list of "
-                         + "equal non-empty rows of " * (k - 1)
-                         + "numbers or [re, im] number pairs")
-    try:
-        values = parts.astype(float)
-    except OverflowError:
-        raise ValueError(f"{field} has an integer beyond the float range") from None
-    if finite and not np.isfinite(values).all():
-        raise ValueError(f"{field} has an entry that is not finite")
-    return values.view(complex)[..., 0] if parts.ndim > k else values.astype(complex)
 
 
 class PolyAlgebra(StructureAlgebra):
@@ -1028,6 +1003,13 @@ def cusp_algebra() -> StructureAlgebra:
                             labels=labels, check=False)
 
 
+def _size(text: str) -> int:
+    """One size in a constructor name: digits with an optional sign."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"size {text!r} is not an integer")
+    return int(text)
+
+
 def algebra_from_name(name: str) -> StructureAlgebra:
     """Constructor lookup for CLI-style names.
 
@@ -1040,17 +1022,17 @@ def algebra_from_name(name: str) -> StructureAlgebra:
     kind = parts[0].lower()
     try:
         if kind == "matrix" and len(parts) == 2:
-            n = int(parts[1])
+            n = _size(parts[1])
             require_dim(max(n, 0) ** 2)
             return matrix_algebra(n)
         if kind == "func" and len(parts) == 2:
-            n = int(parts[1])
+            n = _size(parts[1])
             require_dim(n)
             return function_algebra(n)
         if kind == "poly" and len(parts) == 3:
-            return truncated_poly(int(parts[1]), int(parts[2]))
+            return truncated_poly(_size(parts[1]), _size(parts[2]))
         if kind == "group" and len(parts) == 2:
-            factors = [int(x.lstrip("z")) for x in parts[1].lower().split("x")]
+            factors = [_size(x.lstrip("z")) for x in parts[1].lower().split("x")]
             if min(factors) >= 1:
                 require_dim(math.prod(factors))
             return group_algebra(factors)

@@ -1,17 +1,18 @@
 """Command-line front end: file-based inputs, JSON reports, stable exits.
 
-Exit codes: 0 success/PASS, 2 parse error, 3 domain error or FAIL,
-4 numeric failure or INCONCLUSIVE, 5 internal error (an unexpected
-exception in a subcommand, reported as {"type": "internal", "message":
-"<ExceptionType>: <message>"} without a traceback). When the reader of
-stdout closes it early, the rest of the report is dropped and the exit code
-is still the request's own. Reports carry the input digest and the seed, so
-identical inputs and seeds produce byte-identical reports.
+Exit codes: 0 success/PASS, 2 parse error (a ValueError: every input
+field is read and refused by diffalg._input), 3 domain error or FAIL,
+4 numeric failure or INCONCLUSIVE, 5 internal error (any other exception
+in a subcommand, a KeyError or TypeError included, reported as {"type":
+"internal", "message": "<ExceptionType>: <message>"} without a
+traceback). When the reader of stdout closes it early, the rest of the
+report is dropped and the exit code is still the request's own. Reports
+carry the input digest and the seed, so identical inputs and seeds
+produce byte-identical reports.
 """
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import math
@@ -21,12 +22,12 @@ import sys
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (Character, LinearOp, PolyAlgebra, StructureAlgebra,
-                      _complex_array, algebra_from_name, function_algebra,
+from ._input import Fields, algebra, array, envelope_options, indices, sized
+from .algebra import (Character, LinearOp, PolyAlgebra, function_algebra,
                       matrix_algebra, direct_sum, truncated_poly)
 from .dersys import DerivativeSystem, _pack, from_homomorphism, verify_system
 from .diffcalc import RelativeOp, check_stabilization, diff_order, truncation_hom
-from .envelope import Reasons, _integer, envelope_verdict, parse_expr
+from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
 from .geometry import cotangent_space, pairing_matrix, tangent_space
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
@@ -35,43 +36,6 @@ from .series import SeriesElement, ser_unit, series_algebra, series_to_coords
 from .spectra import dauns_hofmann_check, fourier_check
 
 __all__ = ["main"]
-
-
-# --- input parsing -----------------------------------------------------
-
-
-def parse_vector(data, field: str, finite: bool = True) -> np.ndarray:
-    """A non-empty list of numbers or [re, im] pairs (see _complex_array)."""
-    return _complex_array(field, data, (None,), finite)
-
-
-def parse_matrix(data, field: str) -> np.ndarray:
-    """A non-empty list of equal rows, each read as parse_vector reads one."""
-    return _complex_array(field, data, (None, None))
-
-
-def _flag(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, not {value!r}")
-    return value
-
-
-def _index(value) -> tuple[int, ...]:
-    return tuple(_integer("index entry", t) for t in value)
-
-
-def load_algebra(spec, check: bool = True) -> StructureAlgebra:
-    """Accepts a constructor name, {"name": ...}, or a full structure dict."""
-    if isinstance(spec, str):
-        return algebra_from_name(spec)
-    if isinstance(spec, dict):
-        if "name" in spec:
-            if not isinstance(spec["name"], str):
-                raise ValueError(f"algebra name must be a string, not {spec['name']!r}")
-            return algebra_from_name(spec["name"])
-        if "structure" in spec:
-            return StructureAlgebra.from_dict(spec, check=check)
-    raise ValueError("algebra spec must be a name string or a structure dict")
 
 
 def to_jsonable(obj):
@@ -233,7 +197,7 @@ def _emit(report: dict, out: str | None):
 
 
 def cmd_algebra_check(data, args):
-    alg = load_algebra(data, check=False)
+    alg = algebra("", data, check=False)
     bad = alg.axiom_violations(args.tol_zero)
     results = {
         "dim": alg.dim,
@@ -245,13 +209,16 @@ def cmd_algebra_check(data, args):
 
 
 def cmd_dersys_verify(data, args):
-    m, order = _integer("m", data["m"]), _integer("N", data["N"])
-    source = load_algebra(data["source"])
-    target = load_algebra(data["target"])
-    ops = {}
-    for entry in data["ops"]:
-        ops[_index(entry["index"])] = parse_matrix(entry["matrix"], "ops matrix")
-    system = DerivativeSystem(source, target, m, order, ops)
+    doc = Fields(data)
+    m, order = doc.integer("m"), doc.integer("N")
+    source, target = doc.algebra("source"), doc.algebra("target")
+    index, matrix = doc.rows("ops", "index", "matrix")
+    index = indices("index", index)
+    if matrix:
+        matrix = sized("ops matrix", array("ops matrix", matrix, (None, None, None)),
+                       (None, target.dim, source.dim))
+    system = DerivativeSystem(source, target, m, order,
+                              dict(zip(map(tuple, index.tolist()), matrix)))
     report = verify_system(system, args.tol_zero)
     results = {"m": m, "N": order, "ok": report.ok,
                "max_residual": report.max_residual}
@@ -265,11 +232,16 @@ def cmd_dersys_verify(data, args):
 
 
 def cmd_difforder(data, args):
-    source = load_algebra(data["source"])
-    target = load_algebra(data["target"]) if "target" in data else source
-    op_mat = parse_matrix(data["operator"], "operator")
-    if "action" in data:
-        action = LinearOp(parse_matrix(data["action"], "action"), source, target)
+    doc = Fields(data)
+    source = doc.algebra("source")
+    target = doc.algebra("target", default=source)
+    dims = (target.dim, source.dim)
+    op_mat = doc.array("operator", (None, None), dims=dims)
+    action_mat = doc.array("action", (None, None), default=None, dims=dims)
+    gens = doc.array("generators", (None, None), default=None, dims=(None, source.dim))
+    max_n = doc.integer("max_order", 6, low=0)
+    if action_mat is not None:
+        action = LinearOp(action_mat, source, target)
     elif target is source:
         action = LinearOp.identity(source)
     elif (isinstance(source, PolyAlgebra) and isinstance(target, PolyAlgebra)
@@ -278,11 +250,7 @@ def cmd_difforder(data, args):
     else:
         raise ValueError("an explicit action matrix is required for this pair")
     p = RelativeOp(LinearOp(op_mat, source, target), action)
-    if "generators" in data:
-        gens = [parse_vector(v, "generators") for v in data["generators"]]
-    else:
-        gens = list(np.eye(source.dim))
-    max_n = _integer("max_order", data.get("max_order", 6))
+    gens = list(np.eye(source.dim) if gens is None else gens)
     order = diff_order(p, gens, max_n, tol=max(args.tol_zero, 1e-10),
                        samples=args.instances, seed=args.seed)
     results = {"order": order, "max_order": max_n,
@@ -291,11 +259,12 @@ def cmd_difforder(data, args):
 
 
 def cmd_ztower(data, args):
-    source = load_algebra(data["source"])
-    target = load_algebra(data["target"])
-    phi = LinearOp(parse_matrix(data["phi"], "phi"), source, target)
-    depth = _integer("depth", data.get("depth", 2))
-    enforce = _flag("enforce", data.get("enforce", False))
+    doc = Fields(data)
+    source, target = doc.algebra("source"), doc.algebra("target")
+    phi_mat = doc.array("phi", (None, None), dims=(target.dim, source.dim))
+    depth = doc.integer("depth", 2, low=2)
+    enforce = doc.flag("enforce", False)
+    phi = LinearOp(phi_mat, source, target)
     rep = check_stabilization(phi, depth, enforce_preconditions=enforce, tol=args.tol_zero)
     results = {k: rep[k] for k in ("involutive", "involution_residual", "dims",
                                    "z1_dim", "z2_dim", "stabilized",
@@ -310,23 +279,26 @@ def cmd_ztower(data, args):
 
 
 def cmd_jet(data, args):
-    m, order = _integer("m", data["m"]), _integer("order", data["order"])
-    point = np.real(parse_vector(data["point"], "point", finite=False))
-    coeffs = [e["coeff"] for e in data["f"]]
-    coeffs = parse_vector(coeffs, "coeff", finite=False) if coeffs else []
-    terms = [(_index(e["index"]), c) for e, c in zip(data["f"], coeffs)]
-    degf = max((sum(k) for k, _ in terms), default=0)
-    bound = _integer("degree", data.get("degree", max(order + 2, degf)))
+    doc = Fields(data)
+    m, order = doc.integer("m"), doc.integer("order")
+    point = doc.array("point", (None,), finite=False, real=True)
+    index, coeffs = doc.rows("f", "index", "coeff")
+    index = indices("index", index)
+    coeffs = array("coeff", coeffs, (None,), finite=False) if coeffs else np.zeros(0)
+    degree = doc.integer("degree", None)
+    degf = int(index.sum(axis=1).max(initial=0))
+    bound = max(order + 2, degf) if degree is None else degree
     if degf > bound:
         raise ValueError(f"polynomial degree {degf} exceeds the bound {bound}")
     alg = truncated_poly(m, bound)
+    if len(index) and index.shape[1] != m:
+        raise ValueError(f"index {index[0].tolist()} does not have {m} entries")
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"coefficient {coeffs[i]} of index {index[i].tolist()} is not finite")
     coords = np.zeros(alg.dim, dtype=complex)
-    for k, c in terms:
-        if len(k) != m:
-            raise ValueError(f"index {k} does not have {m} entries")
-        if not cmath.isfinite(c):
-            raise ValueError(f"coefficient {c} of index {list(k)} is not finite")
-        coords[alg.exp_index[k]] += c
+    np.add.at(coords, [alg.exp_index[k] for k in map(tuple, index.tolist())], coeffs)
     # overflow from finite inputs shows as a NaN route residual (exit 4)
     with np.errstate(all="ignore"):
         jt = jet_project(alg, coords, point, order, route="taylor")
@@ -351,23 +323,30 @@ def cmd_jet(data, args):
 
 
 def cmd_tangent(data, args):
-    alg = load_algebra(data["algebra"])
-    if "character" in data:
-        functional = parse_vector(data["character"], "character")
-    elif "point" in data:
+    doc = Fields(data)
+    alg = doc.algebra("algebra")
+    character = doc.array("character", (None,), default=None, dims=(alg.dim,))
+    point = doc.array("point", (None,), real=True, default=None)
+    real = doc.flag("real", False)
+    if character is not None:
+        functional = character
+    elif point is not None:
         if not isinstance(alg, PolyAlgebra):
             raise ValueError("point evaluation needs a polynomial algebra; "
                              "pass an explicit character vector instead")
-        s = np.real(parse_vector(data["point"], "point"))
-        if len(s) != alg.mvars:
-            raise ValueError(f"point must have {alg.mvars} entries, not {len(s)}")
-        functional = alg.table.monomials(s).astype(complex)
+        if len(point) != alg.mvars:
+            raise ValueError(f"point must have {alg.mvars} entries, not {len(point)}")
+        with np.errstate(over="ignore"):
+            functional = alg.table.monomials(point).astype(complex)
+        if not np.isfinite(functional).all():
+            raise DomainError(f"point {point.tolist()} is out of reach: its monomials "
+                              f"up to degree {alg.degree} are not finite")
     else:
         raise ValueError("need either a character vector or a point")
     ch = Character(alg, functional)
     if not ch.is_character(1e-8):
         raise DomainError("the functional is not a character of the algebra")
-    taus = tangent_space(alg, ch, real=_flag("real", data.get("real", False)))
+    taus = tangent_space(alg, ch, real=real)
     classes, _ = cotangent_space(alg, ch)
     gram = pairing_matrix(taus, classes) if taus and classes else np.zeros((0, 0))
     square = gram.shape[0] == gram.shape[1]
@@ -388,14 +367,17 @@ def cmd_tangent(data, args):
 
 
 def cmd_envelope(data, args):
-    m = _integer("m", data["m"])
-    gens = [parse_expr(text, m) for text in data["generators"]]
-    if not gens:
-        raise ValueError("need at least one generator")
-    box = data["box"]
+    doc = Fields(data)
+    m = doc.integer("m")
+    if m < 1:
+        raise ValueError("the box needs at least one axis (m >= 1)")
+    gens = doc.each("generators", parse_expr, m)
+    box = doc.array("box", (None, 2), finite=False, real=True)
+    grid = doc.integer("grid")
+    options = envelope_options(doc.raw("options", {}), m)
     if len(box) != m:
         raise ValueError(f"box must list {m} intervals")
-    verdict = envelope_verdict(gens, box, data["grid"], data.get("options"))
+    verdict = envelope_verdict(gens, box, grid, options)
     # the reasons as the verdict holds them (a FAIL's Reasons is rendered
     # from its witness arrays, without building its dicts)
     reasons = verdict._reasons
@@ -406,11 +388,11 @@ def cmd_envelope(data, args):
 
 def cmd_dauns_hofmann(data, args):
     if isinstance(data, str):
-        alg, central = algebra_from_name(data), None
+        alg, central = algebra("", data), None
     else:
-        alg = load_algebra(data["algebra"])
-        central = ([parse_vector(v, "central") for v in data["central"]]
-                   if data.get("central") else None)
+        doc = Fields(data)
+        alg = doc.algebra("algebra")
+        central = doc.array("central", (None, None), default=None, dims=(None, alg.dim))
     rep = dauns_hofmann_check(alg, central, tol=max(args.tol_zero, 1e-9),
                               seed=args.seed)
     violations = [] if rep["ok"] else [
@@ -421,7 +403,7 @@ def cmd_dauns_hofmann(data, args):
 
 
 def cmd_fourier(data, args):
-    spec = data if isinstance(data, str) else data["group"]
+    spec = data if isinstance(data, str) else Fields(data).text("group")
     rep = fourier_check(spec, seed=args.seed)
     violations = [] if rep["ok"] else [
         {"type": "fourier", "message": "a transform identity failed",
@@ -686,7 +668,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         data, payload = _load_input(args)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # json reads nesting by recursion, so a deeply nested file ends there
         print(f"diffalg: input error: {exc}", file=sys.stderr)
         return 2
 
@@ -700,7 +683,7 @@ def main(argv=None) -> int:
         _emit({**base, "results": {},
                "violations": [{"type": "numeric", "message": str(exc)}]}, args.out)
         return 4
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         print(f"diffalg: parse error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -72,7 +72,8 @@ class DerivativeSystem:
         for k, mat in ops.items():
             k = tuple(int(t) for t in k)
             if k not in self.table.exp_index:
-                raise ValueError(f"operator index {k} outside order-{order} range")
+                raise ValueError(f"operator index {k} is outside the indices of "
+                                 f"order N={order} in m={mvars} variables")
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (target.dim, source.dim):
                 raise ValueError(f"operator {k} has shape {mat.shape}, "

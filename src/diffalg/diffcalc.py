@@ -158,12 +158,15 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     vanishing propagate from generators to products. Each candidate order
     is additionally cross-checked on `samples` random element tuples, so a
     generating set that is secretly too small cannot produce a silent
-    underestimate. Returns None when no order <= max_n is found.
+    underestimate. Returns None when no order <= max_n is found; a negative
+    max_n is refused with ValueError.
 
     Each level is one stack of commutators, q-major and generator-minor,
     built in blocks; a level of more than MAX_COMMUTATOR_ENTRIES complex
     entries is refused with DomainError before it is allocated.
     """
+    if max_n < 0:
+        raise ValueError(f"max_order must be >= 0, not {max_n}")
     gvecs = [_coords(g, p.source) for g in gens]
     if not gvecs:
         raise ValueError("need at least one generator")
@@ -259,8 +262,11 @@ def check_stabilization(phi: LinearOp, depth: int = 3,
     The stabilization statement assumes the action intertwines the
     involutions and lands in an involution-closed matrix-type algebra;
     a non-involutive action is refused unless enforce_preconditions=False,
-    which is exactly how the counterexample tower is inspected.
+    which is exactly how the counterexample tower is inspected. The report
+    compares levels 1 and 2, so a depth below 2 is refused with ValueError.
     """
+    if depth < 2:
+        raise ValueError(f"depth must be >= 2, not {depth}")
     res = _involution_residual(phi)
     involutive = res <= tol * (1.0 + float(np.abs(phi.matrix).max()))
     if not involutive and enforce_preconditions:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _linalg as la
+from ._input import array, envelope_options, integer, tolerance
 from .algebra import PolyAlgebra, truncated_poly
 from .errors import DomainError, NumericError
 from .jets import _check_reach, _derivative_rows, jet_space
@@ -354,9 +354,9 @@ MAX_SEPARATION_CANDIDATES = 2 ** 20
 
 
 def _grid_points(box, grid: int) -> list[np.ndarray]:
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if not box:
+    if not len(box):
         raise ValueError("the box needs at least one axis (m >= 1)")
+    box = array("box", box, (None, 2), finite=False, real=True).tolist()
     if grid < 2:
         raise ValueError("need at least 2 grid points per axis")
     for axis, (lo, hi) in enumerate(box):
@@ -370,27 +370,6 @@ def _grid_points(box, grid: int) -> list[np.ndarray]:
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return [m.ravel() for m in mesh]
-
-
-def _tolerance(name: str, value) -> float:
-    """A certificate tolerance as a float; one that is negative or not
-    finite is refused with ValueError (it would pass every sample)."""
-    tol = float(value)
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"{name} must be finite and non-negative, not {tol!r}")
-    return tol
-
-
-def _integer(name: str, value) -> int:
-    """An integer input as an int; a bool, a number with a fraction and
-    anything that is not a number are refused with ValueError."""
-    if type(value) is int:  # the common case, and never a bool
-        return value
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, not {value!r}")
 
 
 class _Sample(NamedTuple):
@@ -509,7 +488,7 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     point-index array under witnesses["separation"] and None is returned;
     without it the grid is built here and the list returned.
     """
-    tol = _tolerance("tol_sep", tol)
+    tol = tolerance("tol_sep", tol)
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, jac=False)
@@ -733,7 +712,7 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     array under witnesses["tangent"] and None is returned; without it the
     grid is built here and the list returned.
     """
-    tol_rank = _tolerance("tol_rank", tol_rank)
+    tol_rank = tolerance("tol_rank", tol_rank)
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, values=False)
@@ -773,14 +752,14 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
 
     Polynomial generators only; others are refused since their jets are
     not finitely computable here. The achieved dimension is monotone in
-    the word length (default n).
+    the word length (default n, at least 1).
     """
     s = np.asarray(s, dtype=float).ravel()
     mvars = len(s)
     degs = [g.degree() for g in gens]
     if any(d is None for d in degs):
         raise DomainError("jet surjectivity requires polynomial generators")
-    length = n if wordlen is None else wordlen
+    length = max(n, 1) if wordlen is None else wordlen
     if length < 1:
         raise ValueError("word length must be >= 1")
     bound = max(n, 1, length * max(degs, default=1))
@@ -936,52 +915,24 @@ class Verdict:
         return f"<Verdict {self.status} reasons={len(self._reasons)}>"
 
 
-_OPTIONS = ("tol_sep", "tol_rank", "jet_order", "jet_wordlen", "jet_points")
-
-
-def _check_jet_points(points, m: int) -> None:
-    """Refuses with ValueError jet_points that are not a list of points of
-    exactly m finite numbers each."""
-    if not isinstance(points, (list, tuple)):
-        raise ValueError(f"jet_points must be a list of points, not {points!r}")
-    for pt in points:
-        if (not isinstance(pt, (list, tuple, np.ndarray)) or len(pt) != m
-                or not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                           and math.isfinite(x) for x in pt)):
-            raise ValueError(f"each of jet_points must be a list of {m} finite "
-                             f"numbers, not {pt!r}")
-
-
 def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdict:
     """Runs the sampled certificates and aggregates them.
 
     options: tol_sep, tol_rank override tolerances; jet_order requests the
     polynomial jet certificate (with jet_wordlen and jet_points, default
     point = box center). Jet non-surjectivity at a stalled word length is
-    a FAIL; still-growing spans give INCONCLUSIVE. An unknown option, a
-    grid, jet_order or jet_wordlen that is not an integer, a negative
-    jet_order and a jet point that is not a list of m finite numbers are
-    refused with ValueError before anything is sampled.
+    a FAIL; still-growing spans give INCONCLUSIVE. Options that are not an
+    object, an unknown option, an option off its rule (see
+    _input.envelope_options) and a grid that is not an integer are refused
+    with ValueError before anything is sampled.
     """
-    options = dict(options or {})
-    unknown = sorted(set(options) - set(_OPTIONS))
-    if unknown:
-        raise ValueError(f"unknown envelope option {unknown[0]!r}; "
-                         f"the options are {', '.join(_OPTIONS)}")
-    tol_sep = _tolerance("tol_sep", options.get("tol_sep", 1e-9))
-    tol_rank = _tolerance("tol_rank", options.get("tol_rank", 1e-8))
-    grid = _integer("grid", grid)
+    options = envelope_options({} if options is None else options, len(box))
+    tol_sep = options.get("tol_sep", 1e-9)
+    tol_rank = options.get("tol_rank", 1e-8)
+    grid = integer("grid", grid)
     jet_order = options.get("jet_order")
-    if jet_order is not None:
-        jet_order = _integer("jet_order", jet_order)
-        if jet_order < 0:
-            raise ValueError(f"jet_order must be >= 0, not {jet_order}")
     wordlen = options.get("jet_wordlen")
-    if wordlen is not None:
-        wordlen = _integer("jet_wordlen", wordlen)
     points = options.get("jet_points")
-    if points is not None:
-        _check_jet_points(points, len(box))
     sample = _sample(gens, box, grid)
     # Both checks run under their public names and, given the sample,
     # leave their ordered witness indices on it without building the point

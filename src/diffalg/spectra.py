@@ -9,6 +9,7 @@ and the section map into that sum is a unital *-isomorphism.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -119,12 +120,14 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
     matrix already forces the dual rows to be all |G| characters.
     """
     if isinstance(group, str):
-        group = FiniteAbelianGroup(parse_group_spec(group))
-    elif not isinstance(group, FiniteAbelianGroup):
-        group = FiniteAbelianGroup(group)
-    d = group.order
-    if d > 4096:
+        group = parse_group_spec(group)
+    factors = group.factors if isinstance(group, FiniteAbelianGroup) else tuple(map(int, group))
+    # the order is refused before the group's element tables exist
+    d = math.prod(factors)
+    if min(factors, default=0) >= 1 and d > 4096:
         raise DomainError(f"group order {d} exceeds the supported bound 4096")
+    if not isinstance(group, FiniteAbelianGroup):
+        group = FiniteAbelianGroup(factors)
     rng = np.random.default_rng(seed)
     phi = fourier_matrix(group)
 

@@ -74,6 +74,14 @@ def test_missing_file_is_input_error(capsys):
     assert "input error" in err
 
 
+def test_deeply_nested_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "jet", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("diffalg: input error: maximum recursion depth exceeded")
+
+
 def test_bad_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "x"])
@@ -441,6 +449,21 @@ def test_tangent_command_rejects_noncharacter(capsys, tmp_path):
     assert rep["violations"][0]["type"] == "domain"
 
 
+def test_tangent_point_out_of_reach_is_a_domain_error(capsys, tmp_path):
+    """A point whose monomials overflow is refused before any warning."""
+    import warnings
+
+    doc = {"algebra": "poly:3:3", "point": [-1e308, 0.5, 0.5]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = run_json(capsys, "tangent", _write(tmp_path, "far.json", doc))
+    assert (code, err) == (3, "")
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": "point [-1e+308, 0.5, 0.5] is out of reach: its monomials up to "
+                   "degree 3 are not finite"}]
+
+
 def test_tangent_point_of_the_wrong_length_is_an_input_error(capsys, tmp_path):
     doc = {"algebra": "poly:3:3", "point": [0.5]}
     code, out, err = run(capsys, "tangent", _write(tmp_path, "tan.json", doc))
@@ -554,11 +577,11 @@ def test_envelope_size_guards_refuse_before_allocating(capsys, tmp_path, doc, me
     assert peak < 2 ** 20
 
 
-def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+def _handler_raising(capsys, monkeypatch, exc):
     from diffalg import cli
 
     def broken(data, args):
-        raise RuntimeError("handler fell over")
+        raise exc
 
     monkeypatch.setitem(cli.HANDLERS, "fourier", broken)
     code, rep, err = run_json(capsys, "fourier", "Z2")
@@ -566,8 +589,25 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert err == ""
     assert rep["subcommand"] == "fourier"
     assert rep["results"] == {}
-    assert rep["violations"] == [{"type": "internal",
-                                  "message": "RuntimeError: handler fell over"}]
+    return rep["violations"]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    assert _handler_raising(capsys, monkeypatch, RuntimeError("handler fell over")) == [
+        {"type": "internal", "message": "RuntimeError: handler fell over"}]
+
+
+@pytest.mark.parametrize("exc, message", [
+    (KeyError("box"), "KeyError: 'box'"),
+    (TypeError("'float' object is not subscriptable"),
+     "TypeError: 'float' object is not subscriptable"),
+])
+def test_key_and_type_errors_from_a_handler_are_internal_errors(capsys, monkeypatch, exc,
+                                                                 message):
+    """Only a ValueError is an input error; a KeyError or TypeError escaping
+    a handler is a program bug."""
+    assert _handler_raising(capsys, monkeypatch, exc) == [{"type": "internal",
+                                                           "message": message}]
 
 
 @pytest.mark.parametrize("options", [{"tol_sep": -1}, {"tol_sep": float("nan")},
@@ -602,6 +642,19 @@ def test_envelope_without_variables_is_an_input_error(capsys, tmp_path):
     ("options", {"jet_order": False}, "jet_order must be an integer, not False"),
     ("options", {"jet_order": 2, "jet_wordlen": "x"}, "jet_wordlen must be an integer, not 'x'"),
     ("options", {"jet_order": -1}, "jet_order must be >= 0, not -1"),
+    ("options", {"jet_order": 1, "jet_wordlen": 0}, "options.jet_wordlen must be >= 1, not 0"),
+    ("options", {"jet_order": 10 ** 400}, "options.jet_order is beyond the 64-bit integer range"),
+    ("options", {"tol_sep": "0.5"}, "options.tol_sep must be a number, not '0.5'"),
+    ("options", {"tol_sep": True}, "options.tol_sep must be a number, not True"),
+    ("options", {"tol_rank": 10 ** 400}, "options.tol_rank must be finite and non-negative"),
+    ("options", [["tol_sep", 0.5]], "options must be an object, not [['tol_sep', 0.5]]"),
+    ("options", None, "options must be an object, not None"),
+    ("box", [[True, 2]], "box must be a non-empty list of equal non-empty rows of numbers"),
+    ("box", [["0", "1"]], "box must be a non-empty list of equal non-empty rows of numbers"),
+    ("box", [[[0, 0], [1, 0]]], "box must be a non-empty list of equal non-empty rows of numbers"),
+    ("box", [[-1.0, 1.0], [0, 1]], "box must list 1 intervals"),
+    ("generators", [], "generators must be a non-empty list, not []"),
+    ("generators", ["(var 1)"], "generators[0]: variable x1 outside dimension 1"),
 ])
 def test_envelope_bad_sizes_and_options_are_input_errors(capsys, tmp_path, field, value, message):
     doc = {"m": 1, "generators": ["(var 0)"], "box": [[-1.0, 1.0]], "grid": 11}
@@ -812,6 +865,44 @@ _DIFFORDER = {"source": "func:2", "operator": [[0, 1], [0, 0]]}
     ("ztower", {**_ZTOWER, "enforce": "false"}, "enforce must be true or false, not 'false'"),
     ("tangent", {"algebra": "poly:1:2", "point": [0.0], "real": "no"},
      "real must be true or false, not 'no'"),
+    ("ztower", {**_ZTOWER, "depth": 0}, "depth must be >= 2, not 0"),
+    ("ztower", {**_ZTOWER, "depth": 1}, "depth must be >= 2, not 1"),
+    ("ztower", {**_ZTOWER, "phi": [[1, 0]]}, "phi has shape (1, 2), expected (2, 2)"),
+    ("difforder", {**_DIFFORDER, "max_order": -1}, "max_order must be >= 0, not -1"),
+    ("difforder", {**_DIFFORDER, "generators": [[1, 0, 0]]},
+     "generators has shape (1, 3), expected (n, 2)"),
+    ("difforder", {"operator": [[0, 1], [0, 0]]}, "source is missing"),
+    ("difforder", {**_DIFFORDER, "source": "matrix:x"},
+     "source: bad algebra name 'matrix:x': size 'x' is not an integer"),
+    ("difforder", {**_DIFFORDER, "source": {"name": 2}}, "source.name must be a string, not 2"),
+    ("algebra-check", {"dim": 1.5, "structure": [[[[1, 0]]]], "involution": [[[1, 0]]],
+                       "unit": [[1, 0]]}, "dim must be an integer, not 1.5"),
+    ("algebra-check", {"dim": 1, "structure": [[[[1, 0]]]], "involution": [[[1, 0]]],
+                       "unit": [[1, 0]], "labels": [3]},
+     "labels must be null or a list of 1 strings, not [3]"),
+    ("dauns-hofmann", {"algebra": {"dim": 1, "involution": [[[1, 0]]], "unit": [[1, 0]]}},
+     "algebra.structure is missing"),
+    ("dersys-verify", {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+                       "ops": [{"index": [0], "matrix": [[1, 0]]}, {"matrix": [[0, 1]]}]},
+     "ops[1].index is missing"),
+    ("dersys-verify", {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+                       "ops": [{"index": [2], "matrix": [[0, 1]]}]},
+     "operator index (2,) is outside the indices of order N=1 in m=1 variables"),
+    ("dersys-verify", {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+                       "ops": [{"index": [True], "matrix": [[0, 1]]}]},
+     "index entry must be an integer, not True"),
+    ("dersys-verify", {"m": 1, "N": 1, "source": "poly:1:1", "target": "func:1",
+                       "ops": [1.5]}, "ops[0] must be an object, not 1.5"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5], "f": [{"index": [1]}]}, "f[0].coeff is missing"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5], "f": [{"index": [-1], "coeff": 1.0}]},
+     "index entry must be >= 0, not -1"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5],
+             "f": [{"index": [1], "coeff": 1.0}, {"index": [0, 1], "coeff": 1.0}]},
+     "each index must be a list of integers, all of one length"),
+    ("jet", {"m": 2, "order": 1, "point": [0.5, 0.5], "f": [{"index": [1], "coeff": 1.0}]},
+     "index [1] does not have 2 entries"),
+    ("jet", [1, 2], "the document must be an object, not [1, 2]"),
+    ("fourier", {"group": 8}, "group must be a string, not 8"),
 ])
 def test_malformed_fields_are_input_errors(capsys, tmp_path, subcommand, doc, message):
     code, out, err = run(capsys, subcommand, _write(tmp_path, "doc.json", doc))
@@ -825,6 +916,30 @@ def test_integral_depth_and_index_entries_still_read(capsys, tmp_path):
                                                         "enforce": True}))
     assert code == 0
     assert len(rep["results"]["dims"]) == 4
+    doc = {"m": 2, "order": 1, "point": [0.5, 0.25],
+           "f": [{"index": [1, 0], "coeff": 2.0}, {"index": [0, 2], "coeff": 1.0},
+                 {"index": [1, 0], "coeff": 0.5}]}
+    _, want, _ = run(capsys, "jet", _write(tmp_path, "a.json", doc))
+    doc["f"][1]["index"] = [0.0, 2.0]
+    code, got, _ = run(capsys, "jet", _write(tmp_path, "b.json", doc))
+    assert code == 0
+    assert json.loads(got)["results"] == json.loads(want)["results"]
+    # repeated indices add up, in the order given
+    assert json.loads(got)["results"]["jet"][0] == [2.5 * 0.5 + 0.25 ** 2, 0.0]
+
+
+def test_an_oversized_group_is_refused_before_its_tables(capsys):
+    tracemalloc.start()
+    try:
+        code, rep, err = run_json(capsys, "fourier", "Z99999999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (3, "")
+    assert rep["violations"] == [{
+        "type": "domain",
+        "message": "group order 99999999999 exceeds the supported bound 4096"}]
+    assert peak < 2 ** 20
 
 
 _ONE = {"dim": 1, "structure": [[[[1.0, 0.0]]]], "involution": [[[1.0, 0.0]]],
