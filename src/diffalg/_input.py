@@ -38,7 +38,7 @@ def _number(x) -> float | None:
         return math.inf
 
 
-def integer(name: str, value, low: int | None = None) -> int:
+def integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
     if type(value) is int:  # the common case, and never a bool
         n = value
     elif isinstance(value, numbers.Integral) and not isinstance(value, bool):
@@ -51,6 +51,8 @@ def integer(name: str, value, low: int | None = None) -> int:
         raise ValueError(f"{name} is beyond the 64-bit integer range")
     if low is not None and n < low:
         raise ValueError(f"{name} must be >= {low}, not {n}")
+    if high is not None and n > high:
+        raise ValueError(f"{name} must be <= {high}, not {n}")
     return n
 
 
@@ -157,21 +159,25 @@ class Fields:
     """The fields of one JSON object. `path` names the object in refusals
     (empty at the top of a document). Each method reads one field by its
     key; a field with a default is optional and the default is returned
-    as it is when the key is absent."""
+    as it is when the key is absent. Once every field is read, `done`
+    refuses the keys no read asked for, so a misspelled optional field
+    does not silently take its default."""
 
-    __slots__ = ("data", "path")
+    __slots__ = ("data", "path", "asked")
 
     def __init__(self, data, path: str = ""):
         if not isinstance(data, dict):
             raise ValueError(f"{path or 'the document'} must be an object, not {_shown(data)}")
         self.data = data
         self.path = path
+        self.asked: dict = {}  # the keys read so far, in order
 
     def name(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def raw(self, key: str, default=_MISSING):
         """The field as the document holds it, checked only for presence."""
+        self.asked[key] = None
         if key in self.data:
             return self.data[key]
         if default is _MISSING:
@@ -179,12 +185,19 @@ class Fields:
         return default
 
     def _read(self, key, default, rule, *args):
-        if key not in self.data and default is not _MISSING:
-            return default
-        return rule(self.name(key), self.raw(key), *args)
+        value = self.raw(key, default)
+        return rule(self.name(key), value, *args) if key in self.data else value
 
-    def integer(self, key: str, default=_MISSING, low: int | None = None) -> int:
-        return self._read(key, default, integer, low)
+    def done(self) -> None:
+        """Refuses the first key that no read asked for."""
+        unknown = [key for key in self.data if key not in self.asked]
+        if unknown:
+            raise ValueError(f"unknown field {self.name(unknown[0])!r}; the fields are "
+                             f"{', '.join(self.asked)}")
+
+    def integer(self, key: str, default=_MISSING, low: int | None = None,
+                high: int | None = None) -> int:
+        return self._read(key, default, integer, low, high)
 
     def tolerance(self, key: str, default=_MISSING) -> float:
         return self._read(key, default, tolerance)
@@ -229,20 +242,23 @@ class Fields:
 
     def rows(self, key: str, *fields) -> tuple[list, ...]:
         """The named fields of each object in the list under `key`, one list
-        per field."""
+        per field; an object with any other key is refused."""
         items = self.raw(key)
         name = self.name(key)
         if not isinstance(items, list):
             raise ValueError(f"{name} must be a list of objects, not {_shown(items)}")
         try:
-            return tuple([item[f] for item in items] for f in fields)
+            out = tuple([item[f] for item in items] for f in fields)
+            if all(len(item) == len(fields) for item in items):
+                return out
         except (KeyError, TypeError):
             pass
-        # the first item that is not an object or lacks a field raises
+        # the first item that is not an object, lacks a field or has another raises
         for i, item in enumerate(items):
             entry = Fields(item, f"{name}[{i}]")
             for f in fields:
                 entry.raw(f)
+            entry.done()
 
     def algebra(self, key: str, check: bool = True, default=_MISSING):
         return self._read(key, default, algebra, check)
@@ -256,7 +272,9 @@ def algebra(name: str, spec, check: bool = True):
     from .algebra import StructureAlgebra, algebra_from_name  # it reads with this module
 
     if isinstance(spec, dict) and "name" in spec:
-        spec = text(f"{name}.name" if name else "algebra name", spec["name"])
+        doc = Fields(spec, name)
+        spec = text(f"{name}.name" if name else "algebra name", doc.raw("name"))
+        doc.done()
     if isinstance(spec, str):
         try:
             return algebra_from_name(spec)

@@ -203,8 +203,9 @@ class StructureAlgebra:
 
     @classmethod
     def from_dict(cls, data, check: bool = True) -> "StructureAlgebra":
-        """The algebra to_dict wrote. `data` may also be an _input.Fields
-        over such a dict, whose path then names its fields in refusals."""
+        """The algebra to_dict wrote, refusing any other key. `data` may
+        also be an _input.Fields over such a dict, whose path then names its
+        fields in refusals."""
         doc = data if isinstance(data, Fields) else Fields(data)
         d = doc.integer("dim", low=1)
         require_dim(d)
@@ -215,8 +216,9 @@ class StructureAlgebra:
             doc.array(field, shape)
             for field, shape in (("structure", (d, d, d)), ("involution", (d, d)),
                                  ("unit", (d,))))
-        return cls(structure, involution, unit, labels=doc.labels("labels", d),
-                   check=check)
+        labels = doc.labels("labels", d)
+        doc.done()
+        return cls(structure, involution, unit, labels=labels, check=check)
 
     def __repr__(self):
         return f"<StructureAlgebra dim={self.dim}>"
@@ -447,7 +449,8 @@ class Character:
         return Subspace(self.algebra, la.null_space(self.functional.reshape(1, -1)))
 
     def multiplicativity_residual(self) -> float:
-        return float(_character_residuals(self.algebra, self.functional)[1][0])
+        return float(_law_residuals(self.algebra, _SCALARS, self.functional[None, None],
+                                    _self_runs(1))[2][0])
 
     def is_character(self, tol=1e-8) -> bool:
         return bool(_character_mask(self.algebra, self.functional, tol)[0])
@@ -456,10 +459,10 @@ class Character:
         return f"Character({np.array_str(self.functional, precision=4)})"
 
 
-# Complex entries of one block of the batched character contractions: a
-# block takes as many structure slices c[i] as keep its (slices, d, rows)
-# product within this bound, so the peak does not grow with the number
-# of candidates.
+# Complex entries of one block of the blocked contractions (the law
+# kernel, Rayleigh quotients, the trace-form gram): a block takes as many
+# structure slices c[i] as keep its arrays within this bound, so the peak
+# does not grow with the number of maps or candidates.
 _BLOCK_ENTRIES = 2 ** 16
 
 
@@ -496,7 +499,7 @@ def _associativity_worst(r) -> tuple[float, tuple[int, int, int]]:
     # the right
     if int(last @ (first + middle)) > 2 * d ** 3:
         return _associativity_slabs(r)
-    return _associativity_products(r, i, j, p)
+    return _associativity_products(r, i, j, p, first, last)
 
 
 def _worse(bad, worst) -> bool:
@@ -519,10 +522,10 @@ def _associativity_slabs(r) -> tuple[float, tuple[int, int, int]]:
     return float(worst), where
 
 
-def _associativity_products(r, i, j, p) -> tuple[float, tuple[int, int, int]]:
+def _associativity_products(r, i, j, p, first, last) -> tuple[float, tuple[int, int, int]]:
     """_associativity_worst by summing the products of the nonzeros (i, j,
     p) of r (row-major, as np.nonzero gives them) in blocks of the first
-    index.
+    index; first and last count the nonzeros at each first and last index.
 
     Row-by-row sparse products (Gustavson, ACM TOMS 4(3), 1978): each term
     is keyed by (i, j, k, q), right-hand terms carry a minus sign, and one
@@ -530,7 +533,6 @@ def _associativity_products(r, i, j, p) -> tuple[float, tuple[int, int, int]]:
     """
     d = r.shape[0]
     v = r[i, j, p]
-    first, last = np.bincount(i, minlength=d), np.bincount(p, minlength=d)
     first_at = np.cumsum(first) - first
     last_at = np.cumsum(last) - last
     by_last = np.argsort(p, kind="stable")
@@ -581,32 +583,81 @@ def _runs(count, start):
     return np.arange(len(skip)) + skip
 
 
-def _character_residuals(algebra: StructureAlgebra, rows):
-    """Unit, multiplicativity and involution residuals of each row of rows.
-
-    A row s is a character at tol when |s(1) - 1|, max |s(e_i e_j) -
-    s(e_i) s(e_j)| and max |s(e_j*) - conj(s(e_j))| are all <= tol (the
-    antilinear identities can be checked on a basis). Returns three (n,)
-    arrays; the multiplicativity products run over blocks of slices.
+def _law_residuals(source, target, ops, runs=(), bound=None):
+    """Unit, involution and Leibniz residuals of the maps D_r: A -> B in
+    ops, an (n, dim B, dim A) stack; the laws are (anti)linear, so the
+    basis decides them. A run (k, l, d, c) of arrays holds at most one
+    Leibniz pair per row k, whose law is D_k(xy) = sum c D_d(x) D_l(y),
+    added run by run; the first run holds the first pair of each row 0,
+    ..., m - 1 with a law. A row whose first pair is (k, k, k) must map 1
+    to 1, any other must kill 1. Returns unit (n,), star (n, dim A) at each
+    e_i, the largest Leibniz residual worst (m,) (a NaN counts as the
+    largest), witness (m,) = i * dim A + j of the first basis pair (i, j)
+    at worst and, given a bound, first (m,) of the first pair not <= bound
+    (dim A ** 2 if none). Both sides are formed in blocks of i and reduced
+    to per-row maxima at once; when B has dimension 1 the right sides are
+    broadcast products, not one call per 1 x 1 matrix product.
     """
-    d = algebra.dim
-    s = np.asarray(rows, dtype=complex).reshape(-1, d)
-    unit = np.abs(s @ algebra.unit - 1.0)
-    star = np.abs(s @ algebra.involution - np.conj(s)).max(axis=1)
-    st = s.T
-    mult = np.zeros(len(s))
-    for blk in _slice_blocks(d, len(s)):
-        slices = algebra.structure[blk]
-        prods = (slices.reshape(-1, d) @ st).reshape(len(slices), d, len(s))
-        prods -= st[blk, None, :] * st[None, :, :]
-        mult = np.maximum(mult, np.abs(prods).max(axis=(0, 1)))
-    return unit, mult, star
+    n, db, da = ops.shape
+    flat = ops.reshape(n * db, da)
+    unit = (flat @ source.unit).reshape(n, db)
+    star = np.abs((flat @ source.involution).reshape(n, db, da)
+                  - target.involution @ np.conj(ops)).max(axis=1)
+    if not runs:
+        return np.abs(unit).max(axis=1), star, np.zeros(0), np.zeros(0, dtype=int), None
+    k, l, d, _ = runs[0]
+    unit[:len(k)] -= ((k == l) & (k == d))[:, None] * target.unit
+    # both sides as (row, coordinate q, pair (i, j)); row i of cols[r] is D_r(e_i)
+    m, rows, cols = len(k), np.arange(len(k)), ops.transpose(0, 2, 1)
+    sb = target.structure.reshape(db, db * db)
+    vals, tops, firsts = [], [], []
+    for blk in _slice_blocks(da, m * db * max(1, db // da)):
+        slab = source.structure[blk].reshape(-1, da)
+        lhs = (flat[:m * db] @ slab.T).reshape(m, db, len(slab))
+        rhs = None
+        for k, l, d, c in runs:
+            if db == 1:
+                prod = (cols[d, blk] * sb[0, 0]) * ops[l]
+            else:  # (D_d(e_i) e_t)_q times D_l(e_j)_t, summed over t
+                left = (cols[d, blk] @ sb).reshape(len(k), -1, db, db)
+                prod = left.transpose(0, 3, 1, 2) @ ops[l][:, None]
+            prod = prod.reshape(len(k), db, len(slab))
+            prod *= c[:, None, None]
+            if rhs is None:  # the first run: rows 0, ..., m - 1 in order
+                rhs = prod
+            else:
+                rhs[k] += prod
+        gap = np.abs(np.subtract(lhs, rhs, out=rhs))
+        gap = gap[:, 0] if db == 1 else gap.max(axis=1)  # the largest over q
+        at, top = blk.start * da, gap.argmax(axis=1)
+        vals.append(gap[rows, top])
+        tops.append(top + at)
+        if bound is not None:
+            bad = (gap <= bound).argmin(axis=1)
+            firsts.append(np.where(gap[rows, bad] <= bound, da * da, bad + at))
+    vals, tops = np.array(vals), np.array(tops)
+    best = vals.argmax(axis=0)  # the first block at the largest residual
+    return (np.abs(unit).max(axis=1), star, vals[best, rows], tops[best, rows],
+            np.array(firsts).min(axis=0) if firsts else None)
+
+
+def _self_runs(n: int) -> list:
+    """One run pairing each of n rows with itself: n homomorphisms."""
+    r = np.arange(n)
+    return [(r, r, r, np.ones(n))]
+
+
+# The Leibniz pairs of a derivation D relative to a homomorphism phi, as
+# the rows (D, phi): D(xy) = D(x) phi(y) + phi(x) D(y).
+_DERIVATION_RUNS = [tuple(np.array([v]) for v in run) for run in ((0, 1, 0, 1.0), (0, 0, 1, 1.0))]
 
 
 def _character_mask(algebra: StructureAlgebra, rows, tol: float) -> np.ndarray:
-    """Which rows are characters at tol (see _character_residuals)."""
-    unit, mult, star = _character_residuals(algebra, rows)
-    return (unit <= tol) & (mult <= tol) & (star <= tol)
+    """Which rows are characters at tol: homomorphisms into the scalars whose
+    unit, involution and multiplicativity residuals are all <= tol."""
+    s = np.asarray(rows, dtype=complex).reshape(-1, 1, algebra.dim)
+    unit, star, mult, _, _ = _law_residuals(algebra, _SCALARS, s, _self_runs(len(s)))
+    return (unit <= tol) & (mult <= tol) & (star.max(axis=1) <= tol)
 
 
 def _rayleigh_tuples(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -812,24 +863,18 @@ class LinearOp:
         return cls(np.eye(algebra.dim), algebra, algebra)
 
     def hom_violations(self, tol: float = la.ZERO_TOL) -> list[str]:
-        """Checks that the map is a unital involutive homomorphism."""
+        """Checks that the map is a unital involutive homomorphism; each
+        failed law names its first failing basis element or pair."""
         out = []
-        src, tgt, h = self.source, self.target, self.matrix
-        d = src.dim
+        unit, star, _, _, first = _law_residuals(self.source, self.target, self.matrix[None],
+                                                 _self_runs(1), tol)
         # a NaN residual fails, as in axiom_violations
-        if not np.abs(h @ src.unit - tgt.unit).max() <= tol:
+        if not unit[0] <= tol:
             out.append("does not preserve the unit")
-        # column i: h(e_i*) against h(e_i)*
-        star_res = np.abs(h @ src.involution - tgt.involution @ np.conj(h)).max(axis=0)
-        star_bad = ~(star_res <= tol)
-        if star_bad.any():
-            out.append(f"does not intertwine involutions at basis {int(np.argmax(star_bad))}")
-        # row (i, j) in row-major order: h(e_i e_j) against h(e_i) h(e_j)
-        lhs = src.structure.reshape(d * d, d) @ h.T
-        rhs = tgt.mul_pairs(h.T, h.T).reshape(d * d, -1)
-        mul_bad = ~(np.abs(lhs - rhs).max(axis=1) <= tol)
-        if mul_bad.any():
-            i, j = divmod(int(np.argmax(mul_bad)), d)
+        if not (star[0] <= tol).all():
+            out.append(f"does not intertwine involutions at basis {np.argmin(star[0] <= tol)}")
+        i, j = divmod(int(first[0]), self.source.dim)
+        if i < self.source.dim:
             out.append(f"not multiplicative at basis pair ({i},{j})")
         return out
 
@@ -904,6 +949,9 @@ def function_algebra(n: int) -> StructureAlgebra:
     labels = [f"e{i + 1}" for i in range(n)]
     return StructureAlgebra(*_semigroup(table, idx, idx), labels=labels,
                             check=False)
+
+
+_SCALARS = function_algebra(1)  # the target of a character
 
 
 def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:

@@ -26,7 +26,8 @@ from ._input import Fields, algebra, array, envelope_options, indices, sized
 from .algebra import (Character, LinearOp, PolyAlgebra, function_algebra,
                       matrix_algebra, direct_sum, truncated_poly)
 from .dersys import DerivativeSystem, _pack, from_homomorphism, verify_system
-from .diffcalc import RelativeOp, check_stabilization, diff_order, truncation_hom
+from .diffcalc import (MAX_TOWER_DEPTH, RelativeOp, check_stabilization, diff_order,
+                       truncation_hom)
 from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
 from .geometry import cotangent_space, pairing_matrix, tangent_space
@@ -213,6 +214,7 @@ def cmd_dersys_verify(data, args):
     m, order = doc.integer("m"), doc.integer("N")
     source, target = doc.algebra("source"), doc.algebra("target")
     index, matrix = doc.rows("ops", "index", "matrix")
+    doc.done()
     index = indices("index", index)
     if matrix:
         matrix = sized("ops matrix", array("ops matrix", matrix, (None, None, None)),
@@ -240,6 +242,7 @@ def cmd_difforder(data, args):
     action_mat = doc.array("action", (None, None), default=None, dims=dims)
     gens = doc.array("generators", (None, None), default=None, dims=(None, source.dim))
     max_n = doc.integer("max_order", 6, low=0)
+    doc.done()
     if action_mat is not None:
         action = LinearOp(action_mat, source, target)
     elif target is source:
@@ -262,8 +265,9 @@ def cmd_ztower(data, args):
     doc = Fields(data)
     source, target = doc.algebra("source"), doc.algebra("target")
     phi_mat = doc.array("phi", (None, None), dims=(target.dim, source.dim))
-    depth = doc.integer("depth", 2, low=2)
+    depth = doc.integer("depth", 2, low=2, high=MAX_TOWER_DEPTH)
     enforce = doc.flag("enforce", False)
+    doc.done()
     phi = LinearOp(phi_mat, source, target)
     rep = check_stabilization(phi, depth, enforce_preconditions=enforce, tol=args.tol_zero)
     results = {k: rep[k] for k in ("involutive", "involution_residual", "dims",
@@ -286,6 +290,7 @@ def cmd_jet(data, args):
     index = indices("index", index)
     coeffs = array("coeff", coeffs, (None,), finite=False) if coeffs else np.zeros(0)
     degree = doc.integer("degree", None)
+    doc.done()
     degf = int(index.sum(axis=1).max(initial=0))
     bound = max(order + 2, degf) if degree is None else degree
     if degf > bound:
@@ -328,6 +333,7 @@ def cmd_tangent(data, args):
     character = doc.array("character", (None,), default=None, dims=(alg.dim,))
     point = doc.array("point", (None,), real=True, default=None)
     real = doc.flag("real", False)
+    doc.done()
     if character is not None:
         functional = character
     elif point is not None:
@@ -375,6 +381,7 @@ def cmd_envelope(data, args):
     box = doc.array("box", (None, 2), finite=False, real=True)
     grid = doc.integer("grid")
     options = envelope_options(doc.raw("options", {}), m)
+    doc.done()
     if len(box) != m:
         raise ValueError(f"box must list {m} intervals")
     verdict = envelope_verdict(gens, box, grid, options)
@@ -393,6 +400,7 @@ def cmd_dauns_hofmann(data, args):
         doc = Fields(data)
         alg = doc.algebra("algebra")
         central = doc.array("central", (None, None), default=None, dims=(None, alg.dim))
+        doc.done()
     rep = dauns_hofmann_check(alg, central, tol=max(args.tol_zero, 1e-9),
                               seed=args.seed)
     violations = [] if rep["ok"] else [
@@ -403,7 +411,11 @@ def cmd_dauns_hofmann(data, args):
 
 
 def cmd_fourier(data, args):
-    spec = data if isinstance(data, str) else Fields(data).text("group")
+    spec = data
+    if not isinstance(data, str):
+        doc = Fields(data)
+        spec = doc.text("group")
+        doc.done()
     rep = fourier_check(spec, seed=args.seed)
     violations = [] if rep["ok"] else [
         {"type": "fourier", "message": "a transform identity failed",

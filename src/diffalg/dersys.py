@@ -19,8 +19,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (MAX_NAMED_DIM, Element, LinearOp, PolyAlgebra,
-                      StructureAlgebra, function_algebra, truncated_poly)
+from .algebra import (MAX_NAMED_DIM, Element, LinearOp, PolyAlgebra, StructureAlgebra,
+                      _law_residuals, function_algebra, truncated_poly)
 from .errors import DomainError, NumericError
 from .multiindex import MonomialTable, MultiIndex, mi_count
 from .series import SeriesStructureAlgebra
@@ -138,67 +138,32 @@ class SystemReport:
         return f"<SystemReport ok={self.ok} violations={len(self.violations)}>"
 
 
-# Complex entries of one block of the Leibniz check: its two sides, or one
-# run of pair products together with the contraction they are made from.
-_BLOCK_ENTRIES = 2 ** 18
-
-
 def verify_system(sys: DerivativeSystem, tol: float = 1e-9) -> SystemReport:
     """Checks the unit, involution, and binomial Leibniz axioms.
 
     All three are bilinear or antilinear in the algebra arguments, so
-    checking them on basis vectors and basis pairs is exhaustive.
-
-    The Leibniz sides are formed for a block of indices k at once: the
-    left sides by one batched product with the source structure, and the
-    products D_{k-l}(e_i) D_l(e_j) of the pairs l <= k by two against the
-    target structure, taking one pair of each index at a time. So each
-    product is added into its k in the order of l, as a loop over the
-    pairs would, and a block holds at most _BLOCK_ENTRIES complex entries
-    of each of its arrays.
+    checking them on basis vectors and basis pairs is exhaustive. The law
+    kernel (algebra._law_residuals) takes the pairs l <= k of each k in runs
+    by their place among the pairs of k, so each product D_{k-l}(e_i) D_l(e_j)
+    is added into its k in the order of l. A Leibniz violation names the
+    basis pair with the largest residual.
     """
-    a, b = sys.source, sys.target
-    violations = []
     bound = _law_bound(tol, sys.scale())
-    ops = sys.stack
-
-    expected = np.zeros((len(ops), b.dim), dtype=complex)
-    expected[0] = b.unit
-    unit_res = np.abs(ops @ a.unit - expected).max(axis=1)
-    inv_res = np.abs(ops @ a.involution - b.involution @ np.conj(ops)).max(axis=(1, 2))
-    for axiom, residuals in (("unit", unit_res), ("involution", inv_res)):
+    ks, ls, diffs = sys.table.pairs()
+    coeffs = sys.table.binomials()[ls, ks]
+    rank = np.arange(len(ks)) - np.searchsorted(ks, ks)
+    runs = [(ks[p], ls[p], diffs[p], coeffs[p])
+            for p in map(np.flatnonzero, (rank == r for r in range(rank.max() + 1)))]
+    unit, star, worst, witness, _ = _law_residuals(sys.source, sys.target, sys.stack, runs)
+    violations = []
+    for axiom, residuals in (("unit", unit), ("involution", star.max(axis=1))):
         for r in np.flatnonzero(~(residuals <= bound)):
             violations.append({"axiom": axiom, "index": sys.indices[r], "pair": None,
                                "residual": float(residuals[r])})
-
-    da, db = a.dim, b.dim
-    ops_t = ops.transpose(0, 2, 1)
-    sb = b.structure.reshape(db, db * db)
-    ks, ls, diffs = sys.table.pairs()
-    coeffs = sys.table.binomials()[ls, ks]
-    # the place of each pair among the pairs of its index, in the order of l
-    starts = np.searchsorted(ks, np.arange(len(ops) + 1))
-    rank = np.arange(len(ks)) - starts[ks]
-    step = max(1, _BLOCK_ENTRIES // (da * db * (da + db)))
-    for lo in range(0, len(ops), step):
-        hi = min(lo + step, len(ops))
-        lhs = a.structure @ ops_t[lo:hi, None]
-        rhs = np.zeros_like(lhs)
-        # the block's pairs by rank: a run of one rank holds at most one
-        # pair of each index, so adding run after run keeps the order of l
-        pairs = np.arange(starts[lo], starts[hi])
-        pairs = pairs[np.argsort(rank[pairs], kind="stable")]
-        edges = np.flatnonzero(np.diff(rank[pairs]))
-        for run in np.split(pairs, edges + 1):
-            left = (ops_t[diffs[run]] @ sb).reshape(-1, da, db, db)
-            rhs[ks[run] - lo] += coeffs[run, None, None, None] * (ops_t[ls[run], None] @ left)
-        gap = np.abs(lhs - rhs)
-        worst = gap.max(axis=(1, 2, 3))
-        for r in np.flatnonzero(~(worst <= bound)):
-            i, j = np.unravel_index(np.argmax(gap[r].max(axis=2)), (da, da))
-            violations.append({"axiom": "leibniz", "index": sys.indices[lo + r],
-                               "pair": (int(i), int(j)),
-                               "residual": float(gap[r, i, j].max())})
+    for r in np.flatnonzero(~(worst <= bound)):
+        violations.append({"axiom": "leibniz", "index": sys.indices[r],
+                           "pair": divmod(int(witness[r]), sys.source.dim),
+                           "residual": float(worst[r])})
     return SystemReport(violations)
 
 

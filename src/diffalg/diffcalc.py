@@ -11,8 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Character, Element, LinearOp, PolyAlgebra, StructureAlgebra, \
-    Subspace
+from .algebra import (_DERIVATION_RUNS, MAX_NAMED_DIM, Character, Element, LinearOp,
+                      PolyAlgebra, StructureAlgebra, Subspace, _law_residuals)
 from .dersys import DerivativeSystem, verify_system
 from .errors import DomainError, NumericError
 from .geometry import TangentVector
@@ -199,6 +199,11 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     return None
 
 
+# Deepest tower check_stabilization builds: the chain ascends in a target of
+# dimension d <= MAX_NAMED_DIM, so it is constant after at most d + 1 levels.
+MAX_TOWER_DEPTH = MAX_NAMED_DIM + 1
+
+
 class Tower:
     """Ascending chain of subspaces of the target algebra."""
 
@@ -248,12 +253,6 @@ def z_tower(phi: LinearOp, depth: int) -> Tower:
     return z_tower_from_images(phi.target, phi.matrix.T, depth)
 
 
-def _involution_residual(phi: LinearOp) -> float:
-    lhs = phi.matrix @ phi.source.involution
-    rhs = phi.target.involution @ np.conj(phi.matrix)
-    return float(np.abs(lhs - rhs).max())
-
-
 def check_stabilization(phi: LinearOp, depth: int = 3,
                         enforce_preconditions: bool = True,
                         tol: float = la.ZERO_TOL) -> dict:
@@ -263,11 +262,14 @@ def check_stabilization(phi: LinearOp, depth: int = 3,
     involutions and lands in an involution-closed matrix-type algebra;
     a non-involutive action is refused unless enforce_preconditions=False,
     which is exactly how the counterexample tower is inspected. The report
-    compares levels 1 and 2, so a depth below 2 is refused with ValueError.
+    compares levels 1 and 2, so a depth below 2 is refused with ValueError,
+    and so is one above MAX_TOWER_DEPTH, before any level is built.
     """
     if depth < 2:
         raise ValueError(f"depth must be >= 2, not {depth}")
-    res = _involution_residual(phi)
+    if depth > MAX_TOWER_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_TOWER_DEPTH}, not {depth}")
+    res = float(_law_residuals(phi.source, phi.target, phi.matrix[None])[1].max())
     involutive = res <= tol * (1.0 + float(np.abs(phi.matrix).max()))
     if not involutive and enforce_preconditions:
         raise DomainError(
@@ -293,15 +295,11 @@ def check_stabilization(phi: LinearOp, depth: int = 3,
 
 def is_derivation(d: RelativeOp, tol: float = la.ZERO_TOL) -> bool:
     """True iff D(x*) = D(x)* and D(xy) = D(x) phi(y) + phi(x) D(y)."""
-    a, b = d.source, d.target
     dm, pm = d.op.matrix, d.action.matrix
-    scale = (1.0 + float(np.abs(dm).max())) * (1.0 + float(np.abs(pm).max()))
-    star = np.abs(dm @ a.involution - b.involution @ np.conj(dm)).max()
-    if star > tol * scale:
-        return False
-    lhs = a.structure @ dm.T
-    rhs = b.mul_pairs(dm.T, pm.T) + b.mul_pairs(pm.T, dm.T)
-    return bool(np.abs(lhs - rhs).max() <= tol * scale)
+    bound = tol * (1.0 + float(np.abs(dm).max())) * (1.0 + float(np.abs(pm).max()))
+    _, star, leibniz, _, _ = _law_residuals(d.source, d.target, np.stack([dm, pm]),
+                                            _DERIVATION_RUNS)
+    return bool(not star[0].max() > bound and leibniz[0] <= bound)
 
 
 def check_diffsys_characterization(sys: DerivativeSystem, gens,

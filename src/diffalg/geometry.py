@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Character, Element, StructureAlgebra, Subspace, subspace_product
+from .algebra import (_DERIVATION_RUNS, _SCALARS, Character, Element, StructureAlgebra,
+                      Subspace, _law_residuals, subspace_product)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -47,16 +48,12 @@ class TangentVector:
         return complex(self.functional @ v)
 
     def leibniz_residual(self) -> float:
-        c = self.algebra.structure
-        s = self.point.functional
-        t = self.functional
-        vals = np.einsum("ijk,k->ij", c, t) - np.outer(s, t) - np.outer(t, s)
-        return float(np.abs(vals).max())
+        rows = np.stack([self.functional, self.point.functional])[:, None]
+        return float(_law_residuals(self.algebra, _SCALARS, rows, _DERIVATION_RUNS)[2][0])
 
     def reality_residual(self) -> float:
         """Deviation from tau(a*) = conj(tau(a)), checked on the basis."""
-        lhs = self.functional @ self.algebra.involution
-        return float(np.abs(lhs - np.conj(self.functional)).max())
+        return float(_law_residuals(self.algebra, _SCALARS, self.functional[None, None])[1].max())
 
     def __repr__(self):
         return f"TangentVector({np.array_str(self.functional, precision=4)})"

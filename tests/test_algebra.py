@@ -458,7 +458,9 @@ def test_associativity_routes_agree(base, seed, bumps, imaginary):
         bump = rng.integers(-2, 3) + (1j * rng.integers(-1, 2) if imaginary else 0)
         c[tuple(rng.integers(0, d, size=3))] += bump
     expected = algebra_module._associativity_slabs(c)
-    assert algebra_module._associativity_products(c, *np.nonzero(c)) == expected
+    i, j, p = np.nonzero(c)
+    first, last = (np.bincount(x, minlength=d) for x in (i, p))
+    assert algebra_module._associativity_products(c, i, j, p, first, last) == expected
 
 
 def test_perturbations_break_the_laws():

@@ -866,6 +866,8 @@ _DIFFORDER = {"source": "func:2", "operator": [[0, 1], [0, 0]]}
     ("tangent", {"algebra": "poly:1:2", "point": [0.0], "real": "no"},
      "real must be true or false, not 'no'"),
     ("ztower", {**_ZTOWER, "depth": 0}, "depth must be >= 2, not 0"),
+    ("ztower", {**_ZTOWER, "depth": 258}, "depth must be <= 257, not 258"),
+    ("ztower", {**_ZTOWER, "depth": 2 ** 40}, f"depth must be <= 257, not {2 ** 40}"),
     ("ztower", {**_ZTOWER, "depth": 1}, "depth must be >= 2, not 1"),
     ("ztower", {**_ZTOWER, "phi": [[1, 0]]}, "phi has shape (1, 2), expected (2, 2)"),
     ("difforder", {**_DIFFORDER, "max_order": -1}, "max_order must be >= 0, not -1"),
@@ -944,6 +946,44 @@ def test_an_oversized_group_is_refused_before_its_tables(capsys):
 
 _ONE = {"dim": 1, "structure": [[[[1.0, 0.0]]]], "involution": [[[1.0, 0.0]]],
         "unit": [[1.0, 0.0]]}
+
+
+_SERIAL = "dim, structure, involution, unit, labels"
+
+
+@pytest.mark.parametrize("subcommand, doc, key, fields", [
+    ("algebra-check", {**_ONE, "lables": None}, "lables", _SERIAL),
+    ("algebra-check", {"name": "func:2", "nmae": "x"}, "nmae", "name"),
+    ("dersys-verify", {**_scalar_dersys(0.0), "tol": 1e-3}, "tol",
+     "m, N, source, target, ops"),
+    ("dersys-verify", {**_scalar_dersys(0.0), "target": {"name": "func:1", "dim": 1}},
+     "target.dim", "name"),
+    ("dersys-verify", {"m": 1, "N": 0, "source": "poly:1:1", "target": "func:1",
+                       "ops": [{"index": [0], "matrix": [[1, 0]], "coef": 1}]},
+     "ops[0].coef", "index, matrix"),
+    ("difforder", {**_DIFFORDER, "max_ordr": 1}, "max_ordr",
+     "source, target, operator, action, generators, max_order"),
+    ("difforder", {**_DIFFORDER, "source": {**_ONE, "unit_": 1}, "operator": [[1]]},
+     "source.unit_", _SERIAL),
+    ("ztower", {**_ZTOWER, "dpeth": 300}, "dpeth", "source, target, phi, depth, enforce"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5], "f": [], "degre": 4}, "degre",
+     "m, order, point, f, degree"),
+    ("jet", {"m": 1, "order": 1, "point": [0.5],
+             "f": [{"index": [1], "coeff": 1.0}, {"index": [0], "coeff": 1.0, "c": 2}]},
+     "f[1].c", "index, coeff"),
+    ("tangent", {"algebra": "poly:1:2", "point": [0.0], "rael": True}, "rael",
+     "algebra, character, point, real"),
+    ("envelope", {"m": 1, "generators": ["(var 0)"], "box": [[0, 1]], "grid": 5,
+                  "option": {}}, "option", "m, generators, box, grid, options"),
+    ("dauns-hofmann", {"algebra": "func:2", "centre": [[1, 1]]}, "centre",
+     "algebra, central"),
+    ("fourier", {"group": "Z2", "seed": 3}, "seed", "group"),
+])
+def test_unknown_fields_are_input_errors(capsys, tmp_path, subcommand, doc, key, fields):
+    """A misspelled optional field is refused, not read as its default."""
+    code, out, err = run(capsys, subcommand, _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: unknown field {key!r}; the fields are {fields}\n"
 
 
 @pytest.mark.parametrize("field, value", [

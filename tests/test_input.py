@@ -9,8 +9,9 @@ import pytest
 from diffalg import (DomainError, StructureAlgebra, check_stabilization, diff_order,
                      envelope_verdict, fourier_check, function_algebra, parse_expr)
 from diffalg._input import Fields, envelope_options, indices
-from diffalg.algebra import LinearOp
-from diffalg.diffcalc import RelativeOp
+from diffalg import diffcalc
+from diffalg.algebra import MAX_NAMED_DIM, LinearOp
+from diffalg.diffcalc import MAX_TOWER_DEPTH, RelativeOp
 
 
 @pytest.mark.parametrize("rows, want", [
@@ -122,6 +123,27 @@ def test_stabilization_needs_two_levels(depth):
     a = function_algebra(2)
     with pytest.raises(ValueError, match=f"depth must be >= 2, not {depth}"):
         check_stabilization(LinearOp.identity(a), depth)
+
+
+@pytest.mark.parametrize("depth", [MAX_TOWER_DEPTH + 1, 2 ** 40])
+def test_stabilization_refuses_a_tower_deeper_than_any_chain(monkeypatch, depth):
+    """An ascending chain in a target of dimension at most MAX_NAMED_DIM is
+    constant after MAX_NAMED_DIM + 1 levels; a deeper request is refused
+    before any level is built."""
+    assert MAX_TOWER_DEPTH == MAX_NAMED_DIM + 1
+    monkeypatch.setattr(diffcalc, "z_tower", None)
+    a = function_algebra(2)
+    with pytest.raises(ValueError, match=f"^depth must be <= {MAX_TOWER_DEPTH}, not {depth}$"):
+        check_stabilization(LinearOp.identity(a), depth)
+
+
+def test_fields_refuse_the_keys_no_read_asked_for():
+    doc = Fields({"a": 1, "b": 2.5, "c": True}, "doc")
+    assert (doc.integer("a"), doc.integer("z", 7)) == (1, 7)
+    with pytest.raises(ValueError, match=r"^unknown field 'doc\.b'; the fields are a, z$"):
+        doc.done()
+    assert doc.tolerance("b") == 2.5 and doc.flag("c")
+    doc.done()
 
 
 def test_diff_order_refuses_a_negative_bound():

@@ -3,8 +3,10 @@
 A lower-degree polynomial algebra is the leading corner of a higher one
 (graded order), so `PolyAlgebra.truncated` and `truncation_hom` read it off
 instead of building it; the references below are the fresh build and the
-exponent-index loop they replace. The Leibniz check is run with its block
-budget cut to a few entries against the tuple-loop reference, and counting
+exponent-index loop they replace. The Leibniz check is run with the law
+kernel's block budget cut to a few entries against the tuple-loop
+reference, the character and homomorphism checks with blocks of 1 and 7
+structure slices against one block, and counting
 hooks pin that a request builds one monomial table, finds its pair pattern
 once and verifies a derivative system once. A polynomial algebra builds its
 structure tensor and labels on first use; the eager build they replace is
@@ -17,9 +19,9 @@ import json
 import numpy as np
 import pytest
 
-from diffalg import (DomainError, Element, algebra_from_name, jet_project, jet_space,
-                     quotient_seminorm, taylor_system, taylor_truncate, truncated_poly,
-                     verify_system)
+from diffalg import (Character, DomainError, Element, LinearOp, algebra_from_name,
+                     characters, jet_project, jet_space, quotient_seminorm, taylor_system,
+                     taylor_truncate, truncated_poly, verify_system)
 from diffalg import algebra, cli, dersys, multiindex
 from diffalg.algebra import monomial_label
 from diffalg.diffcalc import derivative_op, truncation_hom
@@ -111,7 +113,7 @@ def test_leibniz_blocks_do_not_change_the_report(monkeypatch, base_name, budget)
                                                     seed=n), n)
         systems += _broken_variants(taylor_system(m, n, _point(m, n), degree=n + 1), n)
     whole = [_violations(s) for s in systems]
-    monkeypatch.setattr(dersys, "_BLOCK_ENTRIES", budget)
+    monkeypatch.setattr(algebra, "_BLOCK_ENTRIES", budget)
     for sys_, want_whole in zip(systems, whole):
         got = _violations(sys_)
         assert got == want_whole
@@ -119,6 +121,39 @@ def test_leibniz_blocks_do_not_change_the_report(monkeypatch, base_name, budget)
         assert [g[:3] for g in got] == [w[:3] for w in want]
         assert np.allclose([g[3] for g in got], [w[3] for w in want], rtol=1e-12, atol=0)
     assert any(v[0] == "leibniz" for got in whole for v in got)
+
+
+def _law_outcomes(candidates, homs):
+    """Every character and homomorphism verdict, residual and witness."""
+    return (np.array([(c.is_character(), c.multiplicativity_residual()) for c in candidates]),
+            [h.hom_violations(tol) for h in homs for tol in (1e-9, 1e-5)])
+
+
+@pytest.mark.parametrize("step", [1, 7])
+def test_law_blocks_do_not_change_characters_or_homs(monkeypatch, step):
+    """The character and homomorphism checks read the same kernel in blocks
+    of `step` structure slices as in one block."""
+    rng = np.random.default_rng(step)
+    candidates, homs = [], []
+    for name in ("group:3x3", "poly:2:3", "func:5"):
+        alg = algebra_from_name(name)
+        for ch in characters(alg):
+            for scale in (0.0, 1e-6, 1.0):
+                noise = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+                candidates.append(Character(alg, ch.functional + scale * noise))
+        homs.append(LinearOp.identity(alg))
+        bumped = np.eye(alg.dim, dtype=complex)
+        bumped[tuple(rng.integers(0, alg.dim, size=2))] += 0.5
+        homs.append(LinearOp(bumped, alg, alg))
+    homs.append(dersys._pack(taylor_system(2, 2, [0.5, -0.25]), 1e-9))
+    whole = _law_outcomes(candidates, homs)
+    monkeypatch.setattr(algebra, "_slice_blocks", lambda d, width: (
+        slice(lo, lo + step) for lo in range(0, d, step)))
+    got = _law_outcomes(candidates, homs)
+    assert np.array_equal(got[0], whole[0], equal_nan=True)
+    assert got[1] == whole[1]
+    assert not whole[0][:, 0].all() and whole[0][:, 0].any()
+    assert any(whole[1]) and not all(whole[1])
 
 
 # --- counting hooks ------------------------------------------------------
