@@ -3,6 +3,9 @@
 An algebra of dimension d is stored as a d x d x d complex tensor c with
 c[i, j] = coordinates of e_i * e_j, an involution matrix S acting
 antilinearly (star(x) = S conj(x)), and the coordinate vector of the unit.
+The named algebras are semigroup algebras (e_i e_j is one basis element or
+0) and keep their (d, d) product table instead: the checks read the table,
+and the tensor is built only when a dense route asks for it.
 On top of that sit subspaces (orthonormal SVD bases), characters
 (unital involutive multiplicative functionals), quotients by two-sided
 ideals, centralizers, and a family of ready-made constructors.
@@ -50,7 +53,17 @@ class StructureAlgebra:
     Immutable after construction. Axioms (associativity on basis triples,
     unit law, involution laws) are validated on construction unless
     check=False is passed; violations raise DomainError.
+
+    A table algebra (see _from_table) holds its product table `_products`,
+    with -1 for a zero product, and its star permutation `_star`; its
+    structure tensor is built on first use. Commutativity, the axioms, the
+    multiplication matrices, the left sides of the law kernel and the
+    character extraction read the table, with the same results to the
+    last bit, since every product constant is exactly 1.
     """
+
+    _products = None
+    _star = None
 
     def __init__(self, structure, involution, unit, labels=None, check=True,
                  tol=la.ZERO_TOL):
@@ -76,9 +89,33 @@ class StructureAlgebra:
             raise DomainError(f"algebra axioms fail: {bad[0]}"
                               + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""))
 
+    @classmethod
+    def _from_table(cls, products, star, unit, labels) -> "StructureAlgebra":
+        """The semigroup algebra with e_i e_j = e_{products[i, j]} (0 where
+        products[i, j] is -1), e_i* = e_{star[i]} and unit the sum of the
+        e_i at the indices `unit`, axioms unchecked."""
+        alg = cls.__new__(cls)
+        alg._use_products(products, star, unit)
+        alg.labels = labels
+        return alg
+
+    def _use_products(self, products, star, unit) -> None:
+        d = len(star)
+        self._products = np.asarray(products, dtype=np.intp)
+        self._star = np.asarray(star, dtype=np.intp)
+        self.involution = np.zeros((d, d), dtype=complex)
+        self.involution[self._star, np.arange(d)] = 1.0
+        self.unit = np.zeros(d, dtype=complex)
+        self.unit[unit] = 1.0
+
+    @functools.cached_property
+    def structure(self) -> np.ndarray:
+        """The tensor of a table algebra, built on first use."""
+        return _semigroup(self._products)
+
     @property
     def dim(self) -> int:
-        return self.structure.shape[0]
+        return self.unit.shape[0]
 
     # --- raw coordinate operations -------------------------------------
 
@@ -105,16 +142,35 @@ class StructureAlgebra:
 
     def left_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a*x."""
-        d = self.dim
-        a = np.asarray(a, dtype=complex).ravel()
-        # entry [k, j] = sum_i a_i c[i, j, k]
-        return (a @ self.structure.reshape(d, d * d)).reshape(d, d).T
+        return self._mul_matrix(a, 0)
 
     def right_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> x*a."""
+        return self._mul_matrix(a, 1)
+
+    def _mul_matrix(self, a, side: int) -> np.ndarray:
+        """Entry [k, j] = sum_i a_i c[i, j, k] (side 0, x -> a*x) or [k, i] =
+        sum_j c[i, j, k] a_j (side 1, x -> x*a). A table algebra adds the
+        coordinates of a at the products of its table, one scatter."""
+        d = self.dim
         a = np.asarray(a, dtype=complex).ravel()
-        # entry [k, i] = sum_j c[i, j, k] a_j
-        return (a @ self.structure).T
+        if self._products is None:
+            c = self.structure
+            return ((a @ c.reshape(d, d * d)).reshape(d, d) if side == 0 else a @ c).T
+        at, coeff = self._scatters[side]
+        out = np.zeros(d * d, dtype=complex)
+        np.add.at(out, at, a[coeff])
+        return out.reshape(d, d)
+
+    @functools.cached_property
+    def _scatters(self):
+        """For each side of _mul_matrix, the flat entry [t[i, j], j] or
+        [t[i, j], i] that each nonzero product (i, j) of the table adds to,
+        and the coordinate i or j of a that it adds."""
+        d = self.dim
+        i, j = np.nonzero(self._products >= 0)
+        at = self._products[i, j] * d
+        return (at + j, i), (at + i, j)
 
     # --- elements ------------------------------------------------------
 
@@ -146,34 +202,45 @@ class StructureAlgebra:
         """
         out = []
         d = self.dim
-        c = self.structure
-        rows, cols = c.reshape(d * d, d), c.reshape(d, d * d)
-        # associativity on basis triples; real tensors (every named family)
-        # take the real products, a quarter of the complex work
-        worst, (i, j, k) = _associativity_worst(c.real if not c.imag.any() else c)
+        t, star = self._products, self._star
+        if t is None:
+            c = self.structure
+            # associativity on basis triples; real tensors take the real
+            # products, a quarter of the complex work
+            worst, (i, j, k) = _associativity_worst(c.real if not c.imag.any() else c)
+        else:
+            worst, (i, j, k) = _table_associativity(t)
         if not worst <= tol:
             out.append(f"associativity fails at basis triple ({i},{j},{k}), "
                        f"residual {worst:.2e}")
-        # unit law: row i of u @ cols is u * e_i, row i of u @ c is e_i * u
+        # unit law: row i of the transposed multiplication matrices of the
+        # unit is u * e_i and e_i * u
         eye = np.eye(d)
-        left_bad = ~(np.abs((self.unit @ cols).reshape(d, d) - eye).max(axis=1) <= tol)
-        right_bad = ~(np.abs(self.unit @ c - eye).max(axis=1) <= tol)
+        left_bad = ~(np.abs(self._mul_matrix(self.unit, 0).T - eye).max(axis=1) <= tol)
+        right_bad = ~(np.abs(self._mul_matrix(self.unit, 1).T - eye).max(axis=1) <= tol)
         for i in range(d):
             if left_bad[i]:
                 out.append(f"left unit law fails at basis {i}")
             if right_bad[i]:
                 out.append(f"right unit law fails at basis {i}")
-        # involution laws
+        # involution laws: (x*)* = x, the fixed unit and (e_i e_j)* = e_j* e_i*,
+        # pairs in row-major order. In a table algebra each side is one
+        # basis element or 0, so a residual is 1 where the sides differ.
         s = self.involution
-        # (x*)* = x  <=>  S conj(S) = I
-        if not np.abs(s @ np.conj(s) - eye).max() <= tol:
+        if t is None:
+            twice = np.abs(s @ np.conj(s) - eye).max()  # S conj(S) = I
+            lhs = np.conj(c.reshape(d * d, d)) @ s.T
+            rhs = self.mul_pairs(s.T, s.T).transpose(1, 0, 2).reshape(d * d, d)
+            pairs = np.abs(lhs - rhs).max(axis=1)
+        else:
+            twice = float(not (star[star] == np.arange(d)).all())
+            lhs = np.where(t >= 0, star[t], -1)  # (e_i e_j)* = e_{star[t[i, j]]}
+            pairs = (lhs != t[np.ix_(star, star)].T).ravel().astype(float)
+        if not twice <= tol:
             out.append("involution is not an involution: S conj(S) != I")
         if not np.abs(self.star_coords(self.unit) - self.unit).max() <= tol:
             out.append("unit is not involution-fixed")
-        # (e_i e_j)* = e_j* e_i*, rows in row-major pair order
-        lhs = np.conj(rows) @ s.T
-        rhs = self.mul_pairs(s.T, s.T).transpose(1, 0, 2).reshape(d * d, d)
-        for p in np.flatnonzero(~(np.abs(lhs - rhs).max(axis=1) <= tol)):
+        for p in np.flatnonzero(~(pairs <= tol)):
             i, j = divmod(int(p), d)
             out.append(f"(xy)* = y*x* fails at basis pair ({i},{j})")
         return out
@@ -181,7 +248,11 @@ class StructureAlgebra:
     def is_commutative(self, tol=la.ZERO_TOL) -> bool:
         """Whether c[i, j] = c[j, i] to tol; c[i-block] is compared with
         c[:, i-block] in blocks of slices (see _slice_blocks), so no
-        transposed copy of the whole tensor is made."""
+        transposed copy of the whole tensor is made. In a table algebra
+        c[i, j] - c[j, i] is 0 where the table is symmetric, else of norm 1."""
+        t = self._products
+        if t is not None:
+            return bool(float(not (t == t.T).all()) <= tol)
         c = self.structure
         return all(np.abs(c[blk] - c[:, blk].transpose(1, 0, 2)).max() <= tol
                    for blk in _slice_blocks(self.dim, self.dim))
@@ -231,9 +302,10 @@ class PolyAlgebra(StructureAlgebra):
     products above the degree bound are dropped. The monomial table
     (`table`, with the exponent list and index) is the algebra: the
     structure tensor and the labels are built from it on first use and kept
-    with the algebra, so layers that read only the table (jets, evaluation)
-    never allocate the d^3 tensor. The jet spaces built on the algebra are
-    cached in `jet_cache`, which lives and dies with it.
+    with the algebra, so layers that read only the table (jets, evaluation,
+    the table routes of StructureAlgebra) never allocate the d^3 tensor.
+    The jet spaces built on the algebra are cached in `jet_cache`, which
+    lives and dies with it.
     """
 
     def __init__(self, mvars: int, degree: int, check: bool = True, tol=la.ZERO_TOL):
@@ -248,18 +320,9 @@ class PolyAlgebra(StructureAlgebra):
         self.exponents: list[MultiIndex] = table.exponents
         self.exp_index = table.exp_index
         self.jet_cache: dict = {}
-        # coefficientwise conjugation, and the monomial 1 (row 0) as the unit
-        self.involution = np.eye(table.dim, dtype=complex)
-        self.unit = np.eye(1, table.dim, dtype=complex)[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.dim
-
-    @functools.cached_property
-    def structure(self) -> np.ndarray:
-        """x^k x^l = x^(k+l), or 0 above the degree, from the table's sums."""
-        return _semigroup(self.table.add, np.arange(self.dim), 0)[0]
+        # x^k x^l = x^(k+l), or 0 above the degree: the table's sums; the
+        # involution conjugates coefficients, and the monomial 1 is the unit
+        self._use_products(table.add, np.arange(table.dim), 0)
 
     @functools.cached_property
     def labels(self) -> list[str]:
@@ -577,6 +640,23 @@ def _associativity_products(r, i, j, p, first, last) -> tuple[float, tuple[int, 
     return float(worst), where
 
 
+def _table_associativity(t) -> tuple[float, tuple[int, int, int]]:
+    """_associativity_worst of the table algebra with product table t: both
+    sides of a triple are one basis element or 0, so its residual is 1 where
+    t[t[i, j], k] and t[i, t[j, k]] differ (-1 for 0) and 0 elsewhere; in
+    blocks of i."""
+    d = len(t)
+    pad = np.full((d + 1, d + 1), -1, dtype=t.dtype)  # row and column -1: 0
+    pad[:d, :d] = t
+    for blk in _slice_blocks(d, d):
+        # (e_i e_j) e_k against e_i (e_j e_k)
+        differ = np.flatnonzero(pad[t[blk], :d] != pad[:d][blk][:, t])
+        if len(differ):
+            i, j, k = np.unravel_index(differ[0], (d, d, d))
+            return 1.0, (int(i) + blk.start, int(j), int(k))
+    return 0.0, (0, 0, 0)
+
+
 def _runs(count, start):
     """Positions start[n], ..., start[n] + count[n] - 1 for each n, in order."""
     skip = np.repeat(start - (np.cumsum(count) - count), count)
@@ -596,7 +676,10 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     at worst and, given a bound, first (m,) of the first pair not <= bound
     (dim A ** 2 if none). Both sides are formed in blocks of i and reduced
     to per-row maxima at once; when B has dimension 1 the right sides are
-    broadcast products, not one call per 1 x 1 matrix product.
+    broadcast products, not one call per 1 x 1 matrix product. When A is a
+    table algebra and every map is finite, the left sides gather the
+    columns D_r(e_t[i, j]) (0 for -1); a product with the tensor would spread
+    a NaN or inf of one map over every pair, so other stacks take it.
     """
     n, db, da = ops.shape
     flat = ops.reshape(n * db, da)
@@ -610,10 +693,19 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     # both sides as (row, coordinate q, pair (i, j)); row i of cols[r] is D_r(e_i)
     m, rows, cols = len(k), np.arange(len(k)), ops.transpose(0, 2, 1)
     sb = target.structure.reshape(db, db * db)
+    t = source._products
+    if t is not None and np.isfinite(ops).all():
+        padded = np.hstack([flat[:m * db], np.zeros((m * db, 1))])  # column -1: 0
+    else:
+        t = None
     vals, tops, firsts = [], [], []
     for blk in _slice_blocks(da, m * db * max(1, db // da)):
-        slab = source.structure[blk].reshape(-1, da)
-        lhs = (flat[:m * db] @ slab.T).reshape(m, db, len(slab))
+        if t is None:
+            slab = source.structure[blk].reshape(-1, da)
+            lhs = (flat[:m * db] @ slab.T).reshape(m, db, len(slab))
+        else:
+            lhs = padded[:, t[blk].ravel()].reshape(m, db, -1)
+        pairs = lhs.shape[2]
         rhs = None
         for k, l, d, c in runs:
             if db == 1:
@@ -621,7 +713,7 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
             else:  # (D_d(e_i) e_t)_q times D_l(e_j)_t, summed over t
                 left = (cols[d, blk] @ sb).reshape(len(k), -1, db, db)
                 prod = left.transpose(0, 3, 1, 2) @ ops[l][:, None]
-            prod = prod.reshape(len(k), db, len(slab))
+            prod = prod.reshape(len(k), db, pairs)
             prod *= c[:, None, None]
             if rhs is None:  # the first run: rows 0, ..., m - 1 in order
                 rhs = prod
@@ -660,18 +752,27 @@ def _character_mask(algebra: StructureAlgebra, rows, tol: float) -> np.ndarray:
     return (unit <= tol) & (mult <= tol) & (star.max(axis=1) <= tol)
 
 
-def _rayleigh_tuples(ops: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row n holds v^H ops[i] v / v^H v for v = vecs[:, n], over all i.
+def _rayleigh_tuples(algebra: StructureAlgebra, vecs: np.ndarray) -> np.ndarray:
+    """Row n holds v^H c[i] v / v^H v for v = vecs[:, n], over all i, where
+    the slice c[i] of the structure tensor is the transposed left
+    multiplication by e_i.
 
-    On a common eigenvector of the slices ops[i] that is the tuple of
-    their eigenvalues; one product with the stacked slices per block.
+    On a common eigenvector of the slices that is the tuple of their
+    eigenvalues; one product with the stacked slices per block, or in a
+    table algebra a gather of the rows t[i, j] of vecs (0 for -1).
     """
     d, n = vecs.shape
     conj = vecs.conj()
+    t = algebra._products
+    if t is not None:
+        padded = np.vstack([vecs, np.zeros((1, n))])  # row -1: 0
     out = np.empty((n, d), dtype=complex)
     for blk in _slice_blocks(d, n):
-        slices = ops[blk]
-        prods = (slices.reshape(-1, d) @ vecs).reshape(len(slices), d, n)
+        if t is None:
+            slices = algebra.structure[blk]
+            prods = (slices.reshape(-1, d) @ vecs).reshape(len(slices), d, n)
+        else:
+            prods = padded[t[blk]]
         out[:, blk] = np.einsum("ijn,jn->ni", prods, conj)
     return out / np.einsum("jn,jn->n", conj, vecs)[:, None]
 
@@ -698,8 +799,6 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
     d = algebra.dim
     cluster_tol = 1e-7
     rng = np.random.default_rng(7)
-    # transposed left multiplication by e_i is the slice c[i]
-    ops = algebra.structure
     for _ in range(_GENERIC_DRAWS):
         generic = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vals, vecs = np.linalg.eig(algebra.left_mul_matrix(generic).T)
@@ -709,7 +808,7 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
         raise NumericError(f"eigen-cluster ambiguity: repeated eigenvalues in "
                            f"{_GENERIC_DRAWS} generic draws")
 
-    tuples = _rayleigh_tuples(ops, vecs)
+    tuples = _rayleigh_tuples(algebra, vecs)
     tuples = tuples[_character_mask(algebra, tuples, tol)]
     known = np.empty_like(tuples)
     count = 0
@@ -739,12 +838,7 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
     """
     if not algebra.is_commutative():
         raise DomainError("character extraction requires a commutative algebra")
-    d = algebra.dim
-    c = algebra.structure
-    # tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b], over blocks of b (no full copy)
-    gram = sum(c[:, blk].reshape(d, -1) @ c[:, :, blk].transpose(2, 1, 0).reshape(-1, d)
-               for blk in _slice_blocks(d, d))
-    rad = la.null_space(gram)
+    rad = la.null_space(_trace_gram(algebra))
     if rad.shape[0]:
         qalg, proj = quotient(algebra, Subspace(algebra, rad))
         rows = np.array([c.functional for c in _semisimple_characters(qalg, tol)])
@@ -754,6 +848,23 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
         chars = _semisimple_characters(algebra, tol)
     chars.sort(key=lambda c: tuple(np.round(c.functional.view(float), 9)))
     return chars
+
+
+def _trace_gram(algebra: StructureAlgebra) -> np.ndarray:
+    """tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b], over blocks of b (no full
+    copy). In a table algebra it counts the b with t[j, t[i, b]] = b, over
+    blocks of i: the same integers."""
+    d = algebra.dim
+    t = algebra._products
+    if t is None:
+        c = algebra.structure
+        return sum(c[:, blk].reshape(d, -1) @ c[:, :, blk].transpose(2, 1, 0).reshape(-1, d)
+                   for blk in _slice_blocks(d, d))
+    pad = np.hstack([t, np.full((d, 1), -1, dtype=t.dtype)])  # column -1: 0
+    gram = np.empty((d, d), dtype=complex)
+    for blk in _slice_blocks(d, d):
+        gram[blk] = (pad[:, t[blk]] == np.arange(d)).sum(axis=2).T
+    return gram
 
 
 def quotient(algebra: StructureAlgebra, ideal: Subspace,
@@ -891,8 +1002,10 @@ class LinearOp:
 # --- constructors ------------------------------------------------------
 
 # Largest dimension built from input (algebra_from_name, truncated_poly,
-# series_algebra): the dense structure tensor takes 16 d^3 bytes, 256 MiB at
-# d = 256, and the law checks need a few d^3 temporaries on top of it.
+# series_algebra). The named algebras check themselves on their product
+# tables, but the dense routes build the structure tensor, 16 d^3 bytes,
+# 256 MiB at d = 256, with a few d^3 temporaries on top: serialized,
+# conjugated and quotient algebras, mul_pairs and mul_coords.
 MAX_NAMED_DIM = 256
 
 
@@ -912,19 +1025,14 @@ def _require_positive(n: int) -> None:
         raise ValueError(f"n must be >= 1, got {n}")
 
 
-def _semigroup(table, star, unit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Structure tensor, involution and unit of the semigroup algebra with
-    e_i e_j = e_{table[i, j]} (0 where table[i, j] is -1), e_i* = e_{star[i]}
-    and unit the sum of the e_i at the indices `unit`."""
-    d = len(star)
+def _semigroup(table) -> np.ndarray:
+    """Structure tensor of the semigroup algebra with e_i e_j =
+    e_{table[i, j]} (0 where table[i, j] is -1)."""
+    d = len(table)
     c = np.zeros((d, d, d), dtype=complex)
     i, j = np.nonzero(table >= 0)
     c[i, j, table[i, j]] = 1.0
-    inv = np.zeros((d, d), dtype=complex)
-    inv[star, np.arange(d)] = 1.0
-    ones = np.zeros(d, dtype=complex)
-    ones[unit] = 1.0
-    return c, inv, ones
+    return c
 
 
 def matrix_algebra(n: int) -> StructureAlgebra:
@@ -937,8 +1045,8 @@ def matrix_algebra(n: int) -> StructureAlgebra:
     # E_ij E_kl = E_il when j = k, else 0; E_ij* = E_ji
     table = np.where(cols[:, None] == rows, rows[:, None] * n + cols, -1)
     labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return StructureAlgebra(*_semigroup(table, cols * n + rows, np.arange(n) * (n + 1)),
-                            labels=labels, check=False)
+    return StructureAlgebra._from_table(table, cols * n + rows, np.arange(n) * (n + 1),
+                                        labels)
 
 
 def function_algebra(n: int) -> StructureAlgebra:
@@ -947,11 +1055,12 @@ def function_algebra(n: int) -> StructureAlgebra:
     idx = np.arange(n)
     table = np.where(np.eye(n, dtype=bool), idx, -1)
     labels = [f"e{i + 1}" for i in range(n)]
-    return StructureAlgebra(*_semigroup(table, idx, idx), labels=labels,
-                            check=False)
+    return StructureAlgebra._from_table(table, idx, idx, labels)
 
 
-_SCALARS = function_algebra(1)  # the target of a character
+# The target of a character; dense, because the right sides of the law
+# kernel read its one structure constant.
+_SCALARS = StructureAlgebra(np.ones((1, 1, 1)), np.eye(1), np.ones(1), check=False)
 
 
 def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:
@@ -965,10 +1074,21 @@ def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:
 
 
 def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Direct sum with componentwise operations."""
+    """Direct sum with componentwise operations; the sum of two table
+    algebras is a table algebra."""
     da, db = a.dim, b.dim
     d = da + db
     require_dim(d)
+    labels = None
+    if a.labels and b.labels:
+        labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
+    if a._products is not None and b._products is not None:
+        t = np.full((d, d), -1, dtype=np.intp)
+        t[:da, :da] = a._products
+        t[da:, da:] = np.where(b._products >= 0, b._products + da, -1)
+        return StructureAlgebra._from_table(
+            t, np.concatenate([a._star, b._star + da]),
+            np.flatnonzero(np.concatenate([a.unit, b.unit])), labels)
     c = np.zeros((d, d, d), dtype=complex)
     c[:da, :da, :da] = a.structure
     c[da:, da:, da:] = b.structure
@@ -976,9 +1096,6 @@ def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     inv[:da, :da] = a.involution
     inv[da:, da:] = b.involution
     unit = np.concatenate([a.unit, b.unit])
-    labels = None
-    if a.labels and b.labels:
-        labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
     return StructureAlgebra(c, inv, unit, labels=labels, check=False)
 
 
@@ -1031,8 +1148,8 @@ def group_algebra(factors) -> StructureAlgebra:
     """
     group = _CyclicGroup(factors)
     labels = [f"d{g}" for g in group.elements]
-    return StructureAlgebra(*_semigroup(group.addition_table(), group.negation(), 0),
-                            labels=labels, check=False)
+    return StructureAlgebra._from_table(group.addition_table(), group.negation(), 0,
+                                        labels)
 
 
 def cusp_algebra() -> StructureAlgebra:
@@ -1047,8 +1164,8 @@ def cusp_algebra() -> StructureAlgebra:
     pos = np.full(13, -1)
     pos[exps] = np.arange(len(exps))
     labels = ["1"] + [f"x^{e}" for e in exps[1:]]
-    return StructureAlgebra(*_semigroup(pos[exps[:, None] + exps], np.arange(len(exps)), 0),
-                            labels=labels, check=False)
+    return StructureAlgebra._from_table(pos[exps[:, None] + exps], np.arange(len(exps)), 0,
+                                        labels)
 
 
 def _size(text: str) -> int:

@@ -114,10 +114,13 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
     count for a finite abelian group algebra.
 
     For orders up to 64 the algebra characters are extracted from the
-    structure tensor and matched row-by-row against the dual evaluations,
-    an independent route. Larger orders keep the direct checks only: the
-    dense structure tensor would not fit, and unitarity of the Fourier
-    matrix already forces the dual rows to be all |G| characters.
+    group algebra's product table and matched row-by-row against the dual
+    evaluations, an independent route. Larger orders keep the direct
+    checks only: extraction grows as |G|^3 (one eigendecomposition, the
+    trace-form gram and the character checks over all |G|^2 basis pairs),
+    the bound fixes the report's shape (above it the extracted fields are
+    null), and unitarity of the Fourier matrix already forces the dual
+    rows to be all |G| characters.
     """
     if isinstance(group, str):
         group = parse_group_spec(group)

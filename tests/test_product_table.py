@@ -1,0 +1,227 @@
+"""Named algebras keep their product table, and each check that reads it
+gives what the dense structure tensor gives, to the last bit.
+
+Every named algebra is a semigroup algebra: e_i e_j is one basis element or
+0, so it keeps its (d, d) table (-1 for 0) and its star permutation, and the
+tensor is built on first use. Each table route (commutativity, the
+multiplication matrices, the axioms, the left sides of the law kernel,
+the Rayleigh tuples, the trace-form gram and the characters) is compared
+with its dense twin, StructureAlgebra(alg.structure, alg.involution,
+alg.unit), which takes the tensor routes: array_equal, no tolerance. The
+dense routes themselves stay covered by the unitarily conjugated algebras
+of tests/test_basis_change.py, which have no table.
+"""
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from diffalg import (StructureAlgebra, characters, cli, cusp_algebra, direct_sum,
+                     function_algebra, group_algebra, matrix_algebra, truncated_poly)
+from diffalg import algebra
+from diffalg.algebra import (_DERIVATION_RUNS, _SCALARS, _law_residuals, _rayleigh_tuples,
+                             _self_runs, _trace_gram)
+
+
+def _named():
+    out = {f"matrix:{n}": matrix_algebra(n) for n in range(1, 7)}
+    out.update({f"func:{n}": function_algebra(n) for n in range(1, 9)})
+    out.update({f"group:{'x'.join(map(str, f))}": group_algebra(f)
+                for f in ([8, 8], [4, 4, 2], [16], [1])})
+    out.update({f"poly:{m}:{n}": truncated_poly(m, n) for m, n in ((1, 4), (2, 3), (3, 2))})
+    out["cusp"] = cusp_algebra()
+    out["matrix:2+func:3"] = direct_sum(matrix_algebra(2), function_algebra(3))
+    out["poly:2:2+cusp"] = direct_sum(truncated_poly(2, 2), cusp_algebra())
+    out["group:4+matrix:2+poly:1:3"] = direct_sum(
+        direct_sum(group_algebra([4]), matrix_algebra(2)), truncated_poly(1, 3))
+    return out
+
+
+NAMED = _named()
+COMMUTATIVE = [name for name in NAMED if "matrix" not in name]
+
+
+def twin(alg: StructureAlgebra) -> StructureAlgebra:
+    dense = StructureAlgebra(alg.structure, alg.involution, alg.unit, check=False)
+    assert alg._products is not None and dense._products is None
+    return dense
+
+
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_algebras_keep_their_table_and_build_the_tensor_on_first_use(name):
+    alg = NAMED[name]
+    assert type(alg) is StructureAlgebra or name.startswith("poly:")
+    assert alg._products.shape == (alg.dim, alg.dim)
+    assert (alg.involution[alg._star, np.arange(alg.dim)] == 1).all()
+    c = alg.structure
+    assert c.shape == (alg.dim,) * 3 and alg.structure is c
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_commutativity_and_multiplication_matrices(name):
+    alg = NAMED[name]
+    dense = twin(alg)
+    for tol in (0.0, 1e-9, 0.5, 1.0, 2.0, np.nan):
+        assert alg.is_commutative(tol) is dense.is_commutative(tol)
+    rng = np.random.default_rng(len(name))
+    for a in (*_complex(rng, 3, alg.dim), alg.unit, np.eye(alg.dim)[-1]):
+        assert np.array_equal(alg.left_mul_matrix(a), dense.left_mul_matrix(a))
+        assert np.array_equal(alg.right_mul_matrix(a), dense.right_mul_matrix(a))
+
+
+def _targets(alg):
+    return {"scalars": _SCALARS, "matrix:2": matrix_algebra(2), "itself": alg}
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_law_residuals_read_the_same_left_sides(name):
+    alg = NAMED[name]
+    dense = twin(alg)
+    rng = np.random.default_rng(3 + len(name))
+    for label, target in _targets(alg).items():
+        for n, runs in ((3, _self_runs(3)), (2, _DERIVATION_RUNS), (2, ())):
+            ops = _complex(rng, n, target.dim, alg.dim)
+            if label == "itself":  # an exact homomorphism among the rows
+                ops[0] = np.eye(alg.dim)
+            for bound in (None, 0.0, 1.0, 10.0):
+                _same(_law_residuals(alg, target, ops, runs, bound),
+                      _law_residuals(dense, target, ops, runs, bound))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["matrix:3", "func:4", "group:4x4x2", "poly:2:3",
+                                  "matrix:2+func:3"])
+def test_non_finite_stacks_give_the_dense_witnesses(name, value):
+    # a product with the tensor spreads 0 * NaN over every pair of a row, a
+    # gather would not, so such stacks take the dense route
+    alg = NAMED[name]
+    dense = twin(alg)
+    rng = np.random.default_rng(11)
+    for target in (_SCALARS, matrix_algebra(2)):
+        for n, runs in ((2, _self_runs(2)), (2, _DERIVATION_RUNS)):
+            ops = _complex(rng, n, target.dim, alg.dim)
+            ops[1, 0, alg.dim // 2] = value
+            with np.errstate(invalid="ignore"):  # inf * 0 on both routes
+                got = _law_residuals(alg, target, ops, runs, 1.0)
+                _same(got, _law_residuals(dense, target, ops, runs, 1.0))
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_rayleigh_tuples_and_the_trace_gram(name):
+    alg = NAMED[name]
+    dense = twin(alg)
+    vecs = _complex(np.random.default_rng(5), alg.dim, alg.dim)
+    assert np.array_equal(_rayleigh_tuples(alg, vecs), _rayleigh_tuples(dense, vecs))
+    gram = _trace_gram(alg)
+    assert gram.dtype == complex
+    assert gram.tobytes() == _trace_gram(dense).tobytes()
+
+
+@pytest.mark.parametrize("name", COMMUTATIVE)
+def test_characters_are_the_same(name):
+    alg = NAMED[name]
+    got = np.array([ch.functional for ch in characters(alg)])
+    want = np.array([ch.functional for ch in characters(twin(alg))])
+    assert np.array_equal(got, want)
+
+
+def _broken():
+    """Tables that break one law each, with the algebra they come from."""
+    m2, f3, z4, cusp, p22 = (matrix_algebra(2), function_algebra(3), group_algebra([4]),
+                             cusp_algebra(), truncated_poly(2, 2))
+    out = {}
+    for label, alg in (("matrix:2", m2), ("func:3", f3), ("group:4", z4), ("cusp", cusp),
+                       ("poly:2:2", p22)):
+        t, star, unit = alg._products, alg._star, np.flatnonzero(alg.unit)
+        d = alg.dim
+        redirected = t.copy()
+        redirected[d - 1, d - 1] = (t[d - 1, d - 1] + 1) % d
+        zeroed = t.copy()
+        zeroed[tuple(np.argwhere(t >= 0)[-1])] = -1  # the last nonzero product
+        moved = unit.copy()
+        moved[0] = (moved[0] + 1) % d
+        out[f"{label}-redirected"] = (redirected, star, unit)
+        out[f"{label}-zeroed"] = (zeroed, star, unit)
+        out[f"{label}-moved-unit"] = (t, star, moved)
+        if d >= 3:
+            out[f"{label}-cyclic-star"] = (t, np.roll(star, 1), unit)
+    # involutions that break (xy)* = y*x*: the identity on M_2, and the
+    # swap of E11 and E22
+    out["matrix:2-identity-star"] = (m2._products, np.arange(4), np.flatnonzero(m2.unit))
+    out["matrix:2-swapped-star"] = (m2._products, np.array([3, 2, 1, 0]),
+                                    np.flatnonzero(m2.unit))
+    return out
+
+
+BROKEN = _broken()
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_broken_tables_report_the_same_violations(name):
+    t, star, unit = BROKEN[name]
+    alg = StructureAlgebra._from_table(t, star, unit, None)
+    dense = twin(alg)
+    for tol in (1e-9, 1.0):
+        got = alg.axiom_violations(tol)
+        assert got == dense.axiom_violations(tol)
+        assert got or tol == 1.0
+    assert alg.is_commutative() is dense.is_commutative()
+    a = _complex(np.random.default_rng(2), alg.dim)
+    assert np.array_equal(alg.left_mul_matrix(a), dense.left_mul_matrix(a))
+    assert np.array_equal(alg.right_mul_matrix(a), dense.right_mul_matrix(a))
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_axioms_hold_on_both_routes(name):
+    alg = NAMED[name]
+    assert alg.axiom_violations() == twin(alg).axiom_violations() == []
+
+
+# --- memory and builds through the command line -------------------------
+
+def _count_tensor_builds(monkeypatch):
+    built = []
+    semigroup = algebra._semigroup
+
+    def counted(table):
+        built.append(len(table))
+        return semigroup(table)
+
+    monkeypatch.setattr(algebra, "_semigroup", counted)
+    return built
+
+
+@pytest.mark.parametrize("argv", [["fourier", "Z8xZ8"], ["algebra-check", "matrix:6"],
+                                  ["algebra-check", "group:4x4x2"]])
+def test_requests_on_tables_build_no_tensor(monkeypatch, capsys, argv):
+    built = _count_tensor_builds(monkeypatch)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_group_16x16_check_stays_small(capsys):
+    # d = 256, the MAX_NAMED_DIM: the dense tensor alone takes 256 MiB
+    tracemalloc.start()
+    try:
+        assert cli.main(["algebra-check", "group:16x16"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert '"axioms_ok": true' in capsys.readouterr().out
+    assert peak < 64 * 2 ** 20

@@ -13,7 +13,10 @@ a shared machine by tens of percent; the two calls of a pair see the same
 drift, so the ratios of paired times are much steadier than the ratio of
 two runs. It complements perfbench/run.py and does not replace it: both
 programs share one process, so peak memory and process-lifetime caches are
-not measured here.
+not measured here. As in perfbench's worker, the calibration slice of
+perfbench/calibration.py runs before each pass and then every EVERY_S
+seconds between requests; it keeps the BLAS threads awake, so their
+wake-up stalls do not read as request time. Its timings are not used.
 
 Prints the pass-time ratio B/A of each pass and their median, p50 and p90
 of each side, the per-class medians and their ratio, and the number of
@@ -77,6 +80,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from calibration import EVERY_S, calibrate
     from workloads import build_corpus
 
     clis = (load_cli(args.a, "diffalg_a"), load_cli(args.b, "diffalg_b"))
@@ -87,7 +91,12 @@ def main(argv=None) -> int:
         for _ in range(args.passes):
             for side in times:
                 side.append([])
+            calibrate()
+            since = time.perf_counter()
             for n, req in enumerate(requests):
+                if time.perf_counter() - since > EVERY_S:
+                    calibrate()
+                    since = time.perf_counter()
                 order = (0, 1) if n % 2 == 0 else (1, 0)
                 outcome = [None, None]
                 for side in order:
