@@ -30,7 +30,7 @@ from .diffcalc import (MAX_TOWER_DEPTH, RelativeOp, check_stabilization, diff_or
                        truncation_hom)
 from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
-from .geometry import cotangent_space, pairing_matrix, tangent_space
+from .geometry import _duality
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
 from .multiindex import mi_count, mi_enumerate
 from .series import SeriesElement, ser_unit, series_algebra, series_to_coords
@@ -352,11 +352,8 @@ def cmd_tangent(data, args):
     ch = Character(alg, functional)
     if not ch.is_character(1e-8):
         raise DomainError("the functional is not a character of the algebra")
-    taus = tangent_space(alg, ch, real=real)
-    classes, _ = cotangent_space(alg, ch)
-    gram = pairing_matrix(taus, classes) if taus and classes else np.zeros((0, 0))
-    square = gram.shape[0] == gram.shape[1]
-    invertible = bool(square and gram.shape[0] == la.rank(gram)) if gram.size else square
+    taus, classes, gram = _duality(alg, ch, real)
+    invertible = bool(gram.shape[0] == gram.shape[1] == la.rank(gram))
     results = {
         "tangent_dim": len(taus),
         "cotangent_dim": len(classes),

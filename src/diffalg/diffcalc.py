@@ -100,10 +100,9 @@ def left_multiply(b, p: RelativeOp) -> RelativeOp:
 # (|current| * |gens| * d_B * d_A): a larger level is refused before it
 # is allocated.
 MAX_COMMUTATOR_ENTRIES = 2 ** 24
-# Complex entries of one block of the batched commutator products (the
-# operator stack and its multiplication matrices), so neither a level's
-# temporaries nor the sample count set the peak.
-_BLOCK_ENTRIES = 2 ** 18
+# Complex entries of one cross-check block of sampled stacks, and of the buffer each level is
+# tested in (2^15 timed fastest of 2^12 ... 2^18 on perfbench's difforder classes, 2-vCPU VM).
+_BLOCK_ENTRIES, _LEVEL_ENTRIES = 2 ** 18, 2 ** 15
 
 
 def _left_stack(algebra: StructureAlgebra, vs: np.ndarray) -> np.ndarray:
@@ -161,9 +160,9 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     underestimate. Returns None when no order <= max_n is found; a negative
     max_n is refused with ValueError.
 
-    Each level is one stack of commutators, q-major and generator-minor,
-    built in blocks; a level of more than MAX_COMMUTATOR_ENTRIES complex
-    entries is refused with DomainError before it is allocated.
+    Each level is tested block by block in one buffer, and stored (q-major,
+    generator-minor) only when the next depth reads it; a level of more than
+    MAX_COMMUTATOR_ENTRIES complex entries is refused with DomainError first.
     """
     if max_n < 0:
         raise ValueError(f"max_order must be >= 0, not {max_n}")
@@ -178,25 +177,32 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     left_a = _left_stack(p.source, gvecs)[None]
     left_phi = _left_stack(p.target, gvecs @ p.action.matrix.T)[None]
 
+    step = max(1, _LEVEL_ENTRIES // (gcount * d_b * d_a))
+    buf = np.empty((step, gcount, d_b, d_a), dtype=complex)
+
+    def block(lo, out):  # the commutators of current[lo:lo + step], into out
+        q = current[lo:lo + step, None]
+        out = np.matmul(q, left_a, out=out[:len(q)])
+        out -= left_phi @ q
+        return out.reshape(-1, d_b, d_a)
+
     current = p.matrix[None]
     for depth in range(1, max_n + 2):
         entries = len(current) * gcount * d_b * d_a
         if entries > MAX_COMMUTATOR_ENTRIES:
             raise DomainError(f"commutator level {depth} has {entries} matrix "
                               f"entries; at most {MAX_COMMUTATOR_ENTRIES}")
-        nxt = np.empty((len(current), gcount, d_b, d_a), dtype=complex)
-        zero = True
-        step = max(1, _BLOCK_ENTRIES // (gcount * d_b * d_a))
-        for lo in range(0, len(current), step):
-            q = current[lo:lo + step, None]
-            blk = np.matmul(q, left_a, out=nxt[lo:lo + step])
-            blk -= left_phi @ q
-            zero = zero and bool((_norms(blk.reshape(-1, d_b, d_a)) <= tol * base).all())
-        nxt = nxt.reshape(-1, d_b, d_a)
+        starts = range(0, len(current), step)
+        zero = all((_norms(block(lo, buf)) <= tol * base).all() for lo in starts)
         if zero and _cross_check(p, depth, samples, tol * base, rng):
             return depth - 1
-        current = nxt
-    return None
+        if depth > max_n:
+            return None
+        # the next depth reads this level: the same blocks again, in place
+        nxt = np.empty((len(current), gcount, d_b, d_a), dtype=complex)
+        for lo in starts:
+            block(lo, nxt[lo:])
+        current = nxt.reshape(-1, d_b, d_a)
 
 
 # Deepest tower check_stabilization builds: the chain ascends in a target of
@@ -244,7 +250,8 @@ def z_tower_from_images(target: StructureAlgebra, images, depth: int) -> Tower:
         # Subspace bases are orthonormal rows, so B^T conj(B) projects onto them
         prev = levels[-1].basis
         off = np.eye(d) - prev.T @ prev.conj()
-        levels.append(Subspace(target, la.null_space((off @ ad).reshape(-1, d))))
+        kernel = la.null_space((off @ ad).reshape(-1, d))
+        levels.append(Subspace._from_orthonormal(target, kernel))
     return Tower(levels)
 
 

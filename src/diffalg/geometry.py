@@ -2,10 +2,10 @@
 character, and the pairing that makes them dual.
 
 A tangent vector at a character s is a functional with the Leibniz rule
-tau(ab) = s(a) tau(b) + tau(a) s(b); it automatically kills the unit and
-every product of two elements of the kernel ideal I_s. The cotangent space
-is the linear quotient I_s / span(I_s^2), and pairing a tangent vector
-with a cotangent class evaluates the functional on any representative.
+tau(ab) = s(a) tau(b) + tau(a) s(b); on A = C 1 + I_s, with I_s the kernel
+ideal, that says exactly that tau kills 1 and span(I_s^2). The cotangent
+space is I_s / span(I_s^2); pairing evaluates a tangent vector on any
+representative of a class.
 """
 from __future__ import annotations
 
@@ -39,9 +39,8 @@ class TangentVector:
         if self.functional.shape != (algebra.dim,):
             raise ValueError("functional length mismatch")
         self.point = point
-        if real is None:
-            real = self.reality_residual() <= tol * (1.0 + np.abs(self.functional).max())
-        self.real = bool(real)
+        self.real = bool(_realities(algebra, self.functional[None], tol)[0]
+                         if real is None else real)
 
     def __call__(self, x) -> complex:
         v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
@@ -82,88 +81,82 @@ def _require_character(algebra: StructureAlgebra, s: Character):
         raise DomainError("functional is not a character")
 
 
+def _realities(algebra: StructureAlgebra, rows: np.ndarray, tol: float) -> np.ndarray:
+    """Which rows satisfy tau(a*) = conj(tau(a)) to tol relative to their size."""
+    star = _law_residuals(algebra, _SCALARS, rows[:, None])[1].max(axis=1)
+    return star <= tol * (1.0 + np.abs(rows).max(axis=1))
+
+
+def _splitting(s: Character) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows K spanning I_s and Q spanning span(I_s^2)."""
+    kernel = Subspace._from_orthonormal(s.algebra, la.null_space(s.functional[None]))
+    return kernel.basis, subspace_product(kernel, kernel).basis
+
+
+def _tangents(algebra: StructureAlgebra, s: Character, square: np.ndarray,
+              real: bool) -> list[TangentVector]:
+    """Tangent vectors at s: the null space of the unit and of square's rows."""
+    rows = np.vstack([algebra.unit, square])
+    if not real:
+        basis = la.null_space(rows)
+        flags = _realities(algebra, basis, la.ZERO_TOL)
+        return [TangentVector(algebra, v, s, real=f) for v, f in zip(basis, flags)]
+    # split tau = rho + i sigma: M tau = 0 becomes [Re M, -Im M; Im M, Re M] [rho; sigma] = 0;
+    # tau S = conj(tau) becomes rho(S_r - I) - sigma S_i = 0 and rho S_i + sigma(S_r + I) = 0,
+    # whose rows act from the right, so they are transposed
+    d, sr, si = algebra.dim, algebra.involution.real, algebra.involution.imag
+    basis = la.null_space(np.block([[rows.real, -rows.imag], [rows.imag, rows.real],
+                                    [(sr - np.eye(d)).T, -si.T], [si.T, (sr + np.eye(d)).T]]))
+    return [TangentVector(algebra, v[:d] + 1j * v[d:], s, real=True) for v in basis]
+
+
+def _cotangents(algebra: StructureAlgebra, s: Character, kernel: np.ndarray, square: np.ndarray):
+    """(classes, pi) from K projected off Q: orthonormal representatives orthogonal
+    to span(I_s^2), so column j of pi is their inner products with e_j - s(e_j) 1."""
+    reps = la.span_basis(kernel - (kernel @ square.conj().T) @ square, algebra.dim)
+    classes = [CotangentClass(algebra, s, r, e) for r, e in zip(reps, np.eye(len(reps)))]
+    return classes, reps.conj() - np.outer(reps.conj() @ algebra.unit, s.functional)
+
+
+def _duality(algebra: StructureAlgebra, s: Character, real: bool):
+    """Tangent vectors, cotangent classes and their gram (0 x 0 if either is empty)."""
+    kernel, square = _splitting(s)
+    taus = _tangents(algebra, s, square, real)
+    classes, _ = _cotangents(algebra, s, kernel, square)
+    gram = _pairing_matrix(taus, classes, lambda point: square, 1e-9)
+    return taus, classes, gram if gram.size else np.zeros((0, 0))
+
+
 def tangent_space(algebra: StructureAlgebra, s: Character,
                   real: bool = False) -> list[TangentVector]:
     """Basis of the (complex or real) tangent space at a character.
 
-    The Leibniz constraints are one stacked linear system over the
-    functional's coordinates. The real form adds the antilinear constraint
-    tau(a*) = conj(tau(a)), which is only R-linear, so that solve runs over
-    split real and imaginary parts.
+    It is the null space of the unit and span(I_s^2). The real form adds
+    the antilinear constraint tau(a*) = conj(tau(a)), which is only
+    R-linear, so that solve runs over split real and imaginary parts.
     """
     _require_character(algebra, s)
-    d = algebra.dim
-    c = algebra.structure
-    sv = s.functional
-    # rows indexed by basis pairs (i, j), unknowns tau_k
-    rows = c.reshape(d * d, d).copy()
-    eye = np.eye(d)
-    rows -= np.einsum("i,jk->ijk", sv, eye).reshape(d * d, d)
-    rows -= np.einsum("ik,j->ijk", eye, sv).reshape(d * d, d)
-    if not real:
-        basis = la.null_space(rows)
-        return [TangentVector(algebra, v, s) for v in basis]
-    # split tau = rho + i sigma; complex rows M tau = 0 become
-    # [Re M, -Im M; Im M, Re M] [rho; sigma] = 0
-    top = np.hstack([rows.real, -rows.imag])
-    bot = np.hstack([rows.imag, rows.real])
-    sr, si = algebra.involution.real, algebra.involution.imag
-    # tau S = conj(tau): real part rho(S_r - I) - sigma S_i = 0,
-    # imaginary part rho S_i + sigma(S_r + I) = 0; rows act from the right,
-    # so transpose into column form
-    real_rows = np.hstack([(sr - np.eye(d)).T, -si.T])
-    imag_rows = np.hstack([si.T, (sr + np.eye(d)).T])
-    stacked = np.vstack([top, bot, real_rows, imag_rows])
-    basis = la.null_space(stacked)
-    out = []
-    for v in basis:
-        tau = v[:d] + 1j * v[d:]
-        out.append(TangentVector(algebra, tau, s, real=True))
-    return out
+    return _tangents(algebra, s, _splitting(s)[1], real)
 
 
 def cotangent_space(algebra: StructureAlgebra, s: Character):
     """Quotient basis of I_s / span(I_s^2) and the projection matrix.
 
-    Returns (classes, pi). The classes are cotangent basis vectors whose
-    representatives are greedily chosen rows of the kernel basis that stay
-    independent modulo span(I_s^2). pi maps a in the algebra to the class
-    coordinates of a - s(a) 1.
+    Returns (classes, pi). The representatives of the classes are an
+    orthonormal basis of the part of I_s orthogonal to span(I_s^2). pi
+    maps a in the algebra to the class coordinates of a - s(a) 1.
     """
     _require_character(algebra, s)
-    d = algebra.dim
-    kernel = s.kernel()
-    square = subspace_product(kernel, kernel)
-    reps = []
-    for v in kernel.basis:
-        stack = np.vstack([square.basis] + [r.reshape(1, -1) for r in reps]
-                          + [v.reshape(1, -1)])
-        if la.rank(stack) > square.dim + len(reps):
-            reps.append(v)
-    q = len(reps)
-    classes = [CotangentClass(algebra, s, reps[i], np.eye(q)[i]) for i in range(q)]
-    # class coordinates of any kernel element by solving against [reps; square]
-    if q:
-        frame = np.vstack([np.array(reps), square.basis]).T
-    else:
-        frame = square.basis.T
-    # column j is e_j - s(e_j) 1
-    shifted = np.eye(d) - np.outer(algebra.unit, s.functional)
-    sol, *_ = np.linalg.lstsq(frame, shifted, rcond=None)
-    resid = np.abs(frame @ sol - shifted).max(axis=0)
-    if (resid > 1e-7 * (1.0 + np.abs(shifted).max(axis=0))).any():
-        raise NumericError("kernel frame failed to express a shifted basis vector")
-    return classes, sol[:q]
+    return _cotangents(algebra, s, *_splitting(s))
 
 
 def cotangent_class(algebra: StructureAlgebra, s: Character, f,
                     tol: float = la.ZERO_TOL) -> CotangentClass:
     """Class of an element of the kernel ideal I_s."""
-    _require_character(algebra, s)
+    _, pi = cotangent_space(algebra, s)
     v = f.coords if isinstance(f, Element) else np.asarray(f, dtype=complex).ravel()
     if abs(complex(s.functional @ v)) > tol * (1.0 + np.abs(v).max()):
         raise DomainError("representative does not vanish at the base character")
-    classes, pi = cotangent_space(algebra, s)
     return CotangentClass(algebra, s, v, pi @ v)
 
 
@@ -183,6 +176,11 @@ def pairing_matrix(taus, classes, tol: float = 1e-9) -> np.ndarray:
     kernel square is built once per base character. Pairs are checked in
     row-major order, each tau against span(I_s^2) at its first class.
     """
+    return _pairing_matrix(taus, classes, lambda point: _splitting(point)[1], tol)
+
+
+def _pairing_matrix(taus, classes, square_of, tol: float) -> np.ndarray:
+    """pairing_matrix, with square_of(point) the orthonormal rows of span(I_s^2)."""
     gram = np.empty((len(taus), len(classes)), dtype=complex)
     point = square = None
     for a, tau in enumerate(taus):
@@ -193,13 +191,10 @@ def pairing_matrix(taus, classes, tol: float = 1e-9) -> np.ndarray:
                 raise DomainError("tangent vector and cotangent class sit at different points")
             if b == 0:
                 if tau.point is not point:
-                    point = tau.point
-                    kernel = point.kernel()
-                    square = subspace_product(kernel, kernel)
-                if square.dim:
-                    vals = np.abs(square.basis @ tau.functional)
-                    if vals.max() > tol * (1.0 + np.abs(tau.functional).max()):
-                        raise NumericError("functional does not vanish on kernel-squared; "
-                                           "pairing would depend on the representative")
+                    point, square = tau.point, square_of(tau.point)
+                vals = np.abs(square @ tau.functional)
+                if vals.max(initial=0.0) > tol * (1.0 + np.abs(tau.functional).max()):
+                    raise NumericError("functional does not vanish on kernel-squared; "
+                                       "pairing would depend on the representative")
             gram[a, b] = complex(tau.functional @ xi.representative)
     return gram

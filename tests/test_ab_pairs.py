@@ -1,9 +1,13 @@
-"""tools/ab_pairs.py: a checkout against itself gives identical reports."""
+"""tools/ab_pairs.py: a checkout against itself gives identical reports, and
+the steadier summaries are not moved by one slow request."""
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -18,3 +22,38 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
     assert lines[0] == "series-jets, seed 5: 3 requests x 1 passes"
     assert lines[1].startswith("pass-time ratio B/A: ")
     assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 3"
+    assert lines[2].startswith("per-request ratio B/A: median ")
+    assert "per-class ratio B/A: count-weighted mean " in lines[2]
+
+
+def _ab_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "ab_pairs", os.path.join(ROOT, "tools", "ab_pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_slow_request_moves_the_sum_ratio_but_not_the_steady_summaries():
+    """Two passes of five requests where B is 10 % faster on every request
+    except one, which stalls for 100 times its time on side B."""
+    ab = _ab_pairs()
+    classes = ["x", "x", "x", "y", "z"]
+    a = [[1.0, 1.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 2.0, 4.0]]
+    b = [[0.9, 0.9, 90.0, 1.8, 3.6], [0.9, 0.9, 0.9, 1.8, 3.6]]
+    assert sum(b[0]) / sum(a[0]) > 10
+    assert ab.request_ratio_median((a, b)) == pytest.approx(0.9)
+    medians = ab.class_medians(classes, (a, b))
+    assert list(medians) == ["x", "y", "z"]
+    assert medians["x"] == (1.0, 0.9)
+    assert ab.class_ratio_mean(classes, (a, b)) == pytest.approx(0.9)
+
+
+def test_class_ratios_are_weighted_by_their_counts():
+    ab = _ab_pairs()
+    classes = ["x", "x", "x", "y"]
+    a = [[1.0, 1.0, 1.0, 1.0]]
+    b = [[0.5, 0.5, 0.5, 2.0]]
+    # x counts three times at 0.5, y once at 2.0
+    assert ab.class_ratio_mean(classes, (a, b)) == pytest.approx((3 * 0.5 + 2.0) / 4)
+    assert ab.request_ratio_median((a, b)) == pytest.approx(0.5)

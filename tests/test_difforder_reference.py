@@ -303,3 +303,38 @@ def test_commutator_residual_matches_reference(mvars, order):
     want = reference_commutator_residual(sys)
     assert abs(rep["commutator_residual"] - want) <= 1e-13
     assert rep["commutator_residual"] < 1e-10
+
+
+def _level_cases():
+    """(id, operator, generators, max_n) for d/dx on poly:1:4 against the
+    truncation action:
+    - zero: the coordinate alone as generator, so level 2 is zero;
+    - nonzero: d^2/dx^2, whose level 2 is nonzero and level 3 zero;
+    - split: d^2/dx^2 with eight unit generators before the coordinate,
+      so level 2 has nine rows of which only the last is nonzero, and the
+      first nonzero block is not the first block."""
+    p = truncated_poly(1, 4)
+    x = np.eye(p.dim)[p.exp_index[(1,)]]
+    d = derivative_op(p, 0)
+    dd = derivative_op(d.target, 0)
+    d2 = RelativeOp(dd.op.compose(d.op), dd.action.compose(d.action), check=False)
+    return [("zero", d, [x], 3), ("nonzero", d2, [x], 3),
+            ("split", d2, [p.unit] * 8 + [x], 3)]
+
+
+LEVEL_CASES = _level_cases()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1-row-blocks", "7-row-blocks"])
+@pytest.mark.parametrize("index", range(len(LEVEL_CASES)), ids=[c[0] for c in LEVEL_CASES])
+def test_level_blocks_give_the_same_order(generators, monkeypatch, index, rows):
+    """A level is tested in one buffer, block by block, and stored only
+    when the next depth reads it; blocks of 1 and 7 rows of the previous
+    level give the reference's order and generator state."""
+    name, p, gens, max_n = LEVEL_CASES[index]
+    if rows is not None:
+        row = len(gens) * p.target.dim * p.source.dim
+        monkeypatch.setattr(diffcalc, "_LEVEL_ENTRIES", rows * row)
+    want = {"zero": 1, "nonzero": 2, "split": 2}[name]
+    assert assert_same_order(generators, p, gens, max_n) == want
+    assert assert_same_order(generators, p, gens, want - 1) is None

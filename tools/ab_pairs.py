@@ -20,8 +20,11 @@ wake-up stalls do not read as request time. Its timings are not used.
 
 Prints the pass-time ratio B/A of each pass and their median, p50 and p90
 of each side, the per-class medians and their ratio, and the number of
-requests whose (exit code, stdout) differ between A and B. Exits 1 when any
-pair differs, else 0.
+requests whose (exit code, stdout) differ between A and B. One slow request
+moves a ratio of pass sums, so two steadier summaries are printed next to
+it: the median of the per-request ratios B/A, and the mean of the per-class
+ratios weighted by each class's count of requests in a pass. Exits 1 when
+any pair differs, else 0.
 """
 from __future__ import annotations
 
@@ -69,6 +72,32 @@ def p90(samples: list[float]) -> float:
     return statistics.quantiles(samples, n=10)[8] if len(samples) > 1 else samples[0]
 
 
+def class_medians(classes: list[str], times) -> dict[str, tuple[float, float]]:
+    """{class: (median A seconds, median B seconds)} over all passes, in
+    order of first appearance; classes[n] is the class of request n and
+    times[side][pass][n] its seconds."""
+    out = {}
+    for cls in dict.fromkeys(classes):
+        a, b = ([t for one_pass in side for c, t in zip(classes, one_pass) if c == cls]
+                for side in times)
+        out[cls] = (statistics.median(a), statistics.median(b))
+    return out
+
+
+def request_ratio_median(times) -> float:
+    """Median over every request of every pass of its paired ratio B/A."""
+    return statistics.median(b / a for pass_a, pass_b in zip(*times)
+                             for a, b in zip(pass_a, pass_b))
+
+
+def class_ratio_mean(classes: list[str], times) -> float:
+    """Mean of the per-class ratios of medians B/A, each class weighted by
+    its count of requests in a pass."""
+    counts = {cls: classes.count(cls) for cls in dict.fromkeys(classes)}
+    return sum(counts[cls] * mb / ma
+               for cls, (ma, mb) in class_medians(classes, times).items()) / len(classes)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="checkout A (the reference)")
@@ -106,19 +135,19 @@ def main(argv=None) -> int:
                 differ += outcome[0] != outcome[1]
 
     ratios = [sum(b) / sum(a) for a, b in zip(*times)]
+    classes = [req["class"] for req in requests]
     print(f"{args.workload}, seed {args.seed}: {len(requests)} requests x "
           f"{args.passes} passes")
     print("pass-time ratio B/A: " + " ".join(f"{r:.3f}" for r in ratios)
           + f"  (median {statistics.median(ratios):.3f})")
+    print(f"per-request ratio B/A: median {request_ratio_median(times):.3f}; "
+          f"per-class ratio B/A: count-weighted mean {class_ratio_mean(classes, times):.3f}")
     for label, side in zip("AB", times):
         flat = [t for one_pass in side for t in one_pass]
         print(f"{label}: p50 {1000 * statistics.median(flat):.3f} ms, "
               f"p90 {1000 * p90(flat):.3f} ms")
     print(f"{'class':<24} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
-    for cls in dict.fromkeys(req["class"] for req in requests):
-        a, b = ([t for one_pass in side for req, t in zip(requests, one_pass)
-                 if req["class"] == cls] for side in times)
-        ma, mb = statistics.median(a), statistics.median(b)
+    for cls, (ma, mb) in class_medians(classes, times).items():
         print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f}")
     print(f"differing (exit code, stdout) pairs: {differ} of "
           f"{len(requests) * args.passes}")
