@@ -436,8 +436,9 @@ class Subspace:
 
     def __init__(self, algebra: StructureAlgebra, vectors, tol=la.RANK_TOL):
         self.algebra = algebra
-        rows = [v.coords if isinstance(v, Element) else v for v in vectors]
-        self.basis = la.span_basis(rows, width=algebra.dim, tol=tol)
+        if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
+            vectors = [v.coords if isinstance(v, Element) else v for v in vectors]
+        self.basis = la.span_basis(vectors, width=algebra.dim, tol=tol)
 
     @classmethod
     def _from_orthonormal(cls, algebra: StructureAlgebra, rows: np.ndarray) -> "Subspace":

@@ -94,36 +94,104 @@ def _float_texts(items) -> list[str] | None:
     return texts if all(map(_isfinite, items)) else None
 
 
-def _list_text(texts: list[str], level: int) -> str:
-    """A non-empty list at depth `level` whose item texts are given, as one
-    join with the separators interleaved."""
+def _list_pieces(texts: list[str], level: int) -> list[str]:
+    """The pieces of a non-empty list at depth `level` whose item texts are
+    given: the item texts with the brackets and separators interleaved."""
     inner = "\n" + "  " * (level + 1)
     parts = ["," + inner] * (2 * len(texts))
     parts[0] = "[" + inner
     parts[1::2] = texts
     parts.append("\n" + "  " * level + "]")
-    return "".join(parts)
+    return parts
 
 
 def _float_rows(rows, level: int) -> list[str] | None:
-    """The texts at `level` of a list of non-empty lists of finite floats,
+    """The pieces at `level` of a list of non-empty lists of finite floats,
     or None if the items are anything else."""
-    out = []
+    inner = "\n" + "  " * (level + 1)
+    out, sep = ["[" + inner], "," + inner
     for row in rows:
         texts = _float_texts(row) if type(row) is list and row else None
         if texts is None:
             return None
-        out.append(_list_text(texts, level))
+        out += _list_pieces(texts, level + 1)
+        out.append(sep)
+    out[-1] = "\n" + "  " * level + "]"
     return out
 
 
 def _complex_rows(items, level: int) -> list[str] | None:
-    """The texts at `level` of a list of complex numbers as their
+    """The pieces at `level` of a list of complex numbers as their
     [real, imag] rows, or None unless every item is a complex number with
-    finite parts."""
+    finite parts: one row template, its real and imaginary texts written
+    into their strides."""
     if not all(isinstance(z, complex) for z in items):
         return None
-    return _float_rows([[z.real, z.imag] for z in items], level)
+    parts = np.array(items, dtype=complex)
+    if not np.isfinite(parts).all():
+        return None
+    row, cell = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    pieces = [row + "]," + row + "[" + cell, None, "," + cell, None] * len(items)
+    pieces[0] = "[" + row + "[" + cell
+    pieces[1::4] = map(_float_repr, parts.real.tolist())
+    pieces[3::4] = map(_float_repr, parts.imag.tolist())
+    pieces.append(row + "]" + "\n" + "  " * level + "]")
+    return pieces
+
+
+def _write(obj, level: int, out: list[str]) -> None:
+    """Appends the pieces of obj's JSON text at nesting depth `level` to
+    out; see _render."""
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        first = obj[0]
+        texts = _float_texts(obj) if isinstance(first, float) else None
+        pieces = (_list_pieces(texts, level) if texts is not None else
+                  _float_rows(obj, level) if type(first) is list else
+                  _complex_rows(obj, level) if isinstance(first, complex) else None)
+        if pieces is not None:
+            out += pieces
+            return
+        inner = "\n" + "  " * (level + 1)
+        out.append("[" + inner)
+        sep = "," + inner
+        for x in obj:
+            _write(x, level + 1, out)
+            out.append(sep)
+        out[-1] = "\n" + "  " * level + "]"
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = ",\n" + "  " * (level + 1)
+        opened = len(out)
+        for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(sep + _encode_str(k) + ": ")
+            _write(v, level + 1, out)
+        # the dict opens where its first separator stands
+        out[opened] = "{" + out[opened][1:]
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, Reasons):
+        if len(obj):
+            obj._json_pieces(level, _write, out)
+        else:
+            out.append("[]")
+    else:
+        _write(to_jsonable(obj), level, out)
 
 
 def _render(obj, level: int = 0) -> str:
@@ -131,47 +199,16 @@ def _render(obj, level: int = 0) -> str:
     json.dumps(to_jsonable(obj), sort_keys=True, indent=2) writes there.
 
     Values json writes natively are rendered inline; any other leaf goes
-    through to_jsonable, the single conversion rule. Each list or dict is
-    one join over its pieces: brackets, separators and the item texts. A
-    verdict's Reasons writes its own text at each depth it appears at, as
-    the list of dicts it stands for, from axis texts made once.
+    through to_jsonable, the single conversion rule. The whole text is
+    written as pieces into one list (brackets, separators, keys and item
+    texts) and joined once, so each byte is copied once however deep it
+    sits. A verdict's Reasons writes its own pieces at each depth it
+    appears at, as the list of dicts it stands for, from axis texts made
+    once.
     """
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
-    is_list = isinstance(obj, (list, tuple))
-    is_dict = not is_list and isinstance(obj, dict)
-    if not (is_list or is_dict or isinstance(obj, Reasons)):
-        return _render(to_jsonable(obj), level)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    if not (is_list or is_dict):
-        return obj._json_text(level, _render)
-    if is_list:
-        first = obj[0]
-        texts = (_float_texts(obj) if isinstance(first, float) else
-                 _float_rows(obj, level + 1) if type(first) is list else
-                 _complex_rows(obj, level + 1) if isinstance(first, complex) else None)
-        if texts is None:
-            texts = [_render(x, level + 1) for x in obj]
-        return _list_text(texts, level)
-    inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
-    parts = []
-    for k, v in sorted({str(k): v for k, v in obj.items()}.items()):
-        parts += (sep, _encode_str(k) + ": ", _render(v, level + 1))
-    parts[0] = "{" + inner
-    parts.append("\n" + "  " * level + "}")
-    return "".join(parts)
+    out: list[str] = []
+    _write(obj, level, out)
+    return "".join(out)
 
 
 def _emit(report: dict, out: str | None):

@@ -10,9 +10,9 @@ the conditions were verified on the sample, never globally.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -353,7 +353,10 @@ MAX_SAMPLES = 2 ** 20
 MAX_SEPARATION_CANDIDATES = 2 ** 20
 
 
-def _grid_points(box, grid: int) -> list[np.ndarray]:
+def _grid_axes(box, grid: int) -> list[np.ndarray]:
+    """The m sample axes of the box, axis i shaped (1, ..., grid, ..., 1)
+    with its points at position i, so that an expression evaluated on them
+    broadcasts to the (grid,) * m sample."""
     if not len(box):
         raise ValueError("the box needs at least one axis (m >= 1)")
     box = array("box", box, (None, 2), finite=False, real=True).tolist()
@@ -363,59 +366,88 @@ def _grid_points(box, grid: int) -> list[np.ndarray]:
         if not math.isfinite(hi - lo):
             raise DomainError(f"box axis {axis} is [{lo!r}, {hi!r}]; its bounds "
                               f"and its width must be finite")
-    samples = grid ** len(box)
+    m = len(box)
+    samples = grid ** m
     if samples > MAX_SAMPLES:
-        raise DomainError(f"grid {grid} on a {len(box)}-dimensional box gives "
+        raise DomainError(f"grid {grid} on a {m}-dimensional box gives "
                           f"{samples} sample points; at most {MAX_SAMPLES}")
-    axes = [np.linspace(lo, hi, grid) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return [m.ravel() for m in mesh]
+    return [np.linspace(lo, hi, grid).reshape((1,) * i + (grid,) + (1,) * (m - 1 - i))
+            for i, (lo, hi) in enumerate(box)]
 
 
-class _Sample(NamedTuple):
+def _flat_points(axes: list[np.ndarray]) -> list[np.ndarray]:
+    """The coordinate arrays of every sample point, in C order of the axes:
+    what np.meshgrid(..., indexing="ij") gives, raveled."""
+    shape = np.broadcast_shapes(*(ax.shape for ax in axes))
+    return [np.broadcast_to(ax, shape).ravel() for ax in axes]
+
+
+def _grid_points(box, grid: int) -> list[np.ndarray]:
+    return _flat_points(_grid_axes(box, grid))
+
+
+class _Sample:
     """A request's sample grid and what the certificates read of it: the
-    coordinate arrays, the generator values as (points, k) and the
-    Jacobian as (m, k, points), contiguous over the points. `witnesses`
-    takes each certificate's ordered witness point indices, by condition
-    name, for envelope_verdict."""
-    grids: list[np.ndarray]
-    values: np.ndarray | None
-    jac: np.ndarray | None
-    witnesses: dict
+    broadcastable axes, the generator values as (points, k) and the
+    Jacobian as (m, k, points), contiguous over the points. The flat
+    coordinate arrays are built on first use, once; a PASS never reads
+    them. `witnesses` takes each certificate's ordered witness point
+    indices, by condition name, for envelope_verdict."""
+
+    def __init__(self, axes: list[np.ndarray]):
+        self.axes = axes
+        self.values: np.ndarray | None = None
+        self.jac: np.ndarray | None = None
+        self.witnesses = {}
+
+    @functools.cached_property
+    def grids(self) -> list[np.ndarray]:
+        return _flat_points(self.axes)
 
 
 def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
     """Builds the grid once and evaluates the requested arrays on it.
 
+    Each generator and first derivative is evaluated on the broadcastable
+    axes, so it costs what its own variables need, and written into its
+    slot of the preallocated arrays by broadcast assignment.
     Overflow and invalid-operation warnings are silenced during evaluation;
     a generator value or first derivative that is not finite is refused
     with DomainError instead, naming how many sample points it affects and
     the first of them.
     """
-    grids = _grid_points(box, grid)
-    m, npts = len(grids), len(grids[0])
-    vals = jacobian = None
-    bad = np.zeros(npts, dtype=bool)
+    axes = _grid_axes(box, grid)
+    shape = np.broadcast_shapes(*(ax.shape for ax in axes))
+    m, k, npts = len(axes), len(gens), math.prod(shape)
+    sample = _Sample(axes)
+    finite = True
     with np.errstate(all="ignore"):
         if values:
-            columns = [np.asarray(g.eval(grids), dtype=float) for g in gens]
-            # one generator at a time: a reduction over the short generator
-            # axis of the stacked values costs more than the k passes
-            for col in columns:
-                bad |= ~np.isfinite(col)
-            vals = np.stack(columns, axis=1)
+            sample.values = np.empty((npts, k))
+            cube = sample.values.reshape(shape + (k,))
+            for j, g in enumerate(gens):
+                col = g.eval(axes)
+                cube[..., j] = col
+                finite = finite and bool(np.isfinite(col).all())
         if jac:
-            jacobian = np.empty((m, len(gens), npts))
+            sample.jac = np.empty((m, k, npts))
+            cube = sample.jac.reshape((m, k) + shape)
             for j, g in enumerate(gens):
                 for i in range(m):
-                    jacobian[i, j] = g.diff(i).eval(grids)
-            bad |= ~np.isfinite(jacobian).all(axis=(0, 1))
-    if bad.any():
+                    col = g.diff(i).eval(axes)
+                    cube[i, j] = col
+                    finite = finite and bool(np.isfinite(col).all())
+    if not finite:
+        bad = np.zeros(npts, dtype=bool)
+        if values:
+            bad |= ~np.isfinite(sample.values).all(axis=1)
+        if jac:
+            bad |= ~np.isfinite(sample.jac).all(axis=(0, 1))
         first = int(np.flatnonzero(bad)[0])
         raise DomainError(f"generator values or first derivatives are not finite at "
                           f"{int(bad.sum())} of {npts} sample points, the first at "
-                          f"{[float(g[first]) for g in grids]}")
-    return _Sample(grids, vals, jacobian, {})
+                          f"{[float(g[first]) for g in sample.grids]}")
+    return sample
 
 
 def _lex_order(grids, *points) -> np.ndarray:
@@ -492,7 +524,7 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, jac=False)
-    grids, values = sample.grids, sample.values
+    values = sample.values
     npts, k = values.shape
     # the first k draws of one seeded stream: no weight below half another
     w = np.random.default_rng(1979).uniform(1.0, 2.0, k)
@@ -511,16 +543,20 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     if total > MAX_SEPARATION_CANDIDATES:
         raise DomainError(f"separation check has {total} candidate pairs; "
                           f"at most {MAX_SEPARATION_CANDIDATES}")
-    first = np.repeat(np.arange(npts), count)
-    second = first + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-    a, b = order[first], order[second]
-    keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
-    # in (a, b) index order, so of pairs equal in coordinates the first stays
-    codes = np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep])
-    pairs = _coordinate_order(grids, codes // npts, codes % npts)
+    pairs = np.empty((2, 0), dtype=np.intp)
+    # no candidate (every PASS grid): nothing to confirm or to order
+    if total:
+        first = np.repeat(np.arange(npts), count)
+        second = first + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+        a, b = order[first], order[second]
+        keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
+        # in (a, b) index order, so of pairs equal in coordinates the first stays
+        codes = np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep])
+        pairs = _coordinate_order(sample.grids, codes // npts, codes % npts)
     sample.witnesses["separation"] = pairs
     if shared:
         return None
+    grids = sample.grids
     return list(zip(_point_tuples(grids, pairs[0]), _point_tuples(grids, pairs[1])))
 
 
@@ -599,6 +635,12 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, bottom
 
 
+def _total(terms):
+    """The sum of a non-empty sequence of arrays, added left to right: what
+    the builtin sum gives, without its first addition of 0."""
+    return functools.reduce(np.add, terms)
+
+
 def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
     """The points t of jac (m, k, n) at which a verified Gram test proves
     that the Jacobi of _extreme_singular_values finds no witness: its
@@ -658,24 +700,36 @@ def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
     a = jac / scale
     gram = {(p, q): np.einsum("in,in->n", a[p], a[q])
             for p, q in itertools.combinations_with_replacement(range(m), 2)}
-    trace = sum(gram[p, p] for p in range(m))
+    trace = _total(gram[p, p] for p in range(m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = np.sqrt(trace) * (math.sqrt(widen) * (1.0 + fp.eps))
-        reach = np.maximum(rho * ((1.0 + delta) * (1.0 + 2 * fp.eps)) * scale, 1.0)
-        theta = ((delta + u + m * k * eta) * rho
-                 + reach * (max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)) / scale)
-        mu = (theta * theta * rounding
-              + ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
-                 * widen * rounding) * trace)
+        rho = np.sqrt(trace)
+        rho *= math.sqrt(widen) * (1.0 + fp.eps)
+        reach = rho * ((1.0 + delta) * (1.0 + 2 * fp.eps))
+        reach *= scale
+        np.maximum(reach, 1.0, out=reach)
+        reach *= max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)
+        reach /= scale
+        theta = (delta + u + m * k * eta) * rho
+        theta += reach
+        mu = theta * theta
+        mu *= rounding
+        mu += ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
+               * widen * rounding) * trace
         # Cholesky of gram - mu I, column by column of its lower factor. A
         # pivot that is not positive makes every later pivot NaN or -inf,
-        # so the last one decides.
+        # so the last one decides, and its root is not needed. Column 0
+        # has no earlier terms to subtract.
         low = {}
         for j in range(m):
-            pivot = (gram[j, j] - mu) - sum(low[j, p] ** 2 for p in range(j))
+            pivot = gram[j, j] - mu
+            if j:
+                pivot -= _total(low[j, p] ** 2 for p in range(j))
+            if j == m - 1:
+                break
             root = np.sqrt(pivot)
             for i in range(j + 1, m):
-                low[i, j] = (gram[j, i] - sum(low[i, p] * low[j, p] for p in range(j))) / root
+                low[i, j] = (gram[j, i] - _total(low[i, p] * low[j, p] for p in range(j))
+                             if j else gram[j, i]) / root
     return pivot > 0.0
 
 
@@ -717,7 +771,8 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     if not shared:
         sample = _sample(gens, box, grid, values=False)
     points = np.flatnonzero(_rank_deficient(sample.jac, tol_rank))
-    points = points[_lex_order(sample.grids, points)]
+    if points.size:
+        points = points[_lex_order(sample.grids, points)]
     sample.witnesses["tangent"] = points
     return None if shared else _point_tuples(sample.grids, points)
 
@@ -799,8 +854,9 @@ class Reasons:
     `axes` holds the m coordinate arrays, `pairs` the (2, m, P) axis
     indices of each pair's smaller and larger point, and `points` the
     (m, T) axis indices of the tangent points. to_list() builds the public
-    list of reason dicts once; _json_text writes its JSON text at any
-    depth straight from the arrays, with the coordinate texts made once.
+    list of reason dicts once; _json_pieces writes the pieces of its JSON
+    text at any depth straight from the arrays, with the coordinate texts
+    made once.
     """
 
     def __init__(self, axes: list[np.ndarray], pairs: np.ndarray, points: np.ndarray,
@@ -825,16 +881,15 @@ class Reasons:
                 + self.entries)
         return self._list
 
-    def _json_text(self, level: int, render) -> str:
-        """The text json.dumps(self.to_list(), sort_keys=True, indent=2)
-        writes at nesting depth `level`; `render(entry, depth)` writes the
-        jet entries.
+    def _json_pieces(self, level: int, write, out: list[str]) -> None:
+        """Appends to out the pieces of the text json.dumps(self.to_list(),
+        sort_keys=True, indent=2) writes at nesting depth `level`;
+        `write(entry, depth, out)` appends those of a jet entry.
 
         The witness entries of one condition are the rows of one table: the
         constant pieces of that depth's template interleaved with the
-        float.__repr__ texts of the coordinates (finite, see _grid_points),
-        which are made once per object. The whole list is one join over the
-        flattened tables, the jet entries and the separators.
+        float.__repr__ texts of the coordinates (finite, see _grid_axes),
+        which are made once per object.
         """
         at = level + 1
         d1, d2, d3 = ("\n" + "  " * (at + k) for k in (1, 2, 3))
@@ -846,17 +901,17 @@ class Reasons:
             self._texts = self._axis_texts([self.pairs[0], self.pairs[1], self.points])
         first, second, points = self._texts
         within, between = ["," + d3] * (m - 1), [d2 + "]," + d2 + "[" + d3]
-        parts = ["[\n" + "  " * at]
-        parts += _template_rows(
+        out.append("[\n" + "  " * at)
+        out += _template_rows(
             [head % ("separation", _SEPARATION_DETAIL) + "[" + d3] + within + between
             + within + [d2 + "]" + end], first + second)
-        parts += _template_rows(
+        out += _template_rows(
             [head % ("tangent", _TANGENT_DETAIL)] + ["," + d2] * (m - 1) + [end], points)
         for entry in self.entries:
-            parts += (render(entry, at), sep)
+            write(entry, at, out)
+            out.append(sep)
         # the last entry is followed by the closing bracket, not a separator
-        parts[-1] = parts[-1][:-len(sep)] + "\n" + "  " * level + "]"
-        return "".join(parts)
+        out[-1] = out[-1][:-len(sep)] + "\n" + "  " * level + "]"
 
     def _axis_texts(self, indices: list[np.ndarray]) -> list[list[list[str]]]:
         """For each (m, n) axis-index array, the float.__repr__ texts of the
@@ -939,9 +994,9 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     # lists. The rank certificate goes first, so the Jacobian is freed
     # before the separation check allocates.
     tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
-    sample = sample._replace(jac=None)
+    sample.jac = None
     separation_check(gens, box, grid, tol_sep, sample=sample)
-    shape = (int(grid),) * len(sample.grids)
+    shape = (int(grid),) * len(sample.axes)
     separated = np.stack(np.unravel_index(sample.witnesses["separation"], shape), axis=1)
     critical = np.stack(np.unravel_index(sample.witnesses["tangent"], shape))
 
@@ -962,8 +1017,7 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     meta = {"box": [[float(lo), float(hi)] for lo, hi in box], "grid": int(grid),
             "note": "PASS = conditions verified on sample"}
     if separated.size or critical.size or failed:
-        axes = [g[::grid ** (len(shape) - 1 - i)][:grid].copy()
-                for i, g in enumerate(sample.grids)]
+        axes = [ax.ravel() for ax in sample.axes]
         return Verdict("FAIL", Reasons(axes, separated, critical, failed + inconclusive), meta)
     if inconclusive:
         return Verdict("INCONCLUSIVE", inconclusive, meta)

@@ -1,5 +1,6 @@
-"""tools/ab_pairs.py: a checkout against itself gives identical reports, and
-the steadier summaries are not moved by one slow request."""
+"""tools/ab_pairs.py: a checkout against itself gives identical reports, the
+steadier summaries are not moved by one slow request, and the side that
+goes first alternates per request and per pass."""
 from __future__ import annotations
 
 import importlib.util
@@ -57,3 +58,15 @@ def test_class_ratios_are_weighted_by_their_counts():
     # x counts three times at 0.5, y once at 2.0
     assert ab.class_ratio_mean(classes, (a, b)) == pytest.approx((3 * 0.5 + 2.0) / 4)
     assert ab.request_ratio_median((a, b)) == pytest.approx(0.5)
+
+
+def test_the_first_side_alternates_per_request_and_per_pass():
+    """A request that runs first on A in one pass runs first on B in the
+    next, so a fixed cost of going first does not settle on one side."""
+    ab = _ab_pairs()
+    passes = [[ab.first_side(p, n) for n in range(5)] for p in range(4)]
+    assert passes[0] == [0, 1, 0, 1, 0]
+    assert passes[1] == [1, 0, 1, 0, 1]
+    for n in range(5):
+        sides = [one_pass[n] for one_pass in passes]
+        assert sides.count(0) == sides.count(1) == 2

@@ -185,13 +185,13 @@ def test_verdict_builds_one_grid(monkeypatch):
     from diffalg import envelope
 
     built = []
-    grid_points = envelope._grid_points
+    grid_axes = envelope._grid_axes
 
     def counted(box, grid):
         built.append(grid)
-        return grid_points(box, grid)
+        return grid_axes(box, grid)
 
-    monkeypatch.setattr(envelope, "_grid_points", counted)
+    monkeypatch.setattr(envelope, "_grid_axes", counted)
     gens = [Prod(Var(0), Var(0)), Var(1)]
     box = [(-1.0, 1.0), (-1.0, 1.0)]
     v = envelope_verdict(gens, box, 21)

@@ -200,3 +200,64 @@ def test_plane_fold_report_peak(tmp_path):
         tracemalloc.stop()
     assert out.stat().st_size == 3_750_967
     assert peak <= FOLD_PEAK_BEFORE
+
+
+# --- the one list of pieces ---------------------------------------------------
+
+
+def _fold_reasons(grid: int):
+    from diffalg import envelope_verdict, parse_expr
+    gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
+    verdict = envelope_verdict(gens, [[-1.0, 1.0], [0.5, -0.0]], grid,
+                               {"jet_order": 1, "jet_points": [[0.0, 0.25]]})
+    assert verdict.status == "FAIL"
+    return verdict._reasons
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_nested_reasons_in_one_list_match_json(depth):
+    """A verdict's Reasons nested `depth` containers deep, beside complex
+    rows, float rows and its own list of dicts, written as one list of
+    pieces: the joined pieces are json.dumps' text, and no piece holds a
+    container's text, so the report is joined once."""
+    reasons = _fold_reasons(41)
+    obj = reasons
+    for level in range(depth):
+        obj = ({"reasons": obj, "jet": [1 + 2j, -0.0 - 1e-300j], "rows": [[0.5, -0.0]]}
+               if level % 2 else [obj, reasons.to_list()[:3], {"z": obj}])
+    out = []
+    cli._write(obj, 0, out)
+    same("".join(out), json.dumps(cli.to_jsonable(obj), sort_keys=True, indent=2))
+    assert cli._render(obj) == "".join(out)
+    assert max(map(len, out)) < 200
+    # the same text when the Reasons stands for its list of dicts
+    same(cli._render(reasons, depth), cli._render(reasons.to_list(), depth))
+
+
+def _complex_items(rng, n):
+    parts = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+    parts[:, ::7] = -0.0
+    return [complex(re, im) for re, im in parts.T]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_rows_match_json(seed):
+    rng = np.random.default_rng(seed)
+    items = _complex_items(rng, 56)
+    for obj in (items, {"jet": items, "rows": [items, items[:3]]},
+                [np.complex128(z) for z in items], items[:1]):
+        check(obj)
+    for level in range(3):
+        pieces = cli._complex_rows(items, level)
+        assert "".join(pieces) == cli._render([[z.real, z.imag] for z in items], level)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                 complex(-math.inf, math.nan)])
+def test_complex_rows_that_are_not_finite_fall_back(bad):
+    items = _complex_items(np.random.default_rng(9), 12)
+    items[5] = bad
+    assert cli._complex_rows(items, 0) is None
+    check(items)
+    check({"a": [items]})
+    assert cli._complex_rows(items[:5] + [1.0], 0) is None

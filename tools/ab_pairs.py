@@ -7,8 +7,10 @@ Each checkout's src/diffalg is loaded under its own package name (diffalg_a
 and diffalg_b), side by side in this interpreter. One pass of the seeded
 corpus of perfbench/workloads.py (this checkout's, only read) is written to
 a temporary directory and every request is sent to both, one after the
-other, alternating which goes first; the passes repeat that over the same
-corpus. Separate benchmark runs of the same program drift with the speed of
+other; the passes repeat that over the same corpus. Which side goes first
+alternates from one request to the next and from one pass to the next, so
+over an even number of passes each request runs first on each side equally
+often. Separate benchmark runs of the same program drift with the speed of
 a shared machine by tens of percent; the two calls of a pair see the same
 drift, so the ratios of paired times are much steadier than the ratio of
 two runs. It complements perfbench/run.py and does not replace it: both
@@ -72,6 +74,12 @@ def p90(samples: list[float]) -> float:
     return statistics.quantiles(samples, n=10)[8] if len(samples) > 1 else samples[0]
 
 
+def first_side(pass_index: int, n: int) -> int:
+    """The side (0 for A, 1 for B) whose call of request n goes first in
+    pass pass_index."""
+    return (pass_index + n) % 2
+
+
 def class_medians(classes: list[str], times) -> dict[str, tuple[float, float]]:
     """{class: (median A seconds, median B seconds)} over all passes, in
     order of first appearance; classes[n] is the class of request n and
@@ -117,7 +125,7 @@ def main(argv=None) -> int:
         requests = build_corpus(args.workload, args.seed, workdir)[:args.limit]
         times = ([], [])  # per side: one list of request seconds per pass
         differ = 0
-        for _ in range(args.passes):
+        for pass_index in range(args.passes):
             for side in times:
                 side.append([])
             calibrate()
@@ -126,9 +134,9 @@ def main(argv=None) -> int:
                 if time.perf_counter() - since > EVERY_S:
                     calibrate()
                     since = time.perf_counter()
-                order = (0, 1) if n % 2 == 0 else (1, 0)
+                first = first_side(pass_index, n)
                 outcome = [None, None]
-                for side in order:
+                for side in (first, 1 - first):
                     code, text, seconds = call(clis[side], req["argv"])
                     outcome[side] = (code, text)
                     times[side][-1].append(seconds)
