@@ -26,11 +26,6 @@ ZERO_TOL = 1e-9
 # RANK_TOL * max(1, sigma_1) count (rref: pivots above RANK_TOL times the
 # largest entry magnitude).
 RANK_TOL = 1e-8
-# Columns from which _cut takes the SVD of the R factor of a tall matrix.
-# Below it the second LAPACK call costs more than it saves (complex, on a
-# 2-vCPU x86 VM: 8 x 4 20 -> 29 us, 18 x 9 38 -> 50 us); above it the
-# saving grows (125 x 25 0.53 -> 0.39 ms, 216 x 36 1.40 -> 0.88 ms).
-QR_MIN_COLS = 12
 
 
 def as_matrix(rows, width: int | None = None) -> np.ndarray:
@@ -97,19 +92,10 @@ def _cut(a: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
     vh[rank:].conj() the null space. The thin SVD is enough when rows >=
     cols, because vh is then already complete. A zero or empty array has
     rank 0 and vh = I.
-
-    From rows >= 17 cols / 9 on (MNTHR1 of LAPACK's zgesdd) and
-    QR_MIN_COLS columns, the SVD is taken of the R factor of a = QR:
-    zgesdd factors such a matrix so itself, so sigma and vh come out the
-    same, without forming Q or the left singular vectors of a. An array
-    that is not finite keeps the SVD of a and its outcome.
     """
     rows, cols = a.shape
-    top = np.abs(a).max() if a.size else 0.0
-    if not top:
+    if not a.size or not np.abs(a).max():
         return 0, np.eye(cols, dtype=complex)
-    if cols >= QR_MIN_COLS and rows >= int(17 * cols / 9) and np.isfinite(top):
-        a = np.linalg.qr(a, mode="r")
     _, sv, vh = np.linalg.svd(a, full_matrices=rows < cols)
     return int(np.sum(sv > tol * max(1.0, float(sv[0])))), vh
 

@@ -635,12 +635,6 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, bottom
 
 
-def _total(terms):
-    """The sum of a non-empty sequence of arrays, added left to right: what
-    the builtin sum gives, without its first addition of 0."""
-    return functools.reduce(np.add, terms)
-
-
 def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
     """The points t of jac (m, k, n) at which a verified Gram test proves
     that the Jacobi of _extreme_singular_values finds no witness: its
@@ -700,36 +694,24 @@ def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
     a = jac / scale
     gram = {(p, q): np.einsum("in,in->n", a[p], a[q])
             for p, q in itertools.combinations_with_replacement(range(m), 2)}
-    trace = _total(gram[p, p] for p in range(m))
+    trace = sum(gram[p, p] for p in range(m))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = np.sqrt(trace)
-        rho *= math.sqrt(widen) * (1.0 + fp.eps)
-        reach = rho * ((1.0 + delta) * (1.0 + 2 * fp.eps))
-        reach *= scale
-        np.maximum(reach, 1.0, out=reach)
-        reach *= max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)
-        reach /= scale
-        theta = (delta + u + m * k * eta) * rho
-        theta += reach
-        mu = theta * theta
-        mu *= rounding
-        mu += ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
-               * widen * rounding) * trace
+        rho = np.sqrt(trace) * (math.sqrt(widen) * (1.0 + fp.eps))
+        reach = np.maximum(rho * ((1.0 + delta) * (1.0 + 2 * fp.eps)) * scale, 1.0)
+        theta = ((delta + u + m * k * eta) * rho
+                 + reach * (max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)) / scale)
+        mu = (theta * theta * rounding
+              + ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
+                 * widen * rounding) * trace)
         # Cholesky of gram - mu I, column by column of its lower factor. A
         # pivot that is not positive makes every later pivot NaN or -inf,
-        # so the last one decides, and its root is not needed. Column 0
-        # has no earlier terms to subtract.
+        # so the last one decides.
         low = {}
         for j in range(m):
-            pivot = gram[j, j] - mu
-            if j:
-                pivot -= _total(low[j, p] ** 2 for p in range(j))
-            if j == m - 1:
-                break
+            pivot = (gram[j, j] - mu) - sum(low[j, p] ** 2 for p in range(j))
             root = np.sqrt(pivot)
             for i in range(j + 1, m):
-                low[i, j] = (gram[j, i] - _total(low[i, p] * low[j, p] for p in range(j))
-                             if j else gram[j, i]) / root
+                low[i, j] = (gram[j, i] - sum(low[i, p] * low[j, p] for p in range(j))) / root
     return pivot > 0.0
 
 

@@ -166,64 +166,3 @@ def test_sweep_limit_still_applies_to_undecided_points(monkeypatch):
     assert envelope_verdict(*PLANE_PASS).status == "PASS"
     with pytest.raises(NumericError, match="did not settle in 0 sweeps"):
         envelope_verdict(*PLANE_FOLD)
-
-
-# --- the screen against its earlier evaluation ---------------------------------
-
-
-def reference_gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
-    """_gram_clears as first written, one new array per operation and the
-    builtin sums (see its docstring for the bound)."""
-    import itertools
-    import math
-
-    m, k, _ = jac.shape
-    fp = np.finfo(float)
-    u, eta = fp.eps / 2, fp.smallest_subnormal
-
-    def gamma(n):
-        return n * u / (1.0 - n * u)
-
-    delta = 8.0 * math.sqrt(k) * fp.eps
-    widen = 1.0 + 2 * gamma(m + k)
-    rounding = 1.0 + 64 * fp.eps
-    scale = np.abs(jac).max(axis=(0, 1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    a = jac / scale
-    gram = {(p, q): np.einsum("in,in->n", a[p], a[q])
-            for p, q in itertools.combinations_with_replacement(range(m), 2)}
-    trace = sum(gram[p, p] for p in range(m))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = np.sqrt(trace) * (math.sqrt(widen) * (1.0 + fp.eps))
-        reach = np.maximum(rho * ((1.0 + delta) * (1.0 + 2 * fp.eps)) * scale, 1.0)
-        theta = ((delta + u + m * k * eta) * rho
-                 + reach * (max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)) / scale)
-        mu = (theta * theta * rounding
-              + ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
-                 * widen * rounding) * trace)
-        low = {}
-        for j in range(m):
-            pivot = (gram[j, j] - mu) - sum(low[j, p] ** 2 for p in range(j))
-            root = np.sqrt(pivot)
-            for i in range(j + 1, m):
-                low[i, j] = (gram[j, i] - sum(low[i, p] * low[j, p] for p in range(j))) / root
-    return pivot > 0.0
-
-
-@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from(TOLS),
-       st.sampled_from([1e-200, 1.0, 1e200]), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_screen_decides_as_its_earlier_evaluation(m, k, tol, scale, spread, seed):
-    jac = scale * _family(np.random.default_rng(seed), m, k, tol, spread)
-    np.testing.assert_array_equal(envelope._gram_clears(jac, tol),
-                                  reference_gram_clears(jac, tol))
-
-
-@pytest.mark.parametrize("tol", TOLS)
-def test_screen_on_extreme_entries_decides_as_before(tol):
-    rng = np.random.default_rng(13)
-    for unit, spread in [(ETA, 3), (1e-310, 3), (1.5e308, 1), (1e305, 3), (0.0, 1)]:
-        for m, k in [(1, 2), (2, 2), (2, 3), (3, 4), (4, 5)]:
-            jac = rng.integers(-spread, spread + 1, (m, k, 400)) * unit
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.testing.assert_array_equal(envelope._gram_clears(jac, tol),
-                                              reference_gram_clears(jac, tol))

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg._linalg import (
-    _cut,
     as_matrix,
     cluster_values,
     eigenspace,
@@ -174,70 +173,7 @@ def test_in_span_agrees_with_lstsq_reference(seed, rk):
     assert got[3:6].all() == (onb.shape[0] == 6)
 
 
-# --- the R factor of tall matrices ---------------------------------------------
-
-
-def direct_cut(a, tol=1e-8):
-    """The cut on the SVD of a itself, as before the R-factor route."""
-    rows, cols = a.shape
-    _, sv, vh = np.linalg.svd(a, full_matrices=rows < cols)
-    return int(np.sum(sv > tol * max(1.0, float(sv[0])))), vh
-
-
-@pytest.mark.parametrize("cols", range(1, 37))
-def test_cut_on_both_sides_of_the_qr_threshold(cols, monkeypatch):
-    """At and above rows = int(17 cols / 9) the cut takes the SVD of R
-    (from QR_MIN_COLS columns on); one row either side it gives the rank
-    and right vectors of a's own SVD, bit for bit, on full-rank,
-    rank-deficient and tiny matrices."""
-    import diffalg._linalg as la
-
-    factored = []
-    qr = np.linalg.qr
-
-    def counted(a, mode):
-        factored.append(a.shape)
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(la.np.linalg, "qr", counted)
-    rng = np.random.default_rng(cols)
-    threshold = int(17 * cols / 9)
-    for rows in (threshold - 1, threshold, threshold + 1):
-        if rows < 1:
-            continue
-        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        deficient = a.copy()
-        deficient[:, -1] = 2.0 * deficient[:, 0]
-        for m in (a, deficient, 1e-9 * a):
-            keep, vh = _cut(m, 1e-8)
-            want_keep, want_vh = direct_cut(m)
-            assert keep == want_keep
-            assert np.array_equal(vh, want_vh)
-    # three matrices at each of the two row counts that take the R route
-    taken = 3 if cols >= la.QR_MIN_COLS else 0
-    assert factored == [(threshold, cols)] * taken + [(threshold + 1, cols)] * taken
-
-
-def _outcome(cut, a):
-    try:
-        keep, vh = cut(a)
-    except np.linalg.LinAlgError as exc:
-        return "LinAlgError", str(exc)
-    return keep, vh.tobytes()
-
-
-@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, np.nan]])
-@pytest.mark.parametrize("rows", [3, 4, 12])
-def test_cut_of_a_matrix_that_is_not_finite_ends_as_before(bad, rows):
-    """A NaN still raises the SVD's LinAlgError; an infinity gives what
-    the SVD of a gave (NaN singular values, rank 0), on both sides of the
-    threshold."""
-    a = np.ones((rows, 3), dtype=complex)
-    a[1, 2], a[2, 0] = bad[0], bad[-1]
-    want = _outcome(direct_cut, a)
-    assert _outcome(lambda m: _cut(m, 1e-8), a) == want
-    if np.isnan(bad).any():
-        assert want == ("LinAlgError", "SVD did not converge")
+# --- two-dimensional input ---------------------------------------------------
 
 
 def test_two_dimensional_arrays_pass_through():
