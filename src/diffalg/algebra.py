@@ -141,36 +141,44 @@ class StructureAlgebra:
         return self.involution @ np.conj(np.asarray(x, dtype=complex).ravel())
 
     def left_mul_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> a*x."""
+        """Matrix of x -> a*x; a stack (..., d) of vectors gives (..., d, d)."""
         return self._mul_matrix(a, 0)
 
     def right_mul_matrix(self, a) -> np.ndarray:
-        """Matrix of x -> x*a."""
+        """Matrix of x -> x*a; a stack (..., d) of vectors gives (..., d, d)."""
         return self._mul_matrix(a, 1)
 
     def _mul_matrix(self, a, side: int) -> np.ndarray:
         """Entry [k, j] = sum_i a_i c[i, j, k] (side 0, x -> a*x) or [k, i] =
-        sum_j c[i, j, k] a_j (side 1, x -> x*a). A table algebra adds the
-        coordinates of a at the products of its table, one scatter."""
+        sum_j c[i, j, k] a_j (side 1, x -> x*a), for each a of the stack: the
+        one builder of multiplication operators. The tensor route contracts
+        the whole stack, a table algebra adds the coordinates of a at the
+        products of its table in one scatter; both return the transposed
+        view of a C-contiguous (..., d, d) array."""
         d = self.dim
-        a = np.asarray(a, dtype=complex).ravel()
+        a = np.asarray(a, dtype=complex)
+        lead = a.shape[:-1]
         if self._products is None:
             c = self.structure
-            return ((a @ c.reshape(d, d * d)).reshape(d, d) if side == 0 else a @ c).T
-        at, coeff = self._scatters[side]
-        out = np.zeros(d * d, dtype=complex)
-        np.add.at(out, at, a[coeff])
-        return out.reshape(d, d)
+            out = a @ c.reshape(d, d * d) if side == 0 else a[..., None, None, :] @ c
+        else:  # a wrong length fails the reshape below, if not the scatter
+            at, coeff = self._scatters[side]
+            if lead:  # flat indices over the stack, each matrix in the order above
+                base = np.arange(a.size // d)[:, None]
+                at, coeff = (base * (d * d) + at).ravel(), (base * d + coeff).ravel()
+            out = np.zeros(a.size * d, dtype=complex)
+            np.add.at(out, at, a.ravel()[coeff])
+        return out.reshape(lead + (d, d)).swapaxes(-1, -2)
 
     @functools.cached_property
     def _scatters(self):
-        """For each side of _mul_matrix, the flat entry [t[i, j], j] or
-        [t[i, j], i] that each nonzero product (i, j) of the table adds to,
-        and the coordinate i or j of a that it adds."""
+        """For each side of _mul_matrix, the flat entry [j, t[i, j]] or [i,
+        t[i, j]] of the transposed matrix that each nonzero product (i, j) adds
+        to (row-major), and the coordinate i or j of a that it adds."""
         d = self.dim
         i, j = np.nonzero(self._products >= 0)
-        at = self._products[i, j] * d
-        return (at + j, i), (at + i, j)
+        p = self._products[i, j]
+        return (j * d + p, i), (i * d + p, j)
 
     # --- elements ------------------------------------------------------
 
@@ -676,8 +684,8 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     largest), witness (m,) = i * dim A + j of the first basis pair (i, j)
     at worst and, given a bound, first (m,) of the first pair not <= bound
     (dim A ** 2 if none). Both sides are formed in blocks of i and reduced
-    to per-row maxima at once; when B has dimension 1 the right sides are
-    broadcast products, not one call per 1 x 1 matrix product. When A is a
+    to per-row maxima at once; the right sides apply the stack of L_{D_d(e_i)},
+    or when B has dimension 1 broadcast its one constant. When A is a
     table algebra and every map is finite, the left sides gather the
     columns D_r(e_t[i, j]) (0 for -1); a product with the tensor would spread
     a NaN or inf of one map over every pair, so other stacks take it.
@@ -693,7 +701,7 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     unit[:len(k)] -= ((k == l) & (k == d))[:, None] * target.unit
     # both sides as (row, coordinate q, pair (i, j)); row i of cols[r] is D_r(e_i)
     m, rows, cols = len(k), np.arange(len(k)), ops.transpose(0, 2, 1)
-    sb = target.structure.reshape(db, db * db)
+    one = target.left_mul_matrix(np.ones(1))[0, 0] if db == 1 else None
     t = source._products
     if t is not None and np.isfinite(ops).all():
         padded = np.hstack([flat[:m * db], np.zeros((m * db, 1))])  # column -1: 0
@@ -710,10 +718,10 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
         rhs = None
         for k, l, d, c in runs:
             if db == 1:
-                prod = (cols[d, blk] * sb[0, 0]) * ops[l]
+                prod = (cols[d, blk] * one) * ops[l]
             else:  # (D_d(e_i) e_t)_q times D_l(e_j)_t, summed over t
-                left = (cols[d, blk] @ sb).reshape(len(k), -1, db, db)
-                prod = left.transpose(0, 3, 1, 2) @ ops[l][:, None]
+                left = target.left_mul_matrix(cols[d, blk])
+                prod = left.transpose(0, 2, 1, 3) @ ops[l][:, None]
             prod = prod.reshape(len(k), db, pairs)
             prod *= c[:, None, None]
             if rhs is None:  # the first run: rows 0, ..., m - 1 in order
@@ -879,13 +887,12 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     if ideal.algebra is not algebra:
         raise DomainError("subspace belongs to a different algebra")
     d = algebra.dim
-    c = algebra.structure
     v = ideal.basis
-    left = v @ c  # [i, j] = e_i * v_j
-    right = (v @ c.reshape(d, d * d)).reshape(-1, d, d).transpose(1, 0, 2)  # v_j * e_i
-    prods = np.stack([left, right], axis=2)  # tested in this order
-    inside = la.in_span(prods.reshape(-1, d), v, tol).reshape(prods.shape[:3])
-    if not inside.all():
+    # [j, i, side]: e_i * v_j (column i of R_{v_j}), v_j * e_i (of L_{v_j})
+    prods = np.stack([algebra.right_mul_matrix(v).swapaxes(1, 2),
+                      algebra.left_mul_matrix(v).swapaxes(1, 2)], axis=2)
+    inside = la.in_span(prods.reshape(-1, d), v, tol).reshape(prods.shape[:3]).swapaxes(0, 1)
+    if not inside.all():  # the first failure in (i, j, side) order
         i, j, side = np.unravel_index(np.argmin(inside), inside.shape)
         if side == 0:
             raise DomainError(f"not an ideal: basis {i} * (ideal basis {j}) "
@@ -904,8 +911,8 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     proj = reduce[free, :]
     rep = np.eye(d, dtype=complex)[:, free]
 
-    # the representatives are basis vectors, so their products are slices of c
-    c_new = c[np.ix_(free, free)] @ proj.T
+    # the representatives are basis vectors: e_a e_b is column b of L_{e_a}
+    c_new = algebra.left_mul_matrix(np.eye(d)[free]).swapaxes(1, 2)[:, free] @ proj.T
     unit_new = proj @ algebra.unit
     inv_new = proj @ algebra.involution @ rep
     labels = ([algebra.labels[j] for j in free] if algebra.labels else None)
@@ -915,11 +922,13 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
 
 def centralizer(algebra: StructureAlgebra, s: Subspace) -> Subspace:
     """{b : [b, v] = 0 for all v in s}, computed as one null space."""
+    if s.algebra is not algebra:
+        raise DomainError("subspace belongs to a different algebra")
     if s.dim == 0:
         return Subspace.whole(algebra)
-    blocks = [algebra.right_mul_matrix(v) - algebra.left_mul_matrix(v)
-              for v in s.basis]
-    return Subspace(algebra, la.null_space(np.vstack(blocks)))
+    ad = algebra.right_mul_matrix(s.basis)  # [b, v] = (R_v - L_v) b, in place
+    ad -= algebra.left_mul_matrix(s.basis)
+    return Subspace(algebra, la.null_space(ad.reshape(-1, algebra.dim)))
 
 
 def subalgebra(algebra: StructureAlgebra, vectors,
@@ -1003,10 +1012,10 @@ class LinearOp:
 # --- constructors ------------------------------------------------------
 
 # Largest dimension built from input (algebra_from_name, truncated_poly,
-# series_algebra). The named algebras check themselves on their product
-# tables, but the dense routes build the structure tensor, 16 d^3 bytes,
-# 256 MiB at d = 256, with a few d^3 temporaries on top: serialized,
-# conjugated and quotient algebras, mul_pairs and mul_coords.
+# series_algebra). Named algebras check themselves and build their
+# multiplication operators on their tables; the dense routes build the
+# tensor, 16 d^3 bytes (256 MiB at d = 256), plus a few d^3 temporaries:
+# mul_coords, mul_pairs, serialization, series_algebra, tableless algebras.
 MAX_NAMED_DIM = 256
 
 
@@ -1059,9 +1068,9 @@ def function_algebra(n: int) -> StructureAlgebra:
     return StructureAlgebra._from_table(table, idx, idx, labels)
 
 
-# The target of a character; dense, because the right sides of the law
-# kernel read its one structure constant.
-_SCALARS = StructureAlgebra(np.ones((1, 1, 1)), np.eye(1), np.ones(1), check=False)
+# The target of a character: C as the table algebra e_0 e_0 = e_0. The
+# law kernel reads its one product constant through left_mul_matrix.
+_SCALARS = StructureAlgebra._from_table([[0]], [0], 0, None)
 
 
 def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:

@@ -217,7 +217,8 @@ def _emit(report: dict, out: str | None):
     text = _render(report)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            for lo in range(0, len(text), 2 ** 16):  # encoded a slice at a time
+                fh.write(text[lo:lo + 2 ** 16])
             fh.write("\n")
     else:
         try:

@@ -73,19 +73,19 @@ class RelativeOp:
 
 
 def _coords(x, algebra: StructureAlgebra) -> np.ndarray:
-    if isinstance(x, Element):
-        if x.algebra is not algebra:
-            raise DomainError("element belongs to a different algebra")
-        return x.coords
-    return np.asarray(x, dtype=complex).ravel()
+    if isinstance(x, Element) and x.algebra is not algebra:
+        raise DomainError("element belongs to a different algebra")
+    v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
+    if len(v) != algebra.dim:
+        raise DomainError(f"a vector of length {len(v)} in an algebra of dimension {algebra.dim}")
+    return v
 
 
 def commutator(p: RelativeOp, a) -> RelativeOp:
     """[P, a]: x -> P(a x) - phi(a) P(x), with the same action."""
     av = _coords(a, p.source)
-    left_a = p.source.left_mul_matrix(av)
-    left_phi = p.target.left_mul_matrix(p.action.matrix @ av)
-    mat = p.op.matrix @ left_a - left_phi @ p.op.matrix
+    mat = (p.op.matrix @ p.source.left_mul_matrix(av)
+           - p.target.left_mul_matrix(p.action.matrix @ av) @ p.op.matrix)
     return RelativeOp(LinearOp(mat, p.source, p.target), p.action, check=False)
 
 
@@ -103,12 +103,6 @@ MAX_COMMUTATOR_ENTRIES = 2 ** 24
 # Complex entries of one cross-check block of sampled stacks, and of the buffer each level is
 # tested in (2^15 timed fastest of 2^12 ... 2^18 on perfbench's difforder classes, 2-vCPU VM).
 _BLOCK_ENTRIES, _LEVEL_ENTRIES = 2 ** 18, 2 ** 15
-
-
-def _left_stack(algebra: StructureAlgebra, vs: np.ndarray) -> np.ndarray:
-    """Left-multiplication matrices of the rows of vs, as an (n, d, d) stack."""
-    d = algebra.dim
-    return (vs @ algebra.structure.reshape(d, d * d)).reshape(-1, d, d).transpose(0, 2, 1)
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
@@ -139,7 +133,7 @@ def _cross_check(p: RelativeOp, depth: int, samples: int, bound: float,
         q = p.matrix
         for level in range(depth):
             av = a[:, level]
-            q = q @ _left_stack(p.source, av) - _left_stack(p.target, av @ phi_t) @ q
+            q = q @ p.source.left_mul_matrix(av) - p.target.left_mul_matrix(av @ phi_t) @ q
         bad = np.flatnonzero(_norms(q) > bound)
         if bad.size:
             rng.bit_generator.state = state
@@ -174,8 +168,8 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     rng = np.random.default_rng(seed)
     d_b, d_a = p.matrix.shape
     gcount = len(gvecs)
-    left_a = _left_stack(p.source, gvecs)[None]
-    left_phi = _left_stack(p.target, gvecs @ p.action.matrix.T)[None]
+    left_a = p.source.left_mul_matrix(gvecs)[None]
+    left_phi = p.target.left_mul_matrix(gvecs @ p.action.matrix.T)[None]
 
     step = max(1, _LEVEL_ENTRIES // (gcount * d_b * d_a))
     buf = np.empty((step, gcount, d_b, d_a), dtype=complex)
@@ -237,14 +231,12 @@ def z_tower_from_images(target: StructureAlgebra, images, depth: int) -> Tower:
     The membership condition is linear in c, so a spanning family of the
     action's image is fully general. Each level is one null-space solve:
     project [b, c] off the previous level and require the remainder zero.
+    Images of another algebra or of another length raise DomainError.
     """
     d = target.dim
-    cvecs = np.array([np.asarray(c.coords if isinstance(c, Element) else c,
-                                 dtype=complex).ravel() for c in images]).reshape(-1, d)
-    # ad_c = R_c - L_c: entry [k, i] = sum_j c_j (c[i, j, k] - c[j, i, k])
-    c = target.structure
-    ad = (cvecs @ (c.transpose(1, 0, 2) - c).reshape(d, d * d)).reshape(-1, d, d)
-    ad = ad.transpose(0, 2, 1)
+    cvecs = np.reshape([_coords(c, target) for c in images], (-1, d))
+    ad = target.right_mul_matrix(cvecs)  # ad_c = R_c - L_c, in place
+    ad -= target.left_mul_matrix(cvecs)
     levels = [Subspace.zero(target)]
     for _ in range(depth):
         # Subspace bases are orthonormal rows, so B^T conj(B) projects onto them
@@ -353,19 +345,18 @@ def check_diffsys_characterization(sys: DerivativeSystem, gens,
             pred_iii = False
             witnesses.append({"predicate": "first_level", "index": k})
 
-    # every basis element e_i at once: L_{e_i} is the slice c[i] transposed,
-    # and L_{D(e_i)} stacks over the columns of D
+    # every basis element e_i at once: L_{D(e_i)} stacks over the columns of D
     comm_res = 0.0
     binom, sub = sys.table.binomials(), sys.table.sub
-    left_a = a.structure.transpose(0, 2, 1)
+    left_a, left_phi = a.left_mul_matrix(np.eye(a.dim)), b.left_mul_matrix(phi.matrix.T)
     for r, k in enumerate(sys.indices):
         if not 1 <= sum(k) <= 3:
             continue
         dk = sys.stack[r]
-        diff = dk @ left_a - _left_stack(b, phi.matrix.T) @ dk
+        diff = dk @ left_a - left_phi @ dk
         for l in np.flatnonzero(sub[r] >= 0):
             if l != r:
-                diff -= binom[l, r] * (_left_stack(b, sys.stack[sub[r, l]].T) @ sys.stack[l])
+                diff -= binom[l, r] * (b.left_mul_matrix(sys.stack[sub[r, l]].T) @ sys.stack[l])
         comm_res = max(comm_res, float(np.abs(diff).max()))
 
     return {

@@ -256,15 +256,17 @@ def value_bundle(phi: LinearOp, tol: float = 1e-8) -> ValueBundle:
         raise DomainError("the bundle base has no *-characters, so there are "
                           "no fibers to decompose over")
     fibers, projections = [], []
-    eye = np.eye(target.dim)
     for t in base:
-        gens = [target.mul_coords(phi.matrix @ v, eye[j])
-                for v in t.kernel().basis for j in range(target.dim)]
-        ideal = Subspace(target, gens)
-        fiber, proj = quotient(target, ideal)
+        fiber, proj = quotient(target, _generated_ideal(phi, t))
         fibers.append(fiber)
         projections.append(proj)
     return ValueBundle(phi, base, fibers, projections)
+
+
+def _generated_ideal(phi: LinearOp, t: Character) -> Subspace:
+    """span(phi(Ker t) . B): the columns of L_{phi(v)} over a basis of Ker t."""
+    gens = phi.target.left_mul_matrix(t.kernel().basis @ phi.matrix.T).swapaxes(1, 2)
+    return Subspace(phi.target, gens.reshape(-1, phi.target.dim))
 
 
 def _as_subspace(algebra: StructureAlgebra, c) -> Subspace:
@@ -364,16 +366,13 @@ def kernel_ideal_check(phi: LinearOp, tol: float = 1e-8) -> dict:
             "dim": lhs.dim,
         })
 
-    eye = np.eye(target.dim)
     part_ii = []
     for s in characters(source, tol):
         dists = [float(np.abs(s.functional - p.functional).max()) for p in pulled]
         matched = bool(dists and min(dists) <= tol)
         entry = {"matched": matched}
         if not matched:
-            gens = [target.mul_coords(phi.matrix @ v, eye[j])
-                    for v in s.kernel().basis for j in range(target.dim)]
-            ideal = Subspace(target, gens)
+            ideal = _generated_ideal(phi, s)
             entry["ideal_dim"] = ideal.dim
             entry["full"] = ideal.dim == target.dim
             # the invertible element from the classical argument: for each

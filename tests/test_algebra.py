@@ -274,6 +274,12 @@ def test_centralizer_oracle():
     assert z3.contains(np.eye(4)[1])
 
 
+def test_centralizer_refuses_a_subspace_of_another_algebra():
+    # a subspace of func:4 has vectors of length 4, as matrix:2 has
+    with pytest.raises(DomainError, match="different algebra"):
+        centralizer(matrix_algebra(2), Subspace(function_algebra(4), [np.eye(4)[0]]))
+
+
 def test_subalgebra_constructs_closed_inclusion(rng):
     m3 = matrix_algebra(3)
     h = rng.standard_normal((3, 3))

@@ -35,6 +35,7 @@ from diffalg import (
     truncated_poly,
     truncation_hom,
     z_tower,
+    z_tower_from_images,
 )
 from diffalg._linalg import null_space
 
@@ -150,6 +151,17 @@ def test_tower_without_star_closure_grows():
     # Z^2 is the upper triangular subalgebra
     upper = np.eye(4)[[0, 1, 3]]
     assert tower.level(2).equals(Subspace(m2, upper))
+
+
+def test_tower_refuses_images_of_another_algebra_or_length():
+    m2, f2 = matrix_algebra(2), function_algebra(2)
+    # two func:2 elements once read as one matrix:2 vector
+    with pytest.raises(DomainError, match="different algebra"):
+        z_tower_from_images(m2, [f2.basis_element(0), f2.basis_element(1)], 2)
+    for images in ([np.ones(2), np.ones(2)], [np.ones(8)], np.ones((3, 2))):
+        with pytest.raises(DomainError, match="dimension 4"):
+            z_tower_from_images(m2, images, 2)
+    assert z_tower_from_images(m2, [], 2).dims() == [0, 4, 4]
 
 
 def test_check_stabilization_gates_on_preconditions():

@@ -4,19 +4,26 @@ gives what the dense structure tensor gives, to the last bit.
 Every named algebra is a semigroup algebra: e_i e_j is one basis element or
 0, so it keeps its (d, d) table (-1 for 0) and its star permutation, and the
 tensor is built on first use. Each table route (commutativity, the
-multiplication matrices, the axioms, the left sides of the law kernel,
-the Rayleigh tuples, the trace-form gram and the characters) is compared
-with its dense twin, StructureAlgebra(alg.structure, alg.involution,
-alg.unit), which takes the tensor routes: array_equal, no tolerance. The
-dense routes themselves stay covered by the unitarily conjugated algebras
-of tests/test_basis_change.py, which have no table.
+multiplication matrices on single vectors and on stacks, the axioms, both
+sides of the law kernel, the Rayleigh tuples, the trace-form gram and the
+characters) is compared with its dense twin, StructureAlgebra(alg.structure,
+alg.involution, alg.unit), which takes the tensor routes: array_equal, no
+tolerance. The dense routes themselves stay covered by the unitarily
+conjugated algebras here and in tests/test_basis_change.py, which have no
+table. Requests on named algebras build no tensor, and no module but
+algebra.py and series.py reads one.
 """
 from __future__ import annotations
 
+import ast
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
+import report_digests as rd
+from test_basis_change import change_basis, unitary
 
 from diffalg import (StructureAlgebra, characters, cli, cusp_algebra, direct_sum,
                      function_algebra, group_algebra, matrix_algebra, truncated_poly)
@@ -72,6 +79,54 @@ def test_named_algebras_keep_their_table_and_build_the_tensor_on_first_use(name)
     assert c.shape == (alg.dim,) * 3 and alg.structure is c
 
 
+SHAPES = [(), (1,), (5,), (2, 3)]
+
+
+def _stacks_agree(alg, other, a):
+    """Both sides of alg on the stack a: the stack shape, other's stack to
+    the last bit, and alg's own per-vector calls to the last bit."""
+    d = alg.dim
+    for side in ("left_mul_matrix", "right_mul_matrix"):
+        got = getattr(alg, side)(a)
+        assert got.shape == a.shape + (d,)
+        assert np.array_equal(got, getattr(other, side)(a))
+        single = getattr(alg, side)
+        for p, v in enumerate(a.reshape(-1, d)):
+            assert np.array_equal(got.reshape(-1, d, d)[p], single(v))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("name", NAMED)
+def test_stacks_of_multiplication_matrices(name, shape):
+    alg = NAMED[name]
+    _stacks_agree(alg, twin(alg), _complex(np.random.default_rng(len(name)), *shape, alg.dim))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("name", ["matrix:3", "poly:2:3", "func:8"])
+def test_dense_stacks_against_per_vector_calls(name, shape):
+    """A conjugated algebra has no table. Its right stack is one GEMV per
+    vector and basis index, so it equals per-vector calls to the last bit.
+    Its left stack is the contraction a @ c.reshape(d, d * d) of the whole
+    stack: a single vector is one GEMV, a longer stack one GEMM, which BLAS
+    may round differently from a GEMV per vector."""
+    d = NAMED[name].dim
+    conj = change_basis(NAMED[name], unitary(0, d))
+    a = _complex(np.random.default_rng(1), *shape, d)
+    left, right = conj.left_mul_matrix(a), conj.right_mul_matrix(a)
+    assert left.shape == right.shape == shape + (d, d)
+    gemm = (a @ conj.structure.reshape(d, d * d)).reshape(*shape, d, d)
+    assert np.array_equal(left, np.swapaxes(gemm, -1, -2))
+    left, right = left.reshape(-1, d, d), right.reshape(-1, d, d)
+    for p, v in enumerate(a.reshape(-1, d)):
+        assert np.array_equal(right[p], conj.right_mul_matrix(v))
+        single = conj.left_mul_matrix(v)
+        if shape in ((), (1,)):
+            assert np.array_equal(left[p], single)
+        else:
+            np.testing.assert_allclose(left[p], single, rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("name", NAMED)
 def test_commutativity_and_multiplication_matrices(name):
     alg = NAMED[name]
@@ -99,8 +154,10 @@ def test_law_residuals_read_the_same_left_sides(name):
             if label == "itself":  # an exact homomorphism among the rows
                 ops[0] = np.eye(alg.dim)
             for bound in (None, 0.0, 1.0, 10.0):
-                _same(_law_residuals(alg, target, ops, runs, bound),
-                      _law_residuals(dense, target, ops, runs, bound))
+                got = _law_residuals(alg, target, ops, runs, bound)
+                _same(got, _law_residuals(dense, target, ops, runs, bound))
+                # the right sides: the target's scatter against its tensor
+                _same(got, _law_residuals(dense, twin(target), ops, runs, bound))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -108,17 +165,20 @@ def test_law_residuals_read_the_same_left_sides(name):
                                   "matrix:2+func:3"])
 def test_non_finite_stacks_give_the_dense_witnesses(name, value):
     # a product with the tensor spreads 0 * NaN over every pair of a row, a
-    # gather would not, so such stacks take the dense route
+    # gather would not, so such stacks take the dense route on the left; the
+    # right sides into a table target (its scatter) give what its dense twin
+    # gives too
     alg = NAMED[name]
     dense = twin(alg)
     rng = np.random.default_rng(11)
-    for target in (_SCALARS, matrix_algebra(2)):
+    for target in (_SCALARS, matrix_algebra(2), NAMED["poly:2:3"], NAMED["group:4x4x2"]):
         for n, runs in ((2, _self_runs(2)), (2, _DERIVATION_RUNS)):
             ops = _complex(rng, n, target.dim, alg.dim)
             ops[1, 0, alg.dim // 2] = value
             with np.errstate(invalid="ignore"):  # inf * 0 on both routes
                 got = _law_residuals(alg, target, ops, runs, 1.0)
                 _same(got, _law_residuals(dense, target, ops, runs, 1.0))
+                _same(got, _law_residuals(dense, twin(target), ops, runs, 1.0))
 
 
 @pytest.mark.parametrize("name", NAMED)
@@ -186,6 +246,14 @@ def test_broken_tables_report_the_same_violations(name):
     assert np.array_equal(alg.right_mul_matrix(a), dense.right_mul_matrix(a))
 
 
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+@pytest.mark.parametrize("name", BROKEN)
+def test_stacks_on_broken_tables(name, shape):
+    # a non-cancellative table adds several coordinates into one entry
+    alg = StructureAlgebra._from_table(*BROKEN[name], None)
+    _stacks_agree(alg, twin(alg), _complex(np.random.default_rng(4), *shape, alg.dim))
+
+
 @pytest.mark.parametrize("name", NAMED)
 def test_named_axioms_hold_on_both_routes(name):
     alg = NAMED[name]
@@ -206,13 +274,45 @@ def _count_tensor_builds(monkeypatch):
     return built
 
 
+def _corpus_request(make, tmp_path, seed: int = 5) -> list[str]:
+    """argv of the request a perfbench class builder makes at seed, its
+    input document written under tmp_path."""
+    argv, doc, _ = make(np.random.default_rng(seed))
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return [str(path) if a is None else a for a in argv]
+
+
+def _corpus_class(name: str):
+    return next(make for classes in rd.WORKLOADS.WORKLOADS.values()
+                for label, make, _ in classes if label == name)
+
+
 @pytest.mark.parametrize("argv", [["fourier", "Z8xZ8"], ["algebra-check", "matrix:6"],
-                                  ["algebra-check", "group:4x4x2"]])
-def test_requests_on_tables_build_no_tensor(monkeypatch, capsys, argv):
+                                  ["algebra-check", "group:4x4x2"], "ztower-star4",
+                                  "ztower-star6", "difforder-poly2-5", "difforder-poly3-3"],
+                         ids=str)
+def test_requests_on_tables_build_no_tensor(monkeypatch, capsys, tmp_path, argv):
+    if isinstance(argv, str):  # a class of the benchmark corpora, on named algebras
+        argv = _corpus_request(_corpus_class(argv), tmp_path)
     built = _count_tensor_builds(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert built == []
+
+
+def test_ztower_func16_to_matrix16_stays_small(capsys, tmp_path):
+    # d = 256: the dense tensor of matrix:16 alone takes 256 MiB, and the
+    # ad stack once took a second tensor of the same size
+    argv = _corpus_request(rd.WORKLOADS._ztower_star(16), tmp_path)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["results"]["dims"] == [0, 16, 16]
+    assert peak < 64 * 2 ** 20
 
 
 def test_group_16x16_check_stays_small(capsys):
@@ -225,3 +325,22 @@ def test_group_16x16_check_stays_small(capsys):
         tracemalloc.stop()
     assert '"axioms_ok": true' in capsys.readouterr().out
     assert peak < 64 * 2 ** 20
+
+
+# --- the layout decision ---------------------------------------------------
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diffalg"
+
+
+def test_only_the_algebra_and_series_modules_read_the_tensor():
+    """The c[i, j, k] layout is read in algebra.py, where every
+    multiplication operator is built, and in series.py, which tensors it
+    with the monomial table; other modules go through the algebra's
+    methods."""
+    readers = {path.name: sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                                  if isinstance(node, ast.Attribute)
+                                  and node.attr == "structure"})
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert readers["algebra.py"] and readers["series.py"]
+    assert {name: lines for name, lines in readers.items()
+            if lines and name not in ("algebra.py", "series.py")} == {}

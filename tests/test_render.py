@@ -183,12 +183,17 @@ def test_out_file_has_the_stdout_bytes(name, tmp_path, capsys):
 # narrowed from the depth-2 text and each container text was concatenated
 # around its joined body (14.85 MiB; 7.63 MiB once each is one join).
 FOLD_PEAK_BEFORE = 15_566_041
+# The same request once --out files are written in slices: 5,432,952 bytes,
+# the rendering peak (the pieces and the joined text). Encoding the whole
+# 3.75 MB text at once peaked at 7,998,084.
+FOLD_PEAK_SLICED = 6_000_000
 
 
 def test_plane_fold_report_peak(tmp_path):
     """cli.main on the seed-5 env-plane-fold request writes a 3.75 MB FAIL
     report (about 7,400 witnesses, twice); its traced peak stays below
-    what it was when each report text was copied at every depth."""
+    what it was when each report text was copied at every depth, and
+    below what it was when the whole text was encoded in one write."""
     argv = _request("envelope-grid", "env-plane-fold", tmp_path)
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == 3  # warm the caches
@@ -200,6 +205,7 @@ def test_plane_fold_report_peak(tmp_path):
         tracemalloc.stop()
     assert out.stat().st_size == 3_750_967
     assert peak <= FOLD_PEAK_BEFORE
+    assert peak <= FOLD_PEAK_SLICED
 
 
 # --- the one list of pieces ---------------------------------------------------

@@ -327,3 +327,39 @@ def test_dauns_hofmann_computes_the_centre_once(monkeypatch):
     rep = dauns_hofmann_check(direct_sum(matrix_algebra(2), function_algebra(2)))
     assert rep["ok"]
     assert len(calls) == 1
+
+
+def _reference_ideal_generators(phi, t):
+    """The loop the generated ideal replaces: phi(v) * e_j for each kernel
+    basis vector v of t and each basis index j, one product at a time."""
+    eye = np.eye(phi.target.dim)
+    return np.array([phi.target.mul_coords(phi.matrix @ v, eye[j])
+                     for v in t.kernel().basis for j in range(phi.target.dim)])
+
+
+def _inclusions():
+    """Inclusions of commutative algebras into named and dense targets."""
+    f2, m2 = function_algebra(2), matrix_algebra(2)
+    diag = np.zeros((4, 2))
+    diag[0, 0] = diag[3, 1] = 1.0
+    block = direct_sum(matrix_algebra(2), function_algebra(3))
+    out = {"identity-func:3": LinearOp.identity(function_algebra(3)),
+           "diagonal-matrix:2": LinearOp(diag, f2, m2),
+           "dense-diagonal": LinearOp(diag, f2, StructureAlgebra(m2.structure, m2.involution,
+                                                                  m2.unit)),
+           "group:4x2": LinearOp.identity(group_algebra([4, 2]))}
+    centre = spectra.centralizer(block, Subspace.whole(block))
+    out["centre-of-matrix:2+func:3"] = spectra.subalgebra(block, centre.basis)[1]
+    return out
+
+
+@pytest.mark.parametrize("name", list(_inclusions()))
+def test_generated_ideals_match_the_product_loop(name):
+    phi = _inclusions()[name]
+    for t in characters(phi.source):
+        want = _reference_ideal_generators(phi, t)
+        got = spectra._generated_ideal(phi, t)
+        assert Subspace(phi.target, want).equals(got)
+        # the same generators, up to the rounding of one product per vector
+        rows = phi.target.left_mul_matrix(t.kernel().basis @ phi.matrix.T).swapaxes(1, 2)
+        np.testing.assert_allclose(rows.reshape(want.shape), want, rtol=0, atol=1e-14)
