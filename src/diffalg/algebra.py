@@ -207,15 +207,22 @@ class StructureAlgebra:
 
         A residual passes only when it is <= tol, so a NaN fails its law;
         non-finite entries fail without floating-point warnings.
+        Associativity and (xy)* = y*x* read the product table of a table
+        algebra, or of a tensor-built one whose constants form a table (see
+        _semigroup_table), and compare basis indices there. Any other
+        tensor takes the d^5 slab contraction and the d^3 involution
+        products. The unit laws read the multiplication matrices.
         """
         out = []
         d = self.dim
         t, star = self._products, self._star
         if t is None:
+            t, star = _semigroup_table(self.structure, self.involution)
+        if t is None:
             c = self.structure
             # associativity on basis triples; real tensors take the real
             # products, a quarter of the complex work
-            worst, (i, j, k) = _associativity_worst(c.real if not c.imag.any() else c)
+            worst, (i, j, k) = _associativity_slabs(c.real if not c.imag.any() else c)
         else:
             worst, (i, j, k) = _table_associativity(t)
         if not worst <= tol:
@@ -544,44 +551,14 @@ def _slice_blocks(d: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, d, step))
 
 
-# Terms of one block of the product route of _associativity_worst: a block
-# takes as many first indices as keep its terms within this bound and
-# within d^3 (one first index with more terms is a block of its own). A
-# term takes about 45 bytes, so a block takes less than the d^3 complex
-# temporaries of the (xy)* = y*x* check, which set the peak.
-_TERM_BLOCK = 2 ** 15
-
-
-def _associativity_worst(r) -> tuple[float, tuple[int, int, int]]:
+def _associativity_slabs(r) -> tuple[float, tuple[int, int, int]]:
     """Largest associativity residual of the tensor r, with its witness.
 
     The residual of a basis triple (i, j, k) is max_q |((e_i e_j) e_k -
     e_i (e_j e_k))_q|; the witness is the first triple (row-major) at the
     largest residual, a NaN residual counting as the largest. Both sides
-    are sums of T products of two nonzero constants. When T <= 2 d^3, at
-    most one product per triple and side on average (every semigroup
-    algebra), the products are summed directly; denser tensors take the
-    d^5 slab contraction. The route follows from r alone.
+    are contracted one i at a time, so the work is d^5 and the peak d^3.
     """
-    d = r.shape[0]
-    i, j, p = np.nonzero(r)
-    first, middle, last = (np.bincount(x, minlength=d) for x in (i, j, p))
-    # nonzero (i, j, p) meets first[p] nonzeros (p, k, q) on the left side,
-    # and last[p] nonzeros (j, k, p) meet middle[p] nonzeros (i, p, q) on
-    # the right
-    if int(last @ (first + middle)) > 2 * d ** 3:
-        return _associativity_slabs(r)
-    return _associativity_products(r, i, j, p, first, last)
-
-
-def _worse(bad, worst) -> bool:
-    """Whether residual bad replaces worst: larger, or the first NaN."""
-    return not np.isnan(worst) and not bad <= worst
-
-
-def _associativity_slabs(r) -> tuple[float, tuple[int, int, int]]:
-    """_associativity_worst by contraction, one i at a time so the peak is
-    d^3."""
     d = r.shape[0]
     r_rows, r_cols = r.reshape(d * d, d), r.reshape(d, d * d)
     worst, where = -np.inf, (0, 0, 0)
@@ -589,68 +566,13 @@ def _associativity_slabs(r) -> tuple[float, tuple[int, int, int]]:
         left = (r[i] @ r_cols).reshape(d * d, d)
         bad = np.abs(left - r_rows @ r[i]).max(axis=1)
         top = int(np.argmax(bad))
-        if _worse(bad[top], worst):
+        if not np.isnan(worst) and not bad[top] <= worst:  # larger, or the first NaN
             worst, where = bad[top], (i, *divmod(top, d))
     return float(worst), where
 
 
-def _associativity_products(r, i, j, p, first, last) -> tuple[float, tuple[int, int, int]]:
-    """_associativity_worst by summing the products of the nonzeros (i, j,
-    p) of r (row-major, as np.nonzero gives them) in blocks of the first
-    index; first and last count the nonzeros at each first and last index.
-
-    Row-by-row sparse products (Gustavson, ACM TOMS 4(3), 1978): each term
-    is keyed by (i, j, k, q), right-hand terms carry a minus sign, and one
-    sort brings the terms of each key together for add.reduceat.
-    """
-    d = r.shape[0]
-    v = r[i, j, p]
-    first_at = np.cumsum(first) - first
-    last_at = np.cumsum(last) - last
-    by_last = np.argsort(p, kind="stable")
-    ij, jp = i * d + j, j * d + p
-    # terms before each first index: nonzero (i, j, p) starts first[p] left
-    # terms, nonzero (i, p, q) starts last[p] right ones
-    ends = np.concatenate(([0], np.cumsum(first[p] + last[j])))
-    row_at = np.append(first_at, len(v))
-    before = ends[row_at]
-    budget = min(_TERM_BLOCK, d ** 3)
-    worst, where = 0.0, (0, 0, 0)
-    lo = 0
-    while lo < d:
-        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget,
-                                             side="right")) - 1)
-        a, b = row_at[lo], row_at[hi]
-        lo = hi
-        keys = np.empty(ends[b] - ends[a], dtype=np.int64)
-        vals = np.empty(len(keys), dtype=r.dtype)
-        if not len(keys):
-            continue
-        # left terms (e_i e_j) e_k: (i, j, p) times each (p, k, q)
-        count = first[p[a:b]]
-        part = _runs(count, first_at[p[a:b]])
-        m = len(part)
-        np.add(np.repeat(ij[a:b] * d * d, count), jp[part], out=keys[:m])
-        np.multiply(np.repeat(v[a:b], count), v[part], out=vals[:m])
-        # right terms e_i (e_j e_k): (i, p, q) times each (j, k, p)
-        count = last[j[a:b]]
-        part = by_last[_runs(count, last_at[j[a:b]])]
-        np.add(np.repeat(i[a:b] * d ** 3 + p[a:b], count), ij[part] * d, out=keys[m:])
-        np.multiply(np.repeat(-v[a:b], count), v[part], out=vals[m:])
-        order = keys.argsort()
-        keys = keys[order]
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        res = np.abs(np.add.reduceat(vals[order], starts))
-        top = int(np.argmax(res))
-        if _worse(res[top], worst):
-            worst = res[top]
-            where = tuple(int(x) for x in np.unravel_index(keys[starts[top]] // d,
-                                                           (d, d, d)))
-    return float(worst), where
-
-
 def _table_associativity(t) -> tuple[float, tuple[int, int, int]]:
-    """_associativity_worst of the table algebra with product table t: both
+    """_associativity_slabs of the table algebra with product table t: both
     sides of a triple are one basis element or 0, so its residual is 1 where
     t[t[i, j], k] and t[i, t[j, k]] differ (-1 for 0) and 0 elsewhere; in
     blocks of i."""
@@ -664,12 +586,6 @@ def _table_associativity(t) -> tuple[float, tuple[int, int, int]]:
             i, j, k = np.unravel_index(differ[0], (d, d, d))
             return 1.0, (int(i) + blk.start, int(j), int(k))
     return 0.0, (0, 0, 0)
-
-
-def _runs(count, start):
-    """Positions start[n], ..., start[n] + count[n] - 1 for each n, in order."""
-    skip = np.repeat(start - (np.cumsum(count) - count), count)
-    return np.arange(len(skip)) + skip
 
 
 def _law_residuals(source, target, ops, runs=(), bound=None):
@@ -1043,6 +959,25 @@ def _semigroup(table) -> np.ndarray:
     i, j = np.nonzero(table >= 0)
     c[i, j, table[i, j]] = 1.0
     return c
+
+
+def _semigroup_table(c, s):
+    """The inverse of _semigroup: the product table (-1 for 0) and star map
+    of a tensor c and involution matrix s whose nonzero entries are all
+    exactly 1, at most one in each c[i, j] and one in each column of s;
+    (None, None) for any other pair. The nonzeros of each pair are counted
+    before any constant is gathered, so a denser tensor is turned away
+    without a copy of its nonzeros."""
+    nonzero = c != 0
+    counts = nonzero.sum(axis=2)
+    if (counts > 1).any() or (np.count_nonzero(s, axis=0) != 1).any():
+        return None, None
+    table = np.where(counts > 0, nonzero.argmax(axis=2), -1)
+    star = (s != 0).argmax(axis=0)
+    i, j = np.nonzero(counts)
+    if (c[i, j, table[i, j]] != 1).any() or (s[star, np.arange(len(s))] != 1).any():
+        return None, None
+    return table, star
 
 
 def matrix_algebra(n: int) -> StructureAlgebra:

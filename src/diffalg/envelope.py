@@ -620,7 +620,10 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms, so J J^T is never formed and the 1e-8 rank cut sees no squared
     conditioning. Each point is first divided by its largest absolute
     entry, so squared norms neither overflow nor underflow; an all-zero
-    Jacobian stays zero.
+    Jacobian stays zero. Where sigma_1 itself overflows, both values are
+    given in units of 2^64: sigma_1 is above 1 there, so the rank cut
+    sigma_m <= tol_rank * max(sigma_1, 1) reads only their ratio, which
+    the exact power of two keeps, and it stays finite.
     """
     npts = jac.shape[2]
     top, bottom = np.empty(npts), np.empty(npts)
@@ -630,8 +633,11 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = jac[:, :, span] / np.where(scale > 0.0, scale, 1.0)
         _orthogonalise_rows(a)
         norms = np.sqrt(np.einsum("pkn,pkn->pn", a, a))
-        top[span] = norms.max(axis=0) * scale
-        bottom[span] = norms.min(axis=0) * scale
+        high, low = norms.max(axis=0), norms.min(axis=0)
+        with np.errstate(over="ignore"):
+            scale[np.isinf(high * scale)] *= 2.0 ** -64
+        top[span] = high * scale
+        bottom[span] = low * scale
     return top, bottom
 
 

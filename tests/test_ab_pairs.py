@@ -1,6 +1,7 @@
-"""tools/ab_pairs.py: a checkout against itself gives identical reports, the
-steadier summaries are not moved by one slow request, and the side that
-goes first alternates per request and per pass."""
+"""tools/ab_pairs.py: a checkout against itself gives identical reports
+under a header that names the BLAS thread settings, the steadier summaries
+are not moved by one slow request, and the side that goes first alternates
+per request and per pass."""
 from __future__ import annotations
 
 import importlib.util
@@ -14,13 +15,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_a_checkout_paired_with_itself_has_no_differing_reports():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OMP_NUM_THREADS", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), ROOT, ROOT,
          "--workload", "series-jets", "--limit", "3", "--passes", "1"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "series-jets, seed 5: 3 requests x 1 passes"
+    assert lines[0] == ("series-jets, seed 5: 3 requests x 1 passes; "
+                        "OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=default")
     assert lines[1].startswith("pass-time ratio B/A: ")
     assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 3"
     assert lines[2].startswith("per-request ratio B/A: median ")
@@ -70,3 +74,10 @@ def test_the_first_side_alternates_per_request_and_per_pass():
     for n in range(5):
         sides = [one_pass[n] for one_pass in passes]
         assert sides.count(0) == sides.count(1) == 2
+
+
+def test_the_blas_thread_settings_name_each_variable(monkeypatch):
+    ab = _ab_pairs()
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert ab.blas_threads() == "OPENBLAS_NUM_THREADS=default, OMP_NUM_THREADS=2"

@@ -5,7 +5,8 @@ self-check (O(d^3) memory; time O(d^5) for a dense tensor, O(d^3) for a
 semigroup algebra), so this file is where the axioms actually get
 verified for each family at small dimension. The law checkers are also
 compared, message for message, with plain loop implementations kept here
-as references, and the two associativity routes with each other.
+as references, and the table and slab kernels of the axioms with each
+other.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from diffalg import (
     truncated_poly,
 )
 from diffalg import algebra as algebra_module
+from test_product_table import BROKEN, NAMED, twin
 
 FAMILIES = [
     matrix_algebra(2),
@@ -394,14 +396,15 @@ def _perturbations(alg, seed):
 
 def _product_count(c):
     """Products of two nonzero constants on both sides of associativity,
-    counted by contraction: the T that picks the associativity route."""
+    counted by contraction."""
     nz = (c != 0).astype(int)
     return int(np.einsum("ijl,lkm->", nz, nz) + np.einsum("jkl,ilm->", nz, nz))
 
 
 def _sparse_around_bound(d, seed):
-    """Two random integer tensors one nonzero apart, T just below and just
-    above 2 d^3, with several products per basis pair."""
+    """Two random integer tensors one nonzero apart, with T products just
+    below and just above 2 d^3 and several products per basis pair: sparse
+    tensors that are not product tables."""
     rng = np.random.default_rng(seed)
     c = np.zeros((d, d, d))
     while _product_count(c) <= 2 * d ** 3:
@@ -410,8 +413,8 @@ def _sparse_around_bound(d, seed):
     return [StructureAlgebra(t, np.eye(d), np.eye(d)[0], check=False) for t in (below, c)]
 
 
-# Beyond FAMILIES: larger semigroup algebras and the random tensors on both
-# sides of the route bound; the dense tensor-noise copies take the slabs
+# Beyond FAMILIES: larger semigroup algebras and sparse random tensors that
+# are not tables; the dense tensor-noise copies and those take the slabs
 LAW_CASES = FAMILIES + [matrix_algebra(5), truncated_poly(2, 5), group_algebra([4, 4, 2]),
                         *_sparse_around_bound(7, seed=3)]
 
@@ -423,50 +426,93 @@ def test_axiom_violations_match_loop_reference(index, tol):
         assert alg.axiom_violations(tol) == reference_axiom_violations(alg, tol), kind
 
 
-def test_associativity_route_follows_the_product_count(monkeypatch):
-    below, above = (alg.structure.real for alg in LAW_CASES[-2:])
-    d = below.shape[0]
-    assert all(((t != 0).sum(axis=2) > 1).any() for t in (below, above))
-    assert _product_count(below) <= 2 * d ** 3 < _product_count(above)
+def _dense(t, star, unit):
+    """The tensor-built copy of the table algebra (t, star, unit)."""
+    return twin(StructureAlgebra._from_table(t, star, unit, None))
+
+
+def test_axioms_of_a_tensor_read_its_table_only_when_it_is_one(monkeypatch):
+    """A tensor whose nonzero constants and involution entries are all
+    exactly 1, one product per basis pair and one image per column of S,
+    goes to the table kernel; any other to the slabs."""
     taken = []
-    for name in ("_associativity_slabs", "_associativity_products"):
+    for name in ("_table_associativity", "_associativity_slabs"):
         route = getattr(algebra_module, name)
         monkeypatch.setattr(algebra_module, name,
                             lambda *a, _n=name, _f=route: taken.append(_n) or _f(*a))
-    for r in (below, above, matrix_algebra(5).structure.real,
-              _perturbations(matrix_algebra(2), seed=0)["tensor-noise"].structure):
-        algebra_module._associativity_worst(r)
-    assert taken == ["_associativity_products", "_associativity_slabs",
-                     "_associativity_products", "_associativity_slabs"]
+    base = matrix_algebra(3)
+    c, s = base.structure, base.involution
+    i, j, k = 1, 3, base._products[1, 3]  # E12 E21 = E11
+
+    def changed(array, at, value):
+        out = array.copy()
+        out[at] = value
+        return out
+
+    cases = {
+        "semigroup": (c, s, "_table_associativity"),
+        "constant 2.0": (changed(c, (i, j, k), 2.0), s, "_associativity_slabs"),
+        "constant 1j": (changed(c, (i, j, k), 1j), s, "_associativity_slabs"),
+        "NaN constant": (changed(c, (i, j, k), np.nan), s, "_associativity_slabs"),
+        "two products in one pair": (changed(c, (i, j, k + 1), 1.0), s,
+                                     "_associativity_slabs"),
+        "-1 in the involution": (c, changed(s, (base._star[4], 4), -1.0),
+                                 "_associativity_slabs"),
+    }
+    for label, (tensor, involution, route) in cases.items():
+        taken.clear()
+        StructureAlgebra(tensor, involution, base.unit, check=False).axiom_violations()
+        assert taken == [route], label
 
 
-_SMALL = [alg for alg in FAMILIES if alg.dim <= 9]
+def _both_kernels(alg, tol):
+    """axiom_violations through the table kernel, which alg must reach, and
+    through the slabs."""
+    assert algebra_module._semigroup_table(alg.structure, alg.involution)[0] is not None
+    got = alg.axiom_violations(tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "_semigroup_table", lambda c, s: (None, None))
+        return got, alg.axiom_violations(tol)
 
 
-@settings(max_examples=300, deadline=None)
-@given(base=st.sampled_from(range(len(_SMALL) + 1)), seed=st.integers(0, 2 ** 32 - 1),
-       bumps=st.integers(0, 12), imaginary=st.booleans())
-def test_associativity_routes_agree(base, seed, bumps, imaginary):
-    """Both routes name the same residual and the same first triple, on
-    semigroup tensors with integer bumps (many ties at the largest
-    residual) and on random sparse tensors."""
+# the named tables of dimension up to 16 and the tables that break one law
+_TABLES = {name: (alg._products, alg._star, np.flatnonzero(alg.unit))
+           for name, alg in NAMED.items() if alg.dim <= 16} | BROKEN
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1.0])
+@pytest.mark.parametrize("name", _TABLES)
+def test_table_and_slab_kernels_give_the_reference_on_tables(name, tol):
+    """Dense copies of the named tables and of the broken ones."""
+    alg = _dense(*_TABLES[name])
+    want = reference_axiom_violations(alg, tol)
+    assert _both_kernels(alg, tol) == (want, want)
+
+
+_SMALL = [t for t in _TABLES.values() if len(t[1]) <= 9]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.sampled_from(range(len(_SMALL))), seed=st.integers(0, 2 ** 32 - 1),
+       bumps=st.integers(0, 6), tol=st.sampled_from([1e-9, 1.0]))
+def test_table_and_slab_kernels_give_the_reference_on_bumped_tables(base, seed, bumps, tol):
+    """Tables with entries, star images and unit indices moved at random:
+    many broken laws and ties at the largest residual, and star maps that
+    are not permutations."""
     rng = np.random.default_rng(seed)
-    if base < len(_SMALL):
-        c = _SMALL[base].structure.real.copy()
-    else:
-        d = int(rng.integers(1, 7))
-        c = np.zeros((d, d, d))
-        c[tuple(rng.integers(0, d, size=(3, int(rng.integers(0, 2 * d * d + 1)))))] = 1.0
-    d = c.shape[0]
-    if imaginary:
-        c = c.astype(complex)
+    t, star, unit = (x.copy() for x in _SMALL[base])
+    d = len(star)
     for _ in range(bumps):
-        bump = rng.integers(-2, 3) + (1j * rng.integers(-1, 2) if imaginary else 0)
-        c[tuple(rng.integers(0, d, size=3))] += bump
-    expected = algebra_module._associativity_slabs(c)
-    i, j, p = np.nonzero(c)
-    first, last = (np.bincount(x, minlength=d) for x in (i, p))
-    assert algebra_module._associativity_products(c, i, j, p, first, last) == expected
+        kind = rng.integers(3)
+        if kind == 0:
+            t[tuple(rng.integers(0, d, size=2))] = rng.integers(-1, d)
+        elif kind == 1:
+            star[rng.integers(d)] = rng.integers(d)
+        else:
+            unit[rng.integers(len(unit))] = rng.integers(d)
+    alg = _dense(t, star, unit)
+    want = reference_axiom_violations(alg, tol)
+    assert _both_kernels(alg, tol) == (want, want)
 
 
 def test_perturbations_break_the_laws():
@@ -530,16 +576,33 @@ def test_axiom_violations_memory_is_cubic():
 
 @pytest.mark.parametrize("factors,mib", [([4, 4, 2], 2.02), ([10, 10], 61.0)])
 def test_axiom_violations_memory_of_the_product_route(factors, mib):
-    # 2 d^3 products at d = 32 and d = 100; the bounds are the peaks traced
-    # with the slab loop, which the blocks of products stay below
+    # d = 32 and d = 100, the group algebra and its tensor-built copy: both
+    # read a product table; the bounds are the peaks traced with the slab
+    # loop
     g = group_algebra(factors)
+    for alg in (g, StructureAlgebra(g.structure, g.involution, g.unit, check=False)):
+        tracemalloc.start()
+        try:
+            assert alg.axiom_violations() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2 ** 20
+
+
+def test_a_dense_tensor_is_turned_away_without_a_copy_of_its_nonzeros():
+    # d = 36 and every constant nonzero: the table is refused on the counts
+    # per pair, so the peak is that of the complex slabs and involution
+    # products, 2.5 MiB (3.2 MiB when the nonzeros were listed first)
+    m6 = matrix_algebra(6)
+    alg = StructureAlgebra(m6.structure + 1e-3j, m6.involution, m6.unit, check=False)
     tracemalloc.start()
     try:
-        assert g.axiom_violations() == []
+        assert alg.axiom_violations()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= mib * 2 ** 20
+    assert peak < 3 * 2 ** 20
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

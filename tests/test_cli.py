@@ -51,6 +51,37 @@ def test_algebra_check_broken_file(capsys, tmp_path):
     assert rep["violations"]
 
 
+@pytest.mark.parametrize("name", ["matrix:2", "matrix:4", "func:5", "group:4x2", "group:3x3",
+                                  "poly:1:4", "poly:2:3", "cusp"])
+def test_algebra_check_of_a_named_algebra_file(capsys, tmp_path, name):
+    """The to_dict file of a named algebra has no product table, but its
+    constants form one: it reports what the name reports. A copy with one
+    constant raised to 2, or with a second product in one pair, is no
+    table, and reports exactly the loop reference's messages."""
+    import copy
+
+    from test_algebra import reference_axiom_violations
+
+    from diffalg import StructureAlgebra, algebra_from_name
+
+    alg = algebra_from_name(name)
+    doc = alg.to_dict()
+    _, want, _ = run_json(capsys, "algebra-check", name)
+    code, got, _ = run_json(capsys, "algebra-check", _write(tmp_path, "alg.json", doc))
+    assert code == 0
+    assert (got["results"], got["violations"]) == (want["results"], want["violations"])
+    i, j = np.argwhere(alg._products >= 0)[-1]  # the last nonzero product
+    k = alg._products[i, j]
+    raised, second = copy.deepcopy(doc), copy.deepcopy(doc)
+    raised["structure"][i][j][k] = [2.0, 0.0]
+    second["structure"][i][j][(k + 1) % alg.dim] = [1.0, 0.0]
+    for bad in (raised, second):
+        ref = reference_axiom_violations(StructureAlgebra.from_dict(bad, check=False), 1e-9)
+        code, rep, _ = run_json(capsys, "algebra-check", _write(tmp_path, "bad.json", bad))
+        assert ref and code == 3
+        assert [v["message"] for v in rep["violations"]] == ref
+
+
 @pytest.mark.parametrize("field,value", [("structure", "NaN"), ("structure", "Infinity"),
                                          ("involution", "-Infinity"), ("unit", "NaN")])
 def test_algebra_check_refuses_non_finite_entries(capsys, tmp_path, field, value):
@@ -394,6 +425,29 @@ def test_envelope_jet_point_of_a_huge_box_is_finite(capsys, tmp_path):
         "type": "numeric",
         "message": "jet quotient and vanishing subspace dimensions do not "
                    "complement each other"}]
+
+
+def test_envelope_whose_largest_singular_value_overflows_passes(tmp_path):
+    """Two generators 1.5e308 x on [0.5, 1]: the Jacobian (1.5e308, 1.5e308)
+    has full rank although its sigma_1 is beyond the largest float, so no
+    point is a tangent witness and no overflow warning reaches stderr."""
+    import os
+    import subprocess
+    import sys
+
+    from diffalg import cli
+
+    gen = "(* (const 1.5e308) (var 0))"
+    path = _write(tmp_path, "env.json",
+                  {"m": 1, "generators": [gen, gen], "box": [[0.5, 1]], "grid": 3})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-m", "diffalg.cli", "envelope", path],
+                          capture_output=True, text=True, check=False,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stderr) == (0, "")
+    rep = json.loads(done.stdout)
+    assert rep["results"]["status"] == "PASS"
+    assert rep["results"]["reasons"] == []
 
 
 def test_envelope_oversized_jet_order_is_refused(capsys, tmp_path):

@@ -20,13 +20,15 @@ perfbench/calibration.py runs before each pass and then every EVERY_S
 seconds between requests; it keeps the BLAS threads awake, so their
 wake-up stalls do not read as request time. Its timings are not used.
 
-Prints the pass-time ratio B/A of each pass and their median, p50 and p90
-of each side, the per-class medians and their ratio, and the number of
-requests whose (exit code, stdout) differ between A and B. One slow request
-moves a ratio of pass sums, so two steadier summaries are printed next to
-it: the median of the per-request ratios B/A, and the mean of the per-class
-ratios weighted by each class's count of requests in a pass. Exits 1 when
-any pair differs, else 0.
+Prints a header naming the BLAS thread settings it ran under
+(OPENBLAS_NUM_THREADS and OMP_NUM_THREADS), the pass-time ratio B/A of
+each pass and their median, p50 and p90 of each side, the per-class
+medians and their ratio, and the number of requests whose (exit code,
+stdout) differ between A and B. One slow request moves a ratio of pass
+sums, so two steadier summaries are printed next to it: the median of the
+per-request ratios B/A, and the mean of the per-class ratios weighted by
+each class's count of requests in a pass. Exits 1 when any pair differs,
+else 0.
 """
 from __future__ import annotations
 
@@ -68,6 +70,13 @@ def call(cli, argv) -> tuple[int, str, float]:
         code = cli.main(argv)
         seconds = time.perf_counter() - t0
     return code, out.getvalue(), seconds
+
+
+def blas_threads() -> str:
+    """The BLAS thread settings this process runs under, "default" for one
+    that is not set."""
+    return ", ".join(f"{name}={os.environ.get(name, 'default')}"
+                     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
 
 
 def p90(samples: list[float]) -> float:
@@ -145,7 +154,7 @@ def main(argv=None) -> int:
     ratios = [sum(b) / sum(a) for a, b in zip(*times)]
     classes = [req["class"] for req in requests]
     print(f"{args.workload}, seed {args.seed}: {len(requests)} requests x "
-          f"{args.passes} passes")
+          f"{args.passes} passes; {blas_threads()}")
     print("pass-time ratio B/A: " + " ".join(f"{r:.3f}" for r in ratios)
           + f"  (median {statistics.median(ratios):.3f})")
     print(f"per-request ratio B/A: median {request_ratio_median(times):.3f}; "
