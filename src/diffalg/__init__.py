@@ -6,8 +6,7 @@ Everything is exact linear algebra over structure constants; no symbolic
 engine is involved.
 """
 from .errors import DiffalgError, DomainError, NumericError
-from .multiindex import (mi_abs, mi_add, mi_below, mi_binomial, mi_count,
-                         mi_enumerate, mi_factorial, mi_le, mi_sub)
+from .multiindex import mi_add, mi_count, mi_enumerate, mi_le, mi_sub
 from .algebra import (Character, Element, LinearOp, PolyAlgebra,
                       StructureAlgebra, Subspace, algebra_from_name,
                       centralizer, characters, cusp_algebra, direct_sum,
@@ -44,8 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiffalgError", "DomainError", "NumericError",
-    "mi_abs", "mi_add", "mi_below", "mi_binomial", "mi_count",
-    "mi_enumerate", "mi_factorial", "mi_le", "mi_sub",
+    "mi_add", "mi_count", "mi_enumerate", "mi_le", "mi_sub",
     "Character", "Element", "LinearOp", "PolyAlgebra", "StructureAlgebra",
     "Subspace", "algebra_from_name", "centralizer", "characters",
     "cusp_algebra", "direct_sum", "function_algebra", "group_algebra",

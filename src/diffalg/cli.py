@@ -32,7 +32,7 @@ from .envelope import Reasons, envelope_verdict, parse_expr
 from .errors import DomainError, NumericError
 from .geometry import _duality
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
-from .multiindex import mi_count, mi_enumerate
+from .multiindex import mi_count
 from .series import SeriesElement, ser_unit, series_algebra, series_to_coords
 from .spectra import dauns_hofmann_check, fourier_check
 
@@ -468,8 +468,8 @@ def _random_coords(rng, dim: int) -> np.ndarray:
 
 def _random_series(rng, base, mvars, order) -> SeriesElement:
     s = SeriesElement(base, mvars, order)
-    for k in mi_enumerate(mvars, order):
-        s[k] = _random_coords(rng, base.dim)
+    for row in s.coeffs:
+        row[:] = _random_coords(rng, base.dim)
     return s
 
 
@@ -499,9 +499,9 @@ def _sweep_dersys(rng, instances):
         source = truncated_poly(1, order)
         target = series_algebra(base, m, order)
         u = SeriesElement(base, m, order)
-        for k in mi_enumerate(m, order)[1:]:
+        for row in u.coeffs[1:]:
             c = _random_coords(rng, base.dim)
-            u[k] = (c + base.star_coords(c)) / 2.0
+            row[:] = (c + base.star_coords(c)) / 2.0
         cols = []
         power = ser_unit(base, m, order)
         for _ in range(source.dim):

@@ -424,17 +424,25 @@ def multiplication_matrix(source: PolyAlgebra, target: PolyAlgebra,
                           g: dict) -> np.ndarray:
     """Matrix of f -> g*f truncated into the target degrees.
 
-    g is a sparse polynomial {exponent tuple: coefficient}.
+    g is a sparse polynomial {exponent tuple: coefficient}. Each term x^beta
+    is one column of the target's sum table, x^alpha -> x^(alpha + beta);
+    source monomials past the target's have degrees above it and go
+    nowhere. An exponent of the wrong length or with a negative entry
+    raises ValueError.
     """
     if source.mvars != target.mvars:
         raise ValueError("variable count mismatch")
     mat = np.zeros((target.dim, source.dim), dtype=complex)
-    for alpha, j in source.exp_index.items():
-        for beta, coeff in g.items():
-            beta = tuple(int(t) for t in beta)
-            up = tuple(x + y for x, y in zip(alpha, beta))
-            if sum(up) <= target.degree:
-                mat[target.exp_index[up], j] += coeff
+    rows = min(source.dim, target.dim)
+    for beta, coeff in g.items():
+        beta = tuple(int(t) for t in beta)
+        if len(beta) != target.mvars or min(beta) < 0:
+            raise ValueError(f"bad exponent {beta} for {target.mvars} variables")
+        if sum(beta) > target.degree:
+            continue
+        up = target.table.add[:rows, target.exp_index[beta]]
+        j = np.flatnonzero(up >= 0)
+        mat[up[j], j] += coeff
     return mat
 
 

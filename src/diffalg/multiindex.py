@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,46 +50,6 @@ def mi_le(a: Sequence[int], b: Sequence[int]) -> bool:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     return all(x <= y for x, y in zip(a, b))
-
-
-def mi_abs(a: Sequence[int]) -> int:
-    """Order |a| = sum of entries."""
-    return sum(_check(a))
-
-
-def mi_factorial(a: Sequence[int]) -> int:
-    """a! = product of entry factorials, exact."""
-    out = 1
-    for x in _check(a):
-        out *= math.factorial(x)
-    return out
-
-
-def mi_binomial(k: Sequence[int], l: Sequence[int]) -> int:
-    """Product of per-coordinate binomials C(k_i, l_i); requires l <= k.
-
-    Equals k! / (l! (k-l)!) and stays exact for any desk-scale index.
-    """
-    k, l = _check(k), _check(l)
-    if len(k) != len(l):
-        raise ValueError(f"length mismatch: {len(k)} vs {len(l)}")
-    if not mi_le(l, k):
-        raise DomainError(f"{l} is not componentwise <= {k}")
-    out = 1
-    for x, y in zip(k, l):
-        out *= math.comb(x, y)
-    return out
-
-
-def mi_below(k: Sequence[int]) -> Iterator[MultiIndex]:
-    """All l with 0 <= l <= k componentwise, in lexicographic order."""
-    k = _check(k)
-    if not k:
-        yield ()
-        return
-    for first in range(k[0] + 1):
-        for rest in mi_below(k[1:]):
-            yield (first,) + rest
 
 
 def _graded_exponents(m: int, n: int) -> np.ndarray:

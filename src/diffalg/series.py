@@ -4,18 +4,19 @@ A series x in m variables of order N over a coefficient algebra B is a
 finite family of coefficients x_k in B indexed by multi-indices |k| <= N.
 The product is the Cauchy convolution (x y)_k = sum_{l <= k} x_{k-l} y_l
 with overflow terms dropped, the involution acts coefficientwise, and the
-unit is the coefficient-unit at k = 0. Coefficients are stored sparsely;
-series_algebra flattens the whole thing into an ordinary structure algebra
-when a matrix representation is needed.
+unit is the coefficient-unit at k = 0. The coefficients are the rows of one
+array, in the graded order of a MonomialTable; series_algebra flattens the
+whole thing into an ordinary structure algebra when a matrix representation
+is needed, and packing is a reshape.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Element, StructureAlgebra, require_dim
+from .algebra import MAX_NAMED_DIM, Element, StructureAlgebra, require_dim
 from .errors import DomainError
-from .multiindex import MonomialTable, MultiIndex, mi_count
+from .multiindex import MonomialTable, mi_count
 
 __all__ = [
     "SeriesElement",
@@ -37,42 +38,62 @@ def _check_shape(mvars: int, order: int) -> None:
 
 
 class SeriesElement:
-    """Sparse truncated series: dict multi-index -> coefficient coordinates."""
+    """Truncated series: row p of the complex (count, dim B) array `coeffs`
+    is the coefficient of the p-th index of `table`, in its graded order.
 
-    __slots__ = ("base", "mvars", "order", "coeffs")
+    `coeffs` may also be given as a dict of index to coefficient, whose
+    missing indices are zero. Results of arithmetic share the table of
+    their left operand.
+    """
+
+    __slots__ = ("base", "table", "coeffs")
 
     def __init__(self, base: StructureAlgebra, mvars: int, order: int, coeffs=None):
         _check_shape(mvars, order)
+        # the table takes count^2 integers, refused before it exists
+        count = mi_count(mvars, order)
+        if count > MAX_NAMED_DIM:
+            raise DomainError(f"a series of order {order} in {mvars} variables has "
+                              f"{count} coefficients; at most {MAX_NAMED_DIM} are supported")
         self.base = base
-        self.mvars = mvars
-        self.order = order
-        self.coeffs: dict[MultiIndex, np.ndarray] = {}
+        self.table = MonomialTable(mvars, order)
+        self.coeffs = np.zeros((count, base.dim), dtype=complex)
         if coeffs:
             for k, v in coeffs.items():
                 self[k] = v
 
-    def _check_index(self, k) -> MultiIndex:
+    @classmethod
+    def _of(cls, base: StructureAlgebra, table: MonomialTable, coeffs: np.ndarray):
+        """The series with these rows on an existing table; takes `coeffs`."""
+        out = cls.__new__(cls)
+        out.base, out.table, out.coeffs = base, table, coeffs
+        return out
+
+    @property
+    def mvars(self) -> int:
+        return self.table.mvars
+
+    @property
+    def order(self) -> int:
+        return self.table.degree
+
+    def _row(self, k) -> int:
         k = tuple(int(t) for t in k)
         if len(k) != self.mvars or any(t < 0 for t in k):
             raise ValueError(f"bad multi-index {k} for {self.mvars} variables")
         if sum(k) > self.order:
             raise ValueError(f"multi-index {k} exceeds truncation order {self.order}")
-        return k
+        return self.table.exp_index[k]
 
     def __getitem__(self, k) -> np.ndarray:
-        k = self._check_index(k)
-        v = self.coeffs.get(k)
-        return v.copy() if v is not None else np.zeros(self.base.dim, dtype=complex)
+        return self.coeffs[self._row(k)].copy()
 
     def __setitem__(self, k, value):
-        k = self._check_index(k)
+        p = self._row(k)
         v = value.coords if isinstance(value, Element) else np.asarray(value, dtype=complex).ravel()
         if v.shape != (self.base.dim,):
             raise ValueError("coefficient length does not match base algebra")
-        if np.any(v):
-            self.coeffs[k] = v.copy()
-        else:
-            self.coeffs.pop(k, None)
+        self.coeffs[p] = v
 
     def coefficient(self, k) -> Element:
         return Element(self.base, self[k])
@@ -82,30 +103,24 @@ class SeriesElement:
                 or self.order != other.order):
             raise DomainError("series live over different coefficient data")
 
+    def _like(self, coeffs: np.ndarray) -> "SeriesElement":
+        return SeriesElement._of(self.base, self.table, coeffs)
+
     def __add__(self, other):
         self._same_family(other)
-        out = SeriesElement(self.base, self.mvars, self.order)
-        for k in set(self.coeffs) | set(other.coeffs):
-            out[k] = self[k] + other[k]
-        return out
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._same_family(other)
-        out = SeriesElement(self.base, self.mvars, self.order)
-        for k in set(self.coeffs) | set(other.coeffs):
-            out[k] = self[k] - other[k]
-        return out
+        return self._like(self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return SeriesElement(self.base, self.mvars, self.order,
-                             {k: -v for k, v in self.coeffs.items()})
+        return self._like(-self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, SeriesElement):
             return ser_mul(self, other)
-        z = complex(other)
-        return SeriesElement(self.base, self.mvars, self.order,
-                             {k: z * v for k, v in self.coeffs.items()})
+        return self._like(complex(other) * self.coeffs)
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
@@ -114,63 +129,44 @@ class SeriesElement:
         return ser_involve(self)
 
     def norm(self) -> float:
-        if not self.coeffs:
-            return 0.0
-        return float(max(np.abs(v).max() for v in self.coeffs.values()))
+        return float(np.abs(self.coeffs).max(initial=0.0))
 
     def isclose(self, other: "SeriesElement", tol=la.ZERO_TOL) -> bool:
         self._same_family(other)
         return (self - other).norm() <= tol
 
     def copy(self) -> "SeriesElement":
-        return SeriesElement(self.base, self.mvars, self.order, self.coeffs)
+        return self._like(self.coeffs.copy())
 
     def __repr__(self):
-        keys = sorted(self.coeffs, key=lambda k: (sum(k), k))
-        return f"<SeriesElement m={self.mvars} N={self.order} support={keys}>"
+        support = [self.table.exponents[p] for p in np.flatnonzero(self.coeffs.any(axis=1))]
+        return f"<SeriesElement m={self.mvars} N={self.order} support={support}>"
 
 
 def ser_unit(base: StructureAlgebra, mvars: int, order: int) -> SeriesElement:
     """Multiplicative unit: coefficient-algebra unit at index 0."""
     out = SeriesElement(base, mvars, order)
-    out[(0,) * mvars] = base.unit
+    out.coeffs[0] = base.unit
     return out
 
 
 def ser_mul(x: SeriesElement, y: SeriesElement) -> SeriesElement:
     """Truncated Cauchy product, one structure-tensor contraction per call.
 
-    Products of pairs whose indices add up to the same k are summed in
-    row-major pair order, and the result's indices are inserted in the order
-    in which the pairs first reach them.
+    The products of rows p and q land at row add[p, q] of the table; those
+    that reach the same row are summed in row-major pair order.
     """
     x._same_family(y)
-    out = SeriesElement(x.base, x.mvars, x.order)
-    if not x.coeffs or not y.coeffs:
-        return out
-    xs = np.array(list(x.coeffs.values()))
-    ys = np.array(list(y.coeffs.values()))
-    prods = x.base.mul_pairs(xs, ys).reshape(-1, x.base.dim)
-    sums = (np.array(list(x.coeffs))[:, None] + np.array(list(y.coeffs))[None, :]
-            ).reshape(len(prods), x.mvars)
-    kept = np.flatnonzero(sums.sum(axis=1) <= x.order)
-    if not len(kept):
-        return out
-    keys, first, slot = np.unique(sums[kept], axis=0, return_index=True,
-                                  return_inverse=True)
-    acc = np.zeros((len(keys), x.base.dim), dtype=complex)
-    np.add.at(acc, slot.ravel(), prods[kept])
-    for g in np.argsort(first):
-        out[keys[g]] = acc[g]
-    return out
+    add = x.table.add
+    p, q = np.nonzero(add >= 0)
+    out = np.zeros_like(x.coeffs)
+    np.add.at(out, add[p, q], x.base.mul_pairs(x.coeffs, y.coeffs)[p, q])
+    return x._like(out)
 
 
 def ser_involve(x: SeriesElement) -> SeriesElement:
     """Coefficientwise involution: (x*)_k = (x_k)*."""
-    out = SeriesElement(x.base, x.mvars, x.order)
-    for k, v in x.coeffs.items():
-        out[k] = x.base.star_coords(v)
-    return out
+    return x._like(np.conj(x.coeffs) @ x.base.involution.T)
 
 
 class SeriesStructureAlgebra(StructureAlgebra):
@@ -223,15 +219,10 @@ def series_algebra(base: StructureAlgebra, mvars: int, order: int) -> SeriesStru
 
 
 def series_to_coords(alg: SeriesStructureAlgebra, x: SeriesElement) -> np.ndarray:
-    """Flatten a sparse series into the basis order of series_algebra."""
+    """Flatten a series into the basis order of series_algebra."""
     if x.base is not alg.base or x.mvars != alg.mvars or x.order != alg.order:
         raise DomainError("series does not match the flattened algebra")
-    db = alg.base.dim
-    out = np.zeros(alg.dim, dtype=complex)
-    for k, v in x.coeffs.items():
-        p = alg.exp_index[k]
-        out[p * db:(p + 1) * db] = v
-    return out
+    return x.coeffs.flatten()
 
 
 def coords_to_series(alg: SeriesStructureAlgebra, coords) -> SeriesElement:
@@ -239,5 +230,5 @@ def coords_to_series(alg: SeriesStructureAlgebra, coords) -> SeriesElement:
     coords = np.asarray(coords, dtype=complex).ravel()
     if coords.shape != (alg.dim,):
         raise ValueError("coordinate length mismatch")
-    blocks = coords.reshape(len(alg.exponents), alg.base.dim)
-    return SeriesElement(alg.base, alg.mvars, alg.order, dict(zip(alg.exponents, blocks)))
+    return SeriesElement._of(alg.base, alg.table,
+                             coords.reshape(alg.table.dim, alg.base.dim).copy())

@@ -1,6 +1,7 @@
 """tools/ab_pairs.py: a checkout against itself gives identical reports
-under a header that names the BLAS thread settings, the steadier summaries
-are not moved by one slow request, and the side that goes first alternates
+under a header that names the BLAS thread settings, bad pass counts and
+limits are refused before anything is loaded, the steadier summaries are
+not moved by one slow request, and the side that goes first alternates
 per request and per pass."""
 from __future__ import annotations
 
@@ -19,16 +20,34 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
     env.pop("OMP_NUM_THREADS", None)
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), ROOT, ROOT,
-         "--workload", "series-jets", "--limit", "3", "--passes", "1"],
+         "--workload", "series-jets", "--limit", "3", "--passes", "2"],
         capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == ("series-jets, seed 5: 3 requests x 1 passes; "
+    assert lines[0] == ("series-jets, seed 5: 3 requests x 2 passes; "
                         "OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=default")
     assert lines[1].startswith("pass-time ratio B/A: ")
-    assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 3"
+    assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 6"
     assert lines[2].startswith("per-request ratio B/A: median ")
     assert "per-class ratio B/A: count-weighted mean " in lines[2]
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--passes", "0", "0 is not a positive even number"),
+    ("--passes", "-2", "-2 is not a positive even number"),
+    ("--passes", "3", "3 is not a positive even number"),
+    ("--limit", "0", "0 is below 1"),
+])
+def test_bad_pass_counts_and_limits_are_refused_before_loading(flag, value, message):
+    """Refused by argparse with exit 2, before either checkout is read:
+    the checkouts named here do not exist."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), "no-such-a", "no-such-b",
+         flag, value], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def _ab_pairs():

@@ -71,6 +71,38 @@ def test_multiplication_operator_has_order_zero():
     assert not is_derivation(mult)
 
 
+def ref_multiplication_matrix(source, target, g):
+    """The alpha x beta tuple loop that multiplication_matrix replaces."""
+    mat = np.zeros((target.dim, source.dim), dtype=complex)
+    for alpha, j in source.exp_index.items():
+        for beta, coeff in g.items():
+            beta = tuple(int(t) for t in beta)
+            up = tuple(x + y for x, y in zip(alpha, beta))
+            if sum(up) <= target.degree:
+                mat[target.exp_index[up], j] += coeff
+    return mat
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_source,n_target", [(0, 0), (2, 3), (3, 3), (4, 2), (1, 4)])
+def test_multiplication_matrix_matches_tuple_loop(m, n_source, n_target):
+    """Bit for bit, with terms above the target degree and sources of
+    higher and lower degree than the target."""
+    rng = np.random.default_rng(31 * m + 7 * n_source + n_target)
+    source, target = truncated_poly(m, n_source), truncated_poly(m, n_target)
+    betas = mi_enumerate(m, n_target + 1)
+    picks = rng.choice(len(betas), size=min(5, len(betas)), replace=False)
+    g = {betas[i]: complex(rng.standard_normal(), rng.standard_normal()) for i in picks}
+    got = multiplication_matrix(source, target, g)
+    assert np.array_equal(got, ref_multiplication_matrix(source, target, g))
+
+
+@pytest.mark.parametrize("beta", [(1,), (1, -1), (1, 0, 0), (-1, 2)])
+def test_multiplication_matrix_refuses_malformed_exponents(beta):
+    with pytest.raises(ValueError, match="bad exponent"):
+        multiplication_matrix(truncated_poly(2, 2), truncated_poly(2, 3), {beta: 1.0})
+
+
 def test_second_order_composite():
     p = truncated_poly(1, 5)
     d1 = derivative_op(p, 0)

@@ -6,11 +6,14 @@ the flattened structure-constant form.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from diffalg import (
+    DomainError,
     SeriesElement,
     coords_to_series,
     function_algebra,
@@ -106,6 +109,28 @@ def test_index_bounds_are_enforced():
         x[(3, 0)]
     with pytest.raises(Exception):
         x[(1,)] = [1.0]
+
+
+def test_series_above_the_size_bound_is_refused_before_allocation():
+    base = function_algebra(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="847660528 coefficients; at most 256"):
+            SeriesElement(base, 10, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_results_share_the_table_of_their_operand(rng):
+    base = matrix_algebra(2)
+    x, y = _random_series(rng, base, 2, 2), _random_series(rng, base, 2, 2)
+    assert x.coeffs.shape == (6, 4)
+    for z in (x + y, x - y, -x, 2 * x, ser_mul(x, y), ser_involve(x), x.copy()):
+        assert z.table is x.table
+    alg = series_algebra(base, 2, 2)
+    assert coords_to_series(alg, series_to_coords(alg, x)).table is alg.table
 
 
 def test_flattened_algebra_matches_element_api(rng):

@@ -9,11 +9,11 @@ corpus of perfbench/workloads.py (this checkout's, only read) is written to
 a temporary directory and every request is sent to both, one after the
 other; the passes repeat that over the same corpus. Which side goes first
 alternates from one request to the next and from one pass to the next, so
-over an even number of passes each request runs first on each side equally
-often. Separate benchmark runs of the same program drift with the speed of
-a shared machine by tens of percent; the two calls of a pair see the same
-drift, so the ratios of paired times are much steadier than the ratio of
-two runs. It complements perfbench/run.py and does not replace it: both
+over the even number of passes that --passes requires, each request runs
+first on each side equally often. Separate benchmark runs of the same
+program drift with the speed of a shared machine by tens of percent; the
+two calls of a pair see the same drift, so the ratios of paired times are
+much steadier than the ratio of two runs. It complements perfbench/run.py and does not replace it: both
 programs share one process, so peak memory and process-lifetime caches are
 not measured here. As in perfbench's worker, the calibration slice of
 perfbench/calibration.py runs before each pass and then every EVERY_S
@@ -115,14 +115,32 @@ def class_ratio_mean(classes: list[str], times) -> float:
                for cls, (ma, mb) in class_medians(classes, times).items()) / len(classes)
 
 
+def positive_even(text: str) -> int:
+    """A pass count: positive and even, so that each request goes first on
+    each side equally often."""
+    n = int(text)
+    if n < 1 or n % 2:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive even number")
+    return n
+
+
+def at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is below 1")
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="checkout A (the reference)")
     parser.add_argument("b", help="checkout B")
     parser.add_argument("--workload", default="series-jets")
     parser.add_argument("--seed", type=int, default=5)
-    parser.add_argument("--passes", type=int, default=4)
-    parser.add_argument("--limit", type=int, help="only the first N requests of the pass")
+    parser.add_argument("--passes", type=positive_even, default=4,
+                        help="a positive even number")
+    parser.add_argument("--limit", type=at_least_one,
+                        help="only the first N requests of the pass")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
