@@ -12,6 +12,8 @@ package goes through two rules:
   orthogonal projection) is at most tol * (1 + |v|).
 
 Row echelon form stays only for the pivot bookkeeping of quotients.
+`close_mask` decides max-norm closeness of row pairs (character
+matching and deduplication) exactly, after a screen by one product.
 `eigenspace` has no caller in the package (characters come from one
 eigendecomposition); it is kept for API users and because the benchmark
 tracer reports on it as a boundary.
@@ -153,13 +155,40 @@ def in_span(vs, onb: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
     return span_residuals(vs, onb) <= tol * (1.0 + np.linalg.norm(vs, axis=1))
 
 
-def cluster_values(values, tol: float = 1e-7) -> list[complex]:
-    """Greedy clustering of complex values; returns one representative each."""
-    reps: list[complex] = []
-    for v in values:
-        for r in reps:
-            if abs(v - r) <= tol:
-                break
-        else:
-            reps.append(complex(v))
-    return reps
+def apply_rows(m: np.ndarray, vs) -> np.ndarray:
+    """m @ v for each row v of the stack vs (..., n): one GEMV per row, the
+    kernel that m @ v runs for one vector, so a row's image does not
+    depend on the stack it came in."""
+    return (m @ np.asarray(vs)[..., None])[..., 0]
+
+
+# Entries m * p * n up to which close_mask compares every pair directly.
+_CLOSE_DIRECT = 2 ** 12
+
+
+def close_mask(a, b, tol: float) -> np.ndarray:
+    """mask[i, j] = max_k |a[i, k] - b[j, k]| <= tol for the rows of a
+    (m, n) and b (p, n): that expression decides each pair that passes a
+    screen, and no pair that fails the screen can satisfy it. Small inputs
+    (up to _CLOSE_DIRECT entries over all pairs) skip the screen.
+
+    A pair within tol in the max norm is within sqrt(n) tol in the 2-norm,
+    so the squared distances |a_i|^2 + |b_j|^2 - 2 Re(a_i . conj(b_j)), read
+    from one product, screen the pairs. Their rounding error is below
+    (4n + 8) eps (|a_i| + |b_j|)^2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), which the screen adds as a margin, and a
+    non-finite distance passes the screen, so no pair within tol is lost.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    n = a.shape[1]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if len(a) * len(b) * n <= _CLOSE_DIRECT:
+            return np.abs(a[:, None] - b).max(axis=2, initial=0.0) <= tol
+        na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
+        dist = (na ** 2)[:, None] + nb ** 2 - 2.0 * (a @ b.conj().T).real
+        margin = (4 * n + 8) * np.finfo(float).eps * (na[:, None] + nb) ** 2
+        i, j = np.nonzero(~(dist > n * tol * tol + margin))
+        mask = np.zeros(dist.shape, dtype=bool)
+        mask[i, j] = np.abs(a[i] - b[j]).max(axis=1, initial=0.0) <= tol
+    return mask

@@ -120,10 +120,14 @@ class StructureAlgebra:
     # --- raw coordinate operations -------------------------------------
 
     def mul_coords(self, x, y) -> np.ndarray:
+        """x * y, or row by row for (..., d) stacks x and y: per pair one
+        GEMV with the flattened tensor and one with its (d, d) result, the
+        kernels of a single pair, so a product does not depend on its stack."""
         d = self.dim
-        x = np.asarray(x, dtype=complex).ravel()
-        y = np.asarray(y, dtype=complex).ravel()
-        return y @ (x @ self.structure.reshape(d, d * d)).reshape(d, d)
+        x = np.asarray(x, dtype=complex)
+        y = np.asarray(y, dtype=complex)
+        left = x[..., None, :] @ self.structure.reshape(d, d * d)
+        return (y[..., None, :] @ left.reshape(x.shape[:-1] + (d, d)))[..., 0, :]
 
     def mul_pairs(self, xs, ys) -> np.ndarray:
         """Products xs[p] * ys[q] of every pair of rows, as an (m, n, d) array.
@@ -138,7 +142,8 @@ class StructureAlgebra:
         return ys @ (xs @ self.structure.reshape(d, d * d)).reshape(-1, d, d)
 
     def star_coords(self, x) -> np.ndarray:
-        return self.involution @ np.conj(np.asarray(x, dtype=complex).ravel())
+        """x*, or row by row for a (..., d) stack."""
+        return la.apply_rows(self.involution, np.conj(np.asarray(x, dtype=complex)))
 
     def left_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a*x; a stack (..., d) of vectors gives (..., d, d)."""
@@ -706,6 +711,11 @@ def _rayleigh_tuples(algebra: StructureAlgebra, vecs: np.ndarray) -> np.ndarray:
 _GENERIC_DRAWS = 4
 
 
+def _apart(values: np.ndarray, tol: float) -> bool:
+    """Whether no two of the values lie within tol of each other."""
+    return not np.triu(np.abs(values[:, None] - values) <= tol, 1).any()
+
+
 def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Character]:
     """Character extraction for a radical-free commutative algebra.
 
@@ -727,7 +737,7 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
     for _ in range(_GENERIC_DRAWS):
         generic = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         vals, vecs = np.linalg.eig(algebra.left_mul_matrix(generic).T)
-        if len(la.cluster_values(vals, cluster_tol)) == d:
+        if _apart(vals, cluster_tol):
             break
     else:
         raise NumericError(f"eigen-cluster ambiguity: repeated eigenvalues in "
@@ -735,19 +745,18 @@ def _semisimple_characters(algebra: StructureAlgebra, tol: float) -> list[Charac
 
     tuples = _rayleigh_tuples(algebra, vecs)
     tuples = tuples[_character_mask(algebra, tuples, tol)]
-    known = np.empty_like(tuples)
-    count = 0
-    for tup in tuples:
-        delta = np.abs(known[:count] - tup).max(axis=1)
-        near = np.flatnonzero(delta <= 10 * cluster_tol)
-        if near.size:
-            if delta[near[0]] > cluster_tol:
+    # each tuple is dropped as a repeat of the first kept earlier one within
+    # 10 cluster_tol, which must then be within cluster_tol
+    near = np.triu(la.close_mask(tuples, tuples, 10 * cluster_tol), 1)
+    keep = np.ones(len(tuples), dtype=bool)
+    for j in np.flatnonzero(near.any(axis=0)):
+        i = np.flatnonzero(near[:j, j] & keep[:j])
+        if i.size:
+            if np.abs(tuples[i[0]] - tuples[j]).max() > cluster_tol:
                 raise NumericError("eigen-cluster ambiguity: two candidate "
                                    "characters closer than the resolution limit")
-            continue
-        known[count] = tup
-        count += 1
-    return [Character(algebra, f) for f in known[:count]]
+            keep[j] = False
+    return [Character(algebra, f) for f in tuples[keep]]
 
 
 def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
@@ -771,8 +780,10 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
         chars = [Character(algebra, r) for r in rows[_character_mask(algebra, rows, tol)]]
     else:
         chars = _semisimple_characters(algebra, tol)
-    chars.sort(key=lambda c: tuple(np.round(c.functional.view(float), 9)))
-    return chars
+    # lexicographic in the rounded (re, im) coordinates, ties in found order
+    rows = np.array([c.functional for c in chars], dtype=complex).reshape(-1, algebra.dim)
+    keys = np.round(rows.view(float), 9)
+    return [chars[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def _trace_gram(algebra: StructureAlgebra) -> np.ndarray:

@@ -54,26 +54,37 @@ class FiniteAbelianGroup(_CyclicGroup):
 
     def convolve(self, alpha, beta) -> np.ndarray:
         """(alpha * beta)[g+h] += alpha[g] beta[h]; no algebra tensor needed.
+        Stacks (..., order) of alphas and betas convolve row by row.
 
-        The addition table and the outer product are built a block of rows
-        g at a time. The sums accumulate in the same order as over the
-        whole table, so the result is the same to the last bit.
+        The addition table is built a block of rows g at a time and shared
+        by a chunk of the stack's pairs: at most _CONVOLVE_BLOCK entries
+        over the chunk, or one row g of one pair where a row is longer.
+        Each product accumulates over g and h in the same order as over the
+        whole table of one pair, so the result is the same to the last bit.
         """
-        alpha = np.asarray(alpha, dtype=complex).ravel()
-        beta = np.asarray(beta, dtype=complex).ravel()
+        alpha = np.asarray(alpha, dtype=complex)
+        beta = np.asarray(beta, dtype=complex)
         d = self.order
-        out = np.zeros(d, dtype=complex)
-        step = max(1, _CONVOLVE_BLOCK // d)
+        lead = np.broadcast_shapes(alpha.shape[:-1], beta.shape[:-1])
+        alpha = np.broadcast_to(alpha, lead + (d,)).reshape(-1, d)
+        beta = np.broadcast_to(beta, lead + (d,)).reshape(-1, d)
+        n = len(alpha)
+        out = np.zeros(n * d, dtype=complex)  # pair p, coordinate k at p * d + k
+        offsets = d * np.arange(n)[:, None, None]
+        chunk = max(1, min(n, _CONVOLVE_BLOCK // d))
+        step = max(1, _CONVOLVE_BLOCK // (d * chunk))
         for lo in range(0, d, step):
-            rows = self._digits[:, lo:lo + step, None]
-            np.add.at(out, self._sum_index(rows, self._digits[:, None, :]).ravel(),
-                      np.outer(alpha[lo:lo + step], beta).ravel())
-        return out
+            table = self._sum_index(self._digits[:, lo:lo + step, None], self._digits[:, None, :])
+            for p in range(0, n, chunk):
+                pairs = slice(p, p + chunk)
+                np.add.at(out, (table + offsets[pairs]).ravel(),
+                          (alpha[pairs, lo:lo + step, None] * beta[pairs, None, :]).ravel())
+        return out.reshape(lead + (d,))
 
     def involve(self, alpha) -> np.ndarray:
-        """alpha*(g) = conj(alpha(-g))."""
-        alpha = np.asarray(alpha, dtype=complex).ravel()
-        return np.conj(alpha[self.negation()])
+        """alpha*(g) = conj(alpha(-g)), row by row for a stack."""
+        alpha = np.asarray(alpha, dtype=complex)
+        return np.conj(alpha[..., self.negation()])
 
     def __repr__(self):
         return "x".join(f"Z{n}" for n in self.factors)
@@ -147,24 +158,21 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
             idx = np.arange(n)
             f = np.exp(2j * np.pi * np.outer(idx, idx) / n)
             unitary = max(unitary, float(np.abs(f @ f.conj().T - n * np.eye(n)).max()) / n)
-        round_trip = 0.0
-        for _ in range(8):
-            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            y = phi.conj().T @ (phi @ x) / d
-            round_trip = max(round_trip, float(np.abs(y - x).max() / np.abs(x).max()))
+        v = rng.standard_normal((8, 2, d))  # x.re, x.im of each draw
+        x = v[:, 0] + 1j * v[:, 1]
+        y = la.apply_rows(phi.conj().T, la.apply_rows(phi, x)) / d
+        round_trip = _worst(np.abs(y - x).max(axis=-1) / np.abs(x).max(axis=-1))
 
-    conv_res = 0.0
-    inv_res = 0.0
-    for _ in range(pairs):
-        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        a /= np.abs(a).max()
-        b /= np.abs(b).max()
-        fa, fb = phi @ a, phi @ b
-        scale = 1.0 + float(np.abs(fa).max() * np.abs(fb).max())
-        conv_res = max(conv_res, float(np.abs(phi @ group.convolve(a, b) - fa * fb).max()) / scale)
-        inv_res = max(inv_res, float(np.abs(phi @ group.involve(a) - np.conj(fa)).max())
-                      / (1.0 + float(np.abs(fa).max())))
+    # the pairs (a, b), drawn in the order a.re, a.im, b.re, b.im of each
+    # pair; every transform is one GEMV per vector, as for a single pair
+    ab = _sample_pairs(rng, pairs, d)
+    fab = la.apply_rows(phi, ab)
+    top = np.abs(fab).max(axis=-1)  # (pairs, 2)
+    fa, fb = fab[:, 0], fab[:, 1]
+    conv = np.abs(la.apply_rows(phi, group.convolve(ab[:, 0], ab[:, 1])) - fa * fb)
+    conv_res = _worst(conv.max(axis=-1) / (1.0 + top[:, 0] * top[:, 1]))
+    inv = np.abs(la.apply_rows(phi, group.involve(ab[:, 0])) - np.conj(fa))
+    inv_res = _worst(inv.max(axis=-1) / (1.0 + top[:, 0]))
 
     report = {
         "factors": list(group.factors),
@@ -204,16 +212,34 @@ def fourier_check(group, seed: int = 0, pairs: int = 10,
     return report
 
 
+def _sample_pairs(rng, pairs: int, d: int) -> np.ndarray:
+    """pairs random pairs (x, y) of coordinate vectors as a (pairs, 2, d)
+    stack, each vector scaled to max-norm 1: the stream of drawing x.re,
+    x.im, y.re and y.im, pair after pair."""
+    v = rng.standard_normal((pairs, 2, 2, d))
+    xy = v[:, :, 0] + 1j * v[:, :, 1]
+    xy /= np.abs(xy).max(axis=-1, keepdims=True)
+    return xy
+
+
+def _worst(residuals) -> float:
+    """The largest residual, 0.0 for none; a NaN is kept, so it fails
+    every <= tol."""
+    return float(np.max(residuals, initial=0.0))
+
+
 def _greedy_matches(rows, phi, tol=1e-7) -> int:
     """How many rows find a row of phi within tol (max-norm), each taking
-    the first one that no earlier row took: one comparison per row against
-    all of phi, so no (rows, d, d) array is held."""
-    used = np.zeros(len(phi), dtype=bool)
-    for row in rows:
-        free = np.flatnonzero((np.abs(row - phi).max(axis=1) <= tol) & ~used)
-        if len(free):
-            used[free[0]] = True
-    return int(used.sum())
+    the first one that no earlier row took; the close pairs come from one
+    closeness mask, so no (rows, d, d) array is held."""
+    rows = np.asarray(rows, dtype=complex).reshape(-1, phi.shape[1])
+    taken, used = set(), set()
+    i, j = np.nonzero(la.close_mask(rows, phi, tol))  # row-major
+    for i, j in zip(i.tolist(), j.tolist()):
+        if i not in taken and j not in used:
+            taken.add(i)
+            used.add(j)
+    return len(used)
 
 
 class ValueBundle:
@@ -305,18 +331,14 @@ def dauns_hofmann_check(algebra: StructureAlgebra, central=None,
 
     rng = np.random.default_rng(seed)
     unit_res = float(np.abs(v.matrix @ algebra.unit - bundle.total.unit).max())
-    mult_res = star_res = 0.0
-    for _ in range(pairs):
-        x = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-        y = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-        x /= np.abs(x).max()
-        y /= np.abs(y).max()
-        lhs = v.matrix @ algebra.mul_coords(x, y)
-        rhs = bundle.total.mul_coords(v.matrix @ x, v.matrix @ y)
-        mult_res = max(mult_res, float(np.abs(lhs - rhs).max()))
-        star_res = max(star_res, float(np.abs(
-            v.matrix @ algebra.star_coords(x)
-            - bundle.total.star_coords(v.matrix @ x)).max()))
+    # the pairs (x, y) as one stack; products, the section map and the
+    # involutions run one GEMV per vector, as for a single pair
+    xy = _sample_pairs(rng, pairs, algebra.dim)
+    vxy = la.apply_rows(v.matrix, xy)
+    lhs = la.apply_rows(v.matrix, algebra.mul_coords(xy[:, 0], xy[:, 1]))
+    mult_res = _worst(np.abs(lhs - bundle.total.mul_coords(vxy[:, 0], vxy[:, 1])))
+    star_res = _worst(np.abs(la.apply_rows(v.matrix, algebra.star_coords(xy[:, 0]))
+                             - bundle.total.star_coords(vxy[:, 0])))
 
     return {
         "dim": algebra.dim,

@@ -1,8 +1,9 @@
 """tools/ab_pairs.py: a checkout against itself gives identical reports
 under a header that names the BLAS thread settings, bad pass counts and
 limits are refused before anything is loaded, the steadier summaries are
-not moved by one slow request, and the side that goes first alternates
-per request and per pass."""
+not moved by one slow request, the p90 band names the requests at or
+above each side's p90, and the side that goes first alternates per
+request and per pass."""
 from __future__ import annotations
 
 import importlib.util
@@ -30,6 +31,16 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
     assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 6"
     assert lines[2].startswith("per-request ratio B/A: median ")
     assert "per-class ratio B/A: count-weighted mean " in lines[2]
+    for label, line in zip("AB", lines[3:5]):
+        assert line.startswith(f"{label}: p50 ") and line.endswith(" ms")
+        assert len(line.split("p90 of each pass: ")[1].split()) == 2 + 1  # two passes, "ms"
+    assert lines[5].split() == ["p90", "band", "(requests", ">=", "pooled", "p90)", "A", "B"]
+    # 3 requests x 2 passes: the pooled p90 of six times lies above the
+    # fifth largest (above the largest when it extrapolates), so at most one
+    # request of a side makes its band
+    table = lines.index(next(line for line in lines if line.startswith("class ")))
+    band = [line.split() for line in lines[6:table]]
+    assert all(sum(int(row[side]) for row in band) <= 1 for side in (1, 2))
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -100,3 +111,19 @@ def test_the_blas_thread_settings_name_each_variable(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     assert ab.blas_threads() == "OPENBLAS_NUM_THREADS=default, OMP_NUM_THREADS=2"
+
+
+def test_the_p90_band_counts_the_requests_at_or_above_the_pooled_p90():
+    """Two passes of ten requests: the pooled p90 of twenty times lies
+    between the third and second largest, so the band holds the two
+    slowest requests of all passes, and a tie at the cut counts every
+    request at it."""
+    ab = _ab_pairs()
+    classes = ["x"] * 5 + ["y"] * 3 + ["z"] * 2
+    side = [[1.0] * 5 + [2.0] * 3 + [3.0, 4.0], [1.0] * 5 + [2.0] * 3 + [3.0, 9.0]]
+    assert ab.p90(side[0] + side[1]) == pytest.approx(3.9)
+    assert ab.p90_band(classes, side) == {"z": 2}
+    flat = [[5.0] * 10, [5.0] * 10]
+    assert ab.p90_band(classes, flat) == {"x": 10, "y": 6, "z": 4}
+    slow_y = [[1.0] * 5 + [7.0] * 3 + [1.0, 1.0]] * 2
+    assert ab.p90_band(classes, slow_y) == {"y": 6}

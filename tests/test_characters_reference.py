@@ -39,9 +39,11 @@ from diffalg import (
     truncated_poly,
 )
 from diffalg import _linalg as la
+from diffalg import algebra as algebra_module
 from diffalg import cli
 from test_algebra import FAMILIES
 from test_basis_change import change_basis, unitary
+from test_linalg import cluster_values
 
 
 def reference_is_character(ch: Character, tol: float = 1e-8) -> bool:
@@ -63,7 +65,7 @@ def _refine(basis_cols: np.ndarray, op: np.ndarray, tol: float) -> list[np.ndarr
         return [basis_cols]
     restricted, *_ = np.linalg.lstsq(basis_cols, op @ basis_cols, rcond=None)
     eigvals = np.linalg.eigvals(restricted)
-    reps = la.cluster_values(eigvals, tol)
+    reps = cluster_values(eigvals, tol)
     if len(reps) == 1:
         return [basis_cols]
     out = []
@@ -83,7 +85,7 @@ def reference_semisimple_characters(algebra, tol: float) -> list[Character]:
     m = algebra.left_mul_matrix(generic).T
 
     spaces = []
-    for lam in la.cluster_values(np.linalg.eigvals(m), cluster_tol):
+    for lam in cluster_values(np.linalg.eigvals(m), cluster_tol):
         sub = la.eigenspace(m, lam, cluster_tol)
         if sub.shape[0]:
             spaces.append(sub.T)
@@ -251,3 +253,109 @@ def test_mask_agrees_with_reference_check():
                                            + 1j * rng.standard_normal(alg.dim))
             cand = Character(alg, row)
             assert cand.is_character() == reference_is_character(cand)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_apart_agrees_with_greedy_clustering(seed):
+    """The generic draw is kept when no two eigenvalues lie within the
+    cluster tolerance: exactly when the greedy clustering keeps every
+    value as its own representative."""
+    rng = np.random.default_rng(seed)
+    tol = 1e-7
+    n = int(rng.integers(1, 12))
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    # some values moved next to others, at, inside or outside tol
+    for i in rng.choice(n, size=int(rng.integers(0, n)), replace=True):
+        j = int(rng.integers(0, n))
+        vals[i] = vals[j] + rng.choice([0.0, 0.5 * tol, tol, 1.5 * tol]) * np.exp(2j * rng.random())
+    if seed % 3 == 0:
+        vals[0] = np.nan
+    assert algebra_module._apart(vals, tol) == (len(cluster_values(vals, tol)) == n)
+
+
+def test_values_exactly_tol_apart_are_a_cluster():
+    tol = 2.0 ** -23
+    for vals in ([0.5, 0.5 + tol, 3.0], [0.5j, 1.0, 0.5j - tol * 1j]):
+        vals = np.array(vals, dtype=complex)
+        assert len(cluster_values(vals, tol)) == 2
+        assert not algebra_module._apart(vals, tol)
+        assert algebra_module._apart(vals, tol / 2)
+
+
+def reference_dedupe(tuples, cluster_tol=1e-7):
+    """The loop that kept the first of each group of repeated candidates
+    before one closeness mask decided them: each candidate is compared with
+    the kept ones, and a repeat within 10 cluster_tol must lie within
+    cluster_tol."""
+    known = []
+    for tup in tuples:
+        delta = [np.abs(k - tup).max() for k in known]
+        near = [i for i, x in enumerate(delta) if x <= 10 * cluster_tol]
+        if near:
+            if delta[near[0]] > cluster_tol:
+                raise NumericError("eigen-cluster ambiguity")
+            continue
+        known.append(tup)
+    return known
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_repeated_candidates_are_dropped_as_the_loop_dropped_them(monkeypatch, seed):
+    """Candidates are repeats of earlier ones at 0, 0.3, 0.8, 3 and 30
+    cluster tolerances, some of repeats, so a candidate can be near a
+    dropped one only; kept characters and ambiguity refusals match the
+    loop."""
+    rng = np.random.default_rng(seed)
+    alg = function_algebra(3)
+    rows = [rng.standard_normal(3) + 1j * rng.standard_normal(3)]
+    for _ in range(int(rng.integers(0, 9))):
+        if rng.random() < 0.3:
+            rows.append(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        else:
+            step = rng.choice([0.0, 0.3e-7, 0.8e-7, 3e-7, 3e-6], p=[0.3, 0.3, 0.1, 0.1, 0.2])
+            step = step * rng.choice([-1, 1], size=3)
+            rows.append(rows[int(rng.integers(0, len(rows)))] + step)
+    tuples = np.array(rows)
+    monkeypatch.setattr(algebra_module, "_rayleigh_tuples", lambda algebra, vecs: tuples)
+    monkeypatch.setattr(algebra_module, "_character_mask",
+                        lambda algebra, rows, tol: np.ones(len(rows), dtype=bool))
+    try:
+        want = reference_dedupe(tuples)
+    except NumericError:
+        with pytest.raises(NumericError, match="eigen-cluster ambiguity"):
+            algebra_module._semisimple_characters(alg, 1e-8)
+        return
+    got = algebra_module._semisimple_characters(alg, 1e-8)
+    assert len(got) == len(want)
+    for ch, row in zip(got, want):
+        np.testing.assert_array_equal(ch.functional, row)
+
+
+def test_a_candidate_near_a_dropped_one_only_is_kept(monkeypatch):
+    """t1 repeats t0 and is dropped; t2 lies within 10 cluster_tol of t1
+    but not of t0, and only kept candidates decide, so t2 is kept."""
+    t0 = np.array([1.0, 2.0, 3.0j])
+    tuples = np.array([t0, t0 + 0.9e-7, t0 + 10.4e-7])
+    monkeypatch.setattr(algebra_module, "_rayleigh_tuples", lambda algebra, vecs: tuples)
+    monkeypatch.setattr(algebra_module, "_character_mask",
+                        lambda algebra, rows, tol: np.ones(len(rows), dtype=bool))
+    got = algebra_module._semisimple_characters(function_algebra(3), 1e-8)
+    assert len(reference_dedupe(tuples)) == len(got) == 2
+    np.testing.assert_array_equal([ch.functional for ch in got], tuples[[0, 2]])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_character_order_is_the_tuple_key_sort(monkeypatch, seed):
+    """characters() orders by the (re, im) coordinates rounded to 9 digits,
+    as the sort with tuple keys did: ties keep their order, -0.0 equals
+    0.0, and values equal after rounding tie."""
+    rng = np.random.default_rng(seed)
+    alg = function_algebra(3)
+    parts = [0.0, -0.0, -1e-12, 1e-12, 0.5, 0.5 + 1e-11, 0.5000000004, 0.5000000006, -0.25]
+    rows = rng.choice(parts, size=(int(rng.integers(0, 24)), 3, 2))
+    found = [Character(alg, r[:, 0] + 1j * r[:, 1]) for r in rows]
+    for ch, r in zip(found, rows):  # keep every -0.0 the draw made
+        ch.functional.real[:], ch.functional.imag[:] = r[:, 0], r[:, 1]
+    monkeypatch.setattr(algebra_module, "_semisimple_characters", lambda algebra, tol: list(found))
+    want = sorted(found, key=lambda c: tuple(np.round(c.functional.view(float), 9)))
+    assert [id(c) for c in characters(alg)] == [id(c) for c in want]

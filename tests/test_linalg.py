@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from diffalg import _linalg
 from diffalg._linalg import (
     as_matrix,
-    cluster_values,
+    apply_rows,
+    close_mask,
     eigenspace,
     in_span,
     null_space,
@@ -144,6 +146,20 @@ def test_eigenspace_of_complex_non_hermitian(seed, n):
     assert eigenspace(m, 10.0).shape[0] == 0
 
 
+def cluster_values(values, tol: float = 1e-7) -> list[complex]:
+    """Greedy clustering of complex values, one representative each: the
+    earlier `_linalg.cluster_values`, kept as the reference of the
+    eigenvalue tests of character extraction."""
+    reps: list[complex] = []
+    for v in values:
+        for r in reps:
+            if abs(v - r) <= tol:
+                break
+        else:
+            reps.append(complex(v))
+    return reps
+
+
 def test_cluster_values_merges_close_points():
     vals = [1.0, 1.0 + 1e-9, 2.0, 2.0 - 1e-9, 5.0j]
     out = cluster_values(vals, tol=1e-7)
@@ -197,3 +213,52 @@ def test_two_dimensional_arrays_pass_through():
         as_matrix(np.zeros((0, 3)))
     with pytest.raises(ValueError, match="expected row width 5"):
         as_matrix(real, 5)
+
+
+def brute_close(a, b, tol):
+    """Every pair's max-norm distance, as one (m, p, n) array."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2, initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("direct", [0, _linalg._CLOSE_DIRECT], ids=["screened", "direct"])
+@pytest.mark.parametrize("seed", range(20))
+def test_close_mask_equals_the_max_norm_of_every_pair(seed, direct, monkeypatch):
+    """Rows of b are rows of a moved by up to a few tol (on either side of it,
+    and exactly by it; the first three within it), scaled from 1e-9 to 1e200, where the squared norms
+    overflow; some entries are NaN or inf."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    tol = float(rng.choice([1e-7, 1e-3, 2.0]))
+    a = (rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))) * rng.choice(
+        [1e-9, 1.0, 1e3, 1e150, 1e200], size=(7, 1))
+    pick = rng.integers(0, 7, size=9)
+    steps = rng.choice([0.0, 0.5, 0.999, 1.0, 1.001, 3.0], size=(9, n)) * tol
+    steps[:3] = rng.choice([0.0, 0.5, 1.0], size=(3, n)) * tol  # within tol
+    b = a[pick] + steps * np.exp(2j * np.pi * rng.choice([0.0, 0.25, 0.125], size=(9, n)))
+    if seed % 4 == 1:
+        a[0, 0] = np.nan
+        b[1, -1] = np.inf
+        b[2] = a[3]
+        b[2, 0] = a[3, 0] = -np.inf
+    want = brute_close(a, b, tol)
+    monkeypatch.setattr(_linalg, "_CLOSE_DIRECT", direct)
+    np.testing.assert_array_equal(close_mask(a, b, tol), want)
+    assert want.any()
+
+
+@pytest.mark.parametrize("direct", [0, _linalg._CLOSE_DIRECT], ids=["screened", "direct"])
+def test_close_mask_of_empty_stacks(direct, monkeypatch):
+    monkeypatch.setattr(_linalg, "_CLOSE_DIRECT", direct)
+    a = np.ones((3, 4), dtype=complex)
+    assert close_mask(a, a[:0], 1e-7).shape == (3, 0)
+    assert close_mask(a[:0], a, 1e-7).shape == (0, 3)
+    assert close_mask(np.zeros((2, 0)), np.zeros((3, 0)), 1e-7).all()
+
+
+def test_apply_rows_is_one_product_per_row(rng):
+    m = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    vs = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+    got = apply_rows(m, vs)
+    assert got.shape == (3, 2, 5)
+    np.testing.assert_array_equal(got.reshape(-1, 5), [m @ v for v in vs.reshape(-1, 4)])

@@ -2,6 +2,9 @@
 subalgebras, and kernel-ideal identities for commutative-source maps."""
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -28,6 +31,9 @@ from diffalg import (
     value_bundle,
 )
 from diffalg import spectra
+from test_basis_change import change_basis, unitary
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # -- groups and transforms ----------------------------------------------------
@@ -363,3 +369,220 @@ def test_generated_ideals_match_the_product_loop(name):
         # the same generators, up to the rounding of one product per vector
         rows = phi.target.left_mul_matrix(t.kernel().basis @ phi.matrix.T).swapaxes(1, 2)
         np.testing.assert_allclose(rows.reshape(want.shape), want, rtol=0, atol=1e-14)
+
+
+# -- stacked sampled identities against the per-pair loops ----------------------
+
+
+def reference_fourier_residuals(factors, seed=0, pairs=10) -> dict:
+    """The sampled identities of fourier_check as they ran before the pairs
+    were drawn and checked as one stack: one pair at a time, the
+    convolution over the whole addition table, residuals folded with the
+    builtin max. Above order 256 the round-trip draws come first."""
+    group = FiniteAbelianGroup(factors)
+    d = group.order
+    rng = np.random.default_rng(seed)
+    phi = fourier_matrix(group)
+    out = {}
+    if d > 256:
+        round_trip = 0.0
+        for _ in range(8):
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            y = phi.conj().T @ (phi @ x) / d
+            round_trip = max(round_trip, float(np.abs(y - x).max() / np.abs(x).max()))
+        out["round_trip_residual"] = round_trip
+    table, neg = group.addition_table().ravel(), group.negation()
+    conv_res = inv_res = 0.0
+    for _ in range(pairs):
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        a /= np.abs(a).max()
+        b /= np.abs(b).max()
+        fa, fb = phi @ a, phi @ b
+        ab = np.zeros(d, dtype=complex)
+        np.add.at(ab, table, np.outer(a, b).ravel())
+        scale = 1.0 + float(np.abs(fa).max() * np.abs(fb).max())
+        conv_res = max(conv_res, float(np.abs(phi @ ab - fa * fb).max()) / scale)
+        inv_res = max(inv_res, float(np.abs(phi @ np.conj(a[neg]) - np.conj(fa)).max())
+                      / (1.0 + float(np.abs(fa).max())))
+    out["convolution_residual"] = conv_res
+    out["involution_residual"] = inv_res
+    out["state"] = rng.bit_generator.state
+    return out
+
+
+def reference_dauns_hofmann_residuals(algebra, seed=0, pairs=20) -> dict:
+    """The sampled identities of dauns_hofmann_check one pair at a time,
+    with the products and involutions written out on the tensors."""
+    center = spectra.centralizer(algebra, Subspace.whole(algebra))
+    bundle = value_bundle(spectra.subalgebra(algebra, center.basis)[1])
+    v, total = bundle.section.matrix, bundle.total
+
+    def mul(alg, x, y):
+        d = alg.dim
+        return y @ (x @ alg.structure.reshape(d, d * d)).reshape(d, d)
+
+    rng = np.random.default_rng(seed)
+    mult_res = star_res = 0.0
+    for _ in range(pairs):
+        x = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+        y = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+        x /= np.abs(x).max()
+        y /= np.abs(y).max()
+        mult_res = max(mult_res, float(np.abs(v @ mul(algebra, x, y)
+                                              - mul(total, v @ x, v @ y)).max()))
+        star_res = max(star_res, float(np.abs(v @ (algebra.involution @ np.conj(x))
+                                              - total.involution @ np.conj(v @ x)).max()))
+    return {"mult_residual": mult_res, "star_residual": star_res,
+            "state": rng.bit_generator.state}
+
+
+def _recording_rng(monkeypatch):
+    """Patches np.random.default_rng so that the generators made are kept."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(*args, **kw):
+        made.append(default_rng(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
+FOURIER_GROUPS = [(2,), (3,), (4,), (2, 2), (6,), (4, 2), (3, 3), (8, 2), (5, 7),
+                  (4, 4, 2), (8, 8)]
+
+
+@pytest.mark.parametrize("factors", FOURIER_GROUPS + [(16, 16), (8, 8, 8)])
+@pytest.mark.parametrize("seed,pairs", [(0, 10), (5, 10), (3, 1), (0, 0)])
+def test_fourier_residuals_equal_the_per_pair_loop(factors, seed, pairs, monkeypatch):
+    want = reference_fourier_residuals(factors, seed, pairs)
+    made = _recording_rng(monkeypatch)
+    rep = fourier_check(list(factors), seed=seed, pairs=pairs)
+    for key in ("convolution_residual", "involution_residual", "round_trip_residual"):
+        if key in want:
+            assert rep[key] == want[key], key
+    if math.prod(factors) <= 64:  # nothing is drawn after the pairs
+        assert made[0].bit_generator.state == want["state"]
+    if pairs == 0:
+        assert rep["convolution_residual"] == rep["involution_residual"] == 0.0
+    assert rep["ok"]
+
+
+def _corpus_block_algebras():
+    """The block algebras of the dauns-hofmann requests of perfbench's
+    dense-laws corpus, in each block order."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    orders = [[2, 2, 1], [2, 1, 2], [1, 2, 2], [2, 3], [3, 2]]
+    return {"blocks-" + "-".join(map(str, o)):
+            StructureAlgebra.from_dict(workloads._block_algebra(o)) for o in orders}
+
+
+def _dauns_hofmann_algebras():
+    out = _corpus_block_algebras()
+    # the four algebras of selftest's spectra_checks
+    out["matrix:2+matrix:3"] = direct_sum(matrix_algebra(2), matrix_algebra(3))
+    out["matrix:3"] = matrix_algebra(3)
+    out["func:4"] = function_algebra(4)
+    out["matrix:2+func:2"] = direct_sum(matrix_algebra(2), function_algebra(2))
+    out["conjugated matrix:2+func:2"] = change_basis(out["matrix:2+func:2"], unitary(3, 6))
+    return out
+
+
+DH_ALGEBRAS = _dauns_hofmann_algebras()
+
+
+@pytest.mark.parametrize("name", list(DH_ALGEBRAS))
+@pytest.mark.parametrize("seed,pairs", [(0, 20), (7, 20), (2, 1), (0, 0)])
+def test_dauns_hofmann_residuals_equal_the_per_pair_loop(name, seed, pairs, monkeypatch):
+    algebra = DH_ALGEBRAS[name]
+    want = reference_dauns_hofmann_residuals(algebra, seed, pairs)
+    made = _recording_rng(monkeypatch)
+    rep = dauns_hofmann_check(algebra, seed=seed, pairs=pairs)
+    assert rep["mult_residual"] == want["mult_residual"]
+    assert rep["star_residual"] == want["star_residual"]
+    assert made[-1].bit_generator.state == want["state"]
+    if pairs == 0:
+        assert rep["mult_residual"] == rep["star_residual"] == 0.0
+    assert rep["ok"]
+
+
+def test_stacked_products_equal_one_pair_at_a_time(rng):
+    alg = change_basis(direct_sum(matrix_algebra(2), function_algebra(1)), unitary(1, 5))
+    x, y = rng.standard_normal((2, 3, 2, 5)) + 1j * rng.standard_normal((2, 3, 2, 5))
+    pairs = list(zip(x.reshape(-1, 5), y.reshape(-1, 5)))
+    np.testing.assert_array_equal(alg.mul_coords(x, y).reshape(-1, 5),
+                                  [alg.mul_coords(a, b) for a, b in pairs])
+    np.testing.assert_array_equal(alg.star_coords(x).reshape(-1, 5),
+                                  [alg.star_coords(a) for a, _ in pairs])
+    group = FiniteAbelianGroup((4, 3))
+    x, y = rng.standard_normal((2, 4, 12)) + 1j * rng.standard_normal((2, 4, 12))
+    np.testing.assert_array_equal(group.convolve(x, y), [group.convolve(a, b) for a, b in zip(x, y)])
+    np.testing.assert_array_equal(group.involve(x), [group.involve(a) for a in x])
+
+
+def test_a_nan_product_fails_the_fourier_check(monkeypatch):
+    """The builtin max(0.0, nan) is 0.0, so the per-pair loop dropped a NaN
+    residual and could report ok; the stacked maximum keeps it."""
+    assert max(0.0, float("nan")) == 0.0
+    convolve = FiniteAbelianGroup.convolve
+
+    def nan_in_one_pair(self, alpha, beta):
+        out = convolve(self, alpha, beta)
+        out[..., -1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(FiniteAbelianGroup, "convolve", nan_in_one_pair)
+    rep = fourier_check("Z4xZ2")
+    assert math.isnan(rep["convolution_residual"])
+    assert rep["involution_residual"] <= 1e-10
+    assert rep["ok"] is False
+
+
+def test_a_nan_product_fails_the_dauns_hofmann_check(monkeypatch):
+    alg = direct_sum(matrix_algebra(2), function_algebra(2))
+    products = alg.mul_coords
+
+    def nan_in_one_pair(x, y):
+        out = products(x, y)
+        out[..., -1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(alg, "mul_coords", nan_in_one_pair)
+    rep = dauns_hofmann_check(alg)
+    assert math.isnan(rep["mult_residual"])
+    assert rep["star_residual"] <= 1e-8
+    assert rep["ok"] is False
+
+
+def test_convolve_blocks_count_the_whole_stack(monkeypatch):
+    """Each scatter holds at most _CONVOLVE_BLOCK addition-table entries
+    over the whole stack, and the scatters cover every pair once."""
+    sizes = []
+
+    class RecordingAdd:
+        @staticmethod
+        def at(out, at, values):
+            sizes.append(values.size)
+            np.add.at(out, at, values)
+
+    class RecordingNumpy:
+        add = RecordingAdd
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    group = FiniteAbelianGroup((16, 8))
+    monkeypatch.setattr(spectra, "np", RecordingNumpy())
+    for block, pairs in ((1000, 5), (100, 5), (4096, 40)):
+        monkeypatch.setattr(spectra, "_CONVOLVE_BLOCK", block)
+        sizes.clear()
+        stack = np.ones((pairs, group.order), dtype=complex)
+        out = group.convolve(stack, stack)
+        assert max(sizes) <= max(block, group.order)
+        assert sum(sizes) == pairs * group.order ** 2
+        np.testing.assert_array_equal(out, np.full((pairs, group.order), float(group.order)))

@@ -22,9 +22,11 @@ wake-up stalls do not read as request time. Its timings are not used.
 
 Prints a header naming the BLAS thread settings it ran under
 (OPENBLAS_NUM_THREADS and OMP_NUM_THREADS), the pass-time ratio B/A of
-each pass and their median, p50 and p90 of each side, the per-class
-medians and their ratio, and the number of requests whose (exit code,
-stdout) differ between A and B. One slow request moves a ratio of pass
+each pass and their median, p50 and p90 of each side with the p90 of each
+of its passes, the p90 band (per class, how many requests of all passes
+of a side took at least that side's pooled p90), the per-class medians
+and their ratio, and the number of requests whose (exit code, stdout)
+differ between A and B. One slow request moves a ratio of pass
 sums, so two steadier summaries are printed next to it: the median of the
 per-request ratios B/A, and the mean of the per-class ratios weighted by
 each class's count of requests in a pass. Exits 1 when any pair differs,
@@ -81,6 +83,19 @@ def blas_threads() -> str:
 
 def p90(samples: list[float]) -> float:
     return statistics.quantiles(samples, n=10)[8] if len(samples) > 1 else samples[0]
+
+
+def p90_band(classes: list[str], side) -> dict[str, int]:
+    """{class: count of its requests, over all passes of one side, at or
+    above that side's pooled p90}, in order of first appearance; side[pass][n]
+    holds the seconds of request n, of class classes[n]. These requests
+    make the p90, so a claim about it names them."""
+    cut = p90([t for one_pass in side for t in one_pass])
+    counts = dict.fromkeys(classes, 0)
+    for one_pass in side:
+        for cls, t in zip(classes, one_pass):
+            counts[cls] += t >= cut
+    return {cls: n for cls, n in counts.items() if n}
 
 
 def first_side(pass_index: int, n: int) -> int:
@@ -180,7 +195,12 @@ def main(argv=None) -> int:
     for label, side in zip("AB", times):
         flat = [t for one_pass in side for t in one_pass]
         print(f"{label}: p50 {1000 * statistics.median(flat):.3f} ms, "
-              f"p90 {1000 * p90(flat):.3f} ms")
+              f"p90 {1000 * p90(flat):.3f} ms; p90 of each pass: "
+              + " ".join(f"{1000 * p90(one_pass):.3f}" for one_pass in side) + " ms")
+    bands = [p90_band(classes, side) for side in times]
+    print(f"{'p90 band (requests >= pooled p90)':<34} {'A':>4} {'B':>4}")
+    for cls in (cls for cls in dict.fromkeys(classes) if cls in bands[0] or cls in bands[1]):
+        print(f"{cls:<34} {bands[0].get(cls, 0):4d} {bands[1].get(cls, 0):4d}")
     print(f"{'class':<24} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
     for cls, (ma, mb) in class_medians(classes, times).items():
         print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f}")
