@@ -162,15 +162,10 @@ def apply_rows(m: np.ndarray, vs) -> np.ndarray:
     return (m @ np.asarray(vs)[..., None])[..., 0]
 
 
-# Entries m * p * n up to which close_mask compares every pair directly.
-_CLOSE_DIRECT = 2 ** 12
-
-
 def close_mask(a, b, tol: float) -> np.ndarray:
     """mask[i, j] = max_k |a[i, k] - b[j, k]| <= tol for the rows of a
     (m, n) and b (p, n): that expression decides each pair that passes a
-    screen, and no pair that fails the screen can satisfy it. Small inputs
-    (up to _CLOSE_DIRECT entries over all pairs) skip the screen.
+    screen, and no pair that fails the screen can satisfy it.
 
     A pair within tol in the max norm is within sqrt(n) tol in the 2-norm,
     so the squared distances |a_i|^2 + |b_j|^2 - 2 Re(a_i . conj(b_j)), read
@@ -183,8 +178,6 @@ def close_mask(a, b, tol: float) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     n = a.shape[1]
     with np.errstate(invalid="ignore", over="ignore"):
-        if len(a) * len(b) * n <= _CLOSE_DIRECT:
-            return np.abs(a[:, None] - b).max(axis=2, initial=0.0) <= tol
         na, nb = np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1)
         dist = (na ** 2)[:, None] + nb ** 2 - 2.0 * (a @ b.conj().T).real
         margin = (4 * n + 8) * np.finfo(float).eps * (na[:, None] + nb) ** 2

@@ -35,12 +35,11 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
         assert line.startswith(f"{label}: p50 ") and line.endswith(" ms")
         assert len(line.split("p90 of each pass: ")[1].split()) == 2 + 1  # two passes, "ms"
     assert lines[5].split() == ["p90", "band", "(requests", ">=", "pooled", "p90)", "A", "B"]
-    # 3 requests x 2 passes: the pooled p90 of six times lies above the
-    # fifth largest (above the largest when it extrapolates), so at most one
-    # request of a side makes its band
+    # 3 requests x 2 passes: the pooled p90 of six times lies between the
+    # fifth largest and the largest, so the largest alone makes each band
     table = lines.index(next(line for line in lines if line.startswith("class ")))
     band = [line.split() for line in lines[6:table]]
-    assert all(sum(int(row[side]) for row in band) <= 1 for side in (1, 2))
+    assert all(sum(int(row[side]) for row in band) == 1 for side in (1, 2))
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -121,9 +120,20 @@ def test_the_p90_band_counts_the_requests_at_or_above_the_pooled_p90():
     ab = _ab_pairs()
     classes = ["x"] * 5 + ["y"] * 3 + ["z"] * 2
     side = [[1.0] * 5 + [2.0] * 3 + [3.0, 4.0], [1.0] * 5 + [2.0] * 3 + [3.0, 9.0]]
-    assert ab.p90(side[0] + side[1]) == pytest.approx(3.9)
+    assert ab.p90(side[0] + side[1]) == pytest.approx(3.1)
     assert ab.p90_band(classes, side) == {"z": 2}
     flat = [[5.0] * 10, [5.0] * 10]
     assert ab.p90_band(classes, flat) == {"x": 10, "y": 6, "z": 4}
     slow_y = [[1.0] * 5 + [7.0] * 3 + [1.0, 1.0]] * 2
     assert ab.p90_band(classes, slow_y) == {"y": 6}
+
+
+def test_the_p90_of_few_samples_lies_within_them():
+    """Below ten samples the p90 interpolates between the two largest
+    instead of extrapolating above the largest, so a short pass still has
+    its slowest request in the band."""
+    ab = _ab_pairs()
+    assert ab.p90([1.0, 2.0, 3.0]) == pytest.approx(2.8)
+    assert ab.p90([4.0, 1.0, 2.0, 3.0, 5.0, 6.0]) == pytest.approx(5.5)
+    assert ab.p90([7.0]) == 7.0
+    assert ab.p90_band(["x", "y", "z"], [[1.0, 3.0, 2.0], [1.0, 2.0, 2.5]]) == {"y": 1}

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from diffalg import _linalg
 from diffalg._linalg import (
     as_matrix,
     apply_rows,
@@ -221,9 +220,8 @@ def brute_close(a, b, tol):
         return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2, initial=0.0) <= tol
 
 
-@pytest.mark.parametrize("direct", [0, _linalg._CLOSE_DIRECT], ids=["screened", "direct"])
 @pytest.mark.parametrize("seed", range(20))
-def test_close_mask_equals_the_max_norm_of_every_pair(seed, direct, monkeypatch):
+def test_close_mask_equals_the_max_norm_of_every_pair(seed):
     """Rows of b are rows of a moved by up to a few tol (on either side of it,
     and exactly by it; the first three within it), scaled from 1e-9 to 1e200, where the squared norms
     overflow; some entries are NaN or inf."""
@@ -242,14 +240,11 @@ def test_close_mask_equals_the_max_norm_of_every_pair(seed, direct, monkeypatch)
         b[2] = a[3]
         b[2, 0] = a[3, 0] = -np.inf
     want = brute_close(a, b, tol)
-    monkeypatch.setattr(_linalg, "_CLOSE_DIRECT", direct)
     np.testing.assert_array_equal(close_mask(a, b, tol), want)
     assert want.any()
 
 
-@pytest.mark.parametrize("direct", [0, _linalg._CLOSE_DIRECT], ids=["screened", "direct"])
-def test_close_mask_of_empty_stacks(direct, monkeypatch):
-    monkeypatch.setattr(_linalg, "_CLOSE_DIRECT", direct)
+def test_close_mask_of_empty_stacks():
     a = np.ones((3, 4), dtype=complex)
     assert close_mask(a, a[:0], 1e-7).shape == (3, 0)
     assert close_mask(a[:0], a, 1e-7).shape == (0, 3)
