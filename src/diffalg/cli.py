@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import _linalg as la
-from ._input import Fields, algebra, array, envelope_options, indices, sized
+from ._input import Fields, algebra, array, envelope_options, indices, integer, sized, tolerance
 from .algebra import (Character, LinearOp, PolyAlgebra, function_algebra,
                       matrix_algebra, direct_sum, truncated_poly)
 from .dersys import DerivativeSystem, _pack, from_homomorphism, verify_system
@@ -621,7 +621,7 @@ def _sweep_spectra(seed):
 
 def cmd_selftest(data, args):
     rng = np.random.default_rng(args.seed)
-    n = max(1, args.instances)
+    n = args.instances
     suites = [
         _sweep_series(rng, n),
         _sweep_dersys(rng, max(5, n // 2)),
@@ -656,6 +656,16 @@ HANDLERS = {
 _INLINE_OK = {"algebra-check", "dauns-hofmann", "fourier"}
 
 
+def _flag(parse, rule, *bounds):
+    """An argparse type: the text read by `parse` and checked by its input rule."""
+    def check(text):
+        try:
+            return rule("value", parse(text), *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffalg",
@@ -664,12 +674,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "tangent data, density certificates, fiberwise "
                     "decompositions, and the finite Fourier analogue.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_flag(int, integer, 0), default=0,
                         help="seed for randomized sweeps (recorded in the report)")
-    common.add_argument("--tol-zero", type=float, default=1e-9,
+    common.add_argument("--tol-zero", type=_flag(float, tolerance), default=1e-9,
                         help="zero-test tolerance")
     common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument("--instances", type=int, default=100,
+    common.add_argument("--instances", type=_flag(int, integer, 1), default=100,
                         help="instance count for randomized sweeps")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     helps = {

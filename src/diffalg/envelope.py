@@ -375,24 +375,13 @@ def _grid_axes(box, grid: int) -> list[np.ndarray]:
             for i, (lo, hi) in enumerate(box)]
 
 
-def _flat_points(axes: list[np.ndarray]) -> list[np.ndarray]:
-    """The coordinate arrays of every sample point, in C order of the axes:
-    what np.meshgrid(..., indexing="ij") gives, raveled."""
-    shape = np.broadcast_shapes(*(ax.shape for ax in axes))
-    return [np.broadcast_to(ax, shape).ravel() for ax in axes]
-
-
-def _grid_points(box, grid: int) -> list[np.ndarray]:
-    return _flat_points(_grid_axes(box, grid))
-
-
 class _Sample:
     """A request's sample grid and what the certificates read of it: the
     broadcastable axes, the generator values as (points, k) and the
     Jacobian as (m, k, points), contiguous over the points. The flat
-    coordinate arrays are built on first use, once; a PASS never reads
-    them. `witnesses` takes each certificate's ordered witness point
-    indices, by condition name, for envelope_verdict."""
+    coordinate arrays and the point codes are built on first use, once; a
+    PASS never reads them. `witnesses` takes each certificate's ordered
+    witness point indices, by condition name, for envelope_verdict."""
 
     def __init__(self, axes: list[np.ndarray]):
         self.axes = axes
@@ -402,7 +391,21 @@ class _Sample:
 
     @functools.cached_property
     def grids(self) -> list[np.ndarray]:
-        return _flat_points(self.axes)
+        """The coordinate arrays of every sample point, in C order of the
+        axes: what np.meshgrid(..., indexing="ij") gives, raveled."""
+        shape = np.broadcast_shapes(*(ax.shape for ax in self.axes))
+        return [np.broadcast_to(ax, shape).ravel() for ax in self.axes]
+
+    @functools.cached_property
+    def codes(self) -> np.ndarray:
+        """Point codes in the order of coordinate tuples: the mixed-radix
+        number of the point's ranks among each axis's distinct coordinates
+        (so -0.0 and 0.0 tie, as repeats do), the first axis most significant."""
+        code = 0
+        for ax in self.axes:
+            distinct, rank = np.unique(ax.ravel(), return_inverse=True)
+            code = code * len(distinct) + rank.reshape(ax.shape)
+        return np.ravel(code)
 
 
 def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
@@ -450,38 +453,8 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
     return sample
 
 
-def _lex_order(grids, *points) -> np.ndarray:
-    """The stable order of equal-length point index arrays by coordinates:
-    the first array's axes are the most significant keys, as in tuple
-    comparison (so -0.0 and 0.0 tie)."""
-    return np.lexsort([g[p] for p in reversed(points) for g in reversed(grids)])
-
-
 def _point_tuples(grids, points: np.ndarray) -> list[tuple]:
     return list(zip(*[g[points].tolist() for g in grids]))
-
-
-def _coordinate_order(grids, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairs (a, b) of point indices, a < b, as the 2 x P array that
-    sorted(set(tuple(sorted((pa, pb))))) gives for their coordinate tuples.
-
-    Each pair is put in coordinate order and the pairs are ordered by
-    coordinates; index order is not coordinate order, since a box may have
-    lo > hi. A pair equal in coordinates to an earlier one (an axis with
-    repeated coordinates) is dropped, and the first in (a, b) order stays,
-    as the set keeps it.
-    """
-    swap = np.zeros(len(a), dtype=bool)
-    for g in reversed(grids):
-        ga, gb = g[a], g[b]
-        swap = np.where(ga != gb, gb < ga, swap)
-    pairs = np.where(swap, np.stack([b, a]), np.stack([a, b]))
-    pairs = pairs[:, _lex_order(grids, *pairs)]
-    repeated = np.ones(pairs.shape[1], dtype=bool)
-    repeated[:1] = False
-    for c in (g[p] for p in pairs for g in grids):
-        repeated[1:] &= c[1:] == c[:-1]
-    return pairs[:, ~repeated]
 
 
 def _candidate_counts(key: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -506,13 +479,15 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     absolute tol, sorted, each as (smaller point, larger point) by
     coordinate tuples; empty means no violation on this sample.
 
-    A sort-and-sweep (Bentley & Friedman) finds every such pair: the points
-    are sorted by the key w . f, with fixed positive weights w of sum 1 (so
-    the key cannot overflow), and a point's candidates are the later points
-    whose key is within tol plus a bound on the keys' rounding, since
+    A sort-and-sweep (Bentley & Friedman) finds every such pair: with the
+    key w . f, fixed positive weights w of sum 1 (so the key cannot
+    overflow), a point's candidates are the later points in key order whose
+    key is within tol plus a bound on the keys' rounding, since
     |w . (f_p - f_q)| <= |f_p - f_q|_inf; each is confirmed at the exact
-    tol. More than MAX_SEPARATION_CANDIDATES distinct
-    candidates (a generator family constant on much of a fine grid) are
+    tol. The keys are sorted alone first, and only points in runs of keys
+    joined by gaps within the widest window are ordered and counted; pairs
+    are ordered by _Sample.codes. More than MAX_SEPARATION_CANDIDATES
+    distinct candidates (a family constant on much of a fine grid) are
     refused with DomainError before any pair is built, and so are values
     that are not finite; a negative or non-finite tol is a ValueError.
     `sample` is the evaluated grid envelope_verdict shares with
@@ -529,30 +504,55 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     # the first k draws of one seeded stream: no weight below half another
     w = np.random.default_rng(1979).uniform(1.0, 2.0, k)
     w /= w.sum()
-    key = values @ w
-    order = np.argsort(key)
-    key = key[order]
+    key, magnitude = values @ w, np.abs(values) @ w
     # a computed key is within k (eps (|f| . w) + eta) / 2 of the exact one,
     # eta for products that underflow (Higham, Accuracy and Stability, 3.1);
     # the window covers both keys of a pair
     fp = np.finfo(float)
-    window = tol + 2 * (k + 1) * (fp.eps * ((np.abs(values) @ w)[order] + tol)
-                                  + fp.smallest_subnormal)
-    count = _candidate_counts(key, window)
-    total = int(count.sum())
-    if total > MAX_SEPARATION_CANDIDATES:
-        raise DomainError(f"separation check has {total} candidate pairs; "
-                          f"at most {MAX_SEPARATION_CANDIDATES}")
+
+    def window(mag):
+        return tol + 2 * (k + 1) * (fp.eps * (mag + tol) + fp.smallest_subnormal)
+
+    # Rounding is monotone, so no window is wider than the one at the
+    # largest magnitude, and the sorted keys between a candidate pair are
+    # joined by gaps within it; without such a gap (every PASS grid) there
+    # is nothing to count, confirm or order.
+    ranked = np.sort(key)
+    joined = np.flatnonzero(ranked[1:] <= ranked[:-1] + window(magnitude.max()))
     pairs = np.empty((2, 0), dtype=np.intp)
-    # no candidate (every PASS grid): nothing to confirm or to order
-    if total:
-        first = np.repeat(np.arange(npts), count)
+    if joined.size:
+        # Picking out the points in runs pays only where they are few: where
+        # at most half are (joined gaps at most a quarter of the points),
+        # only the keys that hash to the bucket of a key in a run are ordered
+        # (Knuth's multiplicative hash of their bits into 2 to 4 npts buckets).
+        if 4 * joined.size > npts:
+            order = np.argsort(key)
+        else:
+            shift = np.uint64(63 - npts.bit_length())
+            hashed = [(x.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> shift
+                      for x in (key, ranked[joined], ranked[joined + 1])]
+            live = np.zeros(2 ** (npts.bit_length() + 1), dtype=bool)
+            live[hashed[1]] = live[hashed[2]] = True
+            near = np.flatnonzero(live[hashed[0]])
+            order = near[np.argsort(key[near])]
+        count = _candidate_counts(key[order], window(magnitude[order]))
+        if (total := int(count.sum())) > MAX_SEPARATION_CANDIDATES:
+            raise DomainError(f"separation check has {total} candidate pairs; "
+                              f"at most {MAX_SEPARATION_CANDIDATES}")
+        first = np.repeat(np.arange(len(order)), count)
         second = first + 1 + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
         a, b = order[first], order[second]
         keep = np.abs(values[a] - values[b]).max(axis=1) <= tol
-        # in (a, b) index order, so of pairs equal in coordinates the first stays
-        codes = np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep])
-        pairs = _coordinate_order(sample.grids, codes // npts, codes % npts)
+        # in (a, b) index order, so of pairs equal in coordinates the first
+        # stays; each pair is put in code order, the pairs sorted by codes
+        a, b = np.divmod(np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep]), npts)
+        if a.size:
+            ca, cb = sample.codes[a], sample.codes[b]
+            index = np.where(cb < ca, cb * npts + ca, ca * npts + cb)
+            order = np.argsort(index, kind="stable")
+            index = index[order]
+            kept = np.concatenate((order[:1], order[1:][index[1:] != index[:-1]]))
+            pairs = np.where(cb < ca, np.stack([b, a]), np.stack([a, b]))[:, kept]
     sample.witnesses["separation"] = pairs
     if shared:
         return None
@@ -760,7 +760,7 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
         sample = _sample(gens, box, grid, values=False)
     points = np.flatnonzero(_rank_deficient(sample.jac, tol_rank))
     if points.size:
-        points = points[_lex_order(sample.grids, points)]
+        points = points[np.argsort(sample.codes[points], kind="stable")]
     sample.witnesses["tangent"] = points
     return None if shared else _point_tuples(sample.grids, points)
 

@@ -47,10 +47,14 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
     ("--passes", "-2", "-2 is not a positive even number"),
     ("--passes", "3", "3 is not a positive even number"),
     ("--limit", "0", "0 is below 1"),
+    ("--workload", "nope", "argument --workload: invalid choice: 'nope'"),
+    ("--seed", "-1", "argument --seed: -1 is below 0"),
+    ("--seed", "x", "argument --seed: invalid int value: 'x'"),
+    ("--passes", "2", "no-such-a has no src/diffalg/cli.py"),
 ])
 def test_bad_pass_counts_and_limits_are_refused_before_loading(flag, value, message):
     """Refused by argparse with exit 2, before either checkout is read:
-    the checkouts named here do not exist."""
+    the checkouts named here do not exist, which is refused last."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), "no-such-a", "no-such-b",
          flag, value], capture_output=True, text=True, timeout=60)

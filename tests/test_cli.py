@@ -610,6 +610,48 @@ def test_seed_recorded(capsys):
     assert rep["seed"] == 7
 
 
+def _refused_flag(capsys, argv, message):
+    """argparse exits 2 with the flag's message and writes no report."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert "input error" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["fourier", "Z4"], ["algebra-check", "func:2"],
+                                  ["algebra-check", "/nonexistent/nope.json"]])
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+def test_negative_seed_is_refused_before_the_input_is_read(capsys, argv, seed):
+    _refused_flag(capsys, argv + ["--seed", seed],
+                  f"argument --seed: value must be >= 0, not {seed}")
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_instances_below_one_are_refused_before_the_input_is_read(capsys, tmp_path, instances):
+    doc = {"source": "poly:1:4", "target": "poly:1:3",
+           "operator": [[0, 1, 0, 0, 0], [0, 0, 2, 0, 0],
+                        [0, 0, 0, 3, 0], [0, 0, 0, 0, 4]],
+           "max_order": 3}
+    message = f"argument --instances: value must be >= 1, not {instances}"
+    for argv in (["difforder", _write(tmp_path, "dord.json", doc)],
+                 ["difforder", "/nonexistent/nope.json"], ["selftest"]):
+        _refused_flag(capsys, argv + ["--instances", instances], message)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-0.5"])
+def test_tol_zero_off_the_tolerance_rule_is_refused_before_the_input_is_read(capsys, tmp_path,
+                                                                              tol):
+    # a broken system: with these tolerances it used to exit 4 (nan) or 3
+    doc = _valid_dersys_doc()
+    doc["ops"][1]["matrix"] = [[[0.0, 0.0], [2.0, 0.0], [0.0, 0.0]]]
+    message = f"argument --tol-zero: value must be finite and non-negative, not {float(tol)!r}"
+    for path in (_write(tmp_path, "bad.json", doc), "/nonexistent/nope.json"):
+        _refused_flag(capsys, ["dersys-verify", path, "--tol-zero", tol], message)
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"m": 3, "generators": ["(var 0)", "(var 1)", "(var 2)"],
       "box": [[-1.0, 1.0]] * 3, "grid": 2001},

@@ -11,8 +11,13 @@ and on subnormal and nearly overflowing entries.
 The separation check searches only the open positions, whose next key is
 in reach; its counts must equal those of a search at every position,
 kept below as the reference, over ties, zero windows and subnormal ones.
+Before that it sorts the keys alone and counts only the points in runs of
+gaps within the widest window; two keys exactly that window apart form a
+run.
 Counting tests pin where the work goes: a plane-pass request sends no
-point to the Jacobi and a plane-fold request only its x = 0 column.
+point to the Jacobi and a plane-fold request only its x = 0 column; the
+plane-pass separation check counts nothing and orders no point, and one
+whose runs hold few points orders only those.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffalg import NumericError, envelope_verdict, parse_expr
+from diffalg import NumericError, envelope_verdict, parse_expr, separation_check
 from diffalg import envelope
 from diffalg.envelope import _candidate_counts, _extreme_singular_values, _rank_deficient
 
@@ -166,3 +171,57 @@ def test_sweep_limit_still_applies_to_undecided_points(monkeypatch):
     assert envelope_verdict(*PLANE_PASS).status == "PASS"
     with pytest.raises(NumericError, match="did not settle in 0 sweeps"):
         envelope_verdict(*PLANE_FOLD)
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Records the sizes of the arrays np.argsort and the candidate count
+    receive during a test."""
+    seen = {"argsort": [], "counts": []}
+    argsort, counts = np.argsort, envelope._candidate_counts
+
+    def record_argsort(a, *args, **kwargs):
+        seen["argsort"].append(np.size(a))
+        return argsort(a, *args, **kwargs)
+
+    def record_counts(key, window):
+        seen["counts"].append(len(key))
+        return counts(key, window)
+
+    monkeypatch.setattr(np, "argsort", record_argsort)
+    monkeypatch.setattr(envelope, "_candidate_counts", record_counts)
+    return seen
+
+
+def test_plane_pass_separation_counts_and_orders_nothing(sweep_calls):
+    assert envelope_verdict(*PLANE_PASS).status == "PASS"
+    assert sweep_calls == {"argsort": [], "counts": []}
+
+
+def test_sparse_runs_order_only_their_points(sweep_calls):
+    # (x^2, y) with x on [-1/16, 1] in steps of 2^-8: the 16 columns with
+    # x < 0 pair with their mirrors, 32 x 273 of the 273^2 points, and no
+    # other values come within 2^-16 of each other
+    gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
+    box, grid = [(-0.0625, 1.0), (0.0, 1.0)], 273
+    xs, ys = (np.linspace(lo, hi, grid).tolist() for lo, hi in box)
+    got = separation_check(gens, box, grid)
+    assert len(got) == 16 * grid
+    assert got == sorted(((-a, y), (a, y)) for a in xs if a > 0 and -a in xs for y in ys)
+    assert sweep_calls["argsort"] and max(sweep_calls["argsort"]) < grid ** 2 // 4
+    assert sweep_calls["counts"] and max(sweep_calls["counts"]) < grid ** 2 // 4
+
+
+@pytest.mark.parametrize("power, joined", [(25, True), (24, False), (26, True)])
+def test_keys_exactly_the_widest_window_apart_form_a_run(sweep_calls, power, joined):
+    # x^p on the grid 0, 1/2, 1, 3/2, 2 with tol 0 has one weight, 1, so the
+    # keys are the values; the widest window is 4 eps 2^p = 2^(p - 50) and
+    # the gap from f(0) = 0 to f(1/2) = 2^-p equals it at p = 25. No window
+    # but the widest reaches that far, so there is no candidate, and without
+    # a witness the point codes are never built.
+    gens = [parse_expr(f"(pow (var 0) {power})", 1)]
+    sample = envelope._sample(gens, [(0.0, 2.0)], 5, jac=False)
+    assert separation_check(gens, [(0.0, 2.0)], 5, 0.0, sample=sample) is None
+    assert sample.witnesses["separation"].shape == (2, 0)
+    assert bool(sweep_calls["counts"]) == joined
+    assert "codes" not in vars(sample)

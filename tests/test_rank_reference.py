@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from diffalg import Prod, Var, envelope_verdict, flat_bump, parse_expr, tangent_rank_check
-from diffalg.envelope import JACOBI_BLOCK, _extreme_singular_values, _grid_points
+from diffalg.envelope import JACOBI_BLOCK, _extreme_singular_values
+
+from test_sample_axes import reference_grid_points
 
 EPS = np.finfo(float).eps
 TOL_RANK = 1e-8
@@ -34,7 +36,7 @@ def reference_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_tangent_rank_check(gens, box, grid: int, tol_rank: float = TOL_RANK) -> list:
-    grids = _grid_points(box, grid)
+    grids = reference_grid_points(box, grid)
     m = len(grids)
     jac = np.empty((len(grids[0]), m, len(gens)), dtype=float)
     for j, g in enumerate(gens):

@@ -19,6 +19,8 @@ from diffalg import envelope
 
 
 def reference_grid_points(box, grid):
+    """The coordinates of every grid point from the full meshgrid, one flat
+    array per axis; the separation and rank references sample on these."""
     axes = [np.linspace(lo, hi, grid) for lo, hi in box]
     return [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
 
@@ -90,7 +92,7 @@ def test_broadcast_sample_is_the_meshgrid_sample(m, form):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_grid_points_are_the_meshgrid(m):
     for grid in GRIDS[m]:
-        for got, want in zip(envelope._grid_points(BOXES[m], grid),
+        for got, want in zip(envelope._Sample(envelope._grid_axes(BOXES[m], grid)).grids,
                              reference_grid_points(BOXES[m], grid)):
             assert got.flags.c_contiguous
             assert np.array_equal(bits(got), bits(want))

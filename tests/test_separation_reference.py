@@ -12,6 +12,14 @@ to 40 and then 101 and 201. Families of k = 1..3 generators c_j + b_j x^2
 whose constants straddle multiples of 0.5e-7 (the bucket edges of the
 earlier rounding scheme, which missed such pairs for k >= 2) are checked
 as a property.
+
+Only the points in runs of sorted keys joined by gaps within the widest
+window are counted, so a family whose widest window dwarfs a near pair's
+own window must still give the reference list, and a refused request
+must name the candidate count of a sweep over every point. The witness
+order comes from integer grid codes; on boxes with descending,
+degenerate and signed-zero axes the separation and tangent lists must be
+the sorted brute-force sets.
 """
 from __future__ import annotations
 
@@ -21,12 +29,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diffalg import Const, DomainError, Prod, Sum, Var, flat_bump, parse_expr, separation_check
-from diffalg.envelope import MAX_SEPARATION_CANDIDATES, _grid_points
+from diffalg import (Const, DomainError, Prod, Sum, Var, flat_bump, parse_expr, separation_check,
+                     tangent_rank_check)
+from diffalg import envelope
+from diffalg.envelope import MAX_SEPARATION_CANDIDATES
+
+from test_sample_axes import reference_grid_points
 
 
 def reference_separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
-    grids = _grid_points(box, grid)
+    grids = reference_grid_points(box, grid)
     values = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
     points = [tuple(p) for p in np.stack(grids, axis=1).tolist()]
     npts = values.shape[0]
@@ -142,3 +154,84 @@ def test_separation_refuses_too_many_candidates():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def reference_sweep(gens, box, grid: int, tol: float = 1e-9) -> tuple[int, int]:
+    """The sweep over every point with the check's keys and windows, all
+    points sorted by one argsort: its candidate count, and the number of
+    sorted gaps within the widest window."""
+    values = envelope._sample(gens, box, grid, jac=False).values
+    k = values.shape[1]
+    w = np.random.default_rng(1979).uniform(1.0, 2.0, k)
+    w /= w.sum()
+    order = np.argsort(values @ w)
+    key = (values @ w)[order]
+    fp = np.finfo(float)
+    window = tol + 2 * (k + 1) * (fp.eps * ((np.abs(values) @ w)[order] + tol)
+                                  + fp.smallest_subnormal)
+    ends = np.searchsorted(key, key + window, side="right")
+    joined = np.count_nonzero(key[1:] <= key[:-1] + window.max())
+    return int((ends - np.arange(1, len(key) + 1)).sum()), joined
+
+
+@pytest.mark.parametrize("gens", [
+    [Const(1.0)],
+    [Const(0.0), Const(-2.5)],
+    [Sum(Const(1.0), Prod(Const(1e-13), Var(0)))],
+    [Sum(Const(-3.0), Prod(Const(4e-13), Prod(Var(0), Var(0)))), Const(1e300)],
+])
+def test_refused_counts_equal_the_sweep_over_every_point(gens):
+    # constant and nearly constant families on 1449 points: every pair is a
+    # candidate, one run holds every point, and the refusal names the count
+    # the sweep over all points makes
+    total, _ = reference_sweep(gens, [(-1.0, 1.0)], 1449)
+    assert total == 1449 * 1448 // 2 > MAX_SEPARATION_CANDIDATES
+    with pytest.raises(DomainError, match=f"has {total} candidate pairs"):
+        separation_check(gens, [(-1.0, 1.0)], 1449)
+
+
+@pytest.mark.parametrize("box, grid", [([(-1.0, 1.0), (0.0, 1.0)], 21),
+                                       ([(-0.25, 1.0), (1.0, 0.0)], 11)])
+def test_widest_window_far_wider_than_a_pairs_own(box, grid):
+    # (x^2, y, 1e12 (x y)^200) is 1e12 at the corner (1, 1) and below 1e-40
+    # wherever |x y| <= 0.6, so the widest window is about 1e-3 and joins
+    # keys whose values are far apart, while the mirror pairs (-x, y),
+    # (x, y) have values of at most 2 and windows near tol
+    gens = [parse_expr("(pow (var 0) 2)", 2), Var(1),
+            parse_expr("(* (const 1e12) (pow (* (var 0) (var 1)) 200))", 2)]
+    assert envelope._sample(gens, box, grid, jac=False).values.max() == 1e12
+    pairs = _same(gens, box, grid)
+    total, joined = reference_sweep(gens, box, grid)
+    # the widest window joins more gaps than the pairs' own windows admit
+    assert 0 < len(pairs) == total < joined
+
+
+AXES = [(-1.0, 1.0), (1.0, -1.0), (0.5, 0.5), (-0.0, 1.0), (1.0, -0.0), (-0.0, 0.0),
+        (0.0, -0.0), (-0.5, 0.5), (0.25, -0.75)]
+FAMILIES = {
+    1: ["(pow (var 0) 2)", "(const 1)", "(* (var 0) (pow (var 0) 2))"],
+    2: ["(pow (var 0) 2)", "(var 1)", "(* (var 0) (var 1))", "(pow (var 1) 2)"],
+    3: ["(pow (var 0) 2)", "(var 1)", "(* (var 1) (var 2))", "(pow (var 2) 2)"],
+}
+
+
+def reference_tangent_points(gens, box, grid: int) -> list:
+    """sorted() of the coordinate tuples of every point the rank
+    certificate's Jacobi, run at every point, counts as a witness."""
+    jac = envelope._sample(gens, box, grid, values=False).jac
+    top, bottom = envelope._extreme_singular_values(jac)
+    points = np.stack(reference_grid_points(box, grid), axis=1)
+    return sorted(map(tuple, points[bottom <= 1e-8 * np.maximum(top, 1.0)].tolist()))
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.sampled_from(AXES), min_size=m, max_size=m),
+    st.lists(st.sampled_from(FAMILIES[m]), min_size=1, max_size=3),
+    st.integers(2, 7 if m < 3 else 4))))
+def test_witness_lists_are_the_sorted_brute_force_sets(case):
+    box, texts, grid = case
+    gens = [parse_expr(text, len(box)) for text in texts]
+    _same(gens, box, grid)
+    got = tangent_rank_check(gens, box, grid)
+    assert repr(got) == repr(reference_tangent_points(gens, box, grid))

@@ -54,8 +54,6 @@ def load_cli(checkout: str, name: str):
     package = os.path.join(os.path.abspath(checkout), "src", "diffalg")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
-    if spec is None:
-        raise SystemExit(f"ab_pairs: no src/diffalg in {checkout}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -144,28 +142,35 @@ def positive_even(text: str) -> int:
     return n
 
 
-def at_least_one(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{text} is below 1")
-    return n
+def at_least(low: int):
+    """An argparse type for an integer of at least `low`."""
+    def check(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{text} is below {low}")
+        return n
+    check.__name__ = "int"  # "invalid int value: ..." for a text that is no integer
+    return check
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from calibration import EVERY_S, calibrate
+    from workloads import WORKLOADS, build_corpus
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="checkout A (the reference)")
     parser.add_argument("b", help="checkout B")
-    parser.add_argument("--workload", default="series-jets")
-    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--workload", default="series-jets", choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=at_least(0), default=5)
     parser.add_argument("--passes", type=positive_even, default=4,
                         help="a positive even number")
-    parser.add_argument("--limit", type=at_least_one,
+    parser.add_argument("--limit", type=at_least(1),
                         help="only the first N requests of the pass")
     args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    from calibration import EVERY_S, calibrate
-    from workloads import build_corpus
+    for checkout in (args.a, args.b):
+        if not os.path.isfile(os.path.join(checkout, "src", "diffalg", "cli.py")):
+            parser.error(f"{checkout} has no src/diffalg/cli.py")
 
     clis = (load_cli(args.a, "diffalg_a"), load_cli(args.b, "diffalg_b"))
     with tempfile.TemporaryDirectory() as workdir:
