@@ -659,11 +659,20 @@ _INLINE_OK = {"algebra-check", "dauns-hofmann", "fourier"}
 def _flag(parse, rule, *bounds):
     """An argparse type: the text read by `parse` and checked by its input rule."""
     def check(text):
+        value = parse(text)  # argparse reports "invalid int value: ..." if this fails
         try:
-            return rule("value", parse(text), *bounds)
+            return rule("value", value, *bounds)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
+    check.__name__ = parse.__name__
     return check
+
+
+def _seed(name, n):
+    """np.random.default_rng takes any integer seed of at least 0."""
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, not {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "tangent data, density certificates, fiberwise "
                     "decompositions, and the finite Fourier analogue.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_flag(int, integer, 0), default=0,
+    common.add_argument("--seed", type=_flag(int, _seed), default=0,
                         help="seed for randomized sweeps (recorded in the report)")
     common.add_argument("--tol-zero", type=_flag(float, tolerance), default=1e-9,
                         help="zero-test tolerance")

@@ -484,9 +484,9 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     overflow), a point's candidates are the later points in key order whose
     key is within tol plus a bound on the keys' rounding, since
     |w . (f_p - f_q)| <= |f_p - f_q|_inf; each is confirmed at the exact
-    tol. The keys are sorted alone first, and only points in runs of keys
-    joined by gaps within the widest window are ordered and counted; pairs
-    are ordered by _Sample.codes. More than MAX_SEPARATION_CANDIDATES
+    tol. The keys are sorted alone first: where no gap between sorted
+    neighbours is within the widest window, nothing is ordered or counted.
+    Pairs are ordered by _Sample.codes. More than MAX_SEPARATION_CANDIDATES
     distinct candidates (a family constant on much of a fine grid) are
     refused with DomainError before any pair is built, and so are values
     that are not finite; a negative or non-finite tol is a ValueError.
@@ -518,23 +518,9 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     # joined by gaps within it; without such a gap (every PASS grid) there
     # is nothing to count, confirm or order.
     ranked = np.sort(key)
-    joined = np.flatnonzero(ranked[1:] <= ranked[:-1] + window(magnitude.max()))
     pairs = np.empty((2, 0), dtype=np.intp)
-    if joined.size:
-        # Picking out the points in runs pays only where they are few: where
-        # at most half are (joined gaps at most a quarter of the points),
-        # only the keys that hash to the bucket of a key in a run are ordered
-        # (Knuth's multiplicative hash of their bits into 2 to 4 npts buckets).
-        if 4 * joined.size > npts:
-            order = np.argsort(key)
-        else:
-            shift = np.uint64(63 - npts.bit_length())
-            hashed = [(x.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> shift
-                      for x in (key, ranked[joined], ranked[joined + 1])]
-            live = np.zeros(2 ** (npts.bit_length() + 1), dtype=bool)
-            live[hashed[1]] = live[hashed[2]] = True
-            near = np.flatnonzero(live[hashed[0]])
-            order = near[np.argsort(key[near])]
+    if (ranked[1:] <= ranked[:-1] + window(magnitude.max())).any():
+        order = np.argsort(key)
         count = _candidate_counts(key[order], window(magnitude[order]))
         if (total := int(count.sum())) > MAX_SEPARATION_CANDIDATES:
             raise DomainError(f"separation check has {total} candidate pairs; "

@@ -629,6 +629,20 @@ def test_negative_seed_is_refused_before_the_input_is_read(capsys, argv, seed):
                   f"argument --seed: value must be >= 0, not {seed}")
 
 
+@pytest.mark.parametrize("flag, text, kind", [("--seed", "x", "int"),
+                                              ("--instances", "1.5", "int"),
+                                              ("--tol-zero", "abc", "float")])
+def test_flag_text_that_does_not_parse_keeps_the_argparse_message(capsys, flag, text, kind):
+    _refused_flag(capsys, ["fourier", "Z4", flag, text],
+                  f"argument {flag}: invalid {kind} value: '{text}'")
+
+
+def test_seeds_beyond_the_64_bit_range_are_taken(capsys):
+    code, rep, _ = run_json(capsys, "fourier", "Z4", "--seed", str(2 ** 64))
+    assert code == 0
+    assert rep["seed"] == 2 ** 64
+
+
 @pytest.mark.parametrize("instances", ["0", "-3"])
 def test_instances_below_one_are_refused_before_the_input_is_read(capsys, tmp_path, instances):
     doc = {"source": "poly:1:4", "target": "poly:1:3",

@@ -11,13 +11,12 @@ and on subnormal and nearly overflowing entries.
 The separation check searches only the open positions, whose next key is
 in reach; its counts must equal those of a search at every position,
 kept below as the reference, over ties, zero windows and subnormal ones.
-Before that it sorts the keys alone and counts only the points in runs of
-gaps within the widest window; two keys exactly that window apart form a
-run.
+Before that it sorts the keys alone and counts nothing unless some gap
+between sorted neighbours is within the widest window; two keys exactly
+that window apart are joined.
 Counting tests pin where the work goes: a plane-pass request sends no
 point to the Jacobi and a plane-fold request only its x = 0 column; the
-plane-pass separation check counts nothing and orders no point, and one
-whose runs hold few points orders only those.
+plane-pass separation check counts nothing and orders no point.
 """
 from __future__ import annotations
 
@@ -196,20 +195,6 @@ def sweep_calls(monkeypatch):
 def test_plane_pass_separation_counts_and_orders_nothing(sweep_calls):
     assert envelope_verdict(*PLANE_PASS).status == "PASS"
     assert sweep_calls == {"argsort": [], "counts": []}
-
-
-def test_sparse_runs_order_only_their_points(sweep_calls):
-    # (x^2, y) with x on [-1/16, 1] in steps of 2^-8: the 16 columns with
-    # x < 0 pair with their mirrors, 32 x 273 of the 273^2 points, and no
-    # other values come within 2^-16 of each other
-    gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
-    box, grid = [(-0.0625, 1.0), (0.0, 1.0)], 273
-    xs, ys = (np.linspace(lo, hi, grid).tolist() for lo, hi in box)
-    got = separation_check(gens, box, grid)
-    assert len(got) == 16 * grid
-    assert got == sorted(((-a, y), (a, y)) for a in xs if a > 0 and -a in xs for y in ys)
-    assert sweep_calls["argsort"] and max(sweep_calls["argsort"]) < grid ** 2 // 4
-    assert sweep_calls["counts"] and max(sweep_calls["counts"]) < grid ** 2 // 4
 
 
 @pytest.mark.parametrize("power, joined", [(25, True), (24, False), (26, True)])
