@@ -30,23 +30,6 @@ ZERO_TOL = 1e-9
 RANK_TOL = 1e-8
 
 
-def as_matrix(rows, width: int | None = None) -> np.ndarray:
-    """Coerce an iterable of coordinate vectors to a complex 2-d array; a
-    2-d array with rows is taken as it is."""
-    if isinstance(rows, np.ndarray) and rows.ndim == 2 and len(rows):
-        a = np.asarray(rows, dtype=complex)
-    else:
-        rows = list(rows)
-        if not rows:
-            if width is None:
-                raise ValueError("cannot infer row width of an empty matrix")
-            return np.zeros((0, width), dtype=complex)
-        a = np.array([np.asarray(r, dtype=complex).ravel() for r in rows])
-    if width is not None and a.shape[1] != width:
-        raise ValueError(f"expected row width {width}, got {a.shape[1]}")
-    return a
-
-
 def rref(a: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form with partial pivoting.
 
@@ -72,17 +55,18 @@ def rref(a: np.ndarray, tol: float = RANK_TOL) -> tuple[np.ndarray, list[int]]:
         if p != r:
             a[[r, p]] = a[[p, r]]
         a[r] = a[r] / a[r, c]
-        for i in range(m):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+        # one rank-one update of every other row; a row with 0 in column c
+        # changes only in the sign of its zeros, which the flush below clears
+        col = a[:, c].copy()
+        col[r] = 0.0
+        a -= col[:, None] * a[r]
         pivots.append(c)
         r += 1
     out = a[: len(pivots)]
     # flush roundoff below threshold so canonical bases compare cleanly
     out = np.where(np.abs(out) <= thresh, 0.0, out)
     # exact zeros on the pivot pattern
-    for i, c in enumerate(pivots):
-        out[i, c] = 1.0
+    out[np.arange(len(pivots)), pivots] = 1.0
     return out, pivots
 
 
@@ -107,15 +91,15 @@ def rank(a: np.ndarray, tol: float = RANK_TOL) -> int:
     return _cut(np.asarray(a, dtype=complex), tol)[0]
 
 
-def span_basis(rows, width: int | None = None, tol: float = RANK_TOL) -> np.ndarray:
-    """Deterministic orthonormal basis of the row span, one vector per row.
+def span_basis(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+    """Deterministic orthonormal basis of the row span of a 2-d array, one
+    vector per row.
 
     Computed by SVD rather than row reduction: echelon bases can acquire
     huge entries when a span nearly misses a leading coordinate, and the
     follow-up membership tests then misjudge such bases.
     """
-    a = as_matrix(rows, width)
-    keep, vh = _cut(a, tol)
+    keep, vh = _cut(np.asarray(a, dtype=complex), tol)
     return vh[:keep]
 
 

@@ -362,8 +362,7 @@ class PolyAlgebra(StructureAlgebra):
         point = np.asarray(point, dtype=float).ravel()
         if point.shape != (self.mvars,):
             raise ValueError("point dimension mismatch")
-        coords = np.asarray(coords, dtype=complex).ravel()
-        return complex(coords @ self.table.monomials(point))
+        return complex(_coords(coords, self) @ self.table.monomials(point))
 
     def __repr__(self):
         return f"<PolyAlgebra m={self.mvars} degree={self.degree}>"
@@ -451,14 +450,50 @@ def re_im(x: Element) -> tuple[Element, Element]:
     return x.re_im()
 
 
+def _coords(x, algebra: StructureAlgebra) -> np.ndarray:
+    """The coordinates of x in algebra, the one reader of an argument that
+    is an element: an Element of algebra, or a coordinate vector (raveled)
+    of length algebra.dim. An Element of another algebra raises
+    DomainError; a vector of another length, or anything that is not a
+    vector of numbers, raises ValueError."""
+    if isinstance(x, Element):
+        if x.algebra is not algebra:
+            raise DomainError("element belongs to a different algebra")
+        return x.coords
+    try:
+        v = np.asarray(x, dtype=complex).ravel()
+    except TypeError:
+        raise ValueError(f"{type(x).__name__} is not a coordinate vector") from None
+    if len(v) != algebra.dim:
+        raise ValueError(f"a vector of length {len(v)} in an algebra of dimension {algebra.dim}")
+    return v
+
+
+def _rows(vectors, algebra: StructureAlgebra) -> np.ndarray:
+    """A spanning set or generator list of algebra as one complex (n, dim)
+    array: a Subspace of algebra gives its basis, a 2-d array its rows as
+    they are (C-contiguous), anything else one row per item through
+    _coords. DomainError for a Subspace or Element of another algebra,
+    ValueError for rows of another length."""
+    if isinstance(vectors, Subspace):
+        if vectors.algebra is not algebra:
+            raise DomainError("subspace belongs to a different algebra")
+        return vectors.basis
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        if vectors.shape[1] != algebra.dim:
+            raise ValueError(f"rows of length {vectors.shape[1]} in an algebra of "
+                             f"dimension {algebra.dim}")
+        return np.ascontiguousarray(vectors, dtype=complex)
+    return np.array([_coords(v, algebra) for v in vectors],
+                    dtype=complex).reshape(-1, algebra.dim)
+
+
 class Subspace:
     """Linear subspace with an orthonormal SVD basis (rows)."""
 
     def __init__(self, algebra: StructureAlgebra, vectors, tol=la.RANK_TOL):
         self.algebra = algebra
-        if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
-            vectors = [v.coords if isinstance(v, Element) else v for v in vectors]
-        self.basis = la.span_basis(vectors, width=algebra.dim, tol=tol)
+        self.basis = la.span_basis(_rows(vectors, algebra), tol=tol)
 
     @classmethod
     def _from_orthonormal(cls, algebra: StructureAlgebra, rows: np.ndarray) -> "Subspace":
@@ -482,17 +517,16 @@ class Subspace:
         return self.basis.shape[0]
 
     def contains(self, x, tol=la.ZERO_TOL) -> bool:
-        v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex)
-        return bool(la.in_span(v.ravel(), self.basis, tol).all())
+        return bool(la.in_span(_coords(x, self.algebra), self.basis, tol).all())
 
     def contains_subspace(self, other: "Subspace", tol=la.ZERO_TOL) -> bool:
-        return bool(la.in_span(other.basis, self.basis, tol).all())
+        return bool(la.in_span(_rows(other, self.algebra), self.basis, tol).all())
 
     def equals(self, other: "Subspace", tol=la.ZERO_TOL) -> bool:
         return self.contains_subspace(other, tol) and other.contains_subspace(self, tol)
 
     def add(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, np.vstack([self.basis, other.basis]))
+        return Subspace(self.algebra, np.vstack([self.basis, _rows(other, self.algebra)]))
 
     def star_closed(self, tol=la.ZERO_TOL) -> bool:
         stars = np.conj(self.basis) @ self.algebra.involution.T
@@ -526,8 +560,7 @@ class Character:
             raise ValueError("functional length mismatch")
 
     def __call__(self, x) -> complex:
-        v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
-        return complex(self.functional @ v)
+        return complex(self.functional @ _coords(x, self.algebra))
 
     def kernel(self) -> Subspace:
         return Subspace(self.algebra, la.null_space(self.functional.reshape(1, -1)))
@@ -832,9 +865,8 @@ def quotient(algebra: StructureAlgebra, ideal: Subspace,
     r, pivots = la.rref(ideal.basis) if ideal.dim else (ideal.basis, [])
     free = [k for k in range(d) if k not in pivots]
     reduce = np.eye(d, dtype=complex)
-    for i, p in enumerate(pivots):
-        reduce[:, p] = -r[i]
-        reduce[p, p] = 0.0
+    reduce[:, pivots] = -r.T
+    reduce[pivots, pivots] = 0.0
     proj = reduce[free, :]
     rep = np.eye(d, dtype=complex)[:, free]
 
@@ -866,8 +898,7 @@ def subalgebra(algebra: StructureAlgebra, vectors,
     involution; otherwise DomainError. The returned algebra uses the
     orthonormal SVD basis of the span.
     """
-    rows = [v.coords if isinstance(v, Element) else v for v in vectors]
-    basis = la.span_basis(rows, width=algebra.dim)
+    basis = la.span_basis(_rows(vectors, algebra))
     if not la.in_span(algebra.unit, basis, tol).all():
         raise DomainError("span does not contain the unit")
     stars = np.conj(basis) @ algebra.involution.T
@@ -898,8 +929,7 @@ class LinearOp:
         self.target = target
 
     def __call__(self, x) -> Element:
-        v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
-        return Element(self.target, self.matrix @ v)
+        return Element(self.target, self.matrix @ _coords(x, self.source))
 
     def compose(self, inner: "LinearOp") -> "LinearOp":
         if inner.target is not self.source:
@@ -1095,6 +1125,20 @@ class _CyclicGroup:
         return self._sum_index(-self._digits)
 
 
+def parse_group_spec(text: str) -> tuple[int, ...]:
+    """The factors of a group spec: "Z4xZ2", "z4xz2" and "4x2" all mean
+    (4, 2). Each factor is ASCII digits with an optional leading "z", at
+    least 1, spaces around it allowed; ValueError otherwise."""
+    factors = []
+    for part in text.strip().lower().split("x"):
+        part = part.strip()
+        digits = part[1:] if part.startswith("z") else part
+        if not re.fullmatch(r"[0-9]+", digits) or int(digits) < 1:
+            raise ValueError(f"group factor {digits!r} is not a positive integer")
+        factors.append(int(digits))
+    return tuple(factors)
+
+
 def group_algebra(factors) -> StructureAlgebra:
     """Group algebra of a product of cyclic groups Z_{n_1} x ... x Z_{n_r}.
 
@@ -1153,9 +1197,8 @@ def algebra_from_name(name: str) -> StructureAlgebra:
         if kind == "poly" and len(parts) == 3:
             return truncated_poly(_size(parts[1]), _size(parts[2]))
         if kind == "group" and len(parts) == 2:
-            factors = [_size(x.lstrip("z")) for x in parts[1].lower().split("x")]
-            if min(factors) >= 1:
-                require_dim(math.prod(factors))
+            factors = parse_group_spec(parts[1])
+            require_dim(math.prod(factors))
             return group_algebra(factors)
         if kind == "cusp" and len(parts) == 1:
             return cusp_algebra()

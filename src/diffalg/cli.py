@@ -105,21 +105,6 @@ def _list_pieces(texts: list[str], level: int) -> list[str]:
     return parts
 
 
-def _float_rows(rows, level: int) -> list[str] | None:
-    """The pieces at `level` of a list of non-empty lists of finite floats,
-    or None if the items are anything else."""
-    inner = "\n" + "  " * (level + 1)
-    out, sep = ["[" + inner], "," + inner
-    for row in rows:
-        texts = _float_texts(row) if type(row) is list and row else None
-        if texts is None:
-            return None
-        out += _list_pieces(texts, level + 1)
-        out.append(sep)
-    out[-1] = "\n" + "  " * level + "]"
-    return out
-
-
 def _complex_rows(items, level: int) -> list[str] | None:
     """The pieces at `level` of a list of complex numbers as their
     [real, imag] rows, or None unless every item is a complex number with
@@ -161,7 +146,6 @@ def _write(obj, level: int, out: list[str]) -> None:
         first = obj[0]
         texts = _float_texts(obj) if isinstance(first, float) else None
         pieces = (_list_pieces(texts, level) if texts is not None else
-                  _float_rows(obj, level) if type(first) is list else
                   _complex_rows(obj, level) if isinstance(first, complex) else None)
         if pieces is not None:
             out += pieces
@@ -291,7 +275,7 @@ def cmd_difforder(data, args):
     else:
         raise ValueError("an explicit action matrix is required for this pair")
     p = RelativeOp(LinearOp(op_mat, source, target), action)
-    gens = list(np.eye(source.dim) if gens is None else gens)
+    gens = np.eye(source.dim) if gens is None else gens
     order = diff_order(p, gens, max_n, tol=max(args.tol_zero, 1e-10),
                        samples=args.instances, seed=args.seed)
     results = {"order": order, "max_order": max_n,

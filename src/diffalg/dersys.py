@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (MAX_NAMED_DIM, Element, LinearOp, PolyAlgebra, StructureAlgebra,
-                      _law_residuals, function_algebra, truncated_poly)
+                      _coords, _law_residuals, function_algebra, truncated_poly)
 from .errors import DomainError, NumericError
 from .multiindex import MonomialTable, MultiIndex, mi_count
 from .series import SeriesStructureAlgebra
@@ -70,15 +70,15 @@ class DerivativeSystem:
             return
         self.stack = np.zeros(shape, dtype=complex)
         for k, mat in ops.items():
-            k = tuple(int(t) for t in k)
-            if k not in self.table.exp_index:
-                raise ValueError(f"operator index {k} is outside the indices of "
-                                 f"order N={order} in m={mvars} variables")
+            try:
+                row = self.table.row(k)
+            except ValueError as exc:
+                raise ValueError(f"operator {exc}") from None
             mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (target.dim, source.dim):
-                raise ValueError(f"operator {k} has shape {mat.shape}, "
-                                 f"expected {(target.dim, source.dim)}")
-            self.stack[self.table.exp_index[k]] = mat
+            if mat.shape != shape[1:]:
+                raise ValueError(f"operator {self.indices[row]} has shape {mat.shape}, "
+                                 f"expected {shape[1:]}")
+            self.stack[row] = mat
 
     @property
     def ops(self) -> MappingProxyType:
@@ -88,16 +88,14 @@ class DerivativeSystem:
         return MappingProxyType(dict(zip(self.indices, rows)))
 
     def op_matrix(self, k: MultiIndex) -> np.ndarray:
-        row = self.table.exp_index.get(tuple(int(t) for t in k))
-        if row is None:
-            return np.zeros((self.target.dim, self.source.dim), dtype=complex)
-        return self.stack[row].copy()
+        """A copy of D_k; ValueError for an index outside the table."""
+        return self.stack[self.table.row(k)].copy()
 
     def op(self, k: MultiIndex) -> LinearOp:
         return LinearOp(self.op_matrix(k), self.source, self.target)
 
-    def apply(self, k: MultiIndex, a: Element) -> Element:
-        return Element(self.target, self.op_matrix(k) @ a.coords)
+    def apply(self, k: MultiIndex, a) -> Element:
+        return Element(self.target, self.stack[self.table.row(k)] @ _coords(a, self.source))
 
     def scale(self) -> float:
         return float(np.abs(self.stack).max())
@@ -252,13 +250,8 @@ def monomial_about(source: PolyAlgebra, point, alpha) -> Element:
 
     x^alpha = sum_{b <= alpha} binom(alpha, b) point^(alpha-b) (x-point)^b.
     """
+    column = source.table.row(alpha)
     point = np.asarray(point, dtype=float).ravel()
-    alpha = tuple(int(t) for t in alpha)
-    if point.shape != (source.mvars,) or len(alpha) != source.mvars:
+    if point.shape != (source.mvars,):
         raise ValueError("dimension mismatch")
-    if min(alpha) < 0:
-        raise ValueError(f"monomial exponents must be nonnegative: {alpha}")
-    if sum(alpha) > source.degree:
-        raise ValueError("monomial degree exceeds the algebra's bound")
-    shift = source.table.shift(point)
-    return Element(source, shift[:, source.exp_index[alpha]].astype(complex))
+    return Element(source, source.table.shift(point)[:, column].astype(complex))

@@ -12,10 +12,11 @@ import numpy as np
 
 from . import _linalg as la
 from .algebra import (_DERIVATION_RUNS, MAX_NAMED_DIM, Character, Element, LinearOp,
-                      PolyAlgebra, StructureAlgebra, Subspace, _law_residuals)
+                      PolyAlgebra, StructureAlgebra, Subspace, _coords, _law_residuals, _rows)
 from .dersys import DerivativeSystem, verify_system
 from .errors import DomainError, NumericError
 from .geometry import TangentVector
+from .multiindex import _integers
 
 __all__ = [
     "RelativeOp",
@@ -70,15 +71,6 @@ class RelativeOp:
 
     def __repr__(self):
         return f"<RelativeOp {self.source.dim}->{self.target.dim}>"
-
-
-def _coords(x, algebra: StructureAlgebra) -> np.ndarray:
-    if isinstance(x, Element) and x.algebra is not algebra:
-        raise DomainError("element belongs to a different algebra")
-    v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
-    if len(v) != algebra.dim:
-        raise DomainError(f"a vector of length {len(v)} in an algebra of dimension {algebra.dim}")
-    return v
 
 
 def commutator(p: RelativeOp, a) -> RelativeOp:
@@ -160,10 +152,9 @@ def diff_order(p: RelativeOp, gens, max_n: int, tol: float = 1e-8,
     """
     if max_n < 0:
         raise ValueError(f"max_order must be >= 0, not {max_n}")
-    gvecs = [_coords(g, p.source) for g in gens]
-    if not gvecs:
+    gvecs = _rows(gens, p.source)
+    if not len(gvecs):
         raise ValueError("need at least one generator")
-    gvecs = np.array(gvecs)
     base = 1.0 + p.norm()
     rng = np.random.default_rng(seed)
     d_b, d_a = p.matrix.shape
@@ -231,10 +222,11 @@ def z_tower_from_images(target: StructureAlgebra, images, depth: int) -> Tower:
     The membership condition is linear in c, so a spanning family of the
     action's image is fully general. Each level is one null-space solve:
     project [b, c] off the previous level and require the remainder zero.
-    Images of another algebra or of another length raise DomainError.
+    Images are read by algebra._rows: one of another algebra raises
+    DomainError, one of another length ValueError.
     """
     d = target.dim
-    cvecs = np.reshape([_coords(c, target) for c in images], (-1, d))
+    cvecs = _rows(images, target)
     ad = target.right_mul_matrix(cvecs)  # ad_c = R_c - L_c, in place
     ad -= target.left_mul_matrix(cvecs)
     levels = [Subspace.zero(target)]
@@ -427,20 +419,19 @@ def multiplication_matrix(source: PolyAlgebra, target: PolyAlgebra,
     g is a sparse polynomial {exponent tuple: coefficient}. Each term x^beta
     is one column of the target's sum table, x^alpha -> x^(alpha + beta);
     source monomials past the target's have degrees above it and go
-    nowhere. An exponent of the wrong length or with a negative entry
-    raises ValueError.
+    nowhere, and so does a term above the target degree. Any other
+    exponent is read by the target's MonomialTable.row, so one of the
+    wrong length or with a negative entry raises ValueError.
     """
     if source.mvars != target.mvars:
         raise ValueError("variable count mismatch")
     mat = np.zeros((target.dim, source.dim), dtype=complex)
     rows = min(source.dim, target.dim)
     for beta, coeff in g.items():
-        beta = tuple(int(t) for t in beta)
-        if len(beta) != target.mvars or min(beta) < 0:
-            raise ValueError(f"bad exponent {beta} for {target.mvars} variables")
-        if sum(beta) > target.degree:
+        beta = _integers(beta)
+        if len(beta) == target.mvars and min(beta) >= 0 and sum(beta) > target.degree:
             continue
-        up = target.table.add[:rows, target.exp_index[beta]]
+        up = target.table.add[:rows, target.table.row(beta)]
         j = np.flatnonzero(up >= 0)
         mat[up[j], j] += coeff
     return mat

@@ -5,6 +5,10 @@ Three failure categories map onto the CLI exit codes: malformed input
 exit 3), and numerical breakdowns such as ambiguous eigenvalue clusters
 (NumericError, exit 4). Any other exception escaping a subcommand is an
 internal error (exit 5).
+
+Examples of malformed input: a coordinate vector or spanning row of
+another length than the algebra's dimension, a multi-index of the wrong
+length, with a negative entry or above the table's order.
 """
 
 

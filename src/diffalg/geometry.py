@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (_DERIVATION_RUNS, _SCALARS, Character, Element, StructureAlgebra,
-                      Subspace, _law_residuals, subspace_product)
+from .algebra import (_DERIVATION_RUNS, _SCALARS, Character, StructureAlgebra, Subspace,
+                      _coords, _law_residuals, subspace_product)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -43,8 +43,7 @@ class TangentVector:
                          if real is None else real)
 
     def __call__(self, x) -> complex:
-        v = x.coords if isinstance(x, Element) else np.asarray(x, dtype=complex).ravel()
-        return complex(self.functional @ v)
+        return complex(self.functional @ _coords(x, self.algebra))
 
     def leibniz_residual(self) -> float:
         rows = np.stack([self.functional, self.point.functional])[:, None]
@@ -113,7 +112,7 @@ def _tangents(algebra: StructureAlgebra, s: Character, square: np.ndarray,
 def _cotangents(algebra: StructureAlgebra, s: Character, kernel: np.ndarray, square: np.ndarray):
     """(classes, pi) from K projected off Q: orthonormal representatives orthogonal
     to span(I_s^2), so column j of pi is their inner products with e_j - s(e_j) 1."""
-    reps = la.span_basis(kernel - (kernel @ square.conj().T) @ square, algebra.dim)
+    reps = la.span_basis(kernel - (kernel @ square.conj().T) @ square)
     classes = [CotangentClass(algebra, s, r, e) for r, e in zip(reps, np.eye(len(reps)))]
     return classes, reps.conj() - np.outer(reps.conj() @ algebra.unit, s.functional)
 
@@ -154,7 +153,7 @@ def cotangent_class(algebra: StructureAlgebra, s: Character, f,
                     tol: float = la.ZERO_TOL) -> CotangentClass:
     """Class of an element of the kernel ideal I_s."""
     _, pi = cotangent_space(algebra, s)
-    v = f.coords if isinstance(f, Element) else np.asarray(f, dtype=complex).ravel()
+    v = _coords(f, algebra)
     if abs(complex(s.functional @ v)) > tol * (1.0 + np.abs(v).max()):
         raise DomainError("representative does not vanish at the base character")
     return CotangentClass(algebra, s, v, pi @ v)

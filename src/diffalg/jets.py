@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import Element, LinearOp, PolyAlgebra, Subspace
+from .algebra import Element, LinearOp, PolyAlgebra, Subspace, _coords
 from .diffcalc import RelativeOp, diff_order
 from .errors import DomainError, NumericError
 from .multiindex import mi_count
@@ -61,22 +61,14 @@ def _check_reach(point: np.ndarray, degree: int) -> None:
 
 
 def _f_coords(algebra: PolyAlgebra, f) -> np.ndarray:
-    if isinstance(f, Element):
-        if f.algebra is not algebra:
-            raise DomainError("polynomial belongs to a different algebra")
-        return f.coords
-    if isinstance(f, dict):
-        out = np.zeros(algebra.dim, dtype=complex)
-        for k, c in f.items():
-            k = tuple(int(t) for t in k)
-            if k not in algebra.exp_index:
-                raise ValueError(f"exponent {k} outside the degree bound")
-            out[algebra.exp_index[k]] = c
-        return out
-    f = np.asarray(f, dtype=complex).ravel()
-    if f.shape != (algebra.dim,):
-        raise ValueError("coefficient vector length mismatch")
-    return f
+    """Coefficients of a polynomial f: a dict {index: coefficient} has its
+    indices read by the monomial table, anything else is read by _coords."""
+    if not isinstance(f, dict):
+        return _coords(f, algebra)
+    out = np.zeros(algebra.dim, dtype=complex)
+    for k, c in f.items():
+        out[algebra.table.row(k)] = c
+    return out
 
 
 def _eval_row(algebra: PolyAlgebra, s: np.ndarray) -> np.ndarray:
@@ -107,8 +99,7 @@ class ChartBasis:
         return self.algebra.table.shift(self.point) @ coords
 
     def from_chart(self, chart_coords) -> np.ndarray:
-        chart_coords = np.asarray(chart_coords, dtype=complex).ravel()
-        return self.matrix @ chart_coords
+        return self.matrix @ _coords(chart_coords, self.algebra)
 
 
 def maximal_ideal(algebra: PolyAlgebra, s) -> Subspace:
@@ -244,7 +235,7 @@ def induced_jet_map(p: RelativeOp, s, n: int, gens=None,
     s_arr = _point(a, s)
     if gens is None:
         # the variables x_i, rows 1 + i of the graded order
-        gens = list(np.eye(a.dim)[1:1 + a.mvars])
+        gens = np.eye(a.dim)[1:1 + a.mvars]
     if diff_order(p, gens, max_n=n, tol=max(tol, 1e-8)) is None:
         raise DomainError(f"operator is not a differential operator of order <= {n}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +26,15 @@ def _check(a: Sequence[int]) -> MultiIndex:
     if any(x < 0 for x in t):
         raise ValueError(f"multi-index entries must be nonnegative: {t}")
     return t
+
+
+def _integers(k) -> MultiIndex:
+    """k as a tuple of Python integers; ValueError if it is not a sequence
+    of integers (floats and strings included)."""
+    try:
+        return tuple(map(operator.index, k))
+    except TypeError:
+        raise ValueError(f"index {k!r} is not a sequence of integers") from None
 
 
 def mi_add(a: Sequence[int], b: Sequence[int]) -> MultiIndex:
@@ -157,6 +167,17 @@ class MonomialTable:
     @property
     def dim(self) -> int:
         return len(self.exponents)
+
+    def row(self, k) -> int:
+        """The row of the multi-index k that a caller passes in: ValueError
+        unless k is a sequence of mvars integers >= 0 of order at most the
+        degree."""
+        k = _integers(k)
+        row = self.exp_index.get(k)
+        if row is None:
+            raise ValueError(f"index {k} is outside the indices of order N={self.degree} "
+                             f"in m={self.mvars} variables")
+        return row
 
     def monomials(self, point) -> np.ndarray:
         """Values point^k of every monomial, one per row."""

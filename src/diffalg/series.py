@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg as la
-from .algebra import MAX_NAMED_DIM, Element, StructureAlgebra, require_dim
+from .algebra import MAX_NAMED_DIM, Element, StructureAlgebra, _coords, require_dim
 from .errors import DomainError
 from .multiindex import MonomialTable, mi_count
 
@@ -77,23 +77,11 @@ class SeriesElement:
     def order(self) -> int:
         return self.table.degree
 
-    def _row(self, k) -> int:
-        k = tuple(int(t) for t in k)
-        if len(k) != self.mvars or any(t < 0 for t in k):
-            raise ValueError(f"bad multi-index {k} for {self.mvars} variables")
-        if sum(k) > self.order:
-            raise ValueError(f"multi-index {k} exceeds truncation order {self.order}")
-        return self.table.exp_index[k]
-
     def __getitem__(self, k) -> np.ndarray:
-        return self.coeffs[self._row(k)].copy()
+        return self.coeffs[self.table.row(k)].copy()
 
     def __setitem__(self, k, value):
-        p = self._row(k)
-        v = value.coords if isinstance(value, Element) else np.asarray(value, dtype=complex).ravel()
-        if v.shape != (self.base.dim,):
-            raise ValueError("coefficient length does not match base algebra")
-        self.coeffs[p] = v
+        self.coeffs[self.table.row(k)] = _coords(value, self.base)
 
     def coefficient(self, k) -> Element:
         return Element(self.base, self[k])
@@ -227,8 +215,5 @@ def series_to_coords(alg: SeriesStructureAlgebra, x: SeriesElement) -> np.ndarra
 
 def coords_to_series(alg: SeriesStructureAlgebra, coords) -> SeriesElement:
     """Inverse of series_to_coords."""
-    coords = np.asarray(coords, dtype=complex).ravel()
-    if coords.shape != (alg.dim,):
-        raise ValueError("coordinate length mismatch")
     return SeriesElement._of(alg.base, alg.table,
-                             coords.reshape(alg.table.dim, alg.base.dim).copy())
+                             _coords(coords, alg).reshape(alg.table.dim, alg.base.dim).copy())

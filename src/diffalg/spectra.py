@@ -16,7 +16,7 @@ import numpy as np
 from . import _linalg as la
 from .algebra import (Character, LinearOp, StructureAlgebra, Subspace,
                       _character_mask, _CyclicGroup, centralizer, characters,
-                      direct_sum, group_algebra, quotient, subalgebra)
+                      direct_sum, group_algebra, parse_group_spec, quotient, subalgebra)
 from .errors import DomainError
 
 __all__ = [
@@ -88,22 +88,6 @@ class FiniteAbelianGroup(_CyclicGroup):
 
     def __repr__(self):
         return "x".join(f"Z{n}" for n in self.factors)
-
-
-def parse_group_spec(text: str) -> tuple[int, ...]:
-    """\"Z4xZ2\", \"z4xz2\" and \"4x2\" all mean (4, 2)."""
-    parts = text.strip().lower().split("x")
-    factors = []
-    for p in parts:
-        p = p.strip()
-        if p.startswith("z"):
-            p = p[1:]
-        if not p.isdigit() or int(p) < 1:
-            raise ValueError(f"bad group spec component {p!r}")
-        factors.append(int(p))
-    if not factors:
-        raise ValueError("empty group spec")
-    return tuple(factors)
 
 
 def fourier_matrix(group: FiniteAbelianGroup) -> np.ndarray:
@@ -295,14 +279,6 @@ def _generated_ideal(phi: LinearOp, t: Character) -> Subspace:
     return Subspace(phi.target, gens.reshape(-1, phi.target.dim))
 
 
-def _as_subspace(algebra: StructureAlgebra, c) -> Subspace:
-    if isinstance(c, Subspace):
-        if c.algebra is not algebra:
-            raise DomainError("subalgebra belongs to a different algebra")
-        return c
-    return Subspace(algebra, c)
-
-
 def dauns_hofmann_check(algebra: StructureAlgebra, central=None,
                         tol: float = 1e-8, seed: int = 0,
                         pairs: int = 20) -> dict:
@@ -315,10 +291,9 @@ def dauns_hofmann_check(algebra: StructureAlgebra, central=None,
     pairs; ok means the section map is a unital *-isomorphism at tol.
     """
     center = centralizer(algebra, Subspace.whole(algebra))
-    if central is None:
-        csp = center
-    else:
-        csp = _as_subspace(algebra, central)
+    csp = center
+    if central is not None:
+        csp = Subspace(algebra, central)
         if not center.contains_subspace(csp, tol):
             raise DomainError("subalgebra is not central")
     csub, incl = subalgebra(algebra, csp.basis)

@@ -2,8 +2,9 @@
 under a header that names the BLAS thread settings, bad pass counts and
 limits are refused before anything is loaded, the steadier summaries are
 not moved by one slow request, the p90 band names the requests at or
-above each side's p90, and the side that goes first alternates per
-request and per pass."""
+above each side's p90, each class ratio comes with the quartiles of its
+per-pass ratios, and the side that goes first alternates per request and
+per pass."""
 from __future__ import annotations
 
 import importlib.util
@@ -11,6 +12,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,6 +42,11 @@ def test_a_checkout_paired_with_itself_has_no_differing_reports():
     table = lines.index(next(line for line in lines if line.startswith("class ")))
     band = [line.split() for line in lines[6:table]]
     assert all(sum(int(row[side]) for row in band) == 1 for side in (1, 2))
+    # every class row ends with the spread of its per-pass ratios, q1 <= q3
+    assert lines[table].split()[-2:] == ["B/A", "q1-q3"]
+    for row in lines[table + 1:-1]:
+        q1, q3 = map(float, row.split()[-1].split("-"))
+        assert 0 < q1 <= q3
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -141,3 +148,35 @@ def test_the_p90_of_few_samples_lies_within_them():
     assert ab.p90([4.0, 1.0, 2.0, 3.0, 5.0, 6.0]) == pytest.approx(5.5)
     assert ab.p90([7.0]) == 7.0
     assert ab.p90_band(["x", "y", "z"], [[1.0, 3.0, 2.0], [1.0, 2.0, 2.5]]) == {"y": 1}
+
+
+def test_the_class_spread_holds_one_on_a_self_pair():
+    """Thirty passes of times drawn around one true time per request; B
+    has the same passes in reverse order, so its per-pass ratios are A's
+    inverted: no change, whatever the noise, and each class's spread holds
+    1. Identical sides give a spread of exactly 1, and B 20 % slower on
+    every request puts the whole spread at 1.2."""
+    ab = _ab_pairs()
+    rng = np.random.default_rng(1)
+    classes = ["one"] + ["two"] * 2 + ["many"] * 24
+    a = [list(np.exp(0.1 * rng.standard_normal(len(classes)))) for _ in range(30)]
+    b = a[::-1]
+    for cls, (q1, q3) in ab.class_spreads(classes, (a, a)).items():
+        assert q1 == q3 == 1.0, cls
+    spreads = ab.class_spreads(classes, (a, b))
+    assert list(spreads) == ["one", "two", "many"]
+    for cls, (q1, q3) in spreads.items():
+        assert q1 < 1.0 < q3, cls
+    slow = [[1.2 * t for t in one_pass] for one_pass in a]
+    assert all(q1 == pytest.approx(1.2) == q3
+               for q1, q3 in ab.class_spreads(classes, (a, slow)).values())
+
+
+def test_the_class_spread_is_the_quartiles_of_the_pass_ratios():
+    ab = _ab_pairs()
+    a = [[1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]
+    b = [[0.8, 2.0], [0.9, 2.0], [1.0, 2.0], [1.1, 2.0], [1.6, 2.0]]
+    spreads = ab.class_spreads(["x", "y"], (a, b))
+    assert spreads["x"] == pytest.approx((0.9, 1.1))
+    assert spreads["y"] == (1.0, 1.0)
+    assert ab.class_spreads(["x"], ([[2.0]], [[3.0]])) == {"x": (1.5, 1.5)}

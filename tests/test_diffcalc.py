@@ -97,9 +97,10 @@ def test_multiplication_matrix_matches_tuple_loop(m, n_source, n_target):
     assert np.array_equal(got, ref_multiplication_matrix(source, target, g))
 
 
-@pytest.mark.parametrize("beta", [(1,), (1, -1), (1, 0, 0), (-1, 2)])
+@pytest.mark.parametrize("beta", [(1,), (1, -1), (1, 0, 0), (-1, 2), (5, -1), (1.0, 0)])
 def test_multiplication_matrix_refuses_malformed_exponents(beta):
-    with pytest.raises(ValueError, match="bad exponent"):
+    """Read by the target's MonomialTable.row, whatever the exponent's order."""
+    with pytest.raises(ValueError, match="outside the indices|not a sequence of integers"):
         multiplication_matrix(truncated_poly(2, 2), truncated_poly(2, 3), {beta: 1.0})
 
 
@@ -191,7 +192,7 @@ def test_tower_refuses_images_of_another_algebra_or_length():
     with pytest.raises(DomainError, match="different algebra"):
         z_tower_from_images(m2, [f2.basis_element(0), f2.basis_element(1)], 2)
     for images in ([np.ones(2), np.ones(2)], [np.ones(8)], np.ones((3, 2))):
-        with pytest.raises(DomainError, match="dimension 4"):
+        with pytest.raises(ValueError, match="dimension 4"):
             z_tower_from_images(m2, images, 2)
     assert z_tower_from_images(m2, [], 2).dims() == [0, 4, 4]
 

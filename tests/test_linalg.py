@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from diffalg._linalg import (
-    as_matrix,
     apply_rows,
     close_mask,
     eigenspace,
@@ -175,7 +174,7 @@ def test_empty_and_zero_inputs():
 @given(st.integers(0, 200), st.integers(0, 5))
 def test_in_span_agrees_with_lstsq_reference(seed, rk):
     rng = np.random.default_rng(seed)
-    onb = span_basis(_random_matrix(seed, max(rk, 1), 6, rk), width=6)
+    onb = span_basis(_random_matrix(seed, max(rk, 1), 6, rk))
     inside = rng.standard_normal((3, onb.shape[0])) @ onb if onb.shape[0] else np.zeros((3, 6))
     outside = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     near = inside + 1e-12 * outside
@@ -192,26 +191,85 @@ def test_in_span_agrees_with_lstsq_reference(seed, rk):
 
 
 def test_two_dimensional_arrays_pass_through():
-    """A 2-d array gives the bits its list of rows gives, to as_matrix,
-    span_basis and Subspace, real or complex; an empty one keeps its
-    refusal."""
+    """A 2-d array gives the bits its list of rows gives, to algebra._rows,
+    span_basis and Subspace, real or complex; rows of another width, an
+    empty array included, are refused."""
     from diffalg import Subspace, function_algebra
+    from diffalg.algebra import _rows
 
     rng = np.random.default_rng(3)
     real = rng.standard_normal((9, 4))
     cplx = real + 1j * rng.standard_normal((9, 4))
     for a in (real, cplx, real.astype(int), cplx[:, ::2], cplx.T[:3]):
         rows = list(a)
-        assert np.array_equal(as_matrix(a), as_matrix(rows))
-        assert as_matrix(a).dtype == complex
-        assert np.array_equal(span_basis(a), span_basis(rows))
         alg = function_algebra(a.shape[1])
+        assert np.array_equal(_rows(a, alg), _rows(rows, alg))
+        assert _rows(a, alg).dtype == complex and _rows(a, alg).flags.c_contiguous
+        assert np.array_equal(span_basis(a), span_basis(_rows(rows, alg)))
         assert np.array_equal(Subspace(alg, a).basis, Subspace(alg, rows).basis)
-    assert as_matrix(np.zeros((0, 3)), 3).shape == (0, 3)
-    with pytest.raises(ValueError, match="cannot infer row width"):
-        as_matrix(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="expected row width 5"):
-        as_matrix(real, 5)
+    f3 = function_algebra(3)
+    assert _rows(np.zeros((0, 3)), f3).shape == (0, 3)
+    assert _rows([], f3).shape == (0, 3)
+    with pytest.raises(ValueError, match="rows of length 3 in an algebra of dimension 5"):
+        _rows(np.zeros((0, 3)), function_algebra(5))
+    with pytest.raises(ValueError, match="rows of length 4 in an algebra of dimension 5"):
+        _rows(real, function_algebra(5))
+
+
+def ref_rref(a, tol=1e-8):
+    """The row loop rref ran before its masked rank-one updates."""
+    a = np.array(a, dtype=complex)
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return a.reshape(0, n), []
+    thresh = tol * max(1.0, float(np.abs(a).max()))
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        p = r + int(np.argmax(np.abs(a[r:, c])))
+        if abs(a[p, c]) <= thresh:
+            continue
+        if p != r:
+            a[[r, p]] = a[[p, r]]
+        a[r] = a[r] / a[r, c]
+        for i in range(m):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+    out = a[: len(pivots)]
+    out = np.where(np.abs(out) <= thresh, 0.0, out)
+    for i, c in enumerate(pivots):
+        out[i, c] = 1.0
+    return out, pivots
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("kind", ["complex", "rank-deficient", "tiny", "integer", "signed zeros"])
+def test_rref_equals_the_row_loop(seed, kind):
+    """Pivots equal and every bit equal to the row loop, on random complex,
+    rank-deficient, tiny-scaled, small-integer and mostly -0.0 matrices of
+    many shapes: the update also runs on the rows the loop skipped, whose
+    zeros may change sign before the flush."""
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 9 if seed % 2 else 41, size=2)
+    if kind == "complex":
+        a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    elif kind == "rank-deficient":
+        a = _random_matrix(seed, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
+    elif kind == "tiny":
+        a = 1e-12 * _random_matrix(seed, rows, cols, min(rows, cols, 2))
+    elif kind == "integer":
+        a = rng.integers(-2, 3, size=(rows, cols)).astype(float)
+    else:
+        a = np.where(rng.random((rows, cols)) < 0.7, -0.0,
+                     rng.standard_normal((rows, cols)) * (1 - 1j))
+    got, pivots = rref(a)
+    want, want_pivots = ref_rref(a)
+    assert pivots == want_pivots
+    assert np.array_equal(got, want)
 
 
 def brute_close(a, b, tol):

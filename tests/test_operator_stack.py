@@ -150,8 +150,9 @@ def test_stack_rows_follow_the_table():
     for r, k in enumerate(sys.indices):
         assert sys.table.exp_index[k] == r
         assert np.array_equal(sys.op_matrix(k), sys.stack[r])
-    assert not np.any(sys.op_matrix((3, 0)))
-    assert not np.any(sys.op_matrix((0, 0, 0)))
+    for k in ((3, 0), (0, 0, 0), (-1, 1)):
+        with pytest.raises(ValueError, match="outside the indices of order N=2 in m=2"):
+            sys.op_matrix(k)
 
 
 def test_missing_operators_are_zero_rows():

@@ -49,6 +49,27 @@ def test_parse_group_spec():
         parse_group_spec("abc")
 
 
+
+@pytest.mark.parametrize("spec", ["4x2", "Z4xZ2", "z4xz2", " 4 x 2 ", "z12", "04", "4X2"])
+def test_group_names_read_the_group_spec(spec):
+    """One grammar: a group: name has the factors parse_group_spec reads,
+    which spectra and diffalg export as the one in algebra.py."""
+    import diffalg
+    from diffalg import algebra, algebra_from_name
+
+    assert spectra.parse_group_spec is algebra.parse_group_spec is diffalg.parse_group_spec
+    assert algebra_from_name(f"group:{spec}").dim == math.prod(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["+4", "zz4", "Z 4", "-4", "0x3", "4x", "x4", "\u0664"])
+def test_group_names_refuse_what_the_group_spec_refuses(spec):
+    from diffalg import algebra_from_name
+
+    with pytest.raises(ValueError, match="is not a positive integer"):
+        parse_group_spec(spec)
+    with pytest.raises(ValueError, match="bad algebra name .*is not a positive integer"):
+        algebra_from_name(f"group:{spec}")
+
 def test_group_tables():
     g = FiniteAbelianGroup((4, 2))
     assert g.order == 8

@@ -25,7 +25,9 @@ Prints a header naming the BLAS thread settings it ran under
 each pass and their median, p50 and p90 of each side with the p90 of each
 of its passes, the p90 band (per class, how many requests of all passes
 of a side took at least that side's pooled p90), the per-class medians
-and their ratio, and the number of requests whose (exit code, stdout)
+and their ratio with its spread (the first and third quartiles of the
+class's per-pass ratios B/A, which show whether a class with one or two
+requests per pass resolves its ratio), and the number of requests whose (exit code, stdout)
 differ between A and B. One slow request moves a ratio of pass
 sums, so two steadier summaries are printed next to it: the median of the
 per-request ratios B/A, and the mean of the per-class ratios weighted by
@@ -116,6 +118,22 @@ def class_medians(classes: list[str], times) -> dict[str, tuple[float, float]]:
         a, b = ([t for one_pass in side for c, t in zip(classes, one_pass) if c == cls]
                 for side in times)
         out[cls] = (statistics.median(a), statistics.median(b))
+    return out
+
+
+def class_spreads(classes: list[str], times) -> dict[str, tuple[float, float]]:
+    """{class: (first, third quartile)} of the class's per-pass ratios B/A
+    of medians, in order of first appearance: a class ratio whose spread
+    holds 1 is not told apart from no change. With one pass both are its
+    one ratio."""
+    out = {}
+    for cls in dict.fromkeys(classes):
+        ratios = [statistics.median(t for c, t in zip(classes, pass_b) if c == cls)
+                  / statistics.median(t for c, t in zip(classes, pass_a) if c == cls)
+                  for pass_a, pass_b in zip(*times)]
+        quartiles = (statistics.quantiles(ratios, n=4, method="inclusive")
+                     if len(ratios) > 1 else ratios * 3)
+        out[cls] = (quartiles[0], quartiles[2])
     return out
 
 
@@ -211,9 +229,12 @@ def main(argv=None) -> int:
     print(f"{'p90 band (requests >= pooled p90)':<34} {'A':>4} {'B':>4}")
     for cls in (cls for cls in dict.fromkeys(classes) if cls in bands[0] or cls in bands[1]):
         print(f"{cls:<34} {bands[0].get(cls, 0):4d} {bands[1].get(cls, 0):4d}")
-    print(f"{'class':<24} {'A ms':>9} {'B ms':>9} {'B/A':>7}")
+    print(f"{'class':<24} {'A ms':>9} {'B ms':>9} {'B/A':>7} {'pass B/A q1-q3':>15}")
+    spreads = class_spreads(classes, times)
     for cls, (ma, mb) in class_medians(classes, times).items():
-        print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f}")
+        q1, q3 = spreads[cls]
+        print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f} "
+              f"{q1:7.3f}-{q3:.3f}")
     print(f"differing (exit code, stdout) pairs: {differ} of "
           f"{len(requests) * args.passes}")
     return 1 if differ else 0
