@@ -381,7 +381,9 @@ def monomial_label(k: MultiIndex) -> str:
 
 
 class Element:
-    """Coordinate vector bound to its parent algebra."""
+    """Coordinate vector bound to its parent algebra. The operand of +, -
+    and isclose is read by _coords: an Element of the same algebra or a
+    coordinate vector of its dimension."""
 
     __slots__ = ("algebra", "coords")
 
@@ -391,25 +393,19 @@ class Element:
         if self.coords.shape != (algebra.dim,):
             raise ValueError("coordinate length does not match algebra dimension")
 
-    def _same_parent(self, other: "Element"):
-        if self.algebra is not other.algebra:
-            raise DomainError("elements belong to different algebras")
-
     def __add__(self, other):
-        self._same_parent(other)
-        return Element(self.algebra, self.coords + other.coords)
+        return Element(self.algebra, self.coords + _coords(other, self.algebra))
 
     def __sub__(self, other):
-        self._same_parent(other)
-        return Element(self.algebra, self.coords - other.coords)
+        return Element(self.algebra, self.coords - _coords(other, self.algebra))
 
     def __neg__(self):
         return Element(self.algebra, -self.coords)
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._same_parent(other)
-            return Element(self.algebra, self.algebra.mul_coords(self.coords, other.coords))
+            return Element(self.algebra, self.algebra.mul_coords(
+                self.coords, _coords(other, self.algebra)))
         return Element(self.algebra, self.coords * complex(other))
 
     def __rmul__(self, scalar):
@@ -432,9 +428,8 @@ class Element:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
-    def isclose(self, other: "Element", tol=la.ZERO_TOL) -> bool:
-        self._same_parent(other)
-        return bool(np.abs(self.coords - other.coords).max() <= tol)
+    def isclose(self, other, tol=la.ZERO_TOL) -> bool:
+        return bool(np.abs(self.coords - _coords(other, self.algebra)).max() <= tol)
 
     def __repr__(self):
         return f"Element({np.array_str(self.coords, precision=4)})"

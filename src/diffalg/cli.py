@@ -318,14 +318,13 @@ def cmd_jet(data, args):
     if degf > bound:
         raise ValueError(f"polynomial degree {degf} exceeds the bound {bound}")
     alg = truncated_poly(m, bound)
-    if len(index) and index.shape[1] != m:
-        raise ValueError(f"index {index[0].tolist()} does not have {m} entries")
+    rows = alg.table.rows(index)
     bad = np.flatnonzero(~np.isfinite(coeffs))
     if bad.size:
         i = bad[0]
         raise ValueError(f"coefficient {coeffs[i]} of index {index[i].tolist()} is not finite")
     coords = np.zeros(alg.dim, dtype=complex)
-    np.add.at(coords, [alg.exp_index[k] for k in map(tuple, index.tolist())], coeffs)
+    np.add.at(coords, rows, coeffs)
     # overflow from finite inputs shows as a NaN route residual (exit 4)
     with np.errstate(all="ignore"):
         jt = jet_project(alg, coords, point, order, route="taylor")

@@ -377,24 +377,33 @@ def _grid_axes(box, grid: int) -> list[np.ndarray]:
 
 class _Sample:
     """A request's sample grid and what the certificates read of it: the
-    broadcastable axes, the generator values as (points, k) and the
-    Jacobian as (m, k, points), contiguous over the points. The flat
-    coordinate arrays and the point codes are built on first use, once; a
-    PASS never reads them. `witnesses` takes each certificate's ordered
-    witness point indices, by condition name, for envelope_verdict."""
+    broadcastable axes, the grid's shape, the generator values as
+    (points, k) and the first derivatives as columns: columns[i][j] is
+    d g_j / d x_i as its expression evaluates on the axes, broadcastable to
+    the grid, so a derivative that does not vary along an axis is not
+    repeated along it. jacobian() gathers the (m, k, points) array where
+    it is asked for. The flat coordinate arrays and the point codes are
+    built on first use, once; a PASS never reads them. `witnesses` takes
+    each certificate's ordered witness point indices, by condition name,
+    for envelope_verdict."""
 
     def __init__(self, axes: list[np.ndarray]):
         self.axes = axes
+        self.shape = np.broadcast_shapes(*(ax.shape for ax in axes))
         self.values: np.ndarray | None = None
-        self.jac: np.ndarray | None = None
+        self.columns: list[list[np.ndarray]] | None = None
         self.witnesses = {}
+
+    def jacobian(self, points: np.ndarray | None = None) -> np.ndarray:
+        """The Jacobian as (m, k, n), contiguous over the points: at the
+        flat point indices `points`, in their order, or at every point."""
+        return _gather(self.columns, self.shape, points)
 
     @functools.cached_property
     def grids(self) -> list[np.ndarray]:
         """The coordinate arrays of every sample point, in C order of the
         axes: what np.meshgrid(..., indexing="ij") gives, raveled."""
-        shape = np.broadcast_shapes(*(ax.shape for ax in self.axes))
-        return [np.broadcast_to(ax, shape).ravel() for ax in self.axes]
+        return [np.broadcast_to(ax, self.shape).ravel() for ax in self.axes]
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
@@ -408,21 +417,42 @@ class _Sample:
         return np.ravel(code)
 
 
+def _gather(columns, shape: tuple, points: np.ndarray | None = None) -> np.ndarray:
+    """The (m, k, n) array of the columns columns[i][j], each broadcastable
+    to the grid `shape`, at the flat indices `points` of the grid in their
+    order, or at every point; a dense (m, k, n) array is its own columns
+    on the grid (n,)."""
+    m, k = len(columns), len(columns[0])
+    if points is None:
+        out = np.empty((m, k) + tuple(shape))
+        for i, row in enumerate(columns):
+            for j, col in enumerate(row):
+                out[i, j] = col
+        return out.reshape(m, k, -1)
+    index = np.unravel_index(points, shape)
+    out = np.empty((m, k, len(points)))
+    for i, row in enumerate(columns):
+        for j, col in enumerate(row):
+            out[i, j] = np.broadcast_to(col, shape)[index]
+    return out
+
+
 def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
     """Builds the grid once and evaluates the requested arrays on it.
 
     Each generator and first derivative is evaluated on the broadcastable
-    axes, so it costs what its own variables need, and written into its
-    slot of the preallocated arrays by broadcast assignment.
+    axes, so it costs what its own variables need. The values are written
+    into their slot of a preallocated array by broadcast assignment; the
+    first derivatives are kept as the columns they evaluate to.
     Overflow and invalid-operation warnings are silenced during evaluation;
     a generator value or first derivative that is not finite is refused
     with DomainError instead, naming how many sample points it affects and
     the first of them.
     """
     axes = _grid_axes(box, grid)
-    shape = np.broadcast_shapes(*(ax.shape for ax in axes))
-    m, k, npts = len(axes), len(gens), math.prod(shape)
     sample = _Sample(axes)
+    shape, k = sample.shape, len(gens)
+    npts = math.prod(shape)
     finite = True
     with np.errstate(all="ignore"):
         if values:
@@ -433,19 +463,16 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
                 cube[..., j] = col
                 finite = finite and bool(np.isfinite(col).all())
         if jac:
-            sample.jac = np.empty((m, k, npts))
-            cube = sample.jac.reshape((m, k) + shape)
-            for j, g in enumerate(gens):
-                for i in range(m):
-                    col = g.diff(i).eval(axes)
-                    cube[i, j] = col
-                    finite = finite and bool(np.isfinite(col).all())
+            sample.columns = [[g.diff(i).eval(axes) for g in gens] for i in range(len(axes))]
+            finite = finite and all(bool(np.isfinite(col).all())
+                                    for row in sample.columns for col in row)
     if not finite:
-        bad = np.zeros(npts, dtype=bool)
+        bad = np.zeros(shape, dtype=bool)
         if values:
-            bad |= ~np.isfinite(sample.values).all(axis=1)
-        if jac:
-            bad |= ~np.isfinite(sample.jac).all(axis=(0, 1))
+            bad |= ~np.isfinite(sample.values).all(axis=1).reshape(shape)
+        for col in itertools.chain.from_iterable(sample.columns or []):
+            bad |= ~np.isfinite(col)
+        bad = bad.ravel()
         first = int(np.flatnonzero(bad)[0])
         raise DomainError(f"generator values or first derivatives are not finite at "
                           f"{int(bad.sum())} of {npts} sample points, the first at "
@@ -455,6 +482,26 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
 
 def _point_tuples(grids, points: np.ndarray) -> list[tuple]:
     return list(zip(*[g[points].tolist() for g in grids]))
+
+
+# The first draws of the separation check's weight stream,
+# np.random.default_rng(1979).uniform(1.0, 2.0, 16), written out so that
+# neither an import nor a call builds the generator.
+_WEIGHTS = np.array([
+    1.0103944954331276, 1.76041738120411, 1.5959223069109463, 1.0890589954905354,
+    1.734300003680127, 1.682093149671955, 1.6846172744981385, 1.8553313040673565,
+    1.6537548275539988, 1.2121253232379028, 1.60059455718137, 1.2974800957081465,
+    1.9948224417973566, 1.6766147115419905, 1.285057599987301, 1.1985226590826679])
+_WEIGHTS.flags.writeable = False
+
+
+def _weight_draws(k: int) -> np.ndarray:
+    """The first k draws of one seeded stream in [1, 2), so no weight is
+    below half another: read from _WEIGHTS, drawn afresh only for more
+    generators than it holds."""
+    if k <= len(_WEIGHTS):
+        return _WEIGHTS[:k]
+    return np.random.default_rng(1979).uniform(1.0, 2.0, k)
 
 
 def _candidate_counts(key: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -501,9 +548,8 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
         sample = _sample(gens, box, grid, jac=False)
     values = sample.values
     npts, k = values.shape
-    # the first k draws of one seeded stream: no weight below half another
-    w = np.random.default_rng(1979).uniform(1.0, 2.0, k)
-    w /= w.sum()
+    w = _weight_draws(k)
+    w = w / w.sum()
     key, magnitude = values @ w, np.abs(values) @ w
     # a computed key is within k (eps (|f| . w) + eta) / 2 of the exact one,
     # eta for products that underflow (Higham, Accuracy and Stability, 3.1);
@@ -551,7 +597,7 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
 # rank-deficient, clustered and widely scaled batches. Points are rotated
 # in blocks, so the temporaries are bounded by the block, not the grid.
 MAX_JACOBI_SWEEPS = 30
-JACOBI_BLOCK = 4096
+JACOBI_BLOCK = 8192
 
 
 def _orthogonalise_rows(a: np.ndarray) -> None:
@@ -627,12 +673,18 @@ def _extreme_singular_values(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top, bottom
 
 
-def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
-    """The points t of jac (m, k, n) at which a verified Gram test proves
-    that the Jacobi of _extreme_singular_values finds no witness: its
-    sigma_m is above tol_rank * max(sigma_1, 1) by more than its error.
+def _gram_clears(jac, tol_rank: float) -> np.ndarray:
+    """The points of jac at which a verified Gram test proves that the
+    Jacobi of _extreme_singular_values finds no witness: its sigma_m is
+    above tol_rank * max(sigma_1, 1) by more than its error.
 
-    Per point, s is the largest absolute entry (1 for a zero Jacobian),
+    jac holds the columns jac[i][j], d g_j / d x_i, each broadcastable to
+    one shape, which is the shape of the result; a dense (m, k, n) array is
+    its own columns on the shape (n,). Where no column varies along an
+    axis, the points along it are screened once, and a column that is zero
+    on all of jac adds nothing to G and is skipped.
+
+    Per point, s is the largest absolute entry (eta for a zero Jacobian),
     a = fl(J / s) as in _extreme_singular_values and B = J / s exactly.
     Let u = eps / 2, gamma_n = n u / (1 - n u), eta the smallest subnormal
     and nu the smallest normal number. For a nonzero J the computed trace
@@ -665,13 +717,19 @@ def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
 
     So mu = theta^2 + (gamma_k + gamma_{2m+3} + (m k + 2 m (m + 3)) eta) T
     gives sigma_m(a) > theta + ||a - B||_2, hence sigma_m(B) > theta, at
-    every point with positive pivots. mu combines positive numbers in
-    fewer than 40 roundings, none subnormal, which the factor 1 + 64 eps
-    covers; an overflow makes it infinite. k < m (G singular) and a
-    tol_rank of 1 or more (theta >= rho >= sigma_m) leave every point
-    undecided.
+    every point with positive pivots. The constants are folded into
+    Python floats first, so each array is touched by one product per
+    constant factor: theta = sqrt(t) c_1 + max(sqrt(t) c_2 s, 1) c_3 / s
+    and mu = theta^2 + c_4 t, updated in place. The factor 1 + 64 eps on
+    mu's evaluation enters as 1 + 32 eps on c_1 and c_3, whose square is
+    above it, and as itself on c_4. mu combines positive numbers in fewer
+    than 40 roundings (those of theta counted twice), none subnormal,
+    which that factor covers; folding only removed roundings. An overflow
+    makes mu infinite. k < m (G singular) and a tol_rank of 1 or more
+    (theta >= rho >= sigma_m) leave every point undecided.
     """
-    m, k, _ = jac.shape
+    m, k = len(jac), len(jac[0])
+    shape = np.broadcast_shapes(*(col.shape for row in jac for col in row))
     fp = np.finfo(float)
     u, eta = fp.eps / 2, fp.smallest_subnormal
 
@@ -679,50 +737,119 @@ def _gram_clears(jac: np.ndarray, tol_rank: float) -> np.ndarray:
         return n * u / (1.0 - n * u)
 
     delta = 8.0 * math.sqrt(k) * fp.eps
-    widen = 1.0 + 2 * gamma(m + k)          # T = widen * t
-    rounding = 1.0 + 64 * fp.eps            # mu's own evaluation
-    scale = np.abs(jac).max(axis=(0, 1))
-    scale = np.where(scale > 0.0, scale, 1.0)
-    a = jac / scale
-    gram = {(p, q): np.einsum("in,in->n", a[p], a[q])
-            for p, q in itertools.combinations_with_replacement(range(m), 2)}
-    trace = sum(gram[p, p] for p in range(m))
+    widen = 1.0 + 2 * gamma(m + k)              # T = widen * t
+    rho = math.sqrt(widen) * (1.0 + fp.eps)     # rho = sqrt(t) * this
+    half = 1.0 + 32 * fp.eps                    # its square covers mu's evaluation
+    c_1 = (delta + u + m * k * eta) * rho * half
+    c_2 = rho * ((1.0 + delta) * (1.0 + 2 * fp.eps))
+    c_3 = max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps) * half
+    c_4 = ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
+           * widen * (1.0 + 64 * fp.eps))
+    # the narrowest columns first, so they are combined at their own size
+    scale = functools.reduce(np.maximum, sorted((np.abs(col) for row in jac for col in row),
+                                                key=np.size))
+    np.maximum(scale, eta, out=scale)
+    # G^ = fl(a a^T), one column of a at a time: the sums run over i in
+    # order, and only the m entries a[:, i] are held
+    pairs = list(itertools.combinations_with_replacement(range(m), 2))
+    gram, term = {}, np.empty(shape)
+    for i in range(k):
+        a = [row[i] / scale if row[i].any() else None for row in jac]
+        for p, q in pairs:
+            if a[p] is None or a[q] is None:
+                continue
+            if (p, q) in gram:
+                gram[p, q] += np.multiply(a[p], a[q], out=term)
+            else:
+                gram[p, q] = a[p] * a[q]
+    for pair in pairs:
+        if pair not in gram:
+            gram[pair] = np.zeros(shape)
+    trace = gram[0, 0].copy()
+    for p in range(1, m):
+        trace += gram[p, p]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = np.sqrt(trace) * (math.sqrt(widen) * (1.0 + fp.eps))
-        reach = np.maximum(rho * ((1.0 + delta) * (1.0 + 2 * fp.eps)) * scale, 1.0)
-        theta = ((delta + u + m * k * eta) * rho
-                 + reach * (max(tol_rank, fp.tiny) * (1.0 + 2 * fp.eps)) / scale)
-        mu = (theta * theta * rounding
-              + ((gamma(k) + gamma(2 * m + 3) + (m * k + 2 * m * (m + 3)) * eta)
-                 * widen * rounding) * trace)
-        # Cholesky of gram - mu I, column by column of its lower factor. A
-        # pivot that is not positive makes every later pivot NaN or -inf,
-        # so the last one decides.
-        low = {}
+        theta = np.sqrt(trace)
+        reach = theta * c_2
+        reach *= scale
+        np.maximum(reach, 1.0, out=reach)
+        reach *= c_3
+        reach /= scale
+        theta *= c_1
+        theta += reach
+        mu = np.square(theta, out=theta)
+        trace *= c_4
+        mu += trace
+        # Cholesky of gram - mu I in place: gram[p, i] becomes entry (i, p)
+        # of the lower factor. A pivot that is not positive makes every
+        # later pivot NaN or -inf, so the last one decides.
         for j in range(m):
-            pivot = (gram[j, j] - mu) - sum(low[j, p] ** 2 for p in range(j))
-            root = np.sqrt(pivot)
+            pivot = gram[j, j]
+            pivot -= mu
+            for p in range(j):
+                pivot -= np.square(gram[p, j], out=term)
+            if j == m - 1:
+                return pivot > 0.0
+            np.sqrt(pivot, out=pivot)
             for i in range(j + 1, m):
-                low[i, j] = (gram[j, i] - sum(low[i, p] * low[j, p] for p in range(j))) / root
-    return pivot > 0.0
+                low = gram[j, i]
+                for p in range(j):
+                    low -= np.multiply(gram[p, i], gram[p, j], out=term)
+                low /= pivot
 
 
-def _rank_deficient(jac: np.ndarray, tol_rank: float) -> np.ndarray:
-    """The witness mask of the rank certificate: sigma_m <= tol_rank *
-    max(sigma_1, 1), with both from _extreme_singular_values, computed
-    only at the points of each block that _gram_clears leaves undecided;
-    the points it clears are not witnesses. With one variable the Jacobi
-    has no row pair to rotate and costs less than the screen, so every
-    point goes to it."""
-    m, _, npts = jac.shape
-    mask = np.zeros(npts, dtype=bool)
-    for start in range(0, npts, JACOBI_BLOCK):
-        block = jac[:, :, start:start + JACOBI_BLOCK]
-        undecided = (np.flatnonzero(~_gram_clears(block, tol_rank)) if m > 1
-                     else np.arange(block.shape[2]))
-        if undecided.size:
-            top, bottom = _extreme_singular_values(np.take(block, undecided, axis=2))
-            mask[start + undecided] = bottom <= tol_rank * np.maximum(top, 1.0)
+def _row_blocks(columns, shape: tuple):
+    """(start, block columns, block shape) for consecutive blocks of whole
+    rows of the grid `shape`, each of at most JACOBI_BLOCK points: rows of
+    the leading axis when one holds at most a block, else, within each
+    index of the axes before it, rows of the first axis whose rows do.
+    A block's points are consecutive in C order, from the flat index
+    `start`; a column keeps its length 1 along the axes it does not vary
+    on."""
+    axis = 0
+    while math.prod(shape[axis + 1:]) > JACOBI_BLOCK:
+        axis += 1
+    size = math.prod(shape[axis + 1:])
+    step = JACOBI_BLOCK // size
+    for outer in itertools.product(*map(range, shape[:axis])):
+        first = 0
+        for index, length in zip(outer, shape):
+            first = first * length + index
+        for low in range(0, shape[axis], step):
+            rows = slice(low, min(low + step, shape[axis]))
+            block = [[col[tuple(i if n > 1 else 0 for i, n in zip(outer, col.shape))
+                          + (rows if col.shape[axis] > 1 else slice(None),)]
+                      for col in row] for row in columns]
+            yield ((first * shape[axis] + low) * size, block,
+                   (rows.stop - low,) + tuple(shape[axis + 1:]))
+
+
+def _rank_deficient(jac, tol_rank: float, shape: tuple | None = None) -> np.ndarray:
+    """The witness mask of the rank certificate over the flat points of
+    the grid `shape`: sigma_m <= tol_rank * max(sigma_1, 1), with both
+    from _extreme_singular_values.
+
+    jac holds the columns jac[i][j], each broadcastable to `shape` (by
+    default their broadcast shape, so a dense (m, k, n) array is read as
+    columns on (n,)). The grid is screened in the blocks of _row_blocks:
+    _gram_clears runs on each block's columns, and only the points it
+    leaves undecided are gathered for the Jacobi; the points it clears are
+    not witnesses. With one variable the Jacobi has no row pair to rotate
+    and costs less than the screen, so every point of the block is
+    gathered for it."""
+    if shape is None:
+        shape = np.broadcast_shapes(*(col.shape for row in jac for col in row))
+    mask = np.zeros(math.prod(shape), dtype=bool)
+    for start, block, block_shape in _row_blocks(jac, shape):
+        points = None
+        if len(jac) > 1:
+            points = np.flatnonzero(~np.broadcast_to(_gram_clears(block, tol_rank),
+                                                     block_shape))
+            if not points.size:
+                continue
+        top, bottom = _extreme_singular_values(_gather(block, block_shape, points))
+        where = slice(start, start + top.size) if points is None else start + points
+        mask[where] = bottom <= tol_rank * np.maximum(top, 1.0)
     return mask
 
 
@@ -744,7 +871,7 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     shared = sample is not None
     if not shared:
         sample = _sample(gens, box, grid, values=False)
-    points = np.flatnonzero(_rank_deficient(sample.jac, tol_rank))
+    points = np.flatnonzero(_rank_deficient(sample.columns, tol_rank, sample.shape))
     if points.size:
         points = points[np.argsort(sample.codes[points], kind="stable")]
     sample.witnesses["tangent"] = points
@@ -965,10 +1092,10 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     sample = _sample(gens, box, grid)
     # Both checks run under their public names and, given the sample,
     # leave their ordered witness indices on it without building the point
-    # lists. The rank certificate goes first, so the Jacobian is freed
-    # before the separation check allocates.
+    # lists. The rank certificate goes first, so the derivative columns
+    # are freed before the separation check allocates.
     tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
-    sample.jac = None
+    sample.columns = None
     separation_check(gens, box, grid, tol_sep, sample=sample)
     shape = (int(grid),) * len(sample.axes)
     separated = np.stack(np.unravel_index(sample.witnesses["separation"], shape), axis=1)

@@ -125,8 +125,9 @@ class MonomialTable:
         # tails[:, i] = k_i + ... + k_{m-1}; tails[:, 0] is the order |k|
         tails = np.cumsum(self.exps[:, ::-1], axis=1)[:, ::-1]
         # below[t, y] = C(t + y - 1, y): indices of length y and order < t
-        below = np.array([[math.comb(t + y - 1, y) if t else 0 for y in range(mvars + 1)]
-                          for t in range(degree + 1)], dtype=np.intp)
+        self._below = below = np.array(
+            [[math.comb(t + y - 1, y) if t else 0 for y in range(mvars + 1)]
+             for t in range(degree + 1)], dtype=np.intp)
         d = len(self.exponents)
         add = np.zeros((d, d), dtype=np.intp)
         sub = np.zeros((d, d), dtype=np.intp)
@@ -161,6 +162,7 @@ class MonomialTable:
         out.add = self.add[:q, :q].copy()
         out.add[out.add >= q] = -1
         out.sub = self.sub[:q, :q].copy()
+        out._below = self._below[:degree + 1]
         out._pattern = None
         return out
 
@@ -168,16 +170,42 @@ class MonomialTable:
     def dim(self) -> int:
         return len(self.exponents)
 
+    def rows(self, index) -> np.ndarray:
+        """The rows of the multi-indices a caller passes in, the rows of an
+        (n, mvars) integer array, by their graded rank. ValueError for rows
+        of another length or entries that are not integers, and for an
+        index with a negative entry or of order above the degree, naming
+        the first such index."""
+        index = np.asarray(index)
+        if not len(index):
+            return np.zeros(0, dtype=np.intp)
+        if index.ndim != 2 or index.shape[1] != self.mvars:
+            raise ValueError(f"index {np.asarray(index[0]).tolist()} does not have "
+                             f"{self.mvars} entries")
+        if index.dtype.kind not in "iu":
+            raise ValueError(f"index {np.asarray(index[0]).tolist()} is not a sequence "
+                             f"of integers")
+        # tails[:, i] = k_i + ... + k_{m-1} of the entries capped at degree + 1,
+        # so the sums cannot overflow and a capped index stays above the degree
+        tails = np.minimum(index[:, ::-1], self.degree + 1).cumsum(axis=1)[:, ::-1]
+        if index.min() < 0 or tails[:, 0].max() > self.degree:
+            outside = (index < 0).any(axis=1) | (tails[:, 0] > self.degree)
+            raise ValueError(self._outside(tuple(index[np.argmax(outside)].tolist())))
+        return self._below[tails, np.arange(self.mvars, 0, -1)].sum(axis=1)
+
     def row(self, k) -> int:
-        """The row of the multi-index k that a caller passes in: ValueError
-        unless k is a sequence of mvars integers >= 0 of order at most the
-        degree."""
+        """The row of the multi-index k that a caller passes in, read by
+        rows: ValueError unless k is a sequence of mvars integers >= 0 of
+        order at most the degree, with one text for every such k."""
         k = _integers(k)
-        row = self.exp_index.get(k)
-        if row is None:
-            raise ValueError(f"index {k} is outside the indices of order N={self.degree} "
-                             f"in m={self.mvars} variables")
-        return row
+        try:
+            return int(self.rows(np.array([k], dtype=np.int64).reshape(1, len(k)))[0])
+        except (ValueError, OverflowError):
+            raise ValueError(self._outside(k)) from None
+
+    def _outside(self, k: MultiIndex) -> str:
+        return (f"index {k} is outside the indices of order N={self.degree} "
+                f"in m={self.mvars} variables")
 
     def monomials(self, point) -> np.ndarray:
         """Values point^k of every monomial, one per row."""

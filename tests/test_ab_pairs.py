@@ -180,3 +180,33 @@ def test_the_class_spread_is_the_quartiles_of_the_pass_ratios():
     assert spreads["x"] == pytest.approx((0.9, 1.1))
     assert spreads["y"] == (1.0, 1.0)
     assert ab.class_spreads(["x"], ([[2.0]], [[3.0]])) == {"x": (1.5, 1.5)}
+
+
+def test_an_unknown_class_is_refused_before_loading():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), "no-such-a", "no-such-b",
+         "--workload", "envelope-grid", "--class", "env-plane-pass", "--class", "nope"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "argument --class: invalid choice: 'nope' (choose from 'env-poly-pass'," in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_named_classes_alone_are_timed():
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env.pop("OMP_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_pairs.py"), ROOT, ROOT,
+         "--workload", "envelope-grid", "--class", "env-plane-fold",
+         "--class", "env-jet-order", "--passes", "2"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # one env-plane-fold and two env-jet-order requests in each pass
+    assert lines[0] == ("envelope-grid, seed 5, classes env-plane-fold, env-jet-order: "
+                        "3 requests x 2 passes; OPENBLAS_NUM_THREADS=1, OMP_NUM_THREADS=default")
+    table = lines.index(next(line for line in lines if line.startswith("class ")))
+    assert sorted(row.split()[0] for row in lines[table + 1:-1]) == ["env-jet-order",
+                                                                      "env-plane-fold"]
+    assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 6"

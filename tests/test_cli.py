@@ -1163,3 +1163,27 @@ def test_a_closed_stdout_keeps_the_exit_code_and_prints_nothing(tmp_path):
         proc.kill()
         proc.stderr.close()
     assert err == b""
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"m": 2, "order": 1, "point": [0.5, 0.5], "degree": 2,
+      "f": [{"index": [1, 0], "coeff": 1.0}, {"index": [2, 1], "coeff": 1.0}]},
+     "polynomial degree 3 exceeds the bound 2"),
+    ({"m": 2, "order": 1, "point": [0.5, 0.5],
+      "f": [{"index": [1, 0, 0], "coeff": 1.0}, {"index": [0, 0, 0], "coeff": 1.0}]},
+     "index [1, 0, 0] does not have 2 entries"),
+])
+def test_jet_refuses_its_indices_through_the_table(capsys, tmp_path, doc, message):
+    code, out, err = run(capsys, "jet", _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert err == f"diffalg: parse error: {message}\n"
+
+
+def test_jet_sums_repeated_indices_in_graded_rows(capsys, tmp_path):
+    # (x + 2 y + 3 x) at (0.5, 0.5): repeated indices add, as np.add.at does
+    doc = {"m": 2, "order": 1, "point": [0.5, 0.5],
+           "f": [{"index": [1, 0], "coeff": 1.0}, {"index": [0, 1], "coeff": 2.0},
+                 {"index": [1, 0], "coeff": 3.0}]}
+    code, rep, _ = run_json(capsys, "jet", _write(tmp_path, "doc.json", doc))
+    assert code == 0
+    assert rep["results"]["jet"][:3] == [[3.0, 0.0], [4.0, 0.0], [2.0, 0.0]]

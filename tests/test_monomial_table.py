@@ -381,3 +381,58 @@ def test_jet_cache_dies_with_its_algebra():
     del alg
     gc.collect()
     assert space() is None
+
+
+# --- one reader of index arrays -------------------------------------------
+
+@pytest.mark.parametrize("mvars, degree", [(1, 4), (2, 3), (3, 4), (4, 2)])
+def test_rows_are_the_graded_ranks(mvars, degree):
+    table = MonomialTable(mvars, degree)
+    rows = table.rows(table.exps)
+    assert rows.tolist() == list(range(table.dim))
+    rng = np.random.default_rng([mvars, degree])
+    pick = rng.integers(0, table.dim, 50)
+    np.testing.assert_array_equal(table.rows(table.exps[pick]), pick)
+    assert [table.row(k) for k in table.exponents] == list(range(table.dim))
+    assert table.rows(np.zeros((0, mvars), dtype=np.int64)).size == 0
+
+
+def test_rows_refuse_another_width_and_indices_outside_the_table():
+    table = MonomialTable(2, 3)
+    with pytest.raises(ValueError, match=r"^index \[1\] does not have 2 entries$"):
+        table.rows(np.array([[1], [2]]))
+    with pytest.raises(ValueError, match=r"^index \[1, 0, 0\] does not have 2 entries$"):
+        table.rows([[1, 0, 0]])
+    for bad in ([[0, 1], [3, 1]], [[0, 1], [-1, 2]], [[0, 1], [2 ** 62, 2 ** 62]]):
+        first = tuple(bad[1])
+        with pytest.raises(ValueError, match=rf"^index \({first[0]}, {first[1]}\) is outside "
+                                             r"the indices of order N=3 in m=2 variables$"):
+            table.rows(np.array(bad, dtype=np.int64))
+    # row keeps one text for every index it refuses, of any length
+    for k in [(1,), (1, 0, 0), (4, 0), (-1, 1), (2 ** 70, 0)]:
+        with pytest.raises(ValueError) as info:
+            table.row(k)
+        assert str(info.value) == f"index {k} is outside the indices of order N=3 in m=2 variables"
+
+
+def test_rows_refuse_entries_that_are_not_integers():
+    table = MonomialTable(2, 3)
+    for bad in (np.array([[1.0, 0.0]]), np.array([[True, False]]), np.array([["a", "b"]])):
+        with pytest.raises(ValueError, match="is not a sequence of integers"):
+            table.rows(bad)
+
+
+def test_a_system_dict_names_its_first_refused_index_or_shape():
+    """The indices of an ops dict are read at once; when one is refused the
+    dict is read in its order, so an earlier matrix of the wrong shape is
+    named before a later bad index, and a bad index before a later shape."""
+    source, target = truncated_poly(1, 2), truncated_poly(1, 2)
+    good, wide = np.eye(3), np.eye(4)
+    with pytest.raises(ValueError, match=r"^operator \(1,\) has shape \(4, 4\)"):
+        DerivativeSystem(source, target, 1, 2, {(1,): wide, (5,): good})
+    with pytest.raises(ValueError, match=r"^operator index \(5,\) is outside the indices"):
+        DerivativeSystem(source, target, 1, 2, {(5,): good, (1,): wide})
+    with pytest.raises(ValueError, match=r"^operator index \(1, 0\) is outside the indices"):
+        DerivativeSystem(source, target, 1, 2, {(0,): good, (1, 0): good})
+    system = DerivativeSystem(source, target, 1, 2, {(2,): 2 * good, (0,): good})
+    assert np.array_equal(system.stack, np.stack([good, 0 * good, 2 * good]))

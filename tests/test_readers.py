@@ -275,3 +275,23 @@ def test_the_replaced_readers_are_gone():
     assert diffalg.diffcalc._coords is diffalg.algebra._coords
     assert not hasattr(diffalg._linalg, "as_matrix")
     assert not hasattr(diffalg.series.SeriesElement, "_row")
+
+
+ELEMENT_OPERANDS = {
+    "+": lambda x: (F4.one() + x).coords,
+    "-": lambda x: (F4.one() - x).coords,
+    "isclose": lambda x: F4.one().isclose(x),
+}
+
+
+@pytest.mark.parametrize("op", ELEMENT_OPERANDS)
+def test_element_operands_are_read_as_elements(op):
+    call = ELEMENT_OPERANDS[op]
+    x = np.array([1.0, -2.0, 0.5j, 1.0])
+    assert _same_bits(call(x), call(Element(F4, x)))
+    assert _same_bits(call(list(x)), call(Element(F4, x)))
+    assert _same_bits(call(np.ones(4)), call(F4.one()))
+    with pytest.raises(ValueError, match="a vector of length 3 in an algebra of dimension 4"):
+        call(np.ones(3))
+    with pytest.raises(DomainError, match="different algebra"):
+        call(M2.one())

@@ -64,7 +64,7 @@ def reference_separation(sample, tol):
 
 
 def reference_tangent(sample, tol_rank):
-    top, bottom = envelope._extreme_singular_values(sample.jac)
+    top, bottom = envelope._extreme_singular_values(sample.jacobian())
     degenerate = bottom <= tol_rank * np.maximum(top, 1.0)
     return sorted(map(tuple, np.stack(sample.grids, axis=1)[degenerate].tolist()))
 

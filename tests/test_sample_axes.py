@@ -1,13 +1,15 @@
 """Sampling on broadcast axes against sampling on the full meshgrid.
 
 `envelope._sample` evaluates each generator and first derivative on the m
-broadcastable axes and writes it into its slot by broadcast assignment.
-The reference below is the earlier construction: every expression
-evaluated on the raveled meshgrid, the values stacked and the Jacobian
-filled row by row. Values, Jacobian and flat coordinates must be the same
-bits for every expression form (constants only, sums, products, powers,
-sin, cos, exp and the flat bump), on one, two and three axes, and a value
-that is not finite must be refused with the same message.
+broadcastable axes; it writes the values into their slot by broadcast
+assignment and keeps the derivatives as columns, which
+`_Sample.jacobian()` gathers. The reference below is the earlier
+construction: every expression evaluated on the raveled meshgrid, the
+values stacked and the Jacobian filled row by row. Values, Jacobian (at
+every point and at scattered points) and flat coordinates must be the
+same bits for every expression form (constants only, sums, products,
+powers, sin, cos, exp and the flat bump), on one, two and three axes, and
+a value that is not finite must be refused with the same message.
 """
 from __future__ import annotations
 
@@ -81,9 +83,11 @@ def test_broadcast_sample_is_the_meshgrid_sample(m, form):
     for grid in GRIDS[m]:
         grids, vals, jac = reference_sample(gens, BOXES[m], grid)
         sample = envelope._sample(gens, BOXES[m], grid)
-        assert sample.values.shape == vals.shape and sample.jac.shape == jac.shape
+        assert sample.values.shape == vals.shape and sample.jacobian().shape == jac.shape
         assert np.array_equal(bits(sample.values), bits(vals))
-        assert np.array_equal(bits(sample.jac), bits(jac))
+        assert np.array_equal(bits(sample.jacobian()), bits(jac))
+        points = np.random.default_rng(grid).permutation(grid ** m)[:grid]
+        assert np.array_equal(bits(sample.jacobian(points)), bits(jac[:, :, points]))
         for got, want in zip(sample.grids, grids):
             assert np.array_equal(bits(got), bits(want))
         assert [ax.size for ax in sample.axes] == [grid] * m
@@ -103,11 +107,11 @@ def test_one_array_only(values, jac):
     gens = [parse_expr(text, 2) for text in forms(2)["sin"]]
     _, vals, jacobian = reference_sample(gens, BOXES[2], 9)
     sample = envelope._sample(gens, BOXES[2], 9, values=values, jac=jac)
-    assert (sample.values is None) != values and (sample.jac is None) != jac
+    assert (sample.values is None) != values and (sample.columns is None) != jac
     if values:
         assert np.array_equal(bits(sample.values), bits(vals))
     else:
-        assert np.array_equal(bits(sample.jac), bits(jacobian))
+        assert np.array_equal(bits(sample.jacobian()), bits(jacobian))
 
 
 @pytest.mark.parametrize("m, text", [

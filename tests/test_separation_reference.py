@@ -23,6 +23,9 @@ the sorted brute-force sets.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -218,7 +221,7 @@ FAMILIES = {
 def reference_tangent_points(gens, box, grid: int) -> list:
     """sorted() of the coordinate tuples of every point the rank
     certificate's Jacobi, run at every point, counts as a witness."""
-    jac = envelope._sample(gens, box, grid, values=False).jac
+    jac = envelope._sample(gens, box, grid, values=False).jacobian()
     top, bottom = envelope._extreme_singular_values(jac)
     points = np.stack(reference_grid_points(box, grid), axis=1)
     return sorted(map(tuple, points[bottom <= 1e-8 * np.maximum(top, 1.0)].tolist()))
@@ -235,3 +238,39 @@ def test_witness_lists_are_the_sorted_brute_force_sets(case):
     _same(gens, box, grid)
     got = tangent_rank_check(gens, box, grid)
     assert repr(got) == repr(reference_tangent_points(gens, box, grid))
+
+
+@pytest.mark.parametrize("k", range(1, len(envelope._WEIGHTS) + 3))
+def test_the_weights_are_the_first_draws_of_the_stream(k):
+    want = np.random.default_rng(1979).uniform(1.0, 2.0, k)
+    got = envelope._weight_draws(k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_the_stream_is_drawn_only_past_the_stored_draws(monkeypatch):
+    made = []
+    make = np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", record)
+    n = len(envelope._WEIGHTS)
+    gens = [Prod(Const(float(j + 1)), Var(0)) for j in range(n + 1)]
+    assert separation_check(gens[:n], [(0.0, 1.0)], 5) == []
+    assert made == []
+    assert separation_check(gens, [(0.0, 1.0)], 5) == []
+    assert made == [(1979,)]
+    assert not envelope._WEIGHTS.flags.writeable
+
+
+def test_importing_the_command_line_builds_no_generator():
+    """The stored draws are literals: numpy loads numpy.random on first
+    use, about 10 ms, and the import of diffalg.cli does not pay it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diffalg.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

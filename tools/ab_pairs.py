@@ -2,6 +2,7 @@
 
     python3 tools/ab_pairs.py A_CHECKOUT B_CHECKOUT [--workload series-jets]
                               [--seed 5] [--passes 4] [--limit N]
+                              [--class NAME ...]
 
 Each checkout's src/diffalg is loaded under its own package name (diffalg_a
 and diffalg_b), side by side in this interpreter. One pass of the seeded
@@ -13,7 +14,10 @@ over the even number of passes that --passes requires, each request runs
 first on each side equally often. Separate benchmark runs of the same
 program drift with the speed of a shared machine by tens of percent; the
 two calls of a pair see the same drift, so the ratios of paired times are
-much steadier than the ratio of two runs. It complements perfbench/run.py and does not replace it: both
+much steadier than the ratio of two runs. --class NAME, which may be
+repeated, keeps only the requests of the named classes of the workload, so
+the ratio of one class over many passes takes seconds; a name that is not
+a class of the workload is refused. It complements perfbench/run.py and does not replace it: both
 programs share one process, so peak memory and process-lifetime caches are
 not measured here. As in perfbench's worker, the calibration slice of
 perfbench/calibration.py runs before each pass and then every EVERY_S
@@ -185,14 +189,22 @@ def main(argv=None) -> int:
                         help="a positive even number")
     parser.add_argument("--limit", type=at_least(1),
                         help="only the first N requests of the pass")
+    parser.add_argument("--class", dest="classes", action="append", metavar="NAME",
+                        help="only the requests of this class; may be repeated")
     args = parser.parse_args(argv)
+    names = [name for name, _, _ in WORKLOADS[args.workload]]
+    for name in args.classes or []:
+        if name not in names:
+            parser.error(f"argument --class: invalid choice: {name!r} (choose from "
+                         + ", ".join(map(repr, names)) + ")")
     for checkout in (args.a, args.b):
         if not os.path.isfile(os.path.join(checkout, "src", "diffalg", "cli.py")):
             parser.error(f"{checkout} has no src/diffalg/cli.py")
 
     clis = (load_cli(args.a, "diffalg_a"), load_cli(args.b, "diffalg_b"))
     with tempfile.TemporaryDirectory() as workdir:
-        requests = build_corpus(args.workload, args.seed, workdir)[:args.limit]
+        requests = [req for req in build_corpus(args.workload, args.seed, workdir)
+                    if args.classes is None or req["class"] in args.classes][:args.limit]
         times = ([], [])  # per side: one list of request seconds per pass
         differ = 0
         for pass_index in range(args.passes):
@@ -214,7 +226,8 @@ def main(argv=None) -> int:
 
     ratios = [sum(b) / sum(a) for a, b in zip(*times)]
     classes = [req["class"] for req in requests]
-    print(f"{args.workload}, seed {args.seed}: {len(requests)} requests x "
+    only = f", classes {', '.join(args.classes)}" if args.classes else ""
+    print(f"{args.workload}, seed {args.seed}{only}: {len(requests)} requests x "
           f"{args.passes} passes; {blas_threads()}")
     print("pass-time ratio B/A: " + " ".join(f"{r:.3f}" for r in ratios)
           + f"  (median {statistics.median(ratios):.3f})")
