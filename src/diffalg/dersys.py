@@ -69,15 +69,9 @@ class DerivativeSystem:
             self.stack = np.array(ops, dtype=complex)
             return
         self.stack = np.zeros(shape, dtype=complex)
-        # the indices are read at once; if any is refused they are read one
-        # by one, so the first refusal in the dict's order is the one named
-        try:
-            rows = self.table.rows(np.array(list(ops))).tolist()
-        except ValueError:
-            rows = None
-        for n, (k, mat) in enumerate(ops.items()):
+        for k, mat in ops.items():
             try:
-                row = self.table.row(k) if rows is None else rows[n]
+                row = self.table.row(k)
             except ValueError as exc:
                 raise ValueError(f"operator {exc}") from None
             mat = np.asarray(mat, dtype=complex)

@@ -185,23 +185,26 @@ class MonomialTable:
         if index.dtype.kind not in "iu":
             raise ValueError(f"index {np.asarray(index[0]).tolist()} is not a sequence "
                              f"of integers")
-        # tails[:, i] = k_i + ... + k_{m-1} of the entries capped at degree + 1,
-        # so the sums cannot overflow and a capped index stays above the degree
-        tails = np.minimum(index[:, ::-1], self.degree + 1).cumsum(axis=1)[:, ::-1]
-        if index.min() < 0 or tails[:, 0].max() > self.degree:
-            outside = (index < 0).any(axis=1) | (tails[:, 0] > self.degree)
+        # tails[:, j] = k_{m-1-j} + ... + k_{m-1} of the entries capped at
+        # degree + 1, so the sums cannot overflow and a capped index stays
+        # above the degree; tails[:, -1] is the order |k|
+        tails = np.minimum(index[:, ::-1], self.degree + 1).cumsum(axis=1)
+        if index.min() < 0 or tails[:, -1].max() > self.degree:
+            outside = (index < 0).any(axis=1) | (tails[:, -1] > self.degree)
             raise ValueError(self._outside(tuple(index[np.argmax(outside)].tolist())))
-        return self._below[tails, np.arange(self.mvars, 0, -1)].sum(axis=1)
+        return self._below[tails, np.arange(1, self.mvars + 1)].sum(axis=1)
 
     def row(self, k) -> int:
-        """The row of the multi-index k that a caller passes in, read by
-        rows: ValueError unless k is a sequence of mvars integers >= 0 of
-        order at most the degree, with one text for every such k."""
+        """The row of the multi-index k that a caller passes in: ValueError
+        unless k is a sequence of mvars integers >= 0 of order at most the
+        degree, with one text for every such k. These are the indices rows
+        accepts, looked up one at a time in exp_index (a dict lookup, where
+        a call of rows costs several microseconds on a one-row array)."""
         k = _integers(k)
-        try:
-            return int(self.rows(np.array([k], dtype=np.int64).reshape(1, len(k)))[0])
-        except (ValueError, OverflowError):
-            raise ValueError(self._outside(k)) from None
+        row = self.exp_index.get(k)
+        if row is None:
+            raise ValueError(self._outside(k))
+        return row
 
     def _outside(self, k: MultiIndex) -> str:
         return (f"index {k} is outside the indices of order N={self.degree} "

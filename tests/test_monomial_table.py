@@ -397,6 +397,22 @@ def test_rows_are_the_graded_ranks(mvars, degree):
     assert table.rows(np.zeros((0, mvars), dtype=np.int64)).size == 0
 
 
+@pytest.mark.parametrize("mvars, degree", [(1, 3), (2, 3), (3, 2)])
+def test_row_and_rows_accept_the_same_indices(mvars, degree):
+    """row looks a tuple up in exp_index and rows ranks an array; on every
+    index with entries from -1 to degree + 1 both accept the same ones and
+    give them the same row."""
+    table = MonomialTable(mvars, degree)
+    for k in itertools.product(range(-1, degree + 2), repeat=mvars):
+        try:
+            expected = int(table.rows(np.array([k]))[0])
+        except ValueError:
+            with pytest.raises(ValueError):
+                table.row(k)
+        else:
+            assert table.row(k) == expected
+
+
 def test_rows_refuse_another_width_and_indices_outside_the_table():
     table = MonomialTable(2, 3)
     with pytest.raises(ValueError, match=r"^index \[1\] does not have 2 entries$"):
@@ -423,9 +439,9 @@ def test_rows_refuse_entries_that_are_not_integers():
 
 
 def test_a_system_dict_names_its_first_refused_index_or_shape():
-    """The indices of an ops dict are read at once; when one is refused the
-    dict is read in its order, so an earlier matrix of the wrong shape is
-    named before a later bad index, and a bad index before a later shape."""
+    """An ops dict is read in its order, so an earlier matrix of the wrong
+    shape is named before a later bad index, and a bad index before a later
+    shape."""
     source, target = truncated_poly(1, 2), truncated_poly(1, 2)
     good, wide = np.eye(3), np.eye(4)
     with pytest.raises(ValueError, match=r"^operator \(1,\) has shape \(4, 4\)"):
