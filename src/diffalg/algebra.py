@@ -1,11 +1,12 @@
 """Finite-dimensional involutive algebras given by structure constants.
 
-An algebra of dimension d is stored as a d x d x d complex tensor c with
+An algebra of dimension d is given by a d x d x d complex tensor c with
 c[i, j] = coordinates of e_i * e_j, an involution matrix S acting
 antilinearly (star(x) = S conj(x)), and the coordinate vector of the unit.
 The named algebras are semigroup algebras (e_i e_j is one basis element or
 0) and keep their (d, d) product table instead: the checks read the table,
-and the tensor is built only when a dense route asks for it.
+and the tensor is built only when a dense route asks for it. Either form
+lives in one _Product, which owns every route that depends on the form.
 On top of that sit subspaces (orthonormal SVD bases), characters
 (unital involutive multiplicative functionals), quotients by two-sided
 ideals, centralizers, and a family of ready-made constructors.
@@ -53,65 +54,38 @@ class StructureAlgebra:
     Immutable after construction. Axioms (associativity on basis triples,
     unit law, involution laws) are validated on construction unless
     check=False is passed; violations raise DomainError.
-
-    A table algebra (see _from_table) holds its product table `_products`,
-    with -1 for a zero product, and its star permutation `_star`; its
-    structure tensor is built on first use. Commutativity, the axioms, the
-    multiplication matrices, the left sides of the law kernel and the
-    character extraction read the table, with the same results to the
-    last bit, since every product constant is exactly 1.
     """
 
-    _products = None
-    _star = None
+    labels = None
 
     def __init__(self, structure, involution, unit, labels=None, check=True,
                  tol=la.ZERO_TOL):
-        self.structure = np.asarray(structure, dtype=complex)
-        if self.structure.ndim != 3 or len(set(self.structure.shape)) != 1:
-            raise ValueError("structure tensor must have shape (d, d, d)")
-        d = self.structure.shape[0]
-        self.involution = np.asarray(involution, dtype=complex)
-        if self.involution.shape != (d, d):
-            raise ValueError("involution matrix shape mismatch")
-        self.unit = np.asarray(unit, dtype=complex).ravel()
-        if self.unit.shape != (d,):
-            raise ValueError("unit vector shape mismatch")
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != d:
-            raise ValueError("label count mismatch")
-        if check:
-            self._check_axioms(tol)
+        self._set(_Product.dense(structure, involution), unit, labels, check, tol)
 
-    def _check_axioms(self, tol) -> None:
-        bad = self.axiom_violations(tol)
+    def _set(self, product, unit, labels=None, check=False, tol=la.ZERO_TOL):
+        """The one setter of the fields, which every builder calls: ValueError
+        for a dimension below 1 or an involution, unit or labels of another,
+        and given check, DomainError for the first failed axiom."""
+        d = product.dim
+        if d < 1:
+            raise ValueError(f"algebra dimension must be >= 1, got {d}")
+        if product.involution.shape != (d, d):
+            raise ValueError("involution matrix shape mismatch")
+        unit = np.asarray(unit, dtype=complex).ravel()
+        if unit.shape != (d,):
+            raise ValueError("unit vector shape mismatch")
+        if labels is not None:
+            self.labels = list(labels)
+            if len(self.labels) != d:
+                raise ValueError("label count mismatch")
+        self._product, self.involution, self.unit = product, product.involution, unit
+        bad = self.axiom_violations(tol) if check else []
         if bad:
             raise DomainError(f"algebra axioms fail: {bad[0]}"
                               + (f" (+{len(bad) - 1} more)" if len(bad) > 1 else ""))
+        return self
 
-    @classmethod
-    def _from_table(cls, products, star, unit, labels) -> "StructureAlgebra":
-        """The semigroup algebra with e_i e_j = e_{products[i, j]} (0 where
-        products[i, j] is -1), e_i* = e_{star[i]} and unit the sum of the
-        e_i at the indices `unit`, axioms unchecked."""
-        alg = cls.__new__(cls)
-        alg._use_products(products, star, unit)
-        alg.labels = labels
-        return alg
-
-    def _use_products(self, products, star, unit) -> None:
-        d = len(star)
-        self._products = np.asarray(products, dtype=np.intp)
-        self._star = np.asarray(star, dtype=np.intp)
-        self.involution = np.zeros((d, d), dtype=complex)
-        self.involution[self._star, np.arange(d)] = 1.0
-        self.unit = np.zeros(d, dtype=complex)
-        self.unit[unit] = 1.0
-
-    @functools.cached_property
-    def structure(self) -> np.ndarray:
-        """The tensor of a table algebra, built on first use."""
-        return _semigroup(self._products)
+    structure = property(lambda self: self._product.tensor, doc="The (d, d, d) tensor.")
 
     @property
     def dim(self) -> int:
@@ -126,7 +100,7 @@ class StructureAlgebra:
         d = self.dim
         x = np.asarray(x, dtype=complex)
         y = np.asarray(y, dtype=complex)
-        left = x[..., None, :] @ self.structure.reshape(d, d * d)
+        left = x[..., None, :] @ self._product.tensor.reshape(d, d * d)
         return (y[..., None, :] @ left.reshape(x.shape[:-1] + (d, d)))[..., 0, :]
 
     def mul_pairs(self, xs, ys) -> np.ndarray:
@@ -139,7 +113,7 @@ class StructureAlgebra:
         d = self.dim
         xs = np.asarray(xs, dtype=complex).reshape(-1, d)
         ys = np.asarray(ys, dtype=complex).reshape(-1, d)
-        return ys @ (xs @ self.structure.reshape(d, d * d)).reshape(-1, d, d)
+        return ys @ (xs @ self._product.tensor.reshape(d, d * d)).reshape(-1, d, d)
 
     def star_coords(self, x) -> np.ndarray:
         """x*, or row by row for a (..., d) stack."""
@@ -147,43 +121,11 @@ class StructureAlgebra:
 
     def left_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> a*x; a stack (..., d) of vectors gives (..., d, d)."""
-        return self._mul_matrix(a, 0)
+        return self._product.mul_matrix(a, 0)
 
     def right_mul_matrix(self, a) -> np.ndarray:
         """Matrix of x -> x*a; a stack (..., d) of vectors gives (..., d, d)."""
-        return self._mul_matrix(a, 1)
-
-    def _mul_matrix(self, a, side: int) -> np.ndarray:
-        """Entry [k, j] = sum_i a_i c[i, j, k] (side 0, x -> a*x) or [k, i] =
-        sum_j c[i, j, k] a_j (side 1, x -> x*a), for each a of the stack: the
-        one builder of multiplication operators. The tensor route contracts
-        the whole stack, a table algebra adds the coordinates of a at the
-        products of its table in one scatter; both return the transposed
-        view of a C-contiguous (..., d, d) array."""
-        d = self.dim
-        a = np.asarray(a, dtype=complex)
-        lead = a.shape[:-1]
-        if self._products is None:
-            c = self.structure
-            out = a @ c.reshape(d, d * d) if side == 0 else a[..., None, None, :] @ c
-        else:  # a wrong length fails the reshape below, if not the scatter
-            at, coeff = self._scatters[side]
-            if lead:  # flat indices over the stack, each matrix in the order above
-                base = np.arange(a.size // d)[:, None]
-                at, coeff = (base * (d * d) + at).ravel(), (base * d + coeff).ravel()
-            out = np.zeros(a.size * d, dtype=complex)
-            np.add.at(out, at, a.ravel()[coeff])
-        return out.reshape(lead + (d, d)).swapaxes(-1, -2)
-
-    @functools.cached_property
-    def _scatters(self):
-        """For each side of _mul_matrix, the flat entry [j, t[i, j]] or [i,
-        t[i, j]] of the transposed matrix that each nonzero product (i, j) adds
-        to (row-major), and the coordinate i or j of a that it adds."""
-        d = self.dim
-        i, j = np.nonzero(self._products >= 0)
-        p = self._products[i, j]
-        return (j * d + p, i), (i * d + p, j)
+        return self._product.mul_matrix(a, 1)
 
     # --- elements ------------------------------------------------------
 
@@ -212,50 +154,25 @@ class StructureAlgebra:
 
         A residual passes only when it is <= tol, so a NaN fails its law;
         non-finite entries fail without floating-point warnings.
-        Associativity and (xy)* = y*x* read the product table of a table
-        algebra, or of a tensor-built one whose constants form a table (see
-        _semigroup_table), and compare basis indices there. Any other
-        tensor takes the d^5 slab contraction and the d^3 involution
-        products. The unit laws read the multiplication matrices.
+        Associativity and (xy)* = y*x* are _Product.laws; the unit laws
+        read the multiplication matrices.
         """
         out = []
         d = self.dim
-        t, star = self._products, self._star
-        if t is None:
-            t, star = _semigroup_table(self.structure, self.involution)
-        if t is None:
-            c = self.structure
-            # associativity on basis triples; real tensors take the real
-            # products, a quarter of the complex work
-            worst, (i, j, k) = _associativity_slabs(c.real if not c.imag.any() else c)
-        else:
-            worst, (i, j, k) = _table_associativity(t)
+        worst, (i, j, k), twice, pairs = self._product.laws()
         if not worst <= tol:
             out.append(f"associativity fails at basis triple ({i},{j},{k}), "
                        f"residual {worst:.2e}")
         # unit law: row i of the transposed multiplication matrices of the
         # unit is u * e_i and e_i * u
         eye = np.eye(d)
-        left_bad = ~(np.abs(self._mul_matrix(self.unit, 0).T - eye).max(axis=1) <= tol)
-        right_bad = ~(np.abs(self._mul_matrix(self.unit, 1).T - eye).max(axis=1) <= tol)
+        left_bad = ~(np.abs(self._product.mul_matrix(self.unit, 0).T - eye).max(axis=1) <= tol)
+        right_bad = ~(np.abs(self._product.mul_matrix(self.unit, 1).T - eye).max(axis=1) <= tol)
         for i in range(d):
             if left_bad[i]:
                 out.append(f"left unit law fails at basis {i}")
             if right_bad[i]:
                 out.append(f"right unit law fails at basis {i}")
-        # involution laws: (x*)* = x, the fixed unit and (e_i e_j)* = e_j* e_i*,
-        # pairs in row-major order. In a table algebra each side is one
-        # basis element or 0, so a residual is 1 where the sides differ.
-        s = self.involution
-        if t is None:
-            twice = np.abs(s @ np.conj(s) - eye).max()  # S conj(S) = I
-            lhs = np.conj(c.reshape(d * d, d)) @ s.T
-            rhs = self.mul_pairs(s.T, s.T).transpose(1, 0, 2).reshape(d * d, d)
-            pairs = np.abs(lhs - rhs).max(axis=1)
-        else:
-            twice = float(not (star[star] == np.arange(d)).all())
-            lhs = np.where(t >= 0, star[t], -1)  # (e_i e_j)* = e_{star[t[i, j]]}
-            pairs = (lhs != t[np.ix_(star, star)].T).ravel().astype(float)
         if not twice <= tol:
             out.append("involution is not an involution: S conj(S) != I")
         if not np.abs(self.star_coords(self.unit) - self.unit).max() <= tol:
@@ -266,16 +183,8 @@ class StructureAlgebra:
         return out
 
     def is_commutative(self, tol=la.ZERO_TOL) -> bool:
-        """Whether c[i, j] = c[j, i] to tol; c[i-block] is compared with
-        c[:, i-block] in blocks of slices (see _slice_blocks), so no
-        transposed copy of the whole tensor is made. In a table algebra
-        c[i, j] - c[j, i] is 0 where the table is symmetric, else of norm 1."""
-        t = self._products
-        if t is not None:
-            return bool(float(not (t == t.T).all()) <= tol)
-        c = self.structure
-        return all(np.abs(c[blk] - c[:, blk].transpose(1, 0, 2)).max() <= tol
-                   for blk in _slice_blocks(self.dim, self.dim))
+        """Whether c[i, j] = c[j, i] to tol (see _Product.is_commutative)."""
+        return self._product.is_commutative(tol)
 
     # --- serialization -------------------------------------------------
 
@@ -329,20 +238,16 @@ class PolyAlgebra(StructureAlgebra):
     """
 
     def __init__(self, mvars: int, degree: int, check: bool = True, tol=la.ZERO_TOL):
-        self._use_table(MonomialTable(mvars, degree))
-        if check:
-            self._check_axioms(tol)
-
-    def _use_table(self, table: MonomialTable) -> None:
-        self.mvars = table.mvars
-        self.degree = table.degree
-        self.table = table
-        self.exponents: list[MultiIndex] = table.exponents
-        self.exp_index = table.exp_index
-        self.jet_cache: dict = {}
+        self.table, self.jet_cache = MonomialTable(mvars, degree), {}
         # x^k x^l = x^(k+l), or 0 above the degree: the table's sums; the
         # involution conjugates coefficients, and the monomial 1 is the unit
-        self._use_products(table.add, np.arange(table.dim), 0)
+        d = self.table.dim
+        self._set(_Product(self.table.add, np.arange(d)), np.arange(d) == 0, None, check, tol)
+
+    mvars = property(lambda self: self.table.mvars)
+    degree = property(lambda self: self.table.degree)
+    exponents = property(lambda self: self.table.exponents)
+    exp_index = property(lambda self: self.table.exp_index)
 
     @functools.cached_property
     def labels(self) -> list[str]:
@@ -354,8 +259,9 @@ class PolyAlgebra(StructureAlgebra):
         result is a new object even for n = degree, so its elements never
         mix with ours."""
         out = PolyAlgebra.__new__(PolyAlgebra)
-        out._use_table(self.table.truncated(n))
-        return out
+        out.table, out.jet_cache = self.table.truncated(n), {}
+        d = out.table.dim
+        return out._set(_Product(out.table.add, np.arange(d)), np.arange(d) == 0)
 
     def evaluate(self, coords, point) -> complex:
         """Value of the polynomial with the given coefficients at a point."""
@@ -621,6 +527,166 @@ def _table_associativity(t) -> tuple[float, tuple[int, int, int]]:
     return 0.0, (0, 0, 0)
 
 
+class _Product:
+    """The product and involution matrix of an algebra, as a table (`table`,
+    e_i e_j = e_table[i, j] or 0 where it is -1, and the permutation `star`,
+    e_i* = e_star[i]) whose `tensor` is built on first use, or as a dense
+    `tensor` alone. The routes read a table when there is one, with the
+    tensor's results to the last bit: every product constant of it is 1."""
+
+    table = star = None
+
+    def __init__(self, table, star):
+        self.table = np.asarray(table, dtype=np.intp)
+        self.star = np.asarray(star, dtype=np.intp)
+        self.dim = d = len(self.star)
+        self.involution = np.zeros((d, d), dtype=complex)
+        self.involution[self.star, np.arange(d)] = 1.0
+
+    @classmethod
+    def dense(cls, structure, involution) -> "_Product":
+        out = cls.__new__(cls)
+        out.tensor = np.asarray(structure, dtype=complex)
+        if out.tensor.ndim != 3 or len(set(out.tensor.shape)) != 1:
+            raise ValueError("structure tensor must have shape (d, d, d)")
+        out.dim = out.tensor.shape[0]
+        out.involution = np.asarray(involution, dtype=complex)
+        return out
+
+    tensor = functools.cached_property(lambda self: _semigroup(self.table))
+
+    def mul_matrix(self, a, side: int) -> np.ndarray:
+        """Entry [k, j] = sum_i a_i c[i, j, k] (side 0, x -> a*x) or [k, i] =
+        sum_j c[i, j, k] a_j (side 1, x -> x*a), for each a of the stack: the
+        one builder of multiplication operators. The tensor route contracts
+        the whole stack, a table adds the coordinates of a at its products in
+        one scatter; both return the transposed view of a C-contiguous
+        (..., d, d) array."""
+        d = self.dim
+        a = np.asarray(a, dtype=complex)
+        lead = a.shape[:-1]
+        if self.table is None:
+            c = self.tensor
+            out = a @ c.reshape(d, d * d) if side == 0 else a[..., None, None, :] @ c
+        else:  # a wrong length fails the reshape below, if not the scatter
+            at, coeff = self._scatters[side]
+            if lead:  # flat indices over the stack, each matrix in the order above
+                base = np.arange(a.size // d)[:, None]
+                at, coeff = (base * (d * d) + at).ravel(), (base * d + coeff).ravel()
+            out = np.zeros(a.size * d, dtype=complex)
+            np.add.at(out, at, a.ravel()[coeff])
+        return out.reshape(lead + (d, d)).swapaxes(-1, -2)
+
+    @functools.cached_property
+    def _scatters(self):
+        """For each side of mul_matrix, the flat entry [j, t[i, j]] or [i,
+        t[i, j]] of the transposed matrix that each nonzero product (i, j) adds
+        to (row-major), and the coordinate i or j of a that it adds."""
+        d = self.dim
+        i, j = np.nonzero(self.table >= 0)
+        p = self.table[i, j]
+        return (j * d + p, i), (i * d + p, j)
+
+    def laws(self):
+        """The associativity residual and witness (see _associativity_slabs),
+        the residual of S conj(S) = I and those of (e_i e_j)* = e_j* e_i*, pair
+        (i, j) at i * d + j. A table, or a tensor whose constants form one
+        (_semigroup_table), compares basis indices; other tensors contract."""
+        d = self.dim
+        t, star = self.table, self.star
+        if t is None:
+            t, star = _semigroup_table(self.tensor, self.involution)
+        if t is not None:
+            twice = float(not (star[star] == np.arange(d)).all())
+            lhs = np.where(t >= 0, star[t], -1)  # (e_i e_j)* = e_{star[t[i, j]]}
+            pairs = (lhs != t[np.ix_(star, star)].T).ravel().astype(float)
+            return (*_table_associativity(t), twice, pairs)
+        c, s = self.tensor, self.involution
+        # real tensors take the real products, a quarter of the complex work
+        worst, at = _associativity_slabs(c.real if not c.imag.any() else c)
+        twice = np.abs(s @ np.conj(s) - np.eye(d)).max()
+        lhs = np.conj(c.reshape(d * d, d)) @ s.T
+        rhs = (s.T @ (s.T @ c.reshape(d, d * d)).reshape(-1, d, d)).transpose(1, 0, 2)
+        return worst, at, twice, np.abs(lhs - rhs.reshape(d * d, d)).max(axis=1)
+
+    def is_commutative(self, tol) -> bool:
+        """Whether c[i, j] = c[j, i] to tol, in blocks of slices with no
+        transposed copy of the tensor. In a table c[i, j] - c[j, i] is 0
+        where the table is symmetric, else of norm 1."""
+        t = self.table
+        if t is not None:
+            return bool(float(not (t == t.T).all()) <= tol)
+        c = self.tensor
+        return all(np.abs(c[blk] - c[:, blk].transpose(1, 0, 2)).max() <= tol
+                   for blk in _slice_blocks(self.dim, self.dim))
+
+    def pair_products(self, rows, width: int):
+        """Per block blk of _slice_blocks(d, width), blk and the (n, len(blk)
+        * d) sums over q of rows[r, q] c[i, j, q]. A table gathers columns
+        t[i, j] of rows, unless a row is not finite: the tensor spreads a NaN
+        or inf over every pair, a gather would not."""
+        d, t = self.dim, self.table
+        if t is not None and np.isfinite(rows).all():
+            padded = np.hstack([rows, np.zeros((len(rows), 1))])  # column -1: 0
+            return ((blk, padded[:, t[blk].ravel()]) for blk in _slice_blocks(d, width))
+        return ((blk, rows @ self.tensor[blk].reshape(-1, d).T)
+                for blk in _slice_blocks(d, width))
+
+    def slice_products(self, vecs):
+        """Per block blk of slices, blk and the stack of c[i] @ vecs over i in
+        blk; a table gathers the rows t[i, j] of vecs."""
+        d, n = vecs.shape
+        if self.table is not None:
+            padded = np.vstack([vecs, np.zeros((1, n))])  # row -1: 0
+            return ((blk, padded[self.table[blk]]) for blk in _slice_blocks(d, n))
+        return ((blk, (self.tensor[blk].reshape(-1, d) @ vecs).reshape(-1, d, n))
+                for blk in _slice_blocks(d, n))
+
+    def trace_gram(self) -> np.ndarray:
+        """tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b], over blocks of b (no
+        full copy). A table counts the b with t[j, t[i, b]] = b, over blocks
+        of i: the same integers."""
+        d, t = self.dim, self.table
+        if t is None:
+            c = self.tensor
+            return sum(c[:, blk].reshape(d, -1) @ c[:, :, blk].transpose(2, 1, 0).reshape(-1, d)
+                       for blk in _slice_blocks(d, d))
+        pad = np.hstack([t, np.full((d, 1), -1, dtype=t.dtype)])  # column -1: 0
+        gram = np.empty((d, d), dtype=complex)
+        for blk in _slice_blocks(d, d):
+            gram[blk] = (pad[:, t[blk]] == np.arange(d)).sum(axis=2).T
+        return gram
+
+    def direct_sum(self, other: "_Product") -> "_Product":
+        """The block-diagonal sum: a table when both are tables."""
+        da, d = self.dim, self.dim + other.dim
+        if self.table is not None and other.table is not None:
+            t = np.full((d, d), -1, dtype=np.intp)
+            t[:da, :da] = self.table
+            t[da:, da:] = np.where(other.table >= 0, other.table + da, -1)
+            return _Product(t, np.concatenate([self.star, other.star + da]))
+        c, inv = np.zeros((d, d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+        c[:da, :da, :da], c[da:, da:, da:] = self.tensor, other.tensor
+        inv[:da, :da], inv[da:, da:] = self.involution, other.involution
+        return _Product.dense(c, inv)
+
+    def series(self, add) -> "_Product":
+        """The series over this product with the monomial sums add, basis
+        (p, a) at p * d + a: a table gives the table add[p, q] * d + t[a, b]
+        (-1 where either is) and star p * d + star[a], a tensor c the tensor
+        with c at [p, :, q, :, add[p, q], :]."""
+        m, db = len(add), self.dim
+        d = m * db
+        if self.table is not None:
+            sums, t = add[:, None, :, None], self.table[:, None]
+            table = np.where((sums >= 0) & (t >= 0), sums * db + t, -1).reshape(d, d)
+            return _Product(table, (np.arange(m)[:, None] * db + self.star).ravel())
+        c = np.zeros((m, db, m, db, m, db), dtype=complex)
+        p, q = np.nonzero(add >= 0)
+        c[p, :, q, :, add[p, q]] = self.tensor
+        return _Product.dense(c.reshape(d, d, d), np.kron(np.eye(m), self.involution))
+
+
 def _law_residuals(source, target, ops, runs=(), bound=None):
     """Unit, involution and Leibniz residuals of the maps D_r: A -> B in
     ops, an (n, dim B, dim A) stack; the laws are (anti)linear, so the
@@ -634,10 +700,8 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     at worst and, given a bound, first (m,) of the first pair not <= bound
     (dim A ** 2 if none). Both sides are formed in blocks of i and reduced
     to per-row maxima at once; the right sides apply the stack of L_{D_d(e_i)},
-    or when B has dimension 1 broadcast its one constant. When A is a
-    table algebra and every map is finite, the left sides gather the
-    columns D_r(e_t[i, j]) (0 for -1); a product with the tensor would spread
-    a NaN or inf of one map over every pair, so other stacks take it.
+    or when B has dimension 1 broadcast its one constant; the left sides are
+    the _Product.pair_products of A.
     """
     n, db, da = ops.shape
     flat = ops.reshape(n * db, da)
@@ -651,18 +715,9 @@ def _law_residuals(source, target, ops, runs=(), bound=None):
     # both sides as (row, coordinate q, pair (i, j)); row i of cols[r] is D_r(e_i)
     m, rows, cols = len(k), np.arange(len(k)), ops.transpose(0, 2, 1)
     one = target.left_mul_matrix(np.ones(1))[0, 0] if db == 1 else None
-    t = source._products
-    if t is not None and np.isfinite(ops).all():
-        padded = np.hstack([flat[:m * db], np.zeros((m * db, 1))])  # column -1: 0
-    else:
-        t = None
     vals, tops, firsts = [], [], []
-    for blk in _slice_blocks(da, m * db * max(1, db // da)):
-        if t is None:
-            slab = source.structure[blk].reshape(-1, da)
-            lhs = (flat[:m * db] @ slab.T).reshape(m, db, len(slab))
-        else:
-            lhs = padded[:, t[blk].ravel()].reshape(m, db, -1)
+    for blk, lhs in source._product.pair_products(flat[:m * db], m * db * max(1, db // da)):
+        lhs = lhs.reshape(m, db, -1)
         pairs = lhs.shape[2]
         rhs = None
         for k, l, d, c in runs:
@@ -716,21 +771,12 @@ def _rayleigh_tuples(algebra: StructureAlgebra, vecs: np.ndarray) -> np.ndarray:
     multiplication by e_i.
 
     On a common eigenvector of the slices that is the tuple of their
-    eigenvalues; one product with the stacked slices per block, or in a
-    table algebra a gather of the rows t[i, j] of vecs (0 for -1).
+    eigenvalues (the products are _Product.slice_products).
     """
     d, n = vecs.shape
     conj = vecs.conj()
-    t = algebra._products
-    if t is not None:
-        padded = np.vstack([vecs, np.zeros((1, n))])  # row -1: 0
     out = np.empty((n, d), dtype=complex)
-    for blk in _slice_blocks(d, n):
-        if t is None:
-            slices = algebra.structure[blk]
-            prods = (slices.reshape(-1, d) @ vecs).reshape(len(slices), d, n)
-        else:
-            prods = padded[t[blk]]
+    for blk, prods in algebra._product.slice_products(vecs):
         out[:, blk] = np.einsum("ijn,jn->ni", prods, conj)
     return out / np.einsum("jn,jn->n", conj, vecs)[:, None]
 
@@ -800,7 +846,7 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
     """
     if not algebra.is_commutative():
         raise DomainError("character extraction requires a commutative algebra")
-    rad = la.null_space(_trace_gram(algebra))
+    rad = la.null_space(algebra._product.trace_gram())
     if rad.shape[0]:
         qalg, proj = quotient(algebra, Subspace(algebra, rad))
         rows = np.array([c.functional for c in _semisimple_characters(qalg, tol)])
@@ -814,34 +860,20 @@ def characters(algebra: StructureAlgebra, tol: float = 1e-8) -> list[Character]:
     return [chars[i] for i in np.lexsort(keys.T[::-1])]
 
 
-def _trace_gram(algebra: StructureAlgebra) -> np.ndarray:
-    """tr(L_i L_j) = sum_ab c[i, b, a] c[j, a, b], over blocks of b (no full
-    copy). In a table algebra it counts the b with t[j, t[i, b]] = b, over
-    blocks of i: the same integers."""
-    d = algebra.dim
-    t = algebra._products
-    if t is None:
-        c = algebra.structure
-        return sum(c[:, blk].reshape(d, -1) @ c[:, :, blk].transpose(2, 1, 0).reshape(-1, d)
-                   for blk in _slice_blocks(d, d))
-    pad = np.hstack([t, np.full((d, 1), -1, dtype=t.dtype)])  # column -1: 0
-    gram = np.empty((d, d), dtype=complex)
-    for blk in _slice_blocks(d, d):
-        gram[blk] = (pad[:, t[blk]] == np.arange(d)).sum(axis=2).T
-    return gram
-
-
 def quotient(algebra: StructureAlgebra, ideal: Subspace,
              tol: float = la.ZERO_TOL) -> tuple[StructureAlgebra, "LinearOp"]:
     """Quotient by a two-sided involution-closed ideal, plus the projection.
 
     The quotient basis consists of the classes of the standard basis vectors
     at the non-pivot columns of the ideal's row-reduced basis, so bases are
-    deterministic. The projection is a unital homomorphism.
+    deterministic. The projection is a unital homomorphism. An ideal that
+    contains the unit (the whole algebra) raises DomainError.
     """
     if ideal.algebra is not algebra:
         raise DomainError("subspace belongs to a different algebra")
     d = algebra.dim
+    if ideal.dim == d:  # the whole algebra: the one ideal that contains the unit
+        raise DomainError("ideal contains the unit: the quotient would be zero")
     v = ideal.basis
     # [j, i, side]: e_i * v_j (column i of R_{v_j}), v_j * e_i (of L_{v_j})
     prods = np.stack([algebra.right_mul_matrix(v).swapaxes(1, 2),
@@ -964,10 +996,10 @@ class LinearOp:
 # --- constructors ------------------------------------------------------
 
 # Largest dimension built from input (algebra_from_name, truncated_poly,
-# series_algebra). Named algebras check themselves and build their
-# multiplication operators on their tables; the dense routes build the
-# tensor, 16 d^3 bytes (256 MiB at d = 256), plus a few d^3 temporaries:
-# mul_coords, mul_pairs, serialization, series_algebra, tableless algebras.
+# series_algebra). Named algebras and series over them check themselves and
+# build their multiplication operators on their tables; the dense routes
+# build the tensor, 16 d^3 bytes (256 MiB at d = 256), plus a few d^3
+# temporaries: mul_coords, mul_pairs, serialization, tableless algebras.
 MAX_NAMED_DIM = 256
 
 
@@ -1026,8 +1058,8 @@ def matrix_algebra(n: int) -> StructureAlgebra:
     # E_ij E_kl = E_il when j = k, else 0; E_ij* = E_ji
     table = np.where(cols[:, None] == rows, rows[:, None] * n + cols, -1)
     labels = [f"E{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return StructureAlgebra._from_table(table, cols * n + rows, np.arange(n) * (n + 1),
-                                        labels)
+    return StructureAlgebra.__new__(StructureAlgebra)._set(
+        _Product(table, cols * n + rows), np.eye(n).ravel(), labels)
 
 
 def function_algebra(n: int) -> StructureAlgebra:
@@ -1036,12 +1068,13 @@ def function_algebra(n: int) -> StructureAlgebra:
     idx = np.arange(n)
     table = np.where(np.eye(n, dtype=bool), idx, -1)
     labels = [f"e{i + 1}" for i in range(n)]
-    return StructureAlgebra._from_table(table, idx, idx, labels)
+    return StructureAlgebra.__new__(StructureAlgebra)._set(_Product(table, idx), np.ones(n),
+                                                           labels)
 
 
 # The target of a character: C as the table algebra e_0 e_0 = e_0. The
 # law kernel reads its one product constant through left_mul_matrix.
-_SCALARS = StructureAlgebra._from_table([[0]], [0], 0, None)
+_SCALARS = StructureAlgebra.__new__(StructureAlgebra)._set(_Product([[0]], [0]), [1.0])
 
 
 def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:
@@ -1057,27 +1090,12 @@ def truncated_poly(mvars: int, degree: int) -> PolyAlgebra:
 def direct_sum(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """Direct sum with componentwise operations; the sum of two table
     algebras is a table algebra."""
-    da, db = a.dim, b.dim
-    d = da + db
-    require_dim(d)
+    require_dim(a.dim + b.dim)
     labels = None
     if a.labels and b.labels:
         labels = [f"({lab},0)" for lab in a.labels] + [f"(0,{lab})" for lab in b.labels]
-    if a._products is not None and b._products is not None:
-        t = np.full((d, d), -1, dtype=np.intp)
-        t[:da, :da] = a._products
-        t[da:, da:] = np.where(b._products >= 0, b._products + da, -1)
-        return StructureAlgebra._from_table(
-            t, np.concatenate([a._star, b._star + da]),
-            np.flatnonzero(np.concatenate([a.unit, b.unit])), labels)
-    c = np.zeros((d, d, d), dtype=complex)
-    c[:da, :da, :da] = a.structure
-    c[da:, da:, da:] = b.structure
-    inv = np.zeros((d, d), dtype=complex)
-    inv[:da, :da] = a.involution
-    inv[da:, da:] = b.involution
-    unit = np.concatenate([a.unit, b.unit])
-    return StructureAlgebra(c, inv, unit, labels=labels, check=False)
+    return StructureAlgebra.__new__(StructureAlgebra)._set(
+        a._product.direct_sum(b._product), np.concatenate([a.unit, b.unit]), labels)
 
 
 class _CyclicGroup:
@@ -1143,8 +1161,8 @@ def group_algebra(factors) -> StructureAlgebra:
     """
     group = _CyclicGroup(factors)
     labels = [f"d{g}" for g in group.elements]
-    return StructureAlgebra._from_table(group.addition_table(), group.negation(), 0,
-                                        labels)
+    return StructureAlgebra.__new__(StructureAlgebra)._set(
+        _Product(group.addition_table(), group.negation()), np.arange(group.order) == 0, labels)
 
 
 def cusp_algebra() -> StructureAlgebra:
@@ -1159,8 +1177,8 @@ def cusp_algebra() -> StructureAlgebra:
     pos = np.full(13, -1)
     pos[exps] = np.arange(len(exps))
     labels = ["1"] + [f"x^{e}" for e in exps[1:]]
-    return StructureAlgebra._from_table(pos[exps[:, None] + exps], np.arange(len(exps)), 0,
-                                        labels)
+    return StructureAlgebra.__new__(StructureAlgebra)._set(
+        _Product(pos[exps[:, None] + exps], np.arange(len(exps))), exps == 0, labels)
 
 
 def _size(text: str) -> int:

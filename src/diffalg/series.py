@@ -6,8 +6,9 @@ The product is the Cauchy convolution (x y)_k = sum_{l <= k} x_{k-l} y_l
 with overflow terms dropped, the involution acts coefficientwise, and the
 unit is the coefficient-unit at k = 0. The coefficients are the rows of one
 array, in the graded order of a MonomialTable; series_algebra flattens the
-whole thing into an ordinary structure algebra when a matrix representation
-is needed, and packing is a reshape.
+whole thing into an ordinary structure algebra (a table algebra over a
+table base) when a matrix representation is needed, and packing is a
+reshape.
 """
 from __future__ import annotations
 
@@ -161,34 +162,23 @@ class SeriesStructureAlgebra(StructureAlgebra):
     """Truncated series algebra flattened to structure constants.
 
     Basis = (multi-index, base basis vector) pairs, multi-indices in the
-    graded order of `table`, base index fastest. Remembers the coefficient
-    algebra and the table so series can be packed and unpacked.
+    graded order of `table`, base index fastest. Over a table algebra the
+    product is a table too (see algebra._Product.series). Remembers the
+    coefficient algebra and the table so series can be packed and unpacked.
     """
 
     def __init__(self, base: StructureAlgebra, table: MonomialTable):
-        m = table.dim
-        db = base.dim
-        d = m * db
-        require_dim(d)
-        self.base = base
-        self.table = table
-        self.mvars = table.mvars
-        self.order = table.degree
-        self.exponents = table.exponents
-        self.exp_index = table.exp_index
-        # c[p, :, q, :, add[p, q], :] = base.structure: the monomial table
-        # tensored with the base
-        c = np.zeros((m, db, m, db, m, db), dtype=complex)
-        p, q = np.nonzero(table.add >= 0)
-        c[p, :, q, :, table.add[p, q]] = base.structure
-        inv = np.kron(np.eye(m), base.involution)
+        m, db = table.dim, base.dim
+        require_dim(m * db)
+        self.base, self.table, self.mvars, self.order = base, table, table.mvars, table.degree
+        self.exponents, self.exp_index = table.exponents, table.exp_index
         unit = np.zeros((m, db), dtype=complex)
         unit[0] = base.unit
         labels = None
         if base.labels:
             labels = [f"{lab}@{k}" for k in self.exponents for lab in base.labels]
-        super().__init__(c.reshape(d, d, d), inv, unit.reshape(d),
-                         labels=labels, check=False)
+        # the monomial table tensored with the base: a table over a table
+        self._set(base._product.series(table.add), unit.ravel(), labels)
 
     def __repr__(self):
         return (f"<SeriesStructureAlgebra m={self.mvars} N={self.order} "

@@ -23,3 +23,20 @@ settings.load_profile("det")
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def tensor_builds(monkeypatch):
+    """The dimensions of the structure tensors that algebra._semigroup
+    builds from tables during the test, in order."""
+    from diffalg import algebra
+
+    built = []
+    semigroup = algebra._semigroup
+
+    def counted(table):
+        built.append(len(table))
+        return semigroup(table)
+
+    monkeypatch.setattr(algebra, "_semigroup", counted)
+    return built

@@ -38,7 +38,7 @@ from diffalg import (
     truncated_poly,
 )
 from diffalg import algebra as algebra_module
-from test_product_table import BROKEN, NAMED, twin
+from test_product_table import BROKEN, NAMED, table_algebra, twin
 
 FAMILIES = [
     matrix_algebra(2),
@@ -264,6 +264,20 @@ def test_quotient_rejects_nonideal():
         quotient(p, notideal)
 
 
+@pytest.mark.parametrize("name", ["func:3", "matrix:2"])
+def test_quotient_by_the_whole_algebra_is_refused(name):
+    # the one ideal that contains the unit; its quotient would have no basis
+    for alg in (NAMED[name], twin(NAMED[name])):
+        with pytest.raises(DomainError, match="ideal contains the unit"):
+            quotient(alg, Subspace.whole(alg))
+
+
+@pytest.mark.parametrize("check", [True, False])
+def test_a_zero_dimensional_algebra_is_refused(check):
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        StructureAlgebra(np.zeros((0, 0, 0)), np.zeros((0, 0)), np.zeros(0), check=check)
+
+
 def test_centralizer_oracle():
     m2 = matrix_algebra(2)
     z = centralizer(m2, Subspace(m2, [np.eye(4)[0] + np.eye(4)[3]]))
@@ -428,7 +442,7 @@ def test_axiom_violations_match_loop_reference(index, tol):
 
 def _dense(t, star, unit):
     """The tensor-built copy of the table algebra (t, star, unit)."""
-    return twin(StructureAlgebra._from_table(t, star, unit, None))
+    return twin(table_algebra(t, star, unit))
 
 
 def test_axioms_of_a_tensor_read_its_table_only_when_it_is_one(monkeypatch):
@@ -442,7 +456,7 @@ def test_axioms_of_a_tensor_read_its_table_only_when_it_is_one(monkeypatch):
                             lambda *a, _n=name, _f=route: taken.append(_n) or _f(*a))
     base = matrix_algebra(3)
     c, s = base.structure, base.involution
-    i, j, k = 1, 3, base._products[1, 3]  # E12 E21 = E11
+    i, j, k = 1, 3, base._product.table[1, 3]  # E12 E21 = E11
 
     def changed(array, at, value):
         out = array.copy()
@@ -456,7 +470,7 @@ def test_axioms_of_a_tensor_read_its_table_only_when_it_is_one(monkeypatch):
         "NaN constant": (changed(c, (i, j, k), np.nan), s, "_associativity_slabs"),
         "two products in one pair": (changed(c, (i, j, k + 1), 1.0), s,
                                      "_associativity_slabs"),
-        "-1 in the involution": (c, changed(s, (base._star[4], 4), -1.0),
+        "-1 in the involution": (c, changed(s, (base._product.star[4], 4), -1.0),
                                  "_associativity_slabs"),
     }
     for label, (tensor, involution, route) in cases.items():
@@ -476,7 +490,7 @@ def _both_kernels(alg, tol):
 
 
 # the named tables of dimension up to 16 and the tables that break one law
-_TABLES = {name: (alg._products, alg._star, np.flatnonzero(alg.unit))
+_TABLES = {name: (alg._product.table, alg._product.star, np.flatnonzero(alg.unit))
            for name, alg in NAMED.items() if alg.dim <= 16} | BROKEN
 
 

@@ -70,8 +70,8 @@ def test_algebra_check_of_a_named_algebra_file(capsys, tmp_path, name):
     code, got, _ = run_json(capsys, "algebra-check", _write(tmp_path, "alg.json", doc))
     assert code == 0
     assert (got["results"], got["violations"]) == (want["results"], want["violations"])
-    i, j = np.argwhere(alg._products >= 0)[-1]  # the last nonzero product
-    k = alg._products[i, j]
+    i, j = np.argwhere(alg._product.table >= 0)[-1]  # the last nonzero product
+    k = alg._product.table[i, j]
     raised, second = copy.deepcopy(doc), copy.deepcopy(doc)
     raised["structure"][i][j][k] = [2.0, 0.0]
     second["structure"][i][j][(k + 1) % alg.dim] = [1.0, 0.0]

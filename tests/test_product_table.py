@@ -11,7 +11,7 @@ alg.involution, alg.unit), which takes the tensor routes: array_equal, no
 tolerance. The dense routes themselves stay covered by the unitarily
 conjugated algebras here and in tests/test_basis_change.py, which have no
 table. Requests on named algebras build no tensor, and no module but
-algebra.py and series.py reads one.
+algebra.py reads one.
 """
 from __future__ import annotations
 
@@ -25,11 +25,13 @@ import pytest
 import report_digests as rd
 from test_basis_change import change_basis, unitary
 
-from diffalg import (StructureAlgebra, characters, cli, cusp_algebra, direct_sum,
-                     function_algebra, group_algebra, matrix_algebra, truncated_poly)
+from diffalg import (PolyAlgebra, SeriesStructureAlgebra, StructureAlgebra, Subspace,
+                     algebra_from_name, characters, cli, cusp_algebra, direct_sum,
+                     function_algebra, group_algebra, matrix_algebra, quotient, series_algebra,
+                     subalgebra, truncated_poly)
 from diffalg import algebra
 from diffalg.algebra import (_DERIVATION_RUNS, _SCALARS, _law_residuals, _rayleigh_tuples,
-                             _self_runs, _trace_gram)
+                             _self_runs)
 
 
 def _named():
@@ -52,8 +54,16 @@ COMMUTATIVE = [name for name in NAMED if "matrix" not in name]
 
 def twin(alg: StructureAlgebra) -> StructureAlgebra:
     dense = StructureAlgebra(alg.structure, alg.involution, alg.unit, check=False)
-    assert alg._products is not None and dense._products is None
+    assert alg._product.table is not None and dense._product.table is None
     return dense
+
+
+def table_algebra(t, star, unit) -> StructureAlgebra:
+    """The semigroup algebra with product table t, star permutation star and
+    unit the sum of the e_i at the indices unit, axioms unchecked."""
+    u = np.zeros(len(star), dtype=complex)
+    u[unit] = 1.0
+    return StructureAlgebra.__new__(StructureAlgebra)._set(algebra._Product(t, star), u)
 
 
 def _complex(rng, *shape):
@@ -73,8 +83,8 @@ def _same(got, want):
 def test_named_algebras_keep_their_table_and_build_the_tensor_on_first_use(name):
     alg = NAMED[name]
     assert type(alg) is StructureAlgebra or name.startswith("poly:")
-    assert alg._products.shape == (alg.dim, alg.dim)
-    assert (alg.involution[alg._star, np.arange(alg.dim)] == 1).all()
+    assert alg._product.table.shape == (alg.dim, alg.dim)
+    assert (alg.involution[alg._product.star, np.arange(alg.dim)] == 1).all()
     c = alg.structure
     assert c.shape == (alg.dim,) * 3 and alg.structure is c
 
@@ -187,9 +197,9 @@ def test_rayleigh_tuples_and_the_trace_gram(name):
     dense = twin(alg)
     vecs = _complex(np.random.default_rng(5), alg.dim, alg.dim)
     assert np.array_equal(_rayleigh_tuples(alg, vecs), _rayleigh_tuples(dense, vecs))
-    gram = _trace_gram(alg)
+    gram = alg._product.trace_gram()
     assert gram.dtype == complex
-    assert gram.tobytes() == _trace_gram(dense).tobytes()
+    assert gram.tobytes() == dense._product.trace_gram().tobytes()
 
 
 @pytest.mark.parametrize("name", COMMUTATIVE)
@@ -207,7 +217,7 @@ def _broken():
     out = {}
     for label, alg in (("matrix:2", m2), ("func:3", f3), ("group:4", z4), ("cusp", cusp),
                        ("poly:2:2", p22)):
-        t, star, unit = alg._products, alg._star, np.flatnonzero(alg.unit)
+        t, star, unit = alg._product.table, alg._product.star, np.flatnonzero(alg.unit)
         d = alg.dim
         redirected = t.copy()
         redirected[d - 1, d - 1] = (t[d - 1, d - 1] + 1) % d
@@ -222,8 +232,8 @@ def _broken():
             out[f"{label}-cyclic-star"] = (t, np.roll(star, 1), unit)
     # involutions that break (xy)* = y*x*: the identity on M_2, and the
     # swap of E11 and E22
-    out["matrix:2-identity-star"] = (m2._products, np.arange(4), np.flatnonzero(m2.unit))
-    out["matrix:2-swapped-star"] = (m2._products, np.array([3, 2, 1, 0]),
+    out["matrix:2-identity-star"] = (m2._product.table, np.arange(4), np.flatnonzero(m2.unit))
+    out["matrix:2-swapped-star"] = (m2._product.table, np.array([3, 2, 1, 0]),
                                     np.flatnonzero(m2.unit))
     return out
 
@@ -233,8 +243,7 @@ BROKEN = _broken()
 
 @pytest.mark.parametrize("name", BROKEN)
 def test_broken_tables_report_the_same_violations(name):
-    t, star, unit = BROKEN[name]
-    alg = StructureAlgebra._from_table(t, star, unit, None)
+    alg = table_algebra(*BROKEN[name])
     dense = twin(alg)
     for tol in (1e-9, 1.0):
         got = alg.axiom_violations(tol)
@@ -250,7 +259,7 @@ def test_broken_tables_report_the_same_violations(name):
 @pytest.mark.parametrize("name", BROKEN)
 def test_stacks_on_broken_tables(name, shape):
     # a non-cancellative table adds several coordinates into one entry
-    alg = StructureAlgebra._from_table(*BROKEN[name], None)
+    alg = table_algebra(*BROKEN[name])
     _stacks_agree(alg, twin(alg), _complex(np.random.default_rng(4), *shape, alg.dim))
 
 
@@ -260,19 +269,78 @@ def test_named_axioms_hold_on_both_routes(name):
     assert alg.axiom_violations() == twin(alg).axiom_violations() == []
 
 
+# --- series over a base, and the one setter ---------------------------------
+
+def dense_series(base: StructureAlgebra, add):
+    """The tensor and involution of the series algebra over base with the
+    monomial sums add, as they were built densely over every base:
+    c[p, :, q, :, add[p, q], :] = base.structure."""
+    m, db = len(add), base.dim
+    d = m * db
+    c = np.zeros((m, db, m, db, m, db), dtype=complex)
+    p, q = np.nonzero(add >= 0)
+    c[p, :, q, :, add[p, q]] = base.structure
+    return c.reshape(d, d, d), np.kron(np.eye(m), base.involution)
+
+
+@pytest.mark.parametrize("m,n", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("base", ["func:1", "func:2", "matrix:2", "group:3", "poly:1:2", "cusp"])
+def test_a_series_over_a_table_is_a_table_with_the_dense_tensor(tensor_builds, base, m, n):
+    alg = series_algebra(algebra_from_name(base), m, n)
+    assert alg._product.table is not None and tensor_builds == []
+    c, inv = dense_series(alg.base, alg.table.add)
+    assert alg.structure.tobytes() == c.tobytes()
+    assert alg.involution.tobytes() == inv.tobytes()
+    assert alg.axiom_violations() == twin(alg).axiom_violations() == []
+    _stacks_agree(alg, twin(alg), _complex(np.random.default_rng(m), 2, alg.dim))
+
+
+def test_a_series_over_a_tensor_keeps_the_tensor():
+    base = change_basis(matrix_algebra(2), unitary(0, 4))
+    alg = series_algebra(base, 2, 2)
+    assert alg._product.table is None
+    c, inv = dense_series(base, alg.table.add)
+    assert alg.structure.tobytes() == c.tobytes()
+    assert alg.involution.tobytes() == inv.tobytes()
+
+
+def test_every_builder_goes_through_the_one_setter(monkeypatch):
+    calls = []
+    setter = StructureAlgebra._set
+
+    def counted(self, *args):
+        calls.append(type(self))
+        return setter(self, *args)
+
+    monkeypatch.setattr(StructureAlgebra, "_set", counted)
+    m2, f3, poly = matrix_algebra(2), function_algebra(3), truncated_poly(1, 3)
+    dense = twin(m2)
+    builders = {
+        "StructureAlgebra": lambda: StructureAlgebra(m2.structure, m2.involution, m2.unit),
+        "from_dict": lambda: StructureAlgebra.from_dict(m2.to_dict()),
+        "matrix_algebra": lambda: matrix_algebra(3),
+        "function_algebra": lambda: function_algebra(2),
+        "group_algebra": lambda: group_algebra([2, 3]),
+        "cusp_algebra": cusp_algebra,
+        "truncated_poly": lambda: truncated_poly(2, 2),
+        "PolyAlgebra": lambda: PolyAlgebra(2, 1),
+        "truncated": lambda: poly.truncated(2),
+        "algebra_from_name": lambda: algebra_from_name("group:4"),
+        "direct_sum of tables": lambda: direct_sum(m2, f3),
+        "direct_sum with a tensor": lambda: direct_sum(f3, dense),
+        "quotient": lambda: quotient(f3, Subspace(f3, [[1.0, 0.0, 0.0]]))[0],
+        "subalgebra": lambda: subalgebra(m2, [m2.unit])[0],
+        "series_algebra": lambda: series_algebra(f3, 2, 1),
+        "series over a tensor": lambda: series_algebra(dense, 1, 2),
+        "SeriesStructureAlgebra": lambda: SeriesStructureAlgebra(m2, poly.table),
+    }
+    for name, build in builders.items():
+        calls.clear()
+        alg = build()
+        assert calls == [type(alg)], name
+
+
 # --- memory and builds through the command line -------------------------
-
-def _count_tensor_builds(monkeypatch):
-    built = []
-    semigroup = algebra._semigroup
-
-    def counted(table):
-        built.append(len(table))
-        return semigroup(table)
-
-    monkeypatch.setattr(algebra, "_semigroup", counted)
-    return built
-
 
 def _corpus_request(make, tmp_path, seed: int = 5) -> list[str]:
     """argv of the request a perfbench class builder makes at seed, its
@@ -290,15 +358,17 @@ def _corpus_class(name: str):
 
 @pytest.mark.parametrize("argv", [["fourier", "Z8xZ8"], ["algebra-check", "matrix:6"],
                                   ["algebra-check", "group:4x4x2"], "ztower-star4",
-                                  "ztower-star6", "difforder-poly2-5", "difforder-poly3-3"],
+                                  "ztower-star6", "difforder-poly2-5", "difforder-poly3-3",
+                                  "dersys-m1n4", "dersys-m2n3", "dersys-m3n2"],
                          ids=str)
-def test_requests_on_tables_build_no_tensor(monkeypatch, capsys, tmp_path, argv):
+def test_requests_on_tables_build_no_tensor(capsys, tmp_path, tensor_builds, argv):
+    # a dersys-verify request packs its system into the series algebra over
+    # func:1, a table over a table
     if isinstance(argv, str):  # a class of the benchmark corpora, on named algebras
         argv = _corpus_request(_corpus_class(argv), tmp_path)
-    built = _count_tensor_builds(monkeypatch)
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert built == []
+    assert tensor_builds == []
 
 
 def test_ztower_func16_to_matrix16_stays_small(capsys, tmp_path):
@@ -332,15 +402,14 @@ def test_group_16x16_check_stays_small(capsys):
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diffalg"
 
 
-def test_only_the_algebra_and_series_modules_read_the_tensor():
-    """The c[i, j, k] layout is read in algebra.py, where every
-    multiplication operator is built, and in series.py, which tensors it
-    with the monomial table; other modules go through the algebra's
-    methods."""
+def test_only_the_algebra_module_reads_the_tensor():
+    """The c[i, j, k] layout is read in algebra.py alone, where the product
+    object builds every multiplication operator and the series product;
+    other modules go through the algebra's methods."""
     readers = {path.name: sorted({node.lineno for node in ast.walk(ast.parse(path.read_text()))
                                   if isinstance(node, ast.Attribute)
                                   and node.attr == "structure"})
                for path in sorted(PACKAGE.glob("*.py"))}
-    assert readers["algebra.py"] and readers["series.py"]
+    assert readers["algebra.py"]
     assert {name: lines for name, lines in readers.items()
-            if lines and name not in ("algebra.py", "series.py")} == {}
+            if lines and name != "algebra.py"} == {}

@@ -178,25 +178,21 @@ def _write(tmp_path, name, obj):
     return str(path)
 
 
-def _count_builds(monkeypatch):
-    """Dimensions of the structure tensors and label lists built from here on."""
-    tensors, labels = [], []
-    semigroup, label = algebra._semigroup, algebra.monomial_label
-
-    def counted_semigroup(table):
-        tensors.append(len(table))
-        return semigroup(table)
+def _count_labels(monkeypatch):
+    """The monomials whose labels are built from here on."""
+    labels = []
+    label = algebra.monomial_label
 
     def counted_label(k):
         labels.append(k)
         return label(k)
 
-    monkeypatch.setattr(algebra, "_semigroup", counted_semigroup)
     monkeypatch.setattr(algebra, "monomial_label", counted_label)
-    return tensors, labels
+    return labels
 
 
-def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_path, capsys):
+def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_path, capsys,
+                                                             tensor_builds):
     builds = []
     init = MonomialTable.__init__
 
@@ -207,7 +203,7 @@ def test_a_jet_request_builds_one_table_and_one_pair_pattern(monkeypatch, tmp_pa
     counting = _CountingNumpy()
     monkeypatch.setattr(MonomialTable, "__init__", counted)
     monkeypatch.setattr(multiindex, "np", counting)
-    tensors, labels = _count_builds(monkeypatch)
+    tensors, labels = tensor_builds, _count_labels(monkeypatch)
     doc = {"m": 2, "order": 2, "point": [0.25, -0.5],
            "f": [{"index": [1, 1], "coeff": 2.0}, {"index": [0, 3], "coeff": -1.0}]}
     assert cli.main(["jet", _write(tmp_path, "jet.json", doc)]) == 0
@@ -260,8 +256,8 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in (1, 2, 3, 4) for n in range(7)])
-def test_first_use_builds_what_the_eager_build_held(monkeypatch, m, n):
-    tensors, labels = _count_builds(monkeypatch)
+def test_first_use_builds_what_the_eager_build_held(monkeypatch, tensor_builds, m, n):
+    tensors, labels = tensor_builds, _count_labels(monkeypatch)
     alg = truncated_poly(m, n)
     assert (tensors, labels) == ([], [])
     c, inv, unit, want_labels = ref_eager_build(m, n)
@@ -276,8 +272,8 @@ def test_first_use_builds_what_the_eager_build_held(monkeypatch, m, n):
 
 
 @pytest.mark.parametrize("m,big", [(1, 6), (2, 5), (3, 4)])
-def test_truncating_an_unbuilt_algebra_builds_nothing_of_it(monkeypatch, m, big):
-    tensors, _ = _count_builds(monkeypatch)
+def test_truncating_an_unbuilt_algebra_builds_nothing_of_it(tensor_builds, m, big):
+    tensors = tensor_builds
     parent = truncated_poly(m, big)
     corners = [parent.truncated(n) for n in range(big + 1)]
     assert tensors == []
@@ -287,8 +283,8 @@ def test_truncating_an_unbuilt_algebra_builds_nothing_of_it(monkeypatch, m, big)
     assert sorted(tensors) == sorted(2 * [corner.dim for corner in corners])
 
 
-def test_jet_functions_never_build_the_ambient_tensor(monkeypatch):
-    tensors, _ = _count_builds(monkeypatch)
+def test_jet_functions_never_build_the_ambient_tensor(tensor_builds):
+    tensors = tensor_builds
     alg = truncated_poly(3, 5)
     f = np.linspace(-1.0, 1.0, alg.dim)
     s = [0.5, -0.25, 0.125]
