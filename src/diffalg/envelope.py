@@ -48,11 +48,15 @@ __all__ = [
 class Expr:
     """Expression tree node; immutable, with total evaluation on reals."""
 
-    def diff(self, i: int) -> "Expr":
+    def forward(self, grids: list[np.ndarray], m: int) -> tuple[np.ndarray, list]:
+        """The value on the grids and the partials in the first m variables,
+        from one walk of the tree (forward mode; Griewank and Walther,
+        Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 3); a partial is an
+        array or scalar, or None, not computed, where it is identically zero."""
         raise NotImplementedError
 
     def eval(self, grids: list[np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
+        return self.forward(grids, 0)[0]
 
     def degree(self):
         """Total degree if polynomial, else None."""
@@ -73,15 +77,26 @@ class Expr:
         raise NotImplementedError
 
 
+def _sum(da: list, db: list) -> list:
+    """The partials of a sum; a structural zero term is skipped."""
+    return [q if p is None else p if q is None else p + q for p, q in zip(da, db)]
+
+
+def _chain(factor, partials: list) -> list:
+    """factor() * d for each partial d; the factor is made once, and only
+    when some partial is not a structural zero."""
+    if all(d is None for d in partials):
+        return partials
+    f = factor()
+    return [None if d is None else f * d for d in partials]
+
+
 class Const(Expr):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def diff(self, i):
-        return Const(0.0)
-
-    def eval(self, grids):
-        return np.full_like(grids[0], self.value, dtype=float)
+    def forward(self, grids, m):
+        return np.full_like(grids[0], self.value, dtype=float), [None] * m
 
     def degree(self):
         return 0
@@ -99,13 +114,10 @@ class Var(Expr):
             raise ValueError("variable indices start at 0")
         self.index = int(index)
 
-    def diff(self, i):
-        return Const(1.0 if i == self.index else 0.0)
-
-    def eval(self, grids):
+    def forward(self, grids, m):
         if self.index >= len(grids):
             raise ValueError(f"variable x{self.index} outside the grid dimension")
-        return grids[self.index]
+        return grids[self.index], [1.0 if i == self.index else None for i in range(m)]
 
     def degree(self):
         return 1
@@ -126,11 +138,10 @@ class Sum(Expr):
     def __init__(self, a: Expr, b: Expr):
         self.a, self.b = a, b
 
-    def diff(self, i):
-        return Sum(self.a.diff(i), self.b.diff(i))
-
-    def eval(self, grids):
-        return self.a.eval(grids) + self.b.eval(grids)
+    def forward(self, grids, m):
+        a, da = self.a.forward(grids, m)
+        b, db = self.b.forward(grids, m)
+        return a + b, _sum(da, db)
 
     def degree(self):
         da, db = self.a.degree(), self.b.degree()
@@ -147,11 +158,10 @@ class Prod(Expr):
     def __init__(self, a: Expr, b: Expr):
         self.a, self.b = a, b
 
-    def diff(self, i):
-        return Sum(Prod(self.a.diff(i), self.b), Prod(self.a, self.b.diff(i)))
-
-    def eval(self, grids):
-        return self.a.eval(grids) * self.b.eval(grids)
+    def forward(self, grids, m):
+        a, da = self.a.forward(grids, m)
+        b, db = self.b.forward(grids, m)
+        return a * b, _sum(_chain(lambda: b, da), _chain(lambda: a, db))
 
     def degree(self):
         da, db = self.a.degree(), self.b.degree()
@@ -170,15 +180,12 @@ class Pow(Expr):
             raise ValueError("powers must be integers >= 1")
         self.base, self.power = base, int(power)
 
-    def diff(self, i):
-        inner = self.base.diff(i)
-        if self.power == 1:
-            return inner
-        lowered = Pow(self.base, self.power - 1) if self.power > 2 else self.base
-        return Prod(Const(self.power), Prod(lowered, inner))
-
-    def eval(self, grids):
-        return self.base.eval(grids) ** self.power
+    def forward(self, grids, m):
+        b, db = self.base.forward(grids, m)
+        p = self.power
+        if p > 1:  # p * (b^(p-1) * b')
+            db = _chain(lambda: float(p), _chain(lambda: b ** (p - 1) if p > 2 else b, db))
+        return b ** p, db
 
     def degree(self):
         db = self.base.degree()
@@ -195,46 +202,45 @@ class Pow(Expr):
         return f"(pow {self.base.to_sexpr()} {self.power})"
 
 
-class Sin(Expr):
+class _Unary(Expr):
+    """f(a) for the numpy function f called `name`; the chain rule
+    multiplies each partial of a by slope(a, f(a))."""
+
     def __init__(self, a: Expr):
         self.a = a
 
-    def diff(self, i):
-        return Prod(Cos(self.a), self.a.diff(i))
-
-    def eval(self, grids):
-        return np.sin(self.a.eval(grids))
-
-    def to_sexpr(self):
-        return f"(sin {self.a.to_sexpr()})"
-
-
-class Cos(Expr):
-    def __init__(self, a: Expr):
-        self.a = a
-
-    def diff(self, i):
-        return Prod(Const(-1.0), Prod(Sin(self.a), self.a.diff(i)))
-
-    def eval(self, grids):
-        return np.cos(self.a.eval(grids))
+    def forward(self, grids, m):
+        a, da = self.a.forward(grids, m)
+        value = self.f(a)
+        return value, _chain(lambda: self.slope(a, value), da)
 
     def to_sexpr(self):
-        return f"(cos {self.a.to_sexpr()})"
+        return f"({self.name} {self.a.to_sexpr()})"
 
 
-class Exp(Expr):
-    def __init__(self, a: Expr):
-        self.a = a
+class Sin(_Unary):
+    name, f, slope = "sin", np.sin, staticmethod(lambda a, value: np.cos(a))
 
-    def diff(self, i):
-        return Prod(Exp(self.a), self.a.diff(i))
 
-    def eval(self, grids):
-        return np.exp(self.a.eval(grids))
+class Cos(_Unary):
+    # -sin(a) a' is -1 (sin(a) a') bit for bit
+    name, f, slope = "cos", np.cos, staticmethod(lambda a, value: -np.sin(a))
 
-    def to_sexpr(self):
-        return f"(exp {self.a.to_sexpr()})"
+
+class Exp(_Unary):
+    name, f, slope = "exp", np.exp, staticmethod(lambda a, value: value)
+
+
+def _flat_bump_over_pow(t: np.ndarray, power: int) -> np.ndarray:
+    """exp(-1/t^2)/t^power, 0 where t = 0."""
+    safe = np.where(t == 0.0, 1.0, t)
+    # For tiny u, 1/u^2 overflows and exp(-1/u^2) is 0, and u^power may
+    # underflow to 0 too: the value there is the exact 0, not 0/0.
+    with np.errstate(divide="ignore", over="ignore"):
+        val = np.where(t == 0.0, 0.0, np.exp(-1.0 / safe ** 2))
+        if power:
+            val = np.divide(val, safe ** power, out=np.zeros_like(val), where=val != 0.0)
+    return val
 
 
 class FlatBumpTimes(Expr):
@@ -251,24 +257,12 @@ class FlatBumpTimes(Expr):
             raise ValueError("power must be >= 0")
         self.arg, self.power = arg, int(power)
 
-    def diff(self, i):
-        du = self.arg.diff(i)
-        grown = Sum(Prod(Const(2.0), FlatBumpTimes(self.arg, self.power + 3)),
-                    Prod(Const(-float(self.power)),
-                         FlatBumpTimes(self.arg, self.power + 1)))
-        return Prod(grown, du)
-
-    def eval(self, grids):
-        t = self.arg.eval(grids)
-        safe = np.where(t == 0.0, 1.0, t)
-        # For tiny u, 1/u^2 overflows and exp(-1/u^2) is 0, and u^power may
-        # underflow to 0 too: the value there is the exact 0, not 0/0.
-        with np.errstate(divide="ignore", over="ignore"):
-            val = np.where(t == 0.0, 0.0, np.exp(-1.0 / safe ** 2))
-            if self.power:
-                val = np.divide(val, safe ** self.power, out=np.zeros_like(val),
-                                where=val != 0.0)
-        return val
+    def forward(self, grids, m):
+        t, dt = self.arg.forward(grids, m)
+        k = self.power
+        return _flat_bump_over_pow(t, k), _chain(
+            lambda: 2.0 * _flat_bump_over_pow(t, k + 3) + -float(k) * _flat_bump_over_pow(t, k + 1),
+            dt)
 
     def to_sexpr(self):
         if self.power == 0:
@@ -379,13 +373,13 @@ class _Sample:
     """A request's sample grid and what the certificates read of it: the
     broadcastable axes, the grid's shape, the generator values as
     (points, k) and the first derivatives as columns: columns[i][j] is
-    d g_j / d x_i as its expression evaluates on the axes, broadcastable to
-    the grid, so a derivative that does not vary along an axis is not
-    repeated along it. jacobian() gathers the (m, k, points) array where
-    it is asked for. The flat coordinate arrays and the point codes are
-    built on first use, once; a PASS never reads them. `witnesses` takes
-    each certificate's ordered witness point indices, by condition name,
-    for envelope_verdict."""
+    d g_j / d x_i from the forward pass on the axes, of length 1 along
+    each axis it does not vary on, so it is not repeated along it; a
+    structural zero is one shared read-only zeros((1,) * m). jacobian()
+    gathers the (m, k, points) array where it is asked for. The flat
+    coordinate arrays and the point codes are built on first use, once; a
+    PASS never reads them. `witnesses` takes each certificate's ordered
+    witness point indices, by condition name, for envelope_verdict."""
 
     def __init__(self, axes: list[np.ndarray]):
         self.axes = axes
@@ -440,32 +434,35 @@ def _gather(columns, shape: tuple, points: np.ndarray | None = None) -> np.ndarr
 def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sample:
     """Builds the grid once and evaluates the requested arrays on it.
 
-    Each generator and first derivative is evaluated on the broadcastable
-    axes, so it costs what its own variables need. The values are written
-    into their slot of a preallocated array by broadcast assignment; the
-    first derivatives are kept as the columns they evaluate to.
-    Overflow and invalid-operation warnings are silenced during evaluation;
-    a generator value or first derivative that is not finite is refused
-    with DomainError instead, naming how many sample points it affects and
-    the first of them.
+    Each generator is walked once by Expr.forward on the broadcastable
+    axes, for its value and first derivatives at the cost of its own
+    variables. The values are written into their slot of a preallocated
+    array by broadcast assignment; the derivatives are kept as the columns
+    of _Sample. Overflow and invalid-operation warnings are silenced
+    during evaluation; a generator value or first derivative that is
+    computed and not finite is refused with DomainError instead, naming
+    how many sample points it affects and the first of them. A structural
+    zero is not computed, so it is never refused.
     """
     axes = _grid_axes(box, grid)
     sample = _Sample(axes)
-    shape, k = sample.shape, len(gens)
+    shape, k, m = sample.shape, len(gens), len(axes)
     npts = math.prod(shape)
+    zero = np.zeros((1,) * m)
+    zero.flags.writeable = False
+    sample.values = np.empty((npts, k)) if values else None
+    sample.columns = [[zero] * k for _ in range(m)] if jac else None
     finite = True
     with np.errstate(all="ignore"):
-        if values:
-            sample.values = np.empty((npts, k))
-            cube = sample.values.reshape(shape + (k,))
-            for j, g in enumerate(gens):
-                col = g.eval(axes)
-                cube[..., j] = col
-                finite = finite and bool(np.isfinite(col).all())
-        if jac:
-            sample.columns = [[g.diff(i).eval(axes) for g in gens] for i in range(len(axes))]
-            finite = finite and all(bool(np.isfinite(col).all())
-                                    for row in sample.columns for col in row)
+        for j, g in enumerate(gens):
+            value, partials = g.forward(axes, m if jac else 0)
+            if values:
+                sample.values.reshape(shape + (k,))[..., j] = value
+                finite = finite and bool(np.isfinite(value).all())
+            for i, d in enumerate(partials):
+                if d is not None:
+                    sample.columns[i][j] = col = d if np.ndim(d) else np.reshape(d, (1,) * m)
+                    finite = finite and bool(np.isfinite(col).all())
     if not finite:
         bad = np.zeros(shape, dtype=bool)
         if values:
@@ -550,7 +547,7 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     npts, k = values.shape
     w = _weight_draws(k)
     w = w / w.sum()
-    key, magnitude = values @ w, np.abs(values) @ w
+    key = values @ w
     # a computed key is within k (eps (|f| . w) + eta) / 2 of the exact one,
     # eta for products that underflow (Higham, Accuracy and Stability, 3.1);
     # the window covers both keys of a pair
@@ -559,15 +556,16 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     def window(mag):
         return tol + 2 * (k + 1) * (fp.eps * (mag + tol) + fp.smallest_subnormal)
 
-    # Rounding is monotone, so no window is wider than the one at the
-    # largest magnitude, and the sorted keys between a candidate pair are
-    # joined by gaps within it; without such a gap (every PASS grid) there
-    # is nothing to count, confirm or order.
+    # The weights sum to 1, so max|f|, the largest column maximum, bounds
+    # each w . |f| up to roundings the window's margin covers, and a
+    # candidate pair's sorted keys are joined by gaps within the window
+    # there; with no such gap (every PASS grid) nothing is counted,
+    # confirmed or ordered, and no w . |f| is formed.
     ranked = np.sort(key)
     pairs = np.empty((2, 0), dtype=np.intp)
-    if (ranked[1:] <= ranked[:-1] + window(magnitude.max())).any():
+    if (ranked[1:] <= ranked[:-1] + window(max(values.max(), -values.min()))).any():
         order = np.argsort(key)
-        count = _candidate_counts(key[order], window(magnitude[order]))
+        count = _candidate_counts(key[order], window((np.abs(values) @ w)[order]))
         if (total := int(count.sum())) > MAX_SEPARATION_CANDIDATES:
             raise DomainError(f"separation check has {total} candidate pairs; "
                               f"at most {MAX_SEPARATION_CANDIDATES}")

@@ -824,6 +824,18 @@ def test_envelope_non_finite_samples_are_refused(capsys, tmp_path, generator):
                    "sample points, the first at [2.5]"}]
 
 
+def test_envelope_does_not_compute_a_structural_zero(capsys, tmp_path):
+    # the second generator is the constant exp(-inf) = 0, with an overflowed
+    # subexpression: its derivative is identically zero and never computed,
+    # so no 0 * inf makes it NaN, and x alone separates with rank 1
+    doc = {"m": 1, "generators": ["(var 0)", "(exp (* (const -1) (exp (exp (const 1000)))))"],
+           "box": [[0, 1]], "grid": 11}
+    code, rep, err = run_json(capsys, "envelope", _write(tmp_path, "zero.json", doc))
+    assert (code, err) == (0, "")
+    assert rep["violations"] == []
+    assert rep["results"]["status"] == "PASS"
+
+
 def test_linalg_error_is_numeric(capsys, monkeypatch):
     from diffalg import cli
 

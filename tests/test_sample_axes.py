@@ -1,15 +1,18 @@
 """Sampling on broadcast axes against sampling on the full meshgrid.
 
-`envelope._sample` evaluates each generator and first derivative on the m
-broadcastable axes; it writes the values into their slot by broadcast
-assignment and keeps the derivatives as columns, which
+`envelope._sample` walks each generator once on the m broadcastable axes
+for its value and first derivatives; it writes the values into their slot
+by broadcast assignment and keeps the derivatives as columns, which
 `_Sample.jacobian()` gathers. The reference below is the earlier
-construction: every expression evaluated on the raveled meshgrid, the
-values stacked and the Jacobian filled row by row. Values, Jacobian (at
-every point and at scattered points) and flat coordinates must be the
-same bits for every expression form (constants only, sums, products,
-powers, sin, cos, exp and the flat bump), on one, two and three axes, and
-a value that is not finite must be refused with the same message.
+construction, with `symbolic_diff`: every expression and its symbolic
+derivative trees evaluated node by node on the raveled meshgrid, the
+values stacked and the Jacobian filled row by row. Values and flat
+coordinates must be the same bits, and the Jacobian (at every point and
+at scattered points) the same bits up to the sign of a zero, which the
+forward pass's skipped structural zeros can flip, for every expression
+form (constants only, sums, products, powers, sin, cos, exp and the flat
+bump), on one, two and three axes; a value that is not finite must be
+refused with the same message.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ import pytest
 
 from diffalg import DomainError, parse_expr
 from diffalg import envelope
+
+from symbolic_diff import diff, evaluate
 
 
 def reference_grid_points(box, grid):
@@ -32,14 +37,14 @@ def reference_sample(gens, box, grid):
     m, npts = len(grids), len(grids[0])
     bad = np.zeros(npts, dtype=bool)
     with np.errstate(all="ignore"):
-        columns = [np.asarray(g.eval(grids), dtype=float) for g in gens]
+        columns = [np.asarray(evaluate(g, grids), dtype=float) for g in gens]
         for col in columns:
             bad |= ~np.isfinite(col)
         vals = np.stack(columns, axis=1)
         jacobian = np.empty((m, len(gens), npts))
         for j, g in enumerate(gens):
             for i in range(m):
-                jacobian[i, j] = g.diff(i).eval(grids)
+                jacobian[i, j] = evaluate(diff(g, i), grids)
         bad |= ~np.isfinite(jacobian).all(axis=(0, 1))
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
@@ -49,8 +54,10 @@ def reference_sample(gens, box, grid):
     return grids, vals, jacobian
 
 
-def bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.int64)
+def bits(a: np.ndarray, zero_sign: bool = True) -> np.ndarray:
+    """The bit patterns of a; with zero_sign=False, -0.0 reads as +0.0."""
+    a = np.ascontiguousarray(a)
+    return (a if zero_sign else a + 0.0).view(np.int64)
 
 
 def forms(m: int) -> dict[str, list[str]]:
@@ -62,7 +69,8 @@ def forms(m: int) -> dict[str, list[str]]:
         total = f"(+ {total} (* (const {0.7 + i!r}) (var {i})))"
     return {
         "const": ["(const 2.5)", "(+ (const 1) (const -0.0))"],
-        "poly": [total, f"(pow {last} 3)", f"(* (var 0) {last})"],
+        "poly": [total, f"(pow {last} 3)", f"(* (var 0) {last})",
+                 f"(pow (+ {total} (const 0.3)) 3)"],
         "sin": [f"(sin (* (const 6.283185307179586) {total}))", f"(sin {last})"],
         "cos": [f"(cos {total})", f"(cos (* (const 3.5) (var 0)))"],
         "exp": [f"(exp {total})", f"(exp (* (const -2) (pow {last} 2)))"],
@@ -85,9 +93,10 @@ def test_broadcast_sample_is_the_meshgrid_sample(m, form):
         sample = envelope._sample(gens, BOXES[m], grid)
         assert sample.values.shape == vals.shape and sample.jacobian().shape == jac.shape
         assert np.array_equal(bits(sample.values), bits(vals))
-        assert np.array_equal(bits(sample.jacobian()), bits(jac))
+        assert np.array_equal(bits(sample.jacobian(), False), bits(jac, False))
         points = np.random.default_rng(grid).permutation(grid ** m)[:grid]
-        assert np.array_equal(bits(sample.jacobian(points)), bits(jac[:, :, points]))
+        assert np.array_equal(bits(sample.jacobian(points), False),
+                              bits(jac[:, :, points], False))
         for got, want in zip(sample.grids, grids):
             assert np.array_equal(bits(got), bits(want))
         assert [ax.size for ax in sample.axes] == [grid] * m
@@ -111,7 +120,7 @@ def test_one_array_only(values, jac):
     if values:
         assert np.array_equal(bits(sample.values), bits(vals))
     else:
-        assert np.array_equal(bits(sample.jacobian()), bits(jacobian))
+        assert np.array_equal(bits(sample.jacobian(), False), bits(jacobian, False))
 
 
 @pytest.mark.parametrize("m, text", [
