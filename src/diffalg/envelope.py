@@ -3,10 +3,10 @@ algebras on a box.
 
 Generators are closed-form expressions (including the flat bump
 exp(-1/t^2), extended by zero, whose derivatives all vanish at 0). The
-checker evaluates three finite certificates on a grid: point separation
-by generator value tuples, Jacobian rank at every sample point, and, for
-polynomial generators, surjectivity onto finite jet spaces. A PASS means
-the conditions were verified on the sample, never globally.
+checker evaluates three finite certificates: point separation and
+Jacobian rank at every point of a grid, and, for polynomial generators,
+whether their words span the jet algebra at a point. A PASS means the
+conditions were verified on the sample, never globally.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from . import _linalg as la
 from ._input import array, envelope_options, integer, tolerance
 from .algebra import PolyAlgebra, truncated_poly
 from .errors import DomainError, NumericError
-from .jets import _check_reach, _derivative_rows, jet_space
-from .multiindex import mi_count
 
 __all__ = [
     "Expr",
@@ -62,12 +60,10 @@ class Expr:
         """Total degree if polynomial, else None."""
         return None
 
-    def to_poly(self, algebra: PolyAlgebra) -> np.ndarray:
-        """Coefficient vector in a polynomial algebra.
-
-        The caller must pick the degree bound at least the expression's
-        degree; otherwise products are silently truncated.
-        """
+    def jet(self, algebra: PolyAlgebra, s: np.ndarray) -> np.ndarray:
+        """Coefficients in the algebra of the Taylor polynomial at s in x - s,
+        truncated at algebra.degree (Griewank and Walther, Evaluating
+        Derivatives, ch. 13); at s = 0 the polynomial itself, if in degree."""
         raise DomainError(f"not a polynomial expression: {self}")
 
     def __repr__(self):
@@ -101,8 +97,8 @@ class Const(Expr):
     def degree(self):
         return 0
 
-    def to_poly(self, algebra):
-        return self.value * algebra.unit.copy()
+    def jet(self, algebra, s):
+        return self.value * algebra.unit
 
     def to_sexpr(self):
         return f"(const {self.value:g})"
@@ -122,12 +118,12 @@ class Var(Expr):
     def degree(self):
         return 1
 
-    def to_poly(self, algebra):
+    def jet(self, algebra, s):
         if self.index >= algebra.mvars:
             raise DomainError("variable index outside the algebra's variables")
-        # x_i is row 1 + i of the graded order
-        coords = np.zeros(algebra.dim, dtype=complex)
-        coords[1 + self.index] = 1.0
+        coords = s[self.index] * algebra.unit
+        if algebra.degree >= 1:  # x_i is row 1 + i of the graded order
+            coords[1 + self.index] = 1.0
         return coords
 
     def to_sexpr(self):
@@ -147,8 +143,8 @@ class Sum(Expr):
         da, db = self.a.degree(), self.b.degree()
         return None if da is None or db is None else max(da, db)
 
-    def to_poly(self, algebra):
-        return self.a.to_poly(algebra) + self.b.to_poly(algebra)
+    def jet(self, algebra, s):
+        return self.a.jet(algebra, s) + self.b.jet(algebra, s)
 
     def to_sexpr(self):
         return f"(+ {self.a.to_sexpr()} {self.b.to_sexpr()})"
@@ -167,8 +163,8 @@ class Prod(Expr):
         da, db = self.a.degree(), self.b.degree()
         return None if da is None or db is None else da + db
 
-    def to_poly(self, algebra):
-        return algebra.mul_coords(self.a.to_poly(algebra), self.b.to_poly(algebra))
+    def jet(self, algebra, s):
+        return algebra.left_mul_matrix(self.a.jet(algebra, s)) @ self.b.jet(algebra, s)
 
     def to_sexpr(self):
         return f"(* {self.a.to_sexpr()} {self.b.to_sexpr()})"
@@ -191,12 +187,9 @@ class Pow(Expr):
         db = self.base.degree()
         return None if db is None else db * self.power
 
-    def to_poly(self, algebra):
-        out = algebra.unit.copy()
-        b = self.base.to_poly(algebra)
-        for _ in range(self.power):
-            out = algebra.mul_coords(out, b)
-        return out
+    def jet(self, algebra, s):
+        b = self.base.jet(algebra, s)
+        return np.linalg.matrix_power(algebra.left_mul_matrix(b), self.power - 1) @ b
 
     def to_sexpr(self):
         return f"(pow {self.base.to_sexpr()} {self.power})"
@@ -877,18 +870,19 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
 
 
 class JetSurjectivity:
-    """Outcome of the finite jet-spanning certificate."""
+    """Outcome of the finite jet-spanning certificate of order `order`:
+    by_length[L] is the dimension the words of length <= L span."""
 
-    def __init__(self, ok: bool, achieved: int, expected: int, by_length: list[int]):
-        self.ok = ok
-        self.achieved = achieved
-        self.expected = expected
-        self.by_length = by_length
+    def __init__(self, by_length: list[int], expected: int, order: int):
+        self.by_length, self.expected, self.order = by_length, expected, order
+        self.achieved = by_length[-1]
+        self.ok = self.achieved == expected
 
     @property
     def stalled(self) -> bool:
-        """True when raising the word length stopped adding jet directions."""
-        return len(self.by_length) >= 2 and self.by_length[-1] == self.by_length[-2]
+        """True when no longer word adds a jet direction: the last two spans
+        agree, or the words reach the order, beyond which they vanish."""
+        return len(self.by_length) > self.order or self.by_length[-1] == self.by_length[-2]
 
     def __repr__(self):
         return (f"<JetSurjectivity ok={self.ok} achieved={self.achieved}"
@@ -901,45 +895,50 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
 
 
-def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSurjectivity:
-    """Do products of at most `wordlen` generators span the order-n jets at s?
+def _unit_rows(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """The rows of a of norm above floor, each scaled to norm 1."""
+    norms = np.linalg.norm(a, axis=1)
+    return a[norms > floor] / norms[norms > floor, None]
 
-    Polynomial generators only; others are refused since their jets are
-    not finitely computable here. The achieved dimension is monotone in
-    the word length (default n, at least 1).
+
+def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSurjectivity:
+    """Do products of at most `wordlen` generators (default n, at least 1)
+    span the order-n jets at s, the algebra J = truncated_poly(m, n) in x - s?
+
+    With h_j the jet of g_j less g_j(s), the words of length <= L span S_0
+    = C 1 and S_(L+1) = S_L + sum_j h_j S_L; each h_j and each product row
+    is scaled to norm 1 before the rank cut, so g_j -> a g_j + b changes no
+    span. Words longer than n vanish, and S_n is J exactly when the
+    Jacobian at s has rank m (Nakayama's lemma; Atiyah and Macdonald,
+    Introduction to Commutative Algebra, ch. 2). Generators that are not
+    polynomials, and jets that are not finite, are refused with DomainError.
     """
     s = np.asarray(s, dtype=float).ravel()
-    mvars = len(s)
-    degs = [g.degree() for g in gens]
-    if any(d is None for d in degs):
+    if any(g.degree() is None for g in gens):
         raise DomainError("jet surjectivity requires polynomial generators")
     length = max(n, 1) if wordlen is None else wordlen
     if length < 1:
         raise ValueError("word length must be >= 1")
-    bound = max(n, 1, length * max(degs, default=1))
-    _check_reach(s, bound)
-    ambient = truncated_poly(mvars, bound)
-    polys = [g.to_poly(ambient) for g in gens]
-    expected = mi_count(mvars, n)
-    # the jet space's dimension is structural; the rank of the raw Taylor
-    # rows below is not scale-aware, so far points where those rows lose
-    # rank are refused rather than judged
-    if la.rank(_derivative_rows(ambient, s, n)) != expected:
-        raise NumericError("jet quotient and vanishing subspace dimensions "
-                           "do not complement each other")
-    space = jet_space(ambient, s, n)
-
-    rows = []
-    by_length = []
-    for r in range(length + 1):
-        for combo in itertools.combinations_with_replacement(range(len(polys)), r):
-            word = ambient.unit.copy()
-            for idx in combo:
-                word = ambient.mul_coords(word, polys[idx])
-            rows.append(space.project_taylor(word).coords)
-        by_length.append(la.rank(np.array(rows)))
-    achieved = by_length[-1]
-    return JetSurjectivity(achieved == expected, achieved, expected, by_length)
+    jets = truncated_poly(len(s), n)
+    with np.errstate(all="ignore"):
+        h = np.array([g.jet(jets, s) for g in gens]).reshape(len(gens), jets.dim)
+    if not np.isfinite(h).all():
+        raise DomainError(f"the jets of the generators at {s.tolist()} are not finite")
+    h[:, 0] = 0.0
+    h = _unit_rows(h)
+    times = jets.left_mul_matrix(h)
+    full = la.rank(h[:, 1:1 + len(s)]) == len(s)
+    span, by_length = jets.unit[None, :], [1]
+    for r in range(1, min(length, n) + 1):
+        if r < n or not full:
+            # a word below the rank cut is zero: scaled up, its rounding
+            # would count as a direction
+            words = (times @ span.T).swapaxes(1, 2).reshape(-1, jets.dim)
+            span = la.span_basis(np.vstack([span, _unit_rows(words, la.RANK_TOL)]))
+        by_length.append(jets.dim if r == n and full else len(span))
+    # words longer than n add no direction
+    return JetSurjectivity(by_length + by_length[-1:] * (length + 1 - len(by_length)),
+                           jets.dim, n)
 
 
 _SEPARATION_DETAIL = "generator value tuples coincide"
@@ -1074,11 +1073,11 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
 
     options: tol_sep, tol_rank override tolerances; jet_order requests the
     polynomial jet certificate (with jet_wordlen and jet_points, default
-    point = box center). Jet non-surjectivity at a stalled word length is
-    a FAIL; still-growing spans give INCONCLUSIVE. Options that are not an
-    object, an unknown option, an option off its rule (see
-    _input.envelope_options) and a grid that is not an integer are refused
-    with ValueError before anything is sampled.
+    point = box center). A jet span short of the jets is a FAIL once no
+    longer word adds a direction, as from jet_wordlen >= jet_order on, else
+    INCONCLUSIVE. Options that are not an object, an unknown option, an
+    option off its rule (see _input.envelope_options) and a grid that is
+    not an integer are refused with ValueError before anything is sampled.
     """
     options = envelope_options({} if options is None else options, len(box))
     tol_sep = options.get("tol_sep", 1e-9)

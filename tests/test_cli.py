@@ -381,50 +381,79 @@ def test_jet_far_point_is_exact(capsys, tmp_path, s):
     assert res["routes_residual"] == 0.0
 
 
+def _envelope_status(capsys, tmp_path, doc):
+    code, rep, err = run_json(capsys, "envelope", _write(tmp_path, "env.json", doc))
+    assert err == ""
+    return code, rep
+
+
 @pytest.mark.parametrize("gen,point,order", [
     ("(+ (var 0) (pow (var 0) 3))", 1e5, 3),
     ("(var 0)", 1e4, 1),
 ])
 def test_envelope_far_jet_point_keeps_the_numeric_refusal(capsys, tmp_path, gen, point, order):
+    """A rank guard on raw Taylor rows once refused these far points as a
+    numeric error; in the jets at the point they pass."""
     doc = {"m": 1, "generators": [gen], "box": [[-1.0, 1.0]], "grid": 5,
            "options": {"jet_order": order, "jet_points": [[point]]}}
-    path = _write(tmp_path, "env.json", doc)
-    code, rep, err = run_json(capsys, "envelope", path)
-    assert (code, err) == (4, "")
-    assert rep["violations"] == [{
-        "type": "numeric",
-        "message": "jet quotient and vanishing subspace dimensions do not "
-                   "complement each other"}]
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert (code, rep["results"]["status"], rep["violations"]) == (0, "PASS", [])
 
 
 def test_envelope_jet_point_beyond_reach_is_refused(capsys, tmp_path):
     """The box centre of [1e308, 1.7e308] overflows as (lo + hi) / 2 and is
-    taken as lo / 2 + hi / 2 = 1.35e308; its square, which the order-2 jet
-    rows need, is not finite, so the point is refused before any jet space
-    is built."""
+    taken as lo / 2 + hi / 2 = 1.35e308. The jet of x there is finite, so
+    x passes at order 2; x^2 overflows on the sample and is refused, and
+    so is its jet at 1e160, whose square is not finite."""
     doc = {"m": 1, "generators": ["(var 0)"], "box": [[1e308, 1.7e308]],
            "grid": 5, "options": {"jet_order": 2}}
-    path = _write(tmp_path, "env.json", doc)
-    code, rep, _ = run_json(capsys, "envelope", path)
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert (code, rep["results"]["status"]) == (0, "PASS")
+    doc["generators"] = ["(pow (var 0) 2)"]
+    code, rep = _envelope_status(capsys, tmp_path, doc)
     assert code == 3
     assert rep["violations"] == [{
         "type": "domain",
-        "message": "jet point [1.35e+308] is out of reach: its largest "
-                   "coordinate to the power 2 is not finite"}]
+        "message": "generator values or first derivatives are not finite at 5 of "
+                   "5 sample points, the first at [1e+308]"}]
+    doc.update(box=[[-1.0, 1.0]], options={"jet_order": 2, "jet_points": [[1e160]]})
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert code == 3
+    assert rep["violations"] == [{
+        "type": "domain", "message": "the jets of the generators at [1e+160] are not finite"}]
 
 
 def test_envelope_jet_point_of_a_huge_box_is_finite(capsys, tmp_path):
-    """At order 1 the finite centre reaches the jet space, which reports
-    its rank failure as a numeric error instead of an SVD on infinities."""
+    """At order 1 the finite centre 1.35e308 gives the finite jet
+    1.35e308 + x, and x spans the 1-jets there."""
     doc = {"m": 1, "generators": ["(var 0)"], "box": [[1e308, 1.7e308]],
            "grid": 5, "options": {"jet_order": 1}}
-    path = _write(tmp_path, "env.json", doc)
-    code, rep, _ = run_json(capsys, "envelope", path)
-    assert code == 4
-    assert rep["violations"] == [{
-        "type": "numeric",
-        "message": "jet quotient and vanishing subspace dimensions do not "
-                   "complement each other"}]
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert (code, rep["results"]["status"], rep["violations"]) == (0, "PASS", [])
+
+
+def test_envelope_jet_span_short_of_the_jacobian_rank_fails(capsys, tmp_path):
+    """(x^3, y) has Jacobian rank 1 at the centre 0, so by Nakayama's lemma
+    no word reaches the 2-jets: at word length 2 = jet_order the span is
+    final, a FAIL (it was INCONCLUSIVE), though no grid point of 4 per
+    axis is a tangent witness."""
+    doc = {"m": 2, "generators": ["(pow (var 0) 3)", "(var 1)"],
+           "box": [[-0.9, 0.9], [-0.9, 0.9]], "grid": 4, "options": {"jet_order": 2}}
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert (code, rep["results"]["status"]) == (3, "FAIL")
+    assert rep["results"]["reasons"] == [{
+        "condition": "jet", "witness": [0.0, 0.0],
+        "detail": "jet span 3 of 6, growth [1, 2, 3]"}]
+
+
+def test_envelope_jets_of_a_high_power_need_no_ambient_algebra(capsys, tmp_path):
+    """Words of three x^9 once needed polynomials of degree 27 in two
+    variables, 406 > 256 monomials, and were refused; the 3-jets at
+    (0.5, 0.5) have 10 dimensions, and x^9 and y span them."""
+    doc = {"m": 2, "generators": ["(pow (var 0) 9)", "(var 1)"],
+           "box": [[0.25, 0.75], [0.25, 0.75]], "grid": 3, "options": {"jet_order": 3}}
+    code, rep = _envelope_status(capsys, tmp_path, doc)
+    assert (code, rep["results"]["status"], rep["violations"]) == (0, "PASS", [])
 
 
 def test_envelope_whose_largest_singular_value_overflows_passes(tmp_path):

@@ -89,13 +89,16 @@ def test_flat_bump_derivatives_vanish_at_zero():
 
 
 def test_degree_and_to_poly():
+    # the jet at 0, with a degree bound at least the expression's, is the
+    # polynomial itself: what to_poly gave
     e = parse_expr("(+ (pow (var 0) 2) (* (const 3.0) (var 1)))", 2)
     assert e.degree() == 2
     assert Sin(Var(0)).degree() is None
     alg = truncated_poly(2, 3)
-    coords = e.to_poly(alg)
+    coords = e.jet(alg, np.zeros(2))
     assert coords[alg.exp_index[(2, 0)]] == pytest.approx(1.0)
     assert coords[alg.exp_index[(0, 1)]] == pytest.approx(3.0)
+    assert np.count_nonzero(coords) == 2
     xs = np.linspace(-1, 1, 7)
     ys = np.linspace(-1, 1, 7)
     direct = e.eval([xs, ys])

@@ -28,6 +28,7 @@ from diffalg import _linalg as la
 from diffalg.envelope import jet_surjectivity_check
 from diffalg.jets import _derivative_rows
 from diffalg.multiindex import _graded_exponents, mi_enumerate
+from exact_jets import exact_by_length
 
 # --- references ------------------------------------------------------------
 
@@ -146,41 +147,34 @@ def test_non_finite_point_is_refused(point):
         jet_space(truncated_poly(1, 3), point, 1)
 
 
-# --- jet surjectivity keeps the reference's refusals --------------------------
-
-
-def _raises(fn):
-    try:
-        fn()
-    except NumericError:
-        return True
-    return False
+# --- jet surjectivity answers where the reference raised ---------------------
 
 
 @pytest.mark.parametrize("expr", ["(var 0)", "(+ (var 0) (pow (var 0) 3))", "(pow (var 0) 2)"])
 @pytest.mark.parametrize("s", [0.5, 1e3, 1e4, 1e5, 1e8, 1e30])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jet_surjectivity_raises_where_the_reference_raised(expr, s, n):
+    """The reference jet space of the old ambient algebra loses rank and
+    raises at the far points among these; the check in the jets at s
+    raises at none of them and gives the exact spans."""
     gen = parse_expr(expr, 1)
-    bound = max(n, 1, n * gen.degree())
-    ambient = truncated_poly(1, bound)
-    ref_raises = _raises(lambda: RefJetSpace(ambient, [s], n))
-    assert _raises(lambda: jet_surjectivity_check([gen], [s], n)) == ref_raises
+    res = jet_surjectivity_check([gen], [s], n)
+    assert res.by_length == exact_by_length([gen], [s], n, n)[0]
+    assert res.ok
 
 
 def test_jet_surjectivity_far_points_keep_the_refusal():
-    # the raw Taylor rows lose rank by length here, so without the guard
-    # these would be judged as wrong FAILs (1/4 and 1/2)
+    """The rank guard on raw Taylor rows refused the first three points and
+    found the fourth out of reach; in the jets at s they all pass. Only a
+    jet that is not finite is refused: (1e160)^2 overflows."""
     cubic = parse_expr("(+ (var 0) (pow (var 0) 3))", 1)
-    with pytest.raises(NumericError, match="do not complement each other"):
-        jet_surjectivity_check([cubic], [1e5], 3)
+    assert jet_surjectivity_check([cubic], [1e5], 3).by_length == [1, 2, 3, 4]
     line = parse_expr("(var 0)", 1)
     for s in (1e4, 1e160):
-        with pytest.raises(NumericError, match="do not complement each other"):
-            jet_surjectivity_check([line], [s], 1)
-    # the order-2 rows need s^2, which is not finite here
-    with pytest.raises(DomainError, match="out of reach"):
-        jet_surjectivity_check([line], [1e160], 2)
+        assert jet_surjectivity_check([line], [s], 1).by_length == [1, 2]
+    assert jet_surjectivity_check([line], [1e160], 2).by_length == [1, 2, 3]
+    with pytest.raises(DomainError, match=r"at \[1e\+160\] are not finite"):
+        jet_surjectivity_check([parse_expr("(pow (var 0) 2)", 1)], [1e160], 2)
 
 
 # --- graded exponents ----------------------------------------------------------

@@ -359,11 +359,13 @@ def _corpus_class(name: str):
 @pytest.mark.parametrize("argv", [["fourier", "Z8xZ8"], ["algebra-check", "matrix:6"],
                                   ["algebra-check", "group:4x4x2"], "ztower-star4",
                                   "ztower-star6", "difforder-poly2-5", "difforder-poly3-3",
-                                  "dersys-m1n4", "dersys-m2n3", "dersys-m3n2"],
+                                  "dersys-m1n4", "dersys-m2n3", "dersys-m3n2",
+                                  "env-jet-order"],
                          ids=str)
 def test_requests_on_tables_build_no_tensor(capsys, tmp_path, tensor_builds, argv):
     # a dersys-verify request packs its system into the series algebra over
-    # func:1, a table over a table
+    # func:1, a table over a table; the jet certificate multiplies in the
+    # jet algebra at its point through its table
     if isinstance(argv, str):  # a class of the benchmark corpora, on named algebras
         argv = _corpus_request(_corpus_class(argv), tmp_path)
     assert cli.main(argv) == 0

@@ -116,6 +116,25 @@ def test_separation_zero_tolerance_counts_equal_values(gens):
     assert _same(gens, [(-1.0, 1.0)], 5, 0.0)
 
 
+def test_separation_window_covers_the_rounding_of_large_keys():
+    """Lines c_j x, c_j in [0.5, 2], near 1e6-2e7, where a value's ulp is
+    near tol = 1e-9 itself: pairs at the tol border have keys whose
+    rounding is of the order of tol, so only the window's margin of eps
+    times the magnitude keeps them. On 41 points about tol apart, a sweep
+    window of tol alone loses pairs in about one case of eight; on two
+    points whose largest difference is near tol, the pair's key gap can
+    pass the screen only by the margin of max |f|."""
+    rng = np.random.default_rng(2033)
+    found = 0
+    for grid in (41, 2):
+        for _ in range(300):
+            c = rng.uniform(0.5, 2.0, rng.integers(2, 5))
+            lo = float(rng.uniform(1e6, 2e7))
+            width = 40e-9 if grid == 41 else float(1e-9 / c.max() * rng.uniform(0.7, 1.3))
+            found += len(_same([Prod(Const(cj), Var(0)) for cj in c], [(lo, lo + width)], grid))
+    assert found
+
+
 def test_separation_reference_fold_on_benchmark_size():
     # the largest candidate count of the envelope corpus: (x^2, y) on 121^2
     pairs = _same(GENS_2D["fold"], [(-1.0, 1.0), (-0.5, 1.5)], 121)
