@@ -28,7 +28,8 @@ from .algebra import (Character, LinearOp, PolyAlgebra, function_algebra,
 from .dersys import DerivativeSystem, _pack, from_homomorphism, verify_system
 from .diffcalc import (MAX_TOWER_DEPTH, RelativeOp, check_stabilization, diff_order,
                        truncation_hom)
-from .envelope import Reasons, envelope_verdict, parse_expr
+from .envelope import (_SEPARATION_DETAIL, _TANGENT_DETAIL, Reasons, envelope_verdict,
+                       parse_expr)
 from .errors import DomainError, NumericError
 from .geometry import _duality
 from .jets import jet_project, jet_space, quotient_seminorm, taylor_truncate
@@ -94,13 +95,26 @@ def _float_texts(items) -> list[str] | None:
     return texts if all(map(_isfinite, items)) else None
 
 
+def _template_rows(consts: list[str], columns: list[list[str]]) -> list[str]:
+    """consts[0], columns[0][r], consts[1], ..., columns[-1][r], then
+    consts[-1] if there is one const more than columns, for every row r,
+    flattened row by row into one list: the constant row repeated, with
+    each column written into its stride."""
+    width = len(consts) + len(columns)
+    row = [None] * width
+    row[0::2] = consts
+    parts = row * len(columns[0])
+    for j, column in enumerate(columns):
+        parts[2 * j + 1::width] = column
+    return parts
+
+
 def _list_pieces(texts: list[str], level: int) -> list[str]:
     """The pieces of a non-empty list at depth `level` whose item texts are
     given: the item texts with the brackets and separators interleaved."""
     inner = "\n" + "  " * (level + 1)
-    parts = ["," + inner] * (2 * len(texts))
+    parts = _template_rows(["," + inner], [texts])
     parts[0] = "[" + inner
-    parts[1::2] = texts
     parts.append("\n" + "  " * level + "]")
     return parts
 
@@ -116,12 +130,42 @@ def _complex_rows(items, level: int) -> list[str] | None:
     if not np.isfinite(parts).all():
         return None
     row, cell = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    pieces = [row + "]," + row + "[" + cell, None, "," + cell, None] * len(items)
+    pieces = _template_rows([row + "]," + row + "[" + cell, "," + cell],
+                            [list(map(_float_repr, parts.real.tolist())),
+                             list(map(_float_repr, parts.imag.tolist()))])
     pieces[0] = "[" + row + "[" + cell
-    pieces[1::4] = map(_float_repr, parts.real.tolist())
-    pieces[3::4] = map(_float_repr, parts.imag.tolist())
     pieces.append(row + "]" + "\n" + "  " * level + "]")
     return pieces
+
+
+def _reasons_pieces(reasons: Reasons, level: int, out: list[str]) -> None:
+    """Appends to out the pieces of the text json.dumps(reasons.to_list(),
+    sort_keys=True, indent=2) writes at depth `level`, for reasons that
+    are not empty.
+
+    The witnesses of one condition are the rows of one table: the constant
+    pieces of that depth's template interleaved with the coordinate texts
+    of reasons.texts (finite, see envelope._grid_axes).
+    """
+    at = level + 1
+    d1, d2, d3 = ("\n" + "  " * (at + k) for k in (1, 2, 3))
+    sep = ",\n" + "  " * at
+    m = len(reasons.axes)
+    head = "{" + d1 + '"condition": "%s",' + d1 + '"detail": "%s",' + d1 + '"witness": [' + d2
+    end = d1 + "]\n" + "  " * at + "}" + sep
+    within = ["," + d3] * (m - 1)
+    first, second, points = reasons.texts
+    out.append("[\n" + "  " * at)
+    out += _template_rows(
+        [head % ("separation", _SEPARATION_DETAIL) + "[" + d3] + within
+        + [d2 + "]," + d2 + "[" + d3] + within + [d2 + "]" + end], first + second)
+    out += _template_rows(
+        [head % ("tangent", _TANGENT_DETAIL)] + ["," + d2] * (m - 1) + [end], points)
+    for entry in reasons.entries:
+        _write(entry, at, out)
+        out.append(sep)
+    # the last reason is followed by the closing bracket, not a separator
+    out[-1] = out[-1][:-len(sep)] + "\n" + "  " * level + "]"
 
 
 def _write(obj, level: int, out: list[str]) -> None:
@@ -171,7 +215,7 @@ def _write(obj, level: int, out: list[str]) -> None:
         out.append("\n" + "  " * level + "}")
     elif isinstance(obj, Reasons):
         if len(obj):
-            obj._json_pieces(level, _write, out)
+            _reasons_pieces(obj, level, out)
         else:
             out.append("[]")
     else:
@@ -186,9 +230,8 @@ def _render(obj, level: int = 0) -> str:
     through to_jsonable, the single conversion rule. The whole text is
     written as pieces into one list (brackets, separators, keys and item
     texts) and joined once, so each byte is copied once however deep it
-    sits. A verdict's Reasons writes its own pieces at each depth it
-    appears at, as the list of dicts it stands for, from axis texts made
-    once.
+    sits. A verdict's Reasons is written at each depth it appears at as
+    the list of dicts it stands for, from coordinate texts made once.
     """
     out: list[str] = []
     _write(obj, level, out)
@@ -403,9 +446,9 @@ def cmd_envelope(data, args):
     if len(box) != m:
         raise ValueError(f"box must list {m} intervals")
     verdict = envelope_verdict(gens, box, grid, options)
-    # the reasons as the verdict holds them (a FAIL's Reasons is rendered
-    # from its witness arrays, without building its dicts)
-    reasons = verdict._reasons
+    # the Reasons itself, rendered from its witness indices without
+    # building its dicts
+    reasons = verdict.witnesses
     results = {"status": verdict.status, "reasons": reasons, "meta": verdict.meta}
     code = {"PASS": 0, "FAIL": 3, "INCONCLUSIVE": 4}[verdict.status]
     return results, reasons, code

@@ -92,7 +92,8 @@ class Const(Expr):
         self.value = float(value)
 
     def forward(self, grids, m):
-        return np.full_like(grids[0], self.value, dtype=float), [None] * m
+        # length 1 along every axis: a constant stretches no result
+        return np.full((1,) * len(grids), self.value), [None] * m
 
     def degree(self):
         return 0
@@ -368,29 +369,15 @@ class _Sample:
     (points, k) and the first derivatives as columns: columns[i][j] is
     d g_j / d x_i from the forward pass on the axes, of length 1 along
     each axis it does not vary on, so it is not repeated along it; a
-    structural zero is one shared read-only zeros((1,) * m). jacobian()
-    gathers the (m, k, points) array where it is asked for. The flat
-    coordinate arrays and the point codes are built on first use, once; a
-    PASS never reads them. `witnesses` takes each certificate's ordered
-    witness point indices, by condition name, for envelope_verdict."""
+    structural zero is one shared read-only zeros((1,) * m). A sample
+    point is named by its flat index, in C order of the axes; the point
+    codes are built on first use, once, and a PASS never reads them."""
 
     def __init__(self, axes: list[np.ndarray]):
         self.axes = axes
         self.shape = np.broadcast_shapes(*(ax.shape for ax in axes))
         self.values: np.ndarray | None = None
         self.columns: list[list[np.ndarray]] | None = None
-        self.witnesses = {}
-
-    def jacobian(self, points: np.ndarray | None = None) -> np.ndarray:
-        """The Jacobian as (m, k, n), contiguous over the points: at the
-        flat point indices `points`, in their order, or at every point."""
-        return _gather(self.columns, self.shape, points)
-
-    @functools.cached_property
-    def grids(self) -> list[np.ndarray]:
-        """The coordinate arrays of every sample point, in C order of the
-        axes: what np.meshgrid(..., indexing="ij") gives, raveled."""
-        return [np.broadcast_to(ax, self.shape).ravel() for ax in self.axes]
 
     @functools.cached_property
     def codes(self) -> np.ndarray:
@@ -466,12 +453,17 @@ def _sample(gens, box, grid: int, values: bool = True, jac: bool = True) -> _Sam
         first = int(np.flatnonzero(bad)[0])
         raise DomainError(f"generator values or first derivatives are not finite at "
                           f"{int(bad.sum())} of {npts} sample points, the first at "
-                          f"{[float(g[first]) for g in sample.grids]}")
+                          f"{_coordinates(axes, first).tolist()}")
     return sample
 
 
-def _point_tuples(grids, points: np.ndarray) -> list[tuple]:
-    return list(zip(*[g[points].tolist() for g in grids]))
+def _coordinates(axes: list[np.ndarray], points) -> np.ndarray:
+    """The coordinates of the sample points at the flat indices `points`
+    of the grid over `axes`, shaped points.shape + (m,): each index is
+    unravelled against the grid's shape, the lengths of the axes, and its
+    coordinates are read from the axes."""
+    index = np.unravel_index(points, [ax.size for ax in axes])
+    return np.stack([ax.reshape(-1)[i] for ax, i in zip(axes, index)], axis=-1)
 
 
 # The first draws of the separation check's weight stream,
@@ -511,7 +503,7 @@ def _candidate_counts(key: np.ndarray, window: np.ndarray) -> np.ndarray:
 
 
 def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
-                     sample: _Sample | None = None) -> list | None:
+                     sample: _Sample | None = None) -> list | np.ndarray:
     """Grid-point pairs whose generator values all differ by at most the
     absolute tol, sorted, each as (smaller point, larger point) by
     coordinate tuples; empty means no violation on this sample.
@@ -528,9 +520,9 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
     refused with DomainError before any pair is built, and so are values
     that are not finite; a negative or non-finite tol is a ValueError.
     `sample` is the evaluated grid envelope_verdict shares with
-    tangent_rank_check: given it, the pairs are left on it as a 2 x P
-    point-index array under witnesses["separation"] and None is returned;
-    without it the grid is built here and the list returned.
+    tangent_rank_check: given it, the pairs are returned as the (2, P)
+    array of their flat point indices in that order; without it the grid
+    is built here and the list returned.
     """
     tol = tolerance("tol_sep", tol)
     shared = sample is not None
@@ -576,11 +568,10 @@ def separation_check(gens, box, grid: int, tol: float = 1e-9, *,
             index = index[order]
             kept = np.concatenate((order[:1], order[1:][index[1:] != index[:-1]]))
             pairs = np.where(cb < ca, np.stack([b, a]), np.stack([a, b]))[:, kept]
-    sample.witnesses["separation"] = pairs
     if shared:
-        return None
-    grids = sample.grids
-    return list(zip(_point_tuples(grids, pairs[0]), _point_tuples(grids, pairs[1])))
+        return pairs
+    first, second = _coordinates(sample.axes, pairs).tolist()
+    return list(zip(map(tuple, first), map(tuple, second)))
 
 
 # One-sided Jacobi sweeps after which the rank certificate gives up; the
@@ -845,7 +836,7 @@ def _rank_deficient(jac, tol_rank: float, shape: tuple | None = None) -> np.ndar
 
 
 def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
-                       sample: _Sample | None = None) -> list | None:
+                       sample: _Sample | None = None) -> list | np.ndarray:
     """Sample points, sorted, where the generator Jacobian has rank below
     the variable count, i.e. some tangent direction kills every generator.
 
@@ -854,9 +845,9 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     point is one. First derivatives that are not finite are refused with
     DomainError, a negative or non-finite tol_rank with ValueError.
     `sample` is the evaluated grid envelope_verdict shares with
-    separation_check: given it, the points are left on it as a point-index
-    array under witnesses["tangent"] and None is returned; without it the
-    grid is built here and the list returned.
+    separation_check: given it, the points are returned as the array of
+    their flat indices in that order; without it the grid is built here
+    and the list returned.
     """
     tol_rank = tolerance("tol_rank", tol_rank)
     shared = sample is not None
@@ -865,8 +856,7 @@ def tangent_rank_check(gens, box, grid: int, tol_rank: float = 1e-8, *,
     points = np.flatnonzero(_rank_deficient(sample.columns, tol_rank, sample.shape))
     if points.size:
         points = points[np.argsort(sample.codes[points], kind="stable")]
-    sample.witnesses["tangent"] = points
-    return None if shared else _point_tuples(sample.grids, points)
+    return points if shared else list(map(tuple, _coordinates(sample.axes, points).tolist()))
 
 
 class JetSurjectivity:
@@ -946,98 +936,54 @@ _TANGENT_DETAIL = "Jacobian rank below the variable count"
 
 
 class Reasons:
-    """The reasons of a FAIL verdict: separation pairs and tangent points as
-    axis-index arrays into the sample axes, then the jet entries as dicts.
+    """The reasons of a verdict: the separation pairs and the tangent
+    points as flat indices of sample points, then the jet entries as dicts.
 
-    `axes` holds the m coordinate arrays, `pairs` the (2, m, P) axis
-    indices of each pair's smaller and larger point, and `points` the
-    (m, T) axis indices of the tangent points. to_list() builds the public
-    list of reason dicts once; _json_pieces writes the pieces of its JSON
-    text at any depth straight from the arrays, with the coordinate texts
-    made once.
+    `axes` holds the m sample axes, `pairs` the (2, P) flat indices of each
+    pair's smaller and larger point and `points` the (T,) flat indices of
+    the tangent points, each in report order. to_list() builds the public
+    list of reason dicts once; `texts`, made once, holds the
+    float.__repr__ texts of the witness coordinates, from which diffalg.cli
+    writes a report's reasons without building the dicts.
     """
 
     def __init__(self, axes: list[np.ndarray], pairs: np.ndarray, points: np.ndarray,
                  entries: list[dict]):
         self.axes, self.pairs, self.points, self.entries = axes, pairs, points, entries
-        self._list = self._texts = None
+        self._list = None
 
     def __len__(self):
-        return self.pairs.shape[2] + self.points.shape[1] + len(self.entries)
-
-    def _coords(self, index: np.ndarray) -> list[list[float]]:
-        return np.stack([ax[i] for ax, i in zip(self.axes, index)], axis=1).tolist()
+        return self.pairs.shape[1] + len(self.points) + len(self.entries)
 
     def to_list(self) -> list[dict]:
         if self._list is None:
+            first, second = _coordinates(self.axes, self.pairs).tolist()
             self._list = (
                 [{"condition": "separation", "witness": [pa, pb],
-                  "detail": _SEPARATION_DETAIL}
-                 for pa, pb in zip(self._coords(self.pairs[0]), self._coords(self.pairs[1]))]
+                  "detail": _SEPARATION_DETAIL} for pa, pb in zip(first, second)]
                 + [{"condition": "tangent", "witness": pt, "detail": _TANGENT_DETAIL}
-                   for pt in self._coords(self.points)]
+                   for pt in _coordinates(self.axes, self.points).tolist()]
                 + self.entries)
         return self._list
 
-    def _json_pieces(self, level: int, write, out: list[str]) -> None:
-        """Appends to out the pieces of the text json.dumps(self.to_list(),
-        sort_keys=True, indent=2) writes at nesting depth `level`;
-        `write(entry, depth, out)` appends those of a jet entry.
-
-        The witness entries of one condition are the rows of one table: the
-        constant pieces of that depth's template interleaved with the
-        float.__repr__ texts of the coordinates (finite, see _grid_axes),
-        which are made once per object.
-        """
-        at = level + 1
-        d1, d2, d3 = ("\n" + "  " * (at + k) for k in (1, 2, 3))
-        sep = ",\n" + "  " * at
-        m = len(self.axes)
-        head = "{" + d1 + '"condition": "%s",' + d1 + '"detail": "%s",' + d1 + '"witness": [' + d2
-        end = d1 + "]\n" + "  " * at + "}" + sep
-        if self._texts is None:
-            self._texts = self._axis_texts([self.pairs[0], self.pairs[1], self.points])
-        first, second, points = self._texts
-        within, between = ["," + d3] * (m - 1), [d2 + "]," + d2 + "[" + d3]
-        out.append("[\n" + "  " * at)
-        out += _template_rows(
-            [head % ("separation", _SEPARATION_DETAIL) + "[" + d3] + within + between
-            + within + [d2 + "]" + end], first + second)
-        out += _template_rows(
-            [head % ("tangent", _TANGENT_DETAIL)] + ["," + d2] * (m - 1) + [end], points)
-        for entry in self.entries:
-            write(entry, at, out)
-            out.append(sep)
-        # the last entry is followed by the closing bracket, not a separator
-        out[-1] = out[-1][:-len(sep)] + "\n" + "  " * level + "]"
-
-    def _axis_texts(self, indices: list[np.ndarray]) -> list[list[list[str]]]:
-        """For each (m, n) axis-index array, the float.__repr__ texts of the
-        coordinates it names as m lists, one repr per distinct coordinate."""
-        out = [[] for _ in indices]
-        for axis, ax in enumerate(self.axes):
-            named = np.zeros(len(ax), dtype=bool)
-            for ix in indices:
-                named[ix[axis]] = True
-            used = np.flatnonzero(named)
-            texts = np.empty(len(ax), dtype=object)
-            texts[used] = list(map(float.__repr__, ax[used].tolist()))
-            for lists, ix in zip(out, indices):
-                lists.append(texts[ix[axis]].tolist())
+    @functools.cached_property
+    def texts(self) -> tuple[list[list[str]], list[list[str]], list[list[str]]]:
+        """The coordinate texts of the pairs' first points, their second
+        points and the tangent points, each as m lists, one per axis: one
+        float.__repr__ per position of an axis that a witness names. The
+        positions are read like coordinates, from axes that hold them."""
+        positions = _coordinates([np.arange(ax.size) for ax in self.axes],
+                                 np.concatenate([self.pairs.ravel(), self.points]))
+        cut = self.pairs.shape[1]
+        out = ([], [], [])
+        for ax, named in zip(self.axes, positions.T):
+            used = np.flatnonzero(np.bincount(named, minlength=ax.size))
+            texts = np.empty(ax.size, dtype=object)
+            texts[used] = list(map(float.__repr__, ax.reshape(-1)[used].tolist()))
+            named = texts[named].tolist()
+            for lists, part in zip(out, (named[:cut], named[cut:2 * cut], named[2 * cut:])):
+                lists.append(part)
         return out
-
-
-def _template_rows(consts: list[str], columns: list[list[str]]) -> list[str]:
-    """consts[0], columns[0][r], consts[1], ..., columns[-1][r], consts[-1]
-    for every row r, flattened row by row into one list: the constant row
-    repeated, with each column written into its stride."""
-    width = 2 * len(columns) + 1
-    row = [None] * width
-    row[0::2] = consts
-    parts = row * len(columns[0])
-    for j, column in enumerate(columns):
-        parts[2 * j + 1::width] = column
-    return parts
 
 
 class Verdict:
@@ -1045,27 +991,25 @@ class Verdict:
 
     PASS means every requested condition was verified on the sample grid;
     it is a certificate about the sample, not a global proof. FAIL always
-    carries at least one witness. `reasons` may be given as a Reasons,
-    whose list of dicts is built on first access.
+    carries at least one witness. `witnesses` is the Reasons of every
+    status, empty for a PASS; `reasons`, its list of dicts, is built on
+    first access.
     """
 
-    def __init__(self, status: str, reasons: list[dict] | Reasons, meta: dict):
-        assert status in ("PASS", "FAIL", "INCONCLUSIVE")
-        self.status = status
-        self._reasons = reasons
-        self.meta = meta
+    def __init__(self, status: str, witnesses: Reasons, meta: dict):
+        if status not in ("PASS", "FAIL", "INCONCLUSIVE"):
+            raise ValueError(f"verdict status must be PASS, FAIL or INCONCLUSIVE, not {status!r}")
+        self.status, self.witnesses, self.meta = status, witnesses, meta
 
     @property
     def reasons(self) -> list[dict]:
-        if isinstance(self._reasons, Reasons):
-            return self._reasons.to_list()
-        return self._reasons
+        return self.witnesses.to_list()
 
     def to_dict(self) -> dict:
         return {"status": self.status, "reasons": self.reasons, "meta": self.meta}
 
     def __repr__(self):
-        return f"<Verdict {self.status} reasons={len(self._reasons)}>"
+        return f"<Verdict {self.status} reasons={len(self.witnesses)}>"
 
 
 def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdict:
@@ -1077,7 +1021,9 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     longer word adds a direction, as from jet_wordlen >= jet_order on, else
     INCONCLUSIVE. Options that are not an object, an unknown option, an
     option off its rule (see _input.envelope_options) and a grid that is
-    not an integer are refused with ValueError before anything is sampled.
+    not an integer are refused with ValueError before anything is
+    sampled, and so is jet_order with a generator that is not a
+    polynomial, with DomainError, once the box and grid are accepted.
     """
     options = envelope_options({} if options is None else options, len(box))
     tol_sep = options.get("tol_sep", 1e-9)
@@ -1086,21 +1032,20 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
     jet_order = options.get("jet_order")
     wordlen = options.get("jet_wordlen")
     points = options.get("jet_points")
+    if jet_order is not None and any(g.degree() is None for g in gens):
+        _grid_axes(box, grid)  # a box or grid off its rule is refused first
+        raise DomainError("jet surjectivity requires polynomial generators")
     sample = _sample(gens, box, grid)
     # Both checks run under their public names and, given the sample,
-    # leave their ordered witness indices on it without building the point
-    # lists. The rank certificate goes first, so the derivative columns
-    # are freed before the separation check allocates.
-    tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
+    # return its ordered witness indices without building the point lists.
+    # The rank certificate goes first, so the derivative columns are freed
+    # before the separation check allocates.
+    critical = tangent_rank_check(gens, box, grid, tol_rank, sample=sample)
     sample.columns = None
-    separation_check(gens, box, grid, tol_sep, sample=sample)
-    shape = (int(grid),) * len(sample.axes)
-    separated = np.stack(np.unravel_index(sample.witnesses["separation"], shape), axis=1)
-    critical = np.stack(np.unravel_index(sample.witnesses["tangent"], shape))
+    separated = separation_check(gens, box, grid, tol_sep, sample=sample)
 
     failed, inconclusive = [], []
-    polynomial = all(g.degree() is not None for g in gens)
-    if jet_order is not None and polynomial:
+    if jet_order is not None:
         if points is None:
             points = [tuple(_midpoint(float(lo), float(hi)) for lo, hi in box)]
         for pt in points:
@@ -1114,9 +1059,7 @@ def envelope_verdict(gens, box, grid: int, options: dict | None = None) -> Verdi
 
     meta = {"box": [[float(lo), float(hi)] for lo, hi in box], "grid": int(grid),
             "note": "PASS = conditions verified on sample"}
-    if separated.size or critical.size or failed:
-        axes = [ax.ravel() for ax in sample.axes]
-        return Verdict("FAIL", Reasons(axes, separated, critical, failed + inconclusive), meta)
-    if inconclusive:
-        return Verdict("INCONCLUSIVE", inconclusive, meta)
-    return Verdict("PASS", [], meta)
+    status = ("FAIL" if separated.size or critical.size or failed
+              else "INCONCLUSIVE" if inconclusive else "PASS")
+    return Verdict(status, Reasons(sample.axes, separated, critical, failed + inconclusive),
+                   meta)

@@ -568,6 +568,23 @@ def test_envelope_periodic_witness(capsys, tmp_path):
     assert [[0.0], [1.0]] in witnesses or [[-1.0], [0.0]] in witnesses
 
 
+def test_envelope_jet_order_with_a_non_polynomial_generator_is_refused(capsys, tmp_path):
+    doc = {"m": 1, "generators": ["(sin (var 0))"], "box": [[-1.0, 1.0]], "grid": 11,
+           "options": {"jet_order": 2}}
+    code, rep, _ = run_json(capsys, "envelope", _write(tmp_path, "sin.json", doc))
+    assert code == 3
+    assert rep["results"] == {}
+    assert rep["violations"] == [{"type": "domain",
+                                  "message": "jet surjectivity requires polynomial generators"}]
+    # a grid off its rule is still an input error first
+    bad = _write(tmp_path, "grid.json", {**doc, "grid": 1})
+    assert run(capsys, "envelope", bad)[0] == 2
+    # without the jet certificate the same generator is judged
+    del doc["options"]
+    code, rep, _ = run_json(capsys, "envelope", _write(tmp_path, "sin.json", doc))
+    assert code == 0 and rep["results"]["status"] == "PASS"
+
+
 def test_envelope_pass_exits_zero(capsys, tmp_path):
     doc = {"m": 1, "generators": ["(var 0)"], "box": [[-1.0, 1.0]], "grid": 101}
     path = _write(tmp_path, "easy.json", doc)

@@ -214,23 +214,55 @@ def test_verdict_builds_one_grid(monkeypatch):
 def test_verdict_calls_each_public_check_once(monkeypatch):
     from diffalg import envelope
 
-    calls = []
+    calls, shared = [], []
 
     def counted(name):
         check = getattr(envelope, name)
 
         def wrapper(*args, **kwargs):
             calls.append(name)
-            return check(*args, **kwargs)
+            out = check(*args, **kwargs)
+            shared.append((kwargs["sample"], out.dtype.kind))
+            return out
         return wrapper
 
+    # through the module attributes, which the benchmark's tracer wraps:
+    # the verdict hands both checks its one sample, and each returns its
+    # witnesses as flat point indices
     for name in ("separation_check", "tangent_rank_check"):
         monkeypatch.setattr(envelope, name, counted(name))
     gens = [Prod(Var(0), Var(0)), Var(1)]
     box = [(-1.0, 1.0), (-1.0, 1.0)]
     v = envelope_verdict(gens, box, 5)
     assert sorted(calls) == ["separation_check", "tangent_rank_check"]
+    assert shared[0][0] is shared[1][0] and [kind for _, kind in shared] == ["i", "i"]
     assert [r["condition"] for r in v.reasons] == ["separation"] * 10 + ["tangent"] * 5
+
+
+def test_verdict_refuses_an_unknown_status():
+    from diffalg import envelope
+
+    with pytest.raises(ValueError, match="BOGUS"):
+        envelope.Verdict("BOGUS", [], {})
+    reasons = envelope.Reasons([np.zeros(2)], np.zeros((2, 0), dtype=np.intp),
+                               np.zeros(0, dtype=np.intp), [])
+    for status in ("PASS", "FAIL", "INCONCLUSIVE"):
+        assert envelope.Verdict(status, reasons, {}).status == status
+
+
+def test_jet_order_refuses_a_generator_that_is_not_a_polynomial(monkeypatch):
+    from diffalg import envelope
+
+    def refused(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    # refused as the jet certificate refuses it, before anything is sampled
+    monkeypatch.setattr(envelope, "_sample", refused)
+    for gens in ([Sin(Var(0))], [Var(0), flat_bump(Var(0))]):
+        with pytest.raises(DomainError, match="requires polynomial generators"):
+            envelope_verdict(gens, BOX1, 11, {"jet_order": 2})
+        with pytest.raises(DomainError, match="requires polynomial generators"):
+            jet_surjectivity_check(gens, [0.0], 2)
 
 
 @pytest.mark.parametrize("power", [1, 3, 4, 6])

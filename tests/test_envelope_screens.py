@@ -206,7 +206,6 @@ def test_keys_exactly_the_widest_window_apart_form_a_run(sweep_calls, power, joi
     # a witness the point codes are never built.
     gens = [parse_expr(f"(pow (var 0) {power})", 1)]
     sample = envelope._sample(gens, [(0.0, 2.0)], 5, jac=False)
-    assert separation_check(gens, [(0.0, 2.0)], 5, 0.0, sample=sample) is None
-    assert sample.witnesses["separation"].shape == (2, 0)
+    assert separation_check(gens, [(0.0, 2.0)], 5, 0.0, sample=sample).shape == (2, 0)
     assert bool(sweep_calls["counts"]) == joined
     assert "codes" not in vars(sample)

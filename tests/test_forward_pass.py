@@ -85,6 +85,42 @@ def test_plane_columns_do_not_fill_the_grid():
     assert sample.columns[0][0].shape == (1, 1) and sample.columns[0][0][0, 0] == 1.0
 
 
+def _constant_family(m: int) -> list[str]:
+    last = f"(var {m - 1})"
+    return [f"(sin (* (const 3) {last}))", f"(* (const 2) {last})", f"(+ {last} (const 2))",
+            "(const 1.5)", f"(flatbump (+ {last} (const -0.25)))",
+            "(* (var 0) (cos (const 3)))"]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_constants_stretch_no_value_or_column(m):
+    """A value or derivative column has length 1 along every axis whose
+    variable its generator does not read, also where a constant enters it;
+    the values and partials stay those of the reference."""
+    texts = _constant_family(m) + [t for f in forms(m).values() for t in f]
+    gens = [parse_expr(t, m) for t in texts]
+    grid = GRIDS[m][-1]
+    shape = (grid,) * m
+    axes = envelope._grid_axes(BOXES[m], grid)
+    points = reference_grid_points(BOXES[m], grid)
+    sample = envelope._sample(gens, BOXES[m], grid)
+    for j, g in enumerate(gens):
+        reads = {node.index for node in _nodes(g) if isinstance(node, Var)}
+        value = g.forward(axes, m)[0]
+        columns = [row[j] for row in sample.columns]
+        for array in [value] + columns:
+            assert np.ndim(array) == m
+            assert [n for axis, n in enumerate(array.shape) if axis not in reads] == [1] * (
+                m - len(reads)), g
+        assert np.array_equal(bits(np.broadcast_to(value, shape).ravel()),
+                              bits(evaluate(g, points)))
+        for i, col in enumerate(columns):
+            assert np.array_equal(bits(np.broadcast_to(col, shape).ravel(), False),
+                                  bits(evaluate(diff(g, i), points), False))
+    # a lone constant is one value
+    assert Const(2.5).eval(axes).shape == (1,) * m
+
+
 def test_structural_zeros_are_none():
     grids = [np.linspace(0.0, 1.0, 3)]
     assert Const(2.0).forward(grids, 1)[1] == [None]

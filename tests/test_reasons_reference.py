@@ -13,8 +13,9 @@ every envelope class of the benchmark corpus, on generated boxes with
 lo > hi, -0.0 and subnormal bounds, with jet and inconclusive entries
 among the witnesses, and with reasons texts from a few lines to well
 over a kilobyte. A Reasons built directly must also be written right
-at every depth, in either order within one report, with its axis texts
-made once, and the verdict must not build the public checks' lists.
+at every depth, in either order within one report, with its coordinate
+texts made once, and the verdict must not gather the coordinates of its
+witnesses, which the public checks' lists are made from.
 """
 from __future__ import annotations
 
@@ -29,15 +30,18 @@ from hypothesis import assume, given, strategies as st
 from diffalg import DomainError, envelope_verdict, jet_surjectivity_check, parse_expr
 from diffalg import cli, envelope
 
+from test_sample_axes import reference_grid_points
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def reference_separation(sample, tol):
-    """Every pair within tol in each generator. Candidates are the pairs
+def reference_separation(sample, points, tol):
+    """Every pair within tol in each generator, of the grid points
+    `points` (one row of coordinates each). Candidates are the pairs
     within tol in one generator alone, which holds every such pair since
     |f_j(p) - f_j(q)| <= max_j |f_j(p) - f_j(q)|; of the generators, the one
     with the fewest candidates is taken."""
-    values, grids = sample.values, sample.grids
+    values = sample.values
     npts = values.shape[0]
 
     def window(f):
@@ -57,37 +61,40 @@ def reference_separation(sample, tol):
     # the first
     codes = np.sort(np.minimum(a, b)[keep] * npts + np.maximum(a, b)[keep])
     a, b = codes // npts, codes % npts
-    points = np.stack(grids, axis=1)
     pairs = [tuple(sorted((tuple(pa), tuple(pb))))
              for pa, pb in zip(points[a].tolist(), points[b].tolist())]
     return sorted(set(pairs))
 
 
-def reference_tangent(sample, tol_rank):
-    top, bottom = envelope._extreme_singular_values(sample.jacobian())
+def reference_tangent(sample, points, tol_rank):
+    top, bottom = envelope._extreme_singular_values(
+        envelope._gather(sample.columns, sample.shape))
     degenerate = bottom <= tol_rank * np.maximum(top, 1.0)
-    return sorted(map(tuple, np.stack(sample.grids, axis=1)[degenerate].tolist()))
+    return sorted(map(tuple, points[degenerate].tolist()))
 
 
 def reference_verdict(gens, box, grid, options=None):
     """(status, reasons, meta) as envelope_verdict built them, one dict per
     witness."""
     options = dict(options or {})
+    jet_order = options.get("jet_order")
+    if jet_order is not None and any(g.degree() is None for g in gens):
+        raise DomainError("jet surjectivity requires polynomial generators")
     sample = envelope._sample(gens, box, grid)
+    points = np.stack(reference_grid_points(box, grid), axis=1)
     reasons = []
-    for pa, pb in reference_separation(sample, float(options.get("tol_sep", 1e-9))):
+    for pa, pb in reference_separation(sample, points, float(options.get("tol_sep", 1e-9))):
         reasons.append({"condition": "separation", "witness": [list(pa), list(pb)],
                         "detail": "generator value tuples coincide"})
-    for pt in reference_tangent(sample, float(options.get("tol_rank", 1e-8))):
+    for pt in reference_tangent(sample, points, float(options.get("tol_rank", 1e-8))):
         reasons.append({"condition": "tangent", "witness": list(pt),
                         "detail": "Jacobian rank below the variable count"})
     inconclusive = []
-    jet_order = options.get("jet_order")
-    if jet_order is not None and all(g.degree() is not None for g in gens):
-        points = options.get("jet_points")
-        if points is None:
-            points = [tuple((lo + hi) / 2.0 for lo, hi in box)]
-        for pt in points:
+    if jet_order is not None:
+        jet_points = options.get("jet_points")
+        if jet_points is None:
+            jet_points = [tuple((lo + hi) / 2.0 for lo, hi in box)]
+        for pt in jet_points:
             res = jet_surjectivity_check(gens, pt, int(jet_order), options.get("jet_wordlen"))
             if res.ok:
                 continue
@@ -123,7 +130,7 @@ def check(gens, box, grid, options=None):
     status, want, meta = reference_verdict(gens, box, grid, options)
     v = envelope_verdict(gens, box, grid, options)
     assert (v.status, v.meta) == (status, meta)
-    text = report_text(v.status, v._reasons, v.meta)
+    text = report_text(v.status, v.witnesses, v.meta)
     same(text, report_text(status, want, meta))
     same(repr(v.reasons), repr(want))
     assert v.to_dict()["reasons"] is v.reasons
@@ -230,7 +237,7 @@ def test_reasons_with_only_jet_entries():
     assert v.status == "INCONCLUSIVE"
     v, _ = check([parse_expr("(pow (var 0) 3)", 1)], [[0.5, 1.0]], 5,
                  {"jet_order": 3, "jet_wordlen": 2, "jet_points": [[0.0]]})
-    assert v.status == "FAIL" and len(v._reasons) == 1
+    assert v.status == "FAIL" and len(v.witnesses) == 1
 
 
 @pytest.mark.parametrize("grid, long", [(3, False), (5, False), (41, True), (201, True)])
@@ -244,10 +251,10 @@ def test_shared_reuse_on_both_sides_of_the_threshold(grid, long):
 def test_report_text_is_json_of_the_list():
     gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
     v = envelope_verdict(gens, [[1.0, -1.0], [-0.5, 0.5]], 7)
-    same(cli._render({"k": v._reasons}), json.dumps({"k": v.reasons}, sort_keys=True,
-                                                    indent=2))
+    same(cli._render({"k": v.witnesses}), json.dumps({"k": v.reasons}, sort_keys=True,
+                                                     indent=2))
     for level in range(4):
-        same(cli._render(v._reasons, level), cli._render(v.reasons, level))
+        same(cli._render(v.witnesses, level), cli._render(v.reasons, level))
 
 
 # --- the Reasons writer at every depth ----------------------------------------
@@ -258,17 +265,18 @@ KINDS = [("pairs",), ("points",), ("jets",), ("pairs", "points", "jets")]
 
 def made_reasons(m: int, kinds, seed: int) -> envelope.Reasons:
     """A Reasons over m axes with -0.0, 0.0 and subnormal coordinates and
-    the witness kinds asked for, built directly from index arrays."""
+    the witness kinds asked for, built directly from flat index arrays."""
     rng = np.random.default_rng(seed)
     axes = [rng.permutation([-0.0, 0.0, 0.1, -1.25, 5e-324, 1e300, 3.0 + axis])
             for axis in range(m)]
     # every coordinate of every axis is named, in a seeded order
-    pairs = np.array([[rng.permutation(7) for _ in range(m)] for _ in range(2)])
-    points = np.array([rng.permutation(7) for _ in range(m)])
+    pairs = np.ravel_multi_index(tuple(np.array([[rng.permutation(7) for _ in range(m)]
+                                                 for _ in range(2)]).swapaxes(0, 1)), (7,) * m)
+    points = np.ravel_multi_index(tuple(rng.permutation(7) for _ in range(m)), (7,) * m)
     if "pairs" not in kinds:
-        pairs = pairs[:, :, :0]
+        pairs = pairs[:, :0]
     if "points" not in kinds:
-        points = points[:, :0]
+        points = points[:0]
     entries = [{"condition": "jet", "witness": [0.5, -0.0, 1e-7][:m],
                 "detail": f"jet span {k} of 3, growth [1, {k}]"}
                for k in (1, 2)] if "jets" in kinds else []
@@ -303,15 +311,15 @@ def test_reasons_written_at_every_depth(m, kinds):
             assert "-0.0" in text and "5e-324" in text
 
 
-def test_axis_texts_made_once_per_report(monkeypatch, tmp_path, capsys):
+def test_coordinate_texts_made_once_per_report(monkeypatch, tmp_path, capsys):
     calls = []
-    axis_texts = envelope.Reasons._axis_texts
+    coordinates = envelope._coordinates
 
-    def counted(self, indices):
-        calls.append(len(indices))
-        return axis_texts(self, indices)
+    def counted(axes, points):
+        calls.append(np.size(points))
+        return coordinates(axes, points)
 
-    monkeypatch.setattr(envelope.Reasons, "_axis_texts", counted)
+    monkeypatch.setattr(envelope, "_coordinates", counted)
     path = tmp_path / "fold.json"
     path.write_text(json.dumps({"m": 2, "generators": ["(pow (var 0) 2)", "(var 1)"],
                                 "box": [[-1.0, 1.0], [-0.5, 0.5]], "grid": 9}))
@@ -319,19 +327,23 @@ def test_axis_texts_made_once_per_report(monkeypatch, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["reasons"] == report["violations"]
     assert {r["condition"] for r in report["violations"]} == {"separation", "tangent"}
-    assert calls == [3]
+    # one gather of every witness point: the pairs' two points, then the
+    # tangent points
+    conditions = [r["condition"] for r in report["violations"]]
+    assert calls == [2 * conditions.count("separation") + conditions.count("tangent")]
 
 
-def test_verdict_builds_no_point_tuples(monkeypatch):
-    def refused(grids, points):
-        raise AssertionError("point tuples built")
+def test_verdict_gathers_no_coordinates(monkeypatch):
+    def refused(axes, points):
+        raise AssertionError("coordinates gathered")
 
-    monkeypatch.setattr(envelope, "_point_tuples", refused)
     gens = [parse_expr("(pow (var 0) 2)", 2), parse_expr("(var 1)", 2)]
     box = [[-1.0, 1.0], [0.0, 1.0]]
-    v = envelope_verdict(gens, box, 9)
+    with monkeypatch.context() as patched:
+        patched.setattr(envelope, "_coordinates", refused)
+        v = envelope_verdict(gens, box, 9)
+        # the public checks still gather them without a shared sample
+        for check in (envelope.separation_check, envelope.tangent_rank_check):
+            with pytest.raises(AssertionError, match="coordinates gathered"):
+                check(gens, box, 9)
     assert {r["condition"] for r in v.reasons} == {"separation", "tangent"}
-    # the public checks still build them without a shared sample
-    for check in (envelope.separation_check, envelope.tangent_rank_check):
-        with pytest.raises(AssertionError, match="point tuples built"):
-            check(gens, box, 9)

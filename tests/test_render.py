@@ -9,6 +9,7 @@ stdout gets, and the largest envelope report must keep its traced peak.
 """
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import math
@@ -22,6 +23,18 @@ from hypothesis import given, strategies as st
 from diffalg import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_the_report_layout_lives_in_cli():
+    """envelope.py holds no JSON text: apart from docstrings, none of its
+    string constants holds a newline; the report's layout is cli's."""
+    tree = ast.parse(open(os.path.join(ROOT, "src", "diffalg", "envelope.py")).read())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and isinstance(node.body[0], ast.Expr)}
+    assert {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "\n" in node.value and id(node) not in docstrings} == set()
 
 
 def old(obj) -> str:
@@ -217,7 +230,7 @@ def _fold_reasons(grid: int):
     verdict = envelope_verdict(gens, [[-1.0, 1.0], [0.5, -0.0]], grid,
                                {"jet_order": 1, "jet_points": [[0.0, 0.25]]})
     assert verdict.status == "FAIL"
-    return verdict._reasons
+    return verdict.witnesses
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])

@@ -3,7 +3,8 @@
 `envelope._sample` walks each generator once on the m broadcastable axes
 for its value and first derivatives; it writes the values into their slot
 by broadcast assignment and keeps the derivatives as columns, which
-`_Sample.jacobian()` gathers. The reference below is the earlier
+`envelope._gather` gathers, and `envelope._coordinates` reads the points'
+coordinates from the axes. The reference below is the earlier
 construction, with `symbolic_diff`: every expression and its symbolic
 derivative trees evaluated node by node on the raveled meshgrid, the
 values stacked and the Jacobian filled row by row. Values and flat
@@ -91,13 +92,15 @@ def test_broadcast_sample_is_the_meshgrid_sample(m, form):
     for grid in GRIDS[m]:
         grids, vals, jac = reference_sample(gens, BOXES[m], grid)
         sample = envelope._sample(gens, BOXES[m], grid)
-        assert sample.values.shape == vals.shape and sample.jacobian().shape == jac.shape
+        jacobian = envelope._gather(sample.columns, sample.shape)
+        assert sample.values.shape == vals.shape and jacobian.shape == jac.shape
         assert np.array_equal(bits(sample.values), bits(vals))
-        assert np.array_equal(bits(sample.jacobian(), False), bits(jac, False))
+        assert np.array_equal(bits(jacobian, False), bits(jac, False))
         points = np.random.default_rng(grid).permutation(grid ** m)[:grid]
-        assert np.array_equal(bits(sample.jacobian(points), False),
+        assert np.array_equal(bits(envelope._gather(sample.columns, sample.shape, points), False),
                               bits(jac[:, :, points], False))
-        for got, want in zip(sample.grids, grids):
+        coords = envelope._coordinates(sample.axes, np.arange(grid ** m))
+        for got, want in zip(coords.T, grids):
             assert np.array_equal(bits(got), bits(want))
         assert [ax.size for ax in sample.axes] == [grid] * m
 
@@ -105,9 +108,10 @@ def test_broadcast_sample_is_the_meshgrid_sample(m, form):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_grid_points_are_the_meshgrid(m):
     for grid in GRIDS[m]:
-        for got, want in zip(envelope._Sample(envelope._grid_axes(BOXES[m], grid)).grids,
-                             reference_grid_points(BOXES[m], grid)):
-            assert got.flags.c_contiguous
+        coords = envelope._coordinates(envelope._grid_axes(BOXES[m], grid),
+                                       np.arange(grid ** m))
+        assert coords.flags.c_contiguous and coords.shape == (grid ** m, m)
+        for got, want in zip(coords.T, reference_grid_points(BOXES[m], grid)):
             assert np.array_equal(bits(got), bits(want))
 
 
@@ -120,7 +124,8 @@ def test_one_array_only(values, jac):
     if values:
         assert np.array_equal(bits(sample.values), bits(vals))
     else:
-        assert np.array_equal(bits(sample.jacobian(), False), bits(jacobian, False))
+        assert np.array_equal(bits(envelope._gather(sample.columns, sample.shape), False),
+                              bits(jacobian, False))
 
 
 @pytest.mark.parametrize("m, text", [

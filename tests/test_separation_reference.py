@@ -42,7 +42,10 @@ from test_sample_axes import reference_grid_points
 
 def reference_separation_check(gens, box, grid: int, tol: float = 1e-9) -> list:
     grids = reference_grid_points(box, grid)
-    values = np.stack([np.asarray(g.eval(grids), dtype=float) for g in gens], axis=1)
+    # a constant has length 1 along each of the m axes, so on these flat
+    # grids its value is raveled and stretched to the points
+    values = np.stack([np.broadcast_to(np.ravel(g.eval(grids)), grids[0].shape)
+                       for g in gens], axis=1)
     points = [tuple(p) for p in np.stack(grids, axis=1).tolist()]
     npts = values.shape[0]
     pairs = []
@@ -240,7 +243,8 @@ FAMILIES = {
 def reference_tangent_points(gens, box, grid: int) -> list:
     """sorted() of the coordinate tuples of every point the rank
     certificate's Jacobi, run at every point, counts as a witness."""
-    jac = envelope._sample(gens, box, grid, values=False).jacobian()
+    sample = envelope._sample(gens, box, grid, values=False)
+    jac = envelope._gather(sample.columns, sample.shape)
     top, bottom = envelope._extreme_singular_values(jac)
     points = np.stack(reference_grid_points(box, grid), axis=1)
     return sorted(map(tuple, points[bottom <= 1e-8 * np.maximum(top, 1.0)].tolist()))
