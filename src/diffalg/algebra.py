@@ -248,6 +248,7 @@ class PolyAlgebra(StructureAlgebra):
     degree = property(lambda self: self.table.degree)
     exponents = property(lambda self: self.table.exponents)
     exp_index = property(lambda self: self.table.exp_index)
+    _variables = property(lambda self: np.eye(self.dim)[1:1 + self.mvars])  # x_i: row 1 + i
 
     @functools.cached_property
     def labels(self) -> list[str]:
@@ -441,12 +442,30 @@ def subspace_product(m: Subspace, n: Subspace) -> Subspace:
     """Linear span of all pairwise products of basis vectors.
 
     The span plays the role of the closed product of subspaces; in finite
-    dimension closure is linear span.
+    dimension closure is linear span. Kept public, though no module calls
+    it: the tests take it as the reference for the spans of _grow_span.
     """
     if m.algebra is not n.algebra:
         raise DomainError("subspaces belong to different algebras")
     alg = m.algebra
     return Subspace(alg, alg.mul_pairs(m.basis, n.basis).reshape(-1, alg.dim))
+
+
+def _unit_rows(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """The rows (last axis) of a of norm above floor, each scaled to norm 1."""
+    norms = np.linalg.norm(a, axis=-1)
+    return a[norms > floor] / norms[norms > floor, None]
+
+
+def _grow_span(algebra: StructureAlgebra, kept, gens, rows) -> np.ndarray:
+    """Orthonormal rows spanning kept and each product g r (g in gens, r in
+    rows) scaled to norm 1, but one of norm <= RANK_TOL is zero: scaled, its
+    rounding would count. gens act in blocks within _BLOCK_ENTRIES: no d^3."""
+    step = max(1, _BLOCK_ENTRIES // algebra.dim ** 2)
+    for lo in range(0, len(gens), step):
+        words = (algebra.left_mul_matrix(gens[lo:lo + step]) @ rows.T).swapaxes(1, 2)
+        kept = la.span_basis(np.vstack([kept, _unit_rows(words, la.RANK_TOL)]))
+    return kept
 
 
 class Character:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _linalg as la
 from ._input import array, envelope_options, integer, tolerance
-from .algebra import PolyAlgebra, truncated_poly
+from .algebra import PolyAlgebra, _grow_span, _unit_rows, truncated_poly
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -885,12 +885,6 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid if math.isfinite(mid) else lo / 2.0 + hi / 2.0
 
 
-def _unit_rows(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """The rows of a of norm above floor, each scaled to norm 1."""
-    norms = np.linalg.norm(a, axis=1)
-    return a[norms > floor] / norms[norms > floor, None]
-
-
 def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSurjectivity:
     """Do products of at most `wordlen` generators (default n, at least 1)
     span the order-n jets at s, the algebra J = truncated_poly(m, n) in x - s?
@@ -916,15 +910,10 @@ def jet_surjectivity_check(gens, s, n: int, wordlen: int | None = None) -> JetSu
         raise DomainError(f"the jets of the generators at {s.tolist()} are not finite")
     h[:, 0] = 0.0
     h = _unit_rows(h)
-    times = jets.left_mul_matrix(h)
     full = la.rank(h[:, 1:1 + len(s)]) == len(s)
     span, by_length = jets.unit[None, :], [1]
     for r in range(1, min(length, n) + 1):
-        if r < n or not full:
-            # a word below the rank cut is zero: scaled up, its rounding
-            # would count as a direction
-            words = (times @ span.T).swapaxes(1, 2).reshape(-1, jets.dim)
-            span = la.span_basis(np.vstack([span, _unit_rows(words, la.RANK_TOL)]))
+        span = _grow_span(jets, span, h, span) if r < n or not full else span
         by_length.append(jets.dim if r == n and full else len(span))
     # words longer than n add no direction
     return JetSurjectivity(by_length + by_length[-1:] * (length + 1 - len(by_length)),

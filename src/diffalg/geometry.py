@@ -5,15 +5,16 @@ A tangent vector at a character s is a functional with the Leibniz rule
 tau(ab) = s(a) tau(b) + tau(a) s(b); on A = C 1 + I_s, with I_s the kernel
 ideal, that says exactly that tau kills 1 and span(I_s^2). The cotangent
 space is I_s / span(I_s^2); pairing evaluates a tangent vector on any
-representative of a class.
+representative of a class. I_s^2 = sum_j h_j I_s, for any h_j that generate
+I_s as an ideal: x_j - s(x_j) 1 on a polynomial algebra, else a kernel basis.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import _linalg as la
-from .algebra import (_DERIVATION_RUNS, _SCALARS, Character, StructureAlgebra, Subspace,
-                      _coords, _law_residuals, subspace_product)
+from .algebra import (_DERIVATION_RUNS, _SCALARS, Character, PolyAlgebra, StructureAlgebra,
+                      _coords, _grow_span, _law_residuals)
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -87,9 +88,11 @@ def _realities(algebra: StructureAlgebra, rows: np.ndarray, tol: float) -> np.nd
 
 
 def _splitting(s: Character) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal rows K spanning I_s and Q spanning span(I_s^2)."""
-    kernel = Subspace._from_orthonormal(s.algebra, la.null_space(s.functional[None]))
-    return kernel.basis, subspace_product(kernel, kernel).basis
+    """Orthonormal rows K spanning I_s and Q spanning span(I_s^2) = sum_j h_j I_s."""
+    algebra, kernel = s.algebra, la.null_space(s.functional[None])
+    x = algebra._variables if isinstance(algebra, PolyAlgebra) else None
+    gens = kernel if x is None else x - np.outer(x @ s.functional, algebra.unit)
+    return kernel, _grow_span(algebra, kernel[:0], gens, kernel)
 
 
 def _tangents(algebra: StructureAlgebra, s: Character, square: np.ndarray,

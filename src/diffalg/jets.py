@@ -234,8 +234,7 @@ def induced_jet_map(p: RelativeOp, s, n: int, gens=None,
         raise DomainError("induced jet maps need polynomial source and target")
     s_arr = _point(a, s)
     if gens is None:
-        # the variables x_i, rows 1 + i of the graded order
-        gens = np.eye(a.dim)[1:1 + a.mvars]
+        gens = a._variables
     if diff_order(p, gens, max_n=n, tol=max(tol, 1e-8)) is None:
         raise DomainError(f"operator is not a differential operator of order <= {n}")
 

@@ -3,8 +3,8 @@ under a header that names the BLAS thread settings, bad pass counts and
 limits are refused before anything is loaded, the steadier summaries are
 not moved by one slow request, the p90 band names the requests at or
 above each side's p90, each class ratio comes with the quartiles of its
-per-pass ratios, and the side that goes first alternates per request and
-per pass."""
+per-pass ratios, the side that goes first alternates per request and
+per pass, and differing reports are counted per class."""
 from __future__ import annotations
 
 import importlib.util
@@ -210,3 +210,15 @@ def test_named_classes_alone_are_timed():
     assert sorted(row.split()[0] for row in lines[table + 1:-1]) == ["env-jet-order",
                                                                       "env-plane-fold"]
     assert lines[-1] == "differing (exit code, stdout) pairs: 0 of 6"
+
+
+def test_differing_pairs_are_counted_per_class():
+    """The total line stays as it was; a second line names each class
+    with differing pairs and its count, in order of first appearance, and
+    appears only when some pair differs."""
+    ab = _ab_pairs()
+    assert ab.differing_lines({"x": 0, "y": 0}, 8) == [
+        "differing (exit code, stdout) pairs: 0 of 8"]
+    assert ab.differing_lines({"x": 0, "tangent-poly3-3": 2, "tangent-poly2-4": 4}, 40) == [
+        "differing (exit code, stdout) pairs: 6 of 40",
+        "differing pairs per class: tangent-poly3-3 2, tangent-poly2-4 4"]

@@ -360,12 +360,13 @@ def _corpus_class(name: str):
                                   ["algebra-check", "group:4x4x2"], "ztower-star4",
                                   "ztower-star6", "difforder-poly2-5", "difforder-poly3-3",
                                   "dersys-m1n4", "dersys-m2n3", "dersys-m3n2",
-                                  "env-jet-order"],
+                                  "env-jet-order", "tangent-poly2-4", "tangent-poly3-3"],
                          ids=str)
 def test_requests_on_tables_build_no_tensor(capsys, tmp_path, tensor_builds, argv):
     # a dersys-verify request packs its system into the series algebra over
     # func:1, a table over a table; the jet certificate multiplies in the
-    # jet algebra at its point through its table
+    # jet algebra at its point through its table, and a tangent request
+    # grows span(I_s^2) from the variables through the same table
     if isinstance(argv, str):  # a class of the benchmark corpora, on named algebras
         argv = _corpus_request(_corpus_class(argv), tmp_path)
     assert cli.main(argv) == 0
@@ -384,6 +385,21 @@ def test_ztower_func16_to_matrix16_stays_small(capsys, tmp_path):
     finally:
         tracemalloc.stop()
     assert json.loads(capsys.readouterr().out)["results"]["dims"] == [0, 16, 16]
+    assert peak < 64 * 2 ** 20
+
+
+def test_tangent_poly_2_20_stays_small(capsys, tmp_path):
+    # d = 231: span(I_s^2) from all pairwise kernel products built the d^3
+    # tensor and a (d - 1)^2 x d product stack, 564 MiB traced
+    argv = _corpus_request(rd.WORKLOADS._tangent_origin(2, 20), tmp_path)
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["tangent_dim"] == results["cotangent_dim"] == 2
     assert peak < 64 * 2 ** 20
 
 

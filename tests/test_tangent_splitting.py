@@ -14,7 +14,9 @@ and the realities of all its tangent vectors in one law-kernel call.
 """
 from __future__ import annotations
 
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -156,6 +158,55 @@ def test_cases_cover_tangent_directions_and_reduced_points():
     dims = {len(reference_tangent_space(alg, s)) for _, alg, s in CASES}
     assert 0 in dims and max(dims) >= 2
     assert any(name.startswith("matrix:2+func:2") for name in IDS)
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=IDS)
+def test_square_from_generators_spans_the_pairwise_products(index):
+    """span(I_s^2) = sum_j h_j I_s, grown from x_j - s(x_j) 1 on a
+    polynomial algebra and from the kernel basis elsewhere, spans what all
+    pairwise products of the kernel span."""
+    _, alg, s = CASES[index]
+    got, want = geometry._splitting(s)[1], _square(s)
+    assert len(got) == len(want)
+    assert la.in_span(got, want).all() and la.in_span(want, got).all()
+
+
+def test_the_square_grows_in_blocks_within_the_bound(monkeypatch):
+    """Without named variables the generators are the kernel's d - 1 rows;
+    their multiplication operators come in blocks of _BLOCK_ENTRIES // d^2,
+    never as one (d - 1, d, d) stack."""
+    alg = algebra_module.algebra_from_name("group:8x8")
+    s = Character(alg, np.ones(alg.dim))  # the trivial character
+    assert s.is_character()
+    stacks = []
+    left = algebra_module.StructureAlgebra.left_mul_matrix
+
+    def recording(self, a):
+        stacks.append(np.shape(a))
+        return left(self, a)
+
+    monkeypatch.setattr(algebra_module.StructureAlgebra, "left_mul_matrix", recording)
+    kernel, square = geometry._splitting(s)
+    step = algebra_module._BLOCK_ENTRIES // alg.dim ** 2
+    assert [n for n, _ in stacks] == [step] * 3 + [alg.dim - 1 - 3 * step]
+    monkeypatch.undo()
+    # the group algebra is semisimple: I_s^2 = I_s
+    assert len(square) == len(kernel) == alg.dim - 1
+    assert la.in_span(square, _square(s)).all() and la.in_span(_square(s), square).all()
+
+
+def test_one_routine_grows_the_spans_of_products():
+    """The jet certificate and span(I_s^2) call _grow_span; no module of
+    the package calls subspace_product, which the tests keep as reference."""
+    package = pathlib.Path(geometry.__file__).parent
+    calls = {path.name: {node.func.attr if isinstance(node.func, ast.Attribute)
+                         else getattr(node.func, "id", None)
+                         for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Call)}
+             for path in sorted(package.glob("*.py"))}
+    assert {name for name, called in calls.items() if "_grow_span" in called} == {
+        "envelope.py", "geometry.py"}
+    assert not [name for name, called in calls.items() if "subspace_product" in called]
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=IDS)

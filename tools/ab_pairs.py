@@ -31,12 +31,13 @@ of its passes, the p90 band (per class, how many requests of all passes
 of a side took at least that side's pooled p90), the per-class medians
 and their ratio with its spread (the first and third quartiles of the
 class's per-pass ratios B/A, which show whether a class with one or two
-requests per pass resolves its ratio), and the number of requests whose (exit code, stdout)
-differ between A and B. One slow request moves a ratio of pass
-sums, so two steadier summaries are printed next to it: the median of the
-per-request ratios B/A, and the mean of the per-class ratios weighted by
-each class's count of requests in a pass. Exits 1 when any pair differs,
-else 0.
+requests per pass resolves its ratio), and the number of requests whose
+(exit code, stdout) differ between A and B, in all and per class, so a
+change whose reports differ on purpose shows which classes they differ
+in. One slow request moves a ratio of pass sums, so two steadier
+summaries are printed next to it: the median of the per-request ratios
+B/A, and the mean of the per-class ratios weighted by each class's count
+of requests in a pass. Exits 1 when any pair differs, else 0.
 """
 from __future__ import annotations
 
@@ -155,6 +156,17 @@ def class_ratio_mean(classes: list[str], times) -> float:
                for cls, (ma, mb) in class_medians(classes, times).items()) / len(classes)
 
 
+def differing_lines(differ: dict[str, int], total: int) -> list[str]:
+    """The count of differing (exit code, stdout) pairs out of total and,
+    when any differ, their count per class; differ maps each class, in
+    order of first appearance, to its count of differing pairs."""
+    lines = [f"differing (exit code, stdout) pairs: {sum(differ.values())} of {total}"]
+    if any(differ.values()):
+        lines.append("differing pairs per class: "
+                     + ", ".join(f"{cls} {n}" for cls, n in differ.items() if n))
+    return lines
+
+
 def positive_even(text: str) -> int:
     """A pass count: positive and even, so that each request goes first on
     each side equally often."""
@@ -206,7 +218,7 @@ def main(argv=None) -> int:
         requests = [req for req in build_corpus(args.workload, args.seed, workdir)
                     if args.classes is None or req["class"] in args.classes][:args.limit]
         times = ([], [])  # per side: one list of request seconds per pass
-        differ = 0
+        differ = dict.fromkeys((req["class"] for req in requests), 0)
         for pass_index in range(args.passes):
             for side in times:
                 side.append([])
@@ -222,7 +234,7 @@ def main(argv=None) -> int:
                     code, text, seconds = call(clis[side], req["argv"])
                     outcome[side] = (code, text)
                     times[side][-1].append(seconds)
-                differ += outcome[0] != outcome[1]
+                differ[req["class"]] += outcome[0] != outcome[1]
 
     ratios = [sum(b) / sum(a) for a, b in zip(*times)]
     classes = [req["class"] for req in requests]
@@ -248,9 +260,8 @@ def main(argv=None) -> int:
         q1, q3 = spreads[cls]
         print(f"{cls:<24} {1000 * ma:9.3f} {1000 * mb:9.3f} {mb / ma:7.3f} "
               f"{q1:7.3f}-{q3:.3f}")
-    print(f"differing (exit code, stdout) pairs: {differ} of "
-          f"{len(requests) * args.passes}")
-    return 1 if differ else 0
+    print("\n".join(differing_lines(differ, len(requests) * args.passes)))
+    return 1 if any(differ.values()) else 0
 
 
 if __name__ == "__main__":
